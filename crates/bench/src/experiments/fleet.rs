@@ -725,10 +725,11 @@ pub fn fleet_serving(sample: SampleSize) -> FleetStudy {
             costs.push(mix.edge_costs.clone());
         }
         let config = builder.build().expect("valid fleet config");
-        let report = run_fleet(&costs, &mix.class_of, &config, FleetRuntime::sim(), None)
-            .expect("non-empty fleet trace")
-            .sim()
-            .expect("sim runtime yields a cycle-domain report");
+        let report =
+            run_fleet::<ModelWorker>(&costs, &mix.class_of, &config, FleetRuntime::Sim, None)
+                .expect("non-empty fleet trace")
+                .sim()
+                .expect("sim runtime yields a cycle-domain report");
 
         let class = |name: &str| {
             let c = report

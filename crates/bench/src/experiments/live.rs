@@ -1,5 +1,5 @@
 //! Dual-domain serving: the same `(replicas, policy, load)` grid
-//! measured twice — once in the simulated cycle domain (`serve_trace`
+//! measured twice — once in the simulated cycle domain (`run_fleet`
 //! replaying a cycle-exact service trace) and once live, with real OS
 //! replica threads running the engine behind the same dispatch policies
 //! (`InferenceBackend::serve_on` with `Runtime::Live`).
@@ -351,6 +351,8 @@ pub fn live_serving_with(sample: SampleSize, metrics: Option<&ServeMetrics>) -> 
     let service = acc.service_trace(spec.stream(), requests);
     let wall_service_ms = (t0.elapsed().as_secs_f64() * 1e3 / requests as f64).max(0.005);
     let sim_service_ms = cycles_to_ms(service.iter().sum::<u64>()) / service.len() as f64;
+    let class_of = vec![0; service.len()];
+    let costs = [service];
 
     let replica_counts: Vec<usize> = live_replica_counts(sample).to_vec();
     let mut points = Vec::new();
@@ -370,17 +372,26 @@ pub fn live_serving_with(sample: SampleSize, metrics: Option<&ServeMetrics>) -> 
                     other => unreachable!("unknown policy {other}"),
                 };
                 let config_for = |rate: f64| {
-                    ServeConfig::builder()
+                    FleetConfig::pool(replicas)
                         .arrivals(ArrivalProcess::poisson_rate(rate, arrival_seed))
                         .queue_capacity(QUEUE_CAPACITY)
-                        .replicas(replicas)
                         .policy(policy)
                         .build()
                         .expect("valid dual-domain config")
                 };
 
                 let sim_rate = load * replicas as f64 * 1e3 / sim_service_ms;
-                let sim = serve_trace(&service, &config_for(sim_rate)).expect("non-empty trace");
+                let sim_config = config_for(sim_rate);
+                let sim = run_fleet::<ModelWorker>(
+                    &costs,
+                    &class_of,
+                    &sim_config,
+                    FleetRuntime::Sim,
+                    None,
+                )
+                .expect("non-empty trace")
+                .sim()
+                .expect("sim runtime yields a cycle-domain report");
                 points.push(point(replicas, policy_name, load, "sim", sim_rate, &sim));
 
                 let live_rate = load * replicas as f64 * 1e3 / wall_service_ms;
@@ -388,7 +399,7 @@ pub fn live_serving_with(sample: SampleSize, metrics: Option<&ServeMetrics>) -> 
                     .serve_on(
                         spec.stream(),
                         requests,
-                        &FleetConfig::from(&config_for(live_rate)),
+                        &config_for(live_rate),
                         Runtime::Live,
                         metrics,
                     )
@@ -406,18 +417,11 @@ pub fn live_serving_with(sample: SampleSize, metrics: Option<&ServeMetrics>) -> 
     let saturation = replica_counts
         .iter()
         .map(|&replicas| {
-            let config = ServeConfig::builder()
-                .replicas(replicas)
+            let config = FleetConfig::pool(replicas)
                 .build()
                 .expect("valid saturation config");
             let report = acc
-                .serve_on(
-                    spec.stream(),
-                    requests,
-                    &FleetConfig::from(&config),
-                    Runtime::Live,
-                    metrics,
-                )
+                .serve_on(spec.stream(), requests, &config, Runtime::Live, metrics)
                 .expect("valid live config")
                 .live()
                 .expect("live runtime yields a wall-domain report");

@@ -332,6 +332,8 @@ pub fn scale_out_with(sample: SampleSize, trace_cache: bool) -> ScaleStudy {
     let service = acc.service_trace(spec.stream(), requests);
     let mean_service_ms = cycles_to_ms(service.iter().sum::<u64>()) / service.len() as f64;
     let service_rate_per_s = 1e3 / mean_service_ms;
+    let class_of = vec![0; service.len()];
+    let costs = [service];
 
     let grid: Vec<(usize, usize, usize, usize)> = (0..SCALE_PROCESSES.len())
         .flat_map(|p| {
@@ -366,14 +368,16 @@ pub fn scale_out_with(sample: SampleSize, trace_cache: bool) -> ScaleStudy {
             },
             other => unreachable!("unknown policy {other}"),
         };
-        let config = ServeConfig::builder()
+        let config = FleetConfig::pool(replicas)
             .arrivals(arrivals)
             .queue_capacity(QUEUE_CAPACITY)
-            .replicas(replicas)
             .policy(policy)
             .build()
             .expect("valid scale-out config");
-        let report = serve_trace(&service, &config).expect("non-empty trace");
+        let report = run_fleet::<ModelWorker>(&costs, &class_of, &config, FleetRuntime::Sim, None)
+            .expect("non-empty trace")
+            .sim()
+            .expect("sim runtime yields a cycle-domain report");
         let util = report.replica_utilization().expect("pool has replicas");
         ScalePoint {
             replicas,

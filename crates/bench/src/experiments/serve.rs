@@ -360,19 +360,13 @@ pub fn serve_tail_latency_with(sample: SampleSize, trace_cache: bool) -> ServeSt
             }
             other => unreachable!("unknown process {other}"),
         };
-        let config = ServeConfig::builder()
+        let config = FleetConfig::pool(1)
             .arrivals(arrivals)
             .queue_capacity(QUEUE_CAPACITY)
             .build()
             .expect("valid serving config");
         let report = backend
-            .serve_on(
-                spec.stream(),
-                requests,
-                &FleetConfig::from(&config),
-                Runtime::Sim,
-                None,
-            )
+            .serve_on(spec.stream(), requests, &config, Runtime::Sim, None)
             .expect("valid serving config")
             .sim()
             .expect("sim runtime yields a cycle-domain report");

@@ -17,10 +17,8 @@ use crate::engine::Accelerator;
 use crate::metrics::ServeMetrics;
 use crate::resource::ResourceEstimate;
 use crate::serve::fleet::{run_fleet, FleetConfig, FleetError, FleetRuntime};
-use crate::serve::live::{serve_live_inner, ModelWorker};
-use crate::serve::report::{EndpointStats, WallDomain};
-use crate::serve::sim::serve_trace;
-use crate::serve::{ms_to_cycles, Runtime, RuntimeReport, ServeConfig, ServeError, ServeReport};
+use crate::serve::live::ModelWorker;
+use crate::serve::{ms_to_cycles, Runtime, RuntimeReport};
 
 /// One platform's result for one workload (a graph, a shape, or a stream).
 ///
@@ -157,8 +155,7 @@ pub trait InferenceBackend {
 
     /// Computes this platform's per-request service trace for up to
     /// `limit` graphs of `stream`, in cycles on the serving timeline —
-    /// the input both the plain serving loop and the fleet layer's
-    /// per-endpoint cost rows are built from.
+    /// the input the fleet layer's per-endpoint cost rows are built from.
     ///
     /// The default quantises [`Self::run_graph`]'s millisecond latency to
     /// cycles — correct for every analytic platform model. The cycle
@@ -176,98 +173,22 @@ pub trait InferenceBackend {
             .collect()
     }
 
-    /// Serves up to `limit` graphs of `stream` as an *open-loop* request
-    /// trace: graphs arrive per `config.arrivals`, are dispatched across
-    /// `config.replicas` replicas by `config.policy`, wait in per-replica
-    /// bounded admission queues, and are serviced (optionally in
-    /// micro-batches). Returns the tail-latency decomposition
-    /// ([`ServeReport`]): queueing wait plus service per request,
-    /// p50/p95/p99/max sojourns, drop rate, per-replica accounting, and a
-    /// one-entry [`ServeReport::per_endpoint`] view for this platform
-    /// (cache counters attached by implementors that consult one).
+    /// The serving entry: one method, either [`Runtime`], fleet-shaped
+    /// configuration, optional live [`ServeMetrics`]. Serves up to
+    /// `limit` graphs of `stream` as an *open-loop* request trace:
+    /// graphs arrive per `config.arrivals`, are dispatched across the
+    /// replicas by `config.policy`, wait in per-replica bounded admission
+    /// queues, and are serviced (optionally in micro-batches). The
+    /// [`ServeReport`](crate::ServeReport) inside the result decomposes
+    /// each request into queueing wait plus service and summarises the
+    /// p50/p95/p99/max sojourn tails, drops, and per-replica, per-class,
+    /// and per-endpoint accounting. A plain `R`-replica pool is
+    /// [`FleetConfig::pool`]`(R)`.
     ///
-    /// The default derives service times through [`Self::service_trace`].
-    /// The cycle engine overrides this with its native cycle-exact
-    /// service times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream (after the limit) is empty, or if `config`
-    /// violates an invariant the builder enforces (zero replicas, zero
-    /// batch size).
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `serve_on(stream, limit, &config.into(), Runtime::Sim, None)` instead"
-    )]
-    fn serve(&self, stream: GraphStream, limit: usize, config: &ServeConfig) -> ServeReport {
-        let service = self.service_trace(stream, limit);
-        let mut report =
-            serve_trace(&service, config).expect("non-empty trace with a validated config");
-        report.per_endpoint = vec![EndpointStats {
-            name: self.name().to_string(),
-            replicas: config.replicas,
-            completed: report.completed,
-            busy_cycles: report.per_replica.iter().map(|r| r.busy_cycles).sum(),
-            cache: None,
-        }];
-        report
-    }
-
-    /// Serves up to `limit` graphs of `stream` through the *live*
-    /// wall-clock runtime ([`crate::serve::live::serve_live`]): one OS
-    /// thread per replica, the same arrival schedule `config` would give
-    /// the simulator paced in real time, the same dispatch policies
-    /// acting as real schedulers. Returns the wall-clock twin of
-    /// [`Self::serve`]'s report — identical shape, nanosecond timeline.
-    ///
-    /// The default occupies each replica thread for the platform's
-    /// modeled per-graph latency ([`ModelWorker`]), which is exact for
-    /// every analytic platform model. The cycle engine overrides this to
-    /// run real inference per request ([`Accelerator::serve_live`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ServeError`] invariants [`crate::serve::live::serve_live`]
-    /// reports (zero replicas, zero batch size, zero requests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream (after the limit) is empty.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `serve_on(stream, limit, &config.into(), Runtime::Live, None)` instead"
-    )]
-    fn serve_live(
-        &self,
-        stream: GraphStream,
-        limit: usize,
-        config: &ServeConfig,
-    ) -> Result<ServeReport<WallDomain>, ServeError> {
-        let stream = stream.take_prefix(limit);
-        assert!(!stream.is_empty(), "cannot serve an empty graph stream");
-        let durations: Vec<Duration> = stream
-            .map(|g| Duration::from_secs_f64(self.run_graph(&g).latency_ms / 1e3))
-            .collect();
-        let requests = durations.len();
-        let workers: Vec<ModelWorker> = (0..config.replicas)
-            .map(|_| ModelWorker::new(durations.clone()))
-            .collect();
-        serve_live_inner(workers, requests, config)
-    }
-
-    /// The unified serving entry: one method, either [`Runtime`],
-    /// fleet-shaped configuration, optional live [`ServeMetrics`]. This
-    /// replaces the four-way `serve` / `serve_live` / `serve_fleet` /
-    /// `serve_fleet_live` sprawl — a plain pool [`ServeConfig`] lifts to
-    /// the general [`FleetConfig`] via `From` (the degenerate-fleet
-    /// equivalence), so `backend.serve_on(stream, n, &cfg.into(),
-    /// Runtime::Sim, None)` is the new spelling of `backend.serve(...)`.
-    ///
-    /// Up to `limit` graphs of `stream` are served under `config`; every
-    /// request is stamped class 0, and each endpoint's cost row is this
-    /// backend's own service trace (the endpoints model replicas *of this
-    /// backend* — drive [`crate::serve::fleet::run_fleet`] directly for
-    /// genuinely heterogeneous fleets with per-endpoint cost rows).
+    /// Every request is stamped class 0, and each endpoint's cost row is
+    /// this backend's own service trace (the endpoints model replicas *of
+    /// this backend* — drive [`crate::serve::fleet::run_fleet`] directly
+    /// for genuinely heterogeneous fleets with per-endpoint cost rows).
     /// [`Runtime::Sim`] runs the deterministic cycle scan over
     /// [`Self::service_trace`]; [`Runtime::Live`] spins up one
     /// [`ModelWorker`] thread per replica occupying its thread for the
@@ -376,20 +297,11 @@ impl InferenceBackend for Accelerator {
         Accelerator::service_trace(self, stream, limit)
     }
 
-    /// Overrides the default with the engine's cycle-exact service trace
-    /// ([`Accelerator::serve`]) instead of round-tripping latencies
-    /// through milliseconds.
-    #[allow(deprecated)]
-    fn serve(&self, stream: GraphStream, limit: usize, config: &ServeConfig) -> ServeReport {
-        Accelerator::serve(self, stream, limit, config)
-    }
-
     /// Overrides the default with cycle-exact cost rows
     /// ([`Accelerator::service_trace`], consulting the attached trace
     /// cache) and, for [`Runtime::Live`], replica threads that run real
     /// engine inference per request ([`crate::EngineWorker`]). Sim
-    /// reports carry the trace cache's counters on every endpoint entry,
-    /// as [`Accelerator::serve`] did.
+    /// reports carry the trace cache's counters on every endpoint entry.
     fn serve_on(
         &self,
         stream: GraphStream,
@@ -440,20 +352,6 @@ impl InferenceBackend for Accelerator {
         }
     }
 
-    /// Overrides the default with real engine inference per request
-    /// ([`Accelerator::serve_live`]): each replica thread owns an
-    /// accelerator clone and scratch and simulates every admitted graph
-    /// end to end, instead of spinning for a modeled latency.
-    #[allow(deprecated)]
-    fn serve_live(
-        &self,
-        stream: GraphStream,
-        limit: usize,
-        config: &ServeConfig,
-    ) -> Result<ServeReport<WallDomain>, ServeError> {
-        Accelerator::serve_live(self, stream, limit, config)
-    }
-
     /// Overrides the default with the accelerator's native stream runner
     /// ([`Accelerator::run_stream`]): back-to-back graphs on one set of
     /// loaded weights, mean latency taken over total cycles.
@@ -474,11 +372,8 @@ impl InferenceBackend for Accelerator {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated entry points stay under test: the thin wrappers must
-    // keep matching the unified `serve_on` path bit for bit.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::serve::{ArrivalProcess, FleetConfigBuilder};
     use crate::{AnalyticModel, ArchConfig, ExecutionMode};
     use flowgnn_graph::generators::{GraphGenerator, MoleculeLike};
     use flowgnn_models::GnnModel;
@@ -488,6 +383,31 @@ mod tests {
             GnnModel::gcn(9, 0),
             ArchConfig::default().with_execution(ExecutionMode::TimingOnly),
         )
+    }
+
+    /// An analytic platform with a fixed per-graph latency in ms.
+    struct Fixed(f64);
+
+    impl InferenceBackend for Fixed {
+        fn name(&self) -> &str {
+            "fixed"
+        }
+        fn run_graph(&self, _g: &Graph) -> BackendReport {
+            BackendReport::from_ms(self.0, 500.0)
+        }
+    }
+
+    /// Serves `n` molecules through `backend` under `config`.
+    fn serve(
+        backend: &impl InferenceBackend,
+        n: usize,
+        config: FleetConfigBuilder,
+        runtime: Runtime,
+    ) -> RuntimeReport {
+        let stream = MoleculeLike::new(12.0, 4).stream(n);
+        backend
+            .serve_on(stream, n, &config.build().unwrap(), runtime, None)
+            .unwrap()
     }
 
     #[test]
@@ -523,81 +443,48 @@ mod tests {
 
     #[test]
     fn default_stream_averages_per_graph_reports() {
-        struct Fixed;
-        impl InferenceBackend for Fixed {
-            fn name(&self) -> &str {
-                "fixed"
-            }
-            fn run_graph(&self, _g: &Graph) -> BackendReport {
-                BackendReport::from_ms(2.0, 500.0)
-            }
-        }
-        let report = Fixed.run_stream(MoleculeLike::new(12.0, 4).stream(3), 3);
+        let report = Fixed(2.0).run_stream(MoleculeLike::new(12.0, 4).stream(3), 3);
         assert!((report.latency_ms - 2.0).abs() < 1e-12);
         assert!((report.graphs_per_kj - 500.0).abs() < 1e-9);
     }
 
     #[test]
-    fn default_serve_reflects_per_graph_latency() {
-        use crate::serve::ArrivalProcess;
-        struct Fixed;
-        impl InferenceBackend for Fixed {
-            fn name(&self) -> &str {
-                "fixed"
-            }
-            fn run_graph(&self, _g: &Graph) -> BackendReport {
-                BackendReport::from_ms(2.0, 500.0)
-            }
-        }
+    fn default_serve_on_reflects_per_graph_latency() {
         // Arrivals slower than the 2 ms service time: no queueing, every
         // sojourn is exactly the service time.
-        let report = Fixed.serve(
-            MoleculeLike::new(12.0, 4).stream(5),
-            5,
-            &ServeConfig::builder()
-                .arrivals(ArrivalProcess::Fixed {
-                    gap: ms_to_cycles(3.0),
-                })
-                .queue_capacity(8)
-                .build()
-                .unwrap(),
-        );
+        let config = FleetConfig::pool(1)
+            .arrivals(ArrivalProcess::Fixed {
+                gap: ms_to_cycles(3.0),
+            })
+            .queue_capacity(8);
+        let report = serve(&Fixed(2.0), 5, config, Runtime::Sim).sim().unwrap();
         assert_eq!(report.completed, 5);
         assert_eq!(report.dropped, 0);
         assert!((report.p50_ms - 2.0).abs() < 1e-9);
         assert!((report.max_ms - 2.0).abs() < 1e-9);
         assert_eq!(report.mean_wait_ms, 0.0);
+        assert_eq!(report.per_endpoint[0].name, "pool");
     }
 
     #[test]
-    fn accelerator_serve_override_is_cycle_exact() {
+    fn accelerator_serve_on_is_cycle_exact() {
+        // Closed loop on one replica: every service time is the engine's
+        // native cycle count, and the makespan is the stream's total.
         let a = acc();
-        let stream = || MoleculeLike::new(12.0, 4).stream(4);
-        let cfg = ServeConfig::builder().build().unwrap();
-        let native = Accelerator::serve(&a, stream(), 4, &cfg);
-        let via_trait = InferenceBackend::serve(&a, stream(), 4, &cfg);
-        assert_eq!(native, via_trait);
-        let closed = Accelerator::run_stream(&a, stream(), 4);
-        assert_eq!(native.makespan_cycles, closed.total_cycles);
+        let report = serve(&a, 4, FleetConfig::pool(1), Runtime::Sim)
+            .sim()
+            .unwrap();
+        let trace = a.service_trace(MoleculeLike::new(12.0, 4).stream(4), 4);
+        let service: Vec<Cycle> = report.records.iter().map(|r| r.service_cycles()).collect();
+        assert_eq!(service, trace);
+        let closed = Accelerator::run_stream(&a, MoleculeLike::new(12.0, 4).stream(4), 4);
+        assert_eq!(report.makespan_cycles, closed.total_cycles);
     }
 
     #[test]
-    fn default_serve_live_spins_for_modeled_latencies() {
-        struct Fixed;
-        impl InferenceBackend for Fixed {
-            fn name(&self) -> &str {
-                "fixed"
-            }
-            fn run_graph(&self, _g: &Graph) -> BackendReport {
-                BackendReport::from_us(50.0, 500.0)
-            }
-        }
-        let report = Fixed
-            .serve_live(
-                MoleculeLike::new(12.0, 4).stream(6),
-                6,
-                &ServeConfig::builder().replicas(2).build().unwrap(),
-            )
+    fn default_serve_on_live_spins_for_modeled_latencies() {
+        let report = serve(&Fixed(0.05), 6, FleetConfig::pool(2), Runtime::Live)
+            .live()
             .unwrap();
         assert_eq!(report.completed, 6);
         assert_eq!(report.dropped, 0);
@@ -607,72 +494,8 @@ mod tests {
     }
 
     #[test]
-    fn accelerator_serve_live_runs_real_inference() {
-        let a = acc();
-        let stream = || MoleculeLike::new(12.0, 4).stream(4);
-        let cfg = ServeConfig::builder().replicas(2).build().unwrap();
-        let report = InferenceBackend::serve_live(&a, stream(), 4, &cfg).unwrap();
-        assert_eq!(report.completed, 4);
-        assert_eq!(report.per_replica.len(), 2);
-        assert!(report.makespan_cycles > 0, "real time elapsed");
-    }
-
-    #[test]
-    fn unified_serve_on_matches_the_deprecated_sim_entry() {
-        use crate::serve::ArrivalProcess;
-        // The new one-method API over a lifted plain config must match
-        // the deprecated per-runtime entry bit for bit (records and all).
-        let a = acc();
-        let stream = || MoleculeLike::new(12.0, 4).stream(6);
-        let cfg = ServeConfig::builder()
-            .arrivals(ArrivalProcess::Fixed {
-                gap: ms_to_cycles(0.002),
-            })
-            .queue_capacity(8)
-            .replicas(2)
-            .build()
-            .unwrap();
-        let old = InferenceBackend::serve(&a, stream(), 6, &cfg);
-        let new = a
-            .serve_on(stream(), 6, &(&cfg).into(), Runtime::Sim, None)
-            .unwrap()
-            .sim()
-            .expect("sim runtime yields a sim report");
-        assert_eq!(old.records, new.records);
-        assert_eq!(old.per_replica, new.per_replica);
-        assert_eq!(old.makespan_cycles, new.makespan_cycles);
-        // The unified path names endpoints from the config registry.
-        assert_eq!(new.per_endpoint.len(), 1);
-        assert_eq!(new.per_endpoint[0].name, "pool");
-
-        // The default (analytic) implementation agrees with its
-        // deprecated twin the same way.
-        struct Fixed;
-        impl InferenceBackend for Fixed {
-            fn name(&self) -> &str {
-                "fixed"
-            }
-            fn run_graph(&self, _g: &Graph) -> BackendReport {
-                BackendReport::from_ms(2.0, 500.0)
-            }
-        }
-        let old = InferenceBackend::serve(&Fixed, stream(), 6, &cfg);
-        let new = Fixed
-            .serve_on(stream(), 6, &(&cfg).into(), Runtime::Sim, None)
-            .unwrap()
-            .sim()
-            .unwrap();
-        assert_eq!(old.records, new.records);
-    }
-
-    #[test]
-    fn unified_serve_on_live_runs_real_threads() {
-        let a = acc();
-        let stream = || MoleculeLike::new(12.0, 4).stream(4);
-        let cfg = ServeConfig::builder().replicas(2).build().unwrap();
-        let report = a
-            .serve_on(stream(), 4, &(&cfg).into(), Runtime::Live, None)
-            .unwrap()
+    fn accelerator_serve_on_live_runs_real_inference() {
+        let report = serve(&acc(), 4, FleetConfig::pool(2), Runtime::Live)
             .live()
             .expect("live runtime yields a wall report");
         assert_eq!(report.completed, 4);

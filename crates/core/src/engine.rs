@@ -150,10 +150,11 @@ impl Accelerator {
 
     /// Attaches a [`ServiceTraceCache`]: subsequent
     /// [`Accelerator::service_trace`] calls (and everything built on them
-    /// — [`Accelerator::run_stream`], [`Accelerator::serve`]) answer
-    /// repeated graphs from the cache instead of re-simulating, and
-    /// [`Accelerator::serve`] reports the cache counters in the
-    /// per-endpoint [`crate::serve::EndpointStats::cache`] view. Cached
+    /// — [`Accelerator::run_stream`], the simulated
+    /// [`crate::InferenceBackend::serve_on`]) answer repeated graphs from
+    /// the cache instead of re-simulating, and the simulated `serve_on`
+    /// reports the cache counters in the per-endpoint
+    /// [`crate::serve::EndpointStats::cache`] view. Cached
     /// cycles are the exact values a fresh simulation produces, so
     /// results are bit-identical either way.
     ///

@@ -82,11 +82,8 @@ pub use serve::{
     run_fleet, AdmissionPolicy, ArrivalProcess, BatchConfig, ClassStats, CycleDomain,
     DispatchPolicy, Dispatcher, EndpointStats, FleetConfig, FleetConfigBuilder, FleetError,
     FleetRuntime, LiveWorker, ModelEndpoint, ModelWorker, QueuePolicy, ReplicaStats, RequestClass,
-    RequestRecord, Runtime, RuntimeReport, ServeConfig, ServeConfigBuilder, ServeError,
-    ServeReport, TimeDomain, WallDomain,
+    RequestRecord, Runtime, RuntimeReport, ServeReport, TimeDomain, WallDomain,
 };
-#[allow(deprecated)]
-pub use serve::{serve_fleet, serve_fleet_live, serve_live};
 pub use stream::{EngineWorker, LatencyStats, StreamReport};
 pub use trace::{LaneSymbol, RegionTrace, Trace};
 
@@ -108,16 +105,13 @@ pub mod prelude {
         render_prometheus, EngineMetrics, MetricsSnapshotter, Registry, ServeMetrics,
         LATENCY_BUCKETS_MS,
     };
-    pub use crate::serve::sim::serve_trace;
     pub use crate::serve::{
         arrivals, batch, dispatch, fleet, live, ms_to_cycles, percentile_nearest_rank, queue,
         report, run_fleet, sim, AdmissionPolicy, ArrivalProcess, BatchConfig, ClassStats,
         CycleDomain, DispatchPolicy, Dispatcher, EndpointStats, FleetConfig, FleetConfigBuilder,
         FleetError, FleetRuntime, LiveWorker, ModelEndpoint, ModelWorker, QueuePolicy,
-        ReplicaStats, RequestClass, RequestRecord, Runtime, RuntimeReport, ServeConfig,
-        ServeConfigBuilder, ServeError, ServeReport, TimeDomain, WallDomain,
+        ReplicaStats, RequestClass, RequestRecord, Runtime, RuntimeReport, ServeReport, TimeDomain,
+        WallDomain,
     };
-    #[allow(deprecated)]
-    pub use crate::serve::{serve_fleet, serve_fleet_live, serve_live};
     pub use crate::stream::{EngineWorker, LatencyStats, StreamReport};
 }

@@ -516,8 +516,7 @@ pub struct ServeMetrics {
     pub dropped: Arc<Counter>,
     /// Lower-priority requests displaced by priority admission.
     pub displaced: Arc<Counter>,
-    /// Trace-cache hits observed during the run (mirrors the engine's
-    /// cache counters when an [`EngineMetrics`] shares the registry).
+    /// Request sojourn (wait + service) in milliseconds.
     pub sojourn_ms: Arc<Histogram>,
     /// Queueing wait (sojourn minus service) in milliseconds.
     pub wait_ms: Arc<Histogram>,

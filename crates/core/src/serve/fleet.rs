@@ -2,13 +2,13 @@
 //! classes, SLO-aware priority admission, and cost-based heterogeneous
 //! routing — in both time domains.
 //!
-//! The plain serving entry points ([`super::sim::serve_trace`],
-//! [`super::live::serve_live`]) model "R replicas of one model": every
-//! replica is interchangeable and every request is the same kind of
-//! tenant. A deployment of a workload-agnostic accelerator is neither —
-//! it hosts several (model × dataset × backend) pairs at once and serves
-//! several tenant classes with different latency objectives. This module
-//! generalises the pool to a **fleet**:
+//! A plain replica pool models "R replicas of one model": every replica
+//! is interchangeable and every request is the same kind of tenant. A
+//! deployment of a workload-agnostic accelerator is neither — it hosts
+//! several (model × dataset × backend) pairs at once and serves several
+//! tenant classes with different latency objectives. This module serves
+//! a **fleet**, and the plain pool is its one-endpoint, one-class case
+//! ([`FleetConfig::pool`]):
 //!
 //! - [`ModelEndpoint`] — one entry in the fleet registry: a named
 //!   backend deployment contributing `replicas` interchangeable replicas
@@ -32,15 +32,15 @@
 //!   sends small graphs to CPU-class endpoints and large graphs to the
 //!   accelerator.
 //!
-//! Both runtimes get fleet semantics from the same parts the plain pool
-//! uses: [`serve_fleet`] drives the simulator's `ReplicaSim` state
+//! [`run_fleet`] is the one entry point for both runtimes:
+//! [`FleetRuntime::Sim`] drives the simulator's `ReplicaSim` state
 //! machine per replica and routes through the shared
-//! [`Dispatcher::route_with_cost`]; [`serve_fleet_live`] runs the live
-//! runtime's thread-per-replica loop over the same admission shards with
-//! the same displacement rule. With one endpoint, one class, and FIFO
-//! admission both degenerate *bit-identically* to their plain
-//! counterparts (`tests/differential.rs` pins this against the `repro
-//! scale` recipe).
+//! [`Dispatcher::route_with_cost`]; [`FleetRuntime::Live`] runs the live
+//! runtime's thread-per-replica loop over admission shards with the same
+//! displacement rule. With one endpoint, one class, and FIFO admission
+//! the scan is *bit-identical* to the pre-fleet replica-pool scan
+//! (`tests/differential.rs` pins this against independent inline copies
+//! of that scan over the `repro scale` recipe).
 
 use std::fmt;
 use std::time::Instant;
@@ -60,7 +60,7 @@ use super::report::{
     ServeReport, TimeDomain, WallDomain,
 };
 use super::sim::ReplicaSim;
-use super::{RuntimeReport, ServeConfig, ServeError};
+use super::RuntimeReport;
 
 /// How often the simulated fleet scan journals its gauges as a time
 /// series: one [`crate::metrics::Registry::sample`] every this many
@@ -104,8 +104,8 @@ impl RequestClass {
 /// One entry in the fleet registry: a named backend deployment
 /// contributing `replicas` interchangeable replicas to the pool. The
 /// endpoint's service-cost row (supplied alongside the registry to
-/// [`serve_fleet`] / [`serve_fleet_live`]) is what distinguishes a CPU
-/// endpoint from an accelerator endpoint.
+/// [`run_fleet`]) is what distinguishes a CPU endpoint from an
+/// accelerator endpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelEndpoint {
     /// Endpoint name (usually the backend's; appears in
@@ -126,12 +126,33 @@ impl ModelEndpoint {
     }
 }
 
-/// Why a fleet serving run could not produce a result.
-#[derive(Debug, Clone, PartialEq)]
+/// Why a serving-layer computation could not produce a result.
+///
+/// The serving layer reports malformed inputs as typed errors instead of
+/// panicking, so sweep drivers can surface a configuration mistake
+/// without tearing down the whole run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetError {
-    /// A plain serving-layer invariant failed (empty trace, zero batch,
-    /// worker mismatch, ...).
-    Serve(ServeError),
+    /// The run was given zero requests: there is nothing to serve and no
+    /// meaningful report to build.
+    EmptyTrace,
+    /// [`percentile_nearest_rank`] was given an empty sample: no rank
+    /// exists to select.
+    EmptySample,
+    /// A report carries no per-replica stats, so there is no pool to
+    /// describe.
+    ZeroReplicas,
+    /// [`BatchConfig::max_size`] was zero: a service event must admit at
+    /// least one request.
+    ZeroBatch,
+    /// The live worker pool's size differs from the fleet's total
+    /// replica count: every live replica needs exactly one worker thread.
+    WorkerMismatch {
+        /// Workers supplied.
+        workers: usize,
+        /// Replicas the configuration asks for.
+        replicas: usize,
+    },
     /// The fleet registry has no endpoints: nothing can serve.
     NoEndpoints,
     /// The class registry is empty: arrivals cannot be stamped.
@@ -170,7 +191,14 @@ pub enum FleetError {
 impl fmt::Display for FleetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FleetError::Serve(e) => write!(f, "fleet serving failed: {e}"),
+            FleetError::EmptyTrace => write!(f, "cannot serve an empty request trace"),
+            FleetError::EmptySample => write!(f, "percentile of an empty sample"),
+            FleetError::ZeroReplicas => write!(f, "replica pool must have at least one replica"),
+            FleetError::ZeroBatch => write!(f, "batch size must be at least one request"),
+            FleetError::WorkerMismatch { workers, replicas } => write!(
+                f,
+                "live worker pool has {workers} workers for {replicas} replicas"
+            ),
             FleetError::NoEndpoints => write!(f, "fleet registry has no endpoints"),
             FleetError::NoClasses => write!(f, "fleet has no request classes"),
             FleetError::EndpointZeroReplicas { endpoint } => {
@@ -201,26 +229,13 @@ impl fmt::Display for FleetError {
     }
 }
 
-impl std::error::Error for FleetError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            FleetError::Serve(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for FleetError {}
 
-impl From<ServeError> for FleetError {
-    fn from(e: ServeError) -> Self {
-        FleetError::Serve(e)
-    }
-}
-
-/// A fleet serving scenario: the arrival process and queueing knobs of a
-/// plain [`super::ServeConfig`], plus the endpoint registry, the class
-/// registry, and the admission policy. One `FleetConfig` drives either
-/// runtime — [`serve_fleet`] on the cycle timeline, [`serve_fleet_live`]
-/// on the wall clock.
+/// A fleet serving scenario: the arrival process, the per-replica
+/// admission-queue bound, the admission and dispatch policies, optional
+/// micro-batching, the endpoint registry, and the class registry. One
+/// `FleetConfig` drives either runtime through [`run_fleet`] — on the
+/// cycle timeline or on the wall clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// How requests arrive.
@@ -259,45 +274,47 @@ impl FleetConfig {
         }
     }
 
+    /// Starts a builder for a plain replica pool: one `"pool"` endpoint
+    /// carrying `replicas` interchangeable replicas and one priority-0
+    /// `"default"` class, on the closed-loop defaults of
+    /// [`FleetConfig::builder`]. Serving it is the classic `R`-replica
+    /// pool scan, bit for bit (`tests/differential.rs` pins this).
+    pub fn pool(replicas: usize) -> FleetConfigBuilder {
+        Self::builder()
+            .endpoint(ModelEndpoint::new("pool", replicas))
+            .class(RequestClass::new("default", 0))
+    }
+
     /// Total replicas across the registry (the fleet's pool size).
     pub fn total_replicas(&self) -> usize {
         self.endpoints.iter().map(|e| e.replicas).sum()
     }
-}
 
-impl From<&ServeConfig> for FleetConfig {
-    /// Lifts a plain pool configuration to its degenerate fleet: one
-    /// `"pool"` endpoint carrying all the replicas, one priority-0
-    /// `"default"` class, FIFO admission. By the degenerate-fleet
-    /// equivalence (pinned in `tests/differential.rs`) serving through
-    /// the lifted config is bit-identical to the plain pool loops — this
-    /// conversion is how the unified entry points reduce the four-way
-    /// `serve`/`serve_live`/`serve_fleet`/`serve_fleet_live` sprawl to
-    /// one fleet-shaped path.
-    fn from(config: &ServeConfig) -> Self {
-        FleetConfig {
-            arrivals: config.arrivals,
-            queue: config.queue,
-            admission: AdmissionPolicy::Fifo,
-            policy: config.policy,
-            batch: config.batch,
-            endpoints: vec![ModelEndpoint::new("pool", config.replicas)],
-            classes: vec![RequestClass::new("default", 0)],
+    /// The registry and batch invariants, checked by both
+    /// [`FleetConfigBuilder::build`] and every serving run (a
+    /// hand-assembled struct bypasses the builder).
+    fn validate(&self) -> Result<(), FleetError> {
+        if self.endpoints.is_empty() {
+            return Err(FleetError::NoEndpoints);
         }
-    }
-}
-
-impl From<ServeConfig> for FleetConfig {
-    fn from(config: ServeConfig) -> Self {
-        Self::from(&config)
+        if let Some(e) = self.endpoints.iter().position(|e| e.replicas == 0) {
+            return Err(FleetError::EndpointZeroReplicas { endpoint: e });
+        }
+        if self.classes.is_empty() {
+            return Err(FleetError::NoClasses);
+        }
+        if self.batch.is_some_and(|b| b.max_size == 0) {
+            return Err(FleetError::ZeroBatch);
+        }
+        Ok(())
     }
 }
 
 /// Which runtime [`run_fleet`] should execute a fleet scenario on, plus
 /// the live runtime's worker pool when applicable. The live variant
 /// carries one [`LiveWorker`] per *global* replica in registry order;
-/// callers that only ever simulate can name the worker type away with
-/// [`FleetRuntime::sim`].
+/// sim-only callers name any worker type, e.g.
+/// `run_fleet::<ModelWorker>(…, FleetRuntime::Sim, …)`.
 pub enum FleetRuntime<W: LiveWorker> {
     /// The deterministic cycle-domain scan (no workers needed).
     Sim,
@@ -305,34 +322,66 @@ pub enum FleetRuntime<W: LiveWorker> {
     Live(Vec<W>),
 }
 
-impl FleetRuntime<super::live::ModelWorker> {
-    /// The simulator runtime with the worker type fixed to the built-in
-    /// [`ModelWorker`](super::live::ModelWorker) — convenient for callers
-    /// that never go live and would otherwise have to annotate `W`.
-    pub fn sim() -> Self {
-        FleetRuntime::Sim
-    }
-}
-
-/// The unified fleet serving entry: one function, either runtime,
-/// optional live metrics.
+/// The fleet serving entry: one function, either runtime, optional live
+/// metrics. Runs one multi-tenant request trace through the fleet and
+/// summarises it with per-class and per-endpoint views.
 ///
-/// `costs`, `class_of`, and `config` mean exactly what they mean in the
-/// fleet runtimes (see [`serve_fleet`]'s documentation for the cost/class
-/// contract); `runtime` picks the timeline ([`FleetRuntime::Sim`] for the
-/// deterministic cycle scan, [`FleetRuntime::Live`] with a worker pool
-/// for the wall-clock runtime); `metrics`, when given, is updated *while
-/// the run executes* — counters for offers/completions/drops/
-/// displacements, per-replica dispatch counters, queue-depth gauges
-/// journaled as a time series, sojourn/wait histograms, and per-replica
-/// utilization gauges at the end of the run. Metrics are observation
-/// only: a run with `metrics` attached produces the same report, bit for
-/// bit, as one without.
+/// `costs[e][i]` is request `i`'s service cost, in cycles, on endpoint
+/// `e`; `class_of[i]` stamps request `i` with a class from
+/// `config.classes`. Arrivals come from `config.arrivals` (one per
+/// request); each arrival is routed to one of the fleet's replicas (the
+/// concatenation of every endpoint's replicas, in registry order) by
+/// `config.policy`, and a full admission queue is resolved by
+/// `config.admission`.
+///
+/// `runtime` picks the timeline. [`FleetRuntime::Sim`] runs the
+/// deterministic `O(n × R)` cycle scan, where the cost model *is* the
+/// service model: cost-based routing estimates exactly what the scan
+/// then charges. [`FleetRuntime::Live`] runs one OS thread per replica
+/// with its worker pool; there `costs` are routing and admission
+/// *estimates*, and a request takes whatever wall time its worker
+/// spends.
+///
+/// `metrics`, when given, is updated *while the run executes* — counters
+/// for offers/completions/drops/displacements, per-replica dispatch
+/// counters, queue-depth gauges journaled as a time series, sojourn/wait
+/// histograms, and per-replica utilization gauges at the end of the run.
+/// Metrics are observation only: a run with `metrics` attached produces
+/// the same report, bit for bit, as one without.
+///
+/// ```
+/// use flowgnn_core::prelude::*;
+///
+/// let config = FleetConfig::builder()
+///     .arrivals(ArrivalProcess::Fixed { gap: 100 })
+///     .queue_capacity(2)
+///     .admission(AdmissionPolicy::Priority)
+///     .policy(DispatchPolicy::CostBased)
+///     .endpoint(ModelEndpoint::new("accel", 1))
+///     .endpoint(ModelEndpoint::new("cpu", 2))
+///     .class(RequestClass::new("interactive", 1).with_slo_ms(0.01))
+///     .class(RequestClass::new("batch", 0))
+///     .build()
+///     .unwrap();
+/// let costs = vec![vec![100, 900, 100, 900], vec![400, 3600, 400, 3600]];
+/// let class_of = vec![0, 1, 0, 1];
+/// let report = run_fleet::<ModelWorker>(&costs, &class_of, &config, FleetRuntime::Sim, None)
+///     .unwrap()
+///     .sim()
+///     .unwrap();
+/// assert_eq!(report.per_class.len(), 2);
+/// assert_eq!(report.per_endpoint.len(), 2);
+/// assert_eq!(report.completed + report.dropped, 4);
+/// ```
 ///
 /// # Errors
 ///
-/// The [`FleetError`] naming the violated invariant, as in
-/// [`serve_fleet`] / [`serve_fleet_live`].
+/// Returns the [`FleetError`] naming the violated invariant: registry
+/// problems from the [`FleetConfigBuilder::build`] set,
+/// [`FleetError::EmptyTrace`] for zero requests, shape mismatches
+/// between `costs`/`class_of`/the registries, and
+/// [`FleetError::WorkerMismatch`] when a live worker pool's size differs
+/// from the fleet's total replica count.
 pub fn run_fleet<W: LiveWorker>(
     costs: &[Vec<Cycle>],
     class_of: &[usize],
@@ -430,8 +479,10 @@ impl FleetConfigBuilder {
         self
     }
 
-    /// Enables micro-batching (see
-    /// [`ServeConfigBuilder::batch`](super::ServeConfigBuilder::batch)).
+    /// Enables micro-batching: up to `max_size` queued requests per
+    /// service event, each event costing `overhead_cycles` on top of its
+    /// members' service times. A zero `max_size` is rejected at
+    /// [`build`](FleetConfigBuilder::build).
     pub fn batch(mut self, max_size: usize, overhead_cycles: Cycle) -> Self {
         self.config.batch = Some(BatchConfig {
             max_size,
@@ -458,22 +509,10 @@ impl FleetConfigBuilder {
     ///
     /// Returns [`FleetError::NoEndpoints`] / [`FleetError::NoClasses`]
     /// for empty registries, [`FleetError::EndpointZeroReplicas`] for a
-    /// replica-less endpoint, and
-    /// [`FleetError::Serve`]`(`[`ServeError::ZeroBatch`]`)` for a zero
+    /// replica-less endpoint, and [`FleetError::ZeroBatch`] for a zero
     /// batch size.
     pub fn build(self) -> Result<FleetConfig, FleetError> {
-        if self.config.endpoints.is_empty() {
-            return Err(FleetError::NoEndpoints);
-        }
-        if let Some(e) = self.config.endpoints.iter().position(|e| e.replicas == 0) {
-            return Err(FleetError::EndpointZeroReplicas { endpoint: e });
-        }
-        if self.config.classes.is_empty() {
-            return Err(FleetError::NoClasses);
-        }
-        if self.config.batch.is_some_and(|b| b.max_size == 0) {
-            return Err(ServeError::ZeroBatch.into());
-        }
+        self.config.validate()?;
         Ok(self.config)
     }
 }
@@ -497,20 +536,9 @@ fn validate_fleet(
 ) -> Result<usize, FleetError> {
     let requests = class_of.len();
     if requests == 0 {
-        return Err(ServeError::EmptyTrace.into());
+        return Err(FleetError::EmptyTrace);
     }
-    if config.endpoints.is_empty() {
-        return Err(FleetError::NoEndpoints);
-    }
-    if let Some(e) = config.endpoints.iter().position(|e| e.replicas == 0) {
-        return Err(FleetError::EndpointZeroReplicas { endpoint: e });
-    }
-    if config.classes.is_empty() {
-        return Err(FleetError::NoClasses);
-    }
-    if config.batch.is_some_and(|b| b.max_size == 0) {
-        return Err(ServeError::ZeroBatch.into());
-    }
+    config.validate()?;
     if costs.len() != config.endpoints.len() {
         return Err(FleetError::EndpointCountMismatch {
             cost_rows: costs.len(),
@@ -622,67 +650,8 @@ fn endpoint_summaries(
         .collect()
 }
 
-/// Runs one multi-tenant request trace through a heterogeneous fleet in
-/// the cycle domain and summarises the result with per-class and
-/// per-endpoint views.
-///
-/// `costs[e][i]` is request `i`'s service time, in cycles, on endpoint
-/// `e` — the cost model *is* the service model, so cost-based routing
-/// estimates exactly what the simulator then charges. `class_of[i]`
-/// stamps request `i` with a class from `config.classes`. Arrivals,
-/// routing, queueing, and batching mean what they mean in
-/// [`super::sim::serve_trace`], with two fleet extensions: the pool is
-/// the concatenation of every endpoint's replicas (each replica serving
-/// at its endpoint's costs), and a full admission queue is resolved by
-/// `config.admission` instead of always dropping the arrival.
-///
-/// With one endpoint, one class, and [`AdmissionPolicy::Fifo`] this is
-/// bit-identical to [`super::sim::serve_trace`] over the endpoint's cost
-/// row (`tests/differential.rs` pins it).
-///
-/// ```
-/// use flowgnn_core::prelude::*;
-///
-/// let config = FleetConfig::builder()
-///     .arrivals(ArrivalProcess::Fixed { gap: 100 })
-///     .queue_capacity(2)
-///     .admission(AdmissionPolicy::Priority)
-///     .policy(DispatchPolicy::CostBased)
-///     .endpoint(ModelEndpoint::new("accel", 1))
-///     .endpoint(ModelEndpoint::new("cpu", 2))
-///     .class(RequestClass::new("interactive", 1).with_slo_ms(0.01))
-///     .class(RequestClass::new("batch", 0))
-///     .build()
-///     .unwrap();
-/// let costs = vec![vec![100, 900, 100, 900], vec![400, 3600, 400, 3600]];
-/// let class_of = vec![0, 1, 0, 1];
-/// let report = serve_fleet(&costs, &class_of, &config).unwrap();
-/// assert_eq!(report.per_class.len(), 2);
-/// assert_eq!(report.per_endpoint.len(), 2);
-/// assert_eq!(report.completed + report.dropped, 4);
-/// ```
-///
-/// # Errors
-///
-/// Returns the [`FleetError`] naming the violated invariant: registry
-/// problems from the [`FleetConfigBuilder::build`] set, shape mismatches
-/// between `costs`/`class_of`/the registries, and
-/// [`FleetError::Serve`] for the plain serving invariants.
-#[deprecated(
-    since = "0.9.0",
-    note = "use `run_fleet(costs, class_of, config, FleetRuntime::sim(), None)` \
-            (or `InferenceBackend::serve_on`) instead"
-)]
-pub fn serve_fleet(
-    costs: &[Vec<Cycle>],
-    class_of: &[usize],
-    config: &FleetConfig,
-) -> Result<ServeReport, FleetError> {
-    fleet_sim(costs, class_of, config, None)
-}
-
-/// The cycle-domain fleet scan (see [`serve_fleet`] for the contract),
-/// with optional live metrics: when `metrics` is given, the scan counts
+/// The cycle-domain fleet scan behind [`run_fleet`]'s
+/// [`FleetRuntime::Sim`], with optional live metrics: when `metrics` is given, the scan counts
 /// offers/drops/displacements as they happen, journals per-replica queue
 /// depths every [`SIM_SAMPLE_EVERY`] arrivals (timestamped in simulated
 /// milliseconds), and closes with histograms and utilization gauges.
@@ -829,45 +798,18 @@ pub(crate) fn fleet_sim(
     Ok(report)
 }
 
-/// Serves a multi-tenant request trace through a live fleet — one OS
-/// thread per replica, endpoint blocks in registry order — under
-/// `config`, and summarises the run on the wall-clock timeline with
-/// per-class and per-endpoint views.
+/// The wall-clock fleet runtime behind [`run_fleet`]'s
+/// [`FleetRuntime::Live`]: one OS thread per replica, endpoint blocks in
+/// registry order, `workers[g]` serving global replica `g`. Cost-based
+/// routing reads each shard's outstanding estimated cost through a
+/// lock-free atomic, mirroring the simulator's work-left rule; priority
+/// admission applies the scan's displacement rule, with the displaced
+/// request recorded dropped at its own arrival stamp.
 ///
-/// `workers` supplies one [`LiveWorker`] per *global* replica
-/// (`config.total_replicas()`), in registry order: endpoint 0's replicas
-/// first. `costs[e][i]` is the routing/admission cost *estimate* for
-/// request `i` on endpoint `e` (cycles); the wall time a request
-/// actually takes is whatever its worker spends. Cost-based routing
-/// reads each shard's outstanding estimated cost through a lock-free
-/// atomic, mirroring the simulator's work-left rule; priority admission
-/// applies the same displacement rule as [`serve_fleet`], with the
-/// displaced request recorded dropped at its own arrival stamp.
-///
-/// # Errors
-///
-/// The [`FleetError`] naming the violated invariant;
-/// [`FleetError::Serve`]`(`[`ServeError::WorkerMismatch`]`)` when
-/// `workers.len()` differs from the fleet's total replica count.
-#[deprecated(
-    since = "0.9.0",
-    note = "use `run_fleet(costs, class_of, config, FleetRuntime::Live(workers), None)` \
-            (or `InferenceBackend::serve_on`) instead"
-)]
-pub fn serve_fleet_live<W: LiveWorker>(
-    workers: Vec<W>,
-    costs: &[Vec<Cycle>],
-    class_of: &[usize],
-    config: &FleetConfig,
-) -> Result<ServeReport<WallDomain>, FleetError> {
-    fleet_live(workers, costs, class_of, config, None)
-}
-
-/// The wall-clock fleet runtime (see [`serve_fleet_live`] for the
-/// contract), with optional live metrics: the load generator counts
-/// offers/drops/displacements and journals shard queue depths as it
-/// paces arrivals (timestamped in wall milliseconds), and the run closes
-/// with histograms and utilization gauges. Observation only.
+/// With `metrics`, the load generator counts offers/drops/displacements
+/// and journals shard queue depths as it paces arrivals (timestamped in
+/// wall milliseconds), and the run closes with histograms and
+/// utilization gauges. Observation only.
 pub(crate) fn fleet_live<W: LiveWorker>(
     workers: Vec<W>,
     costs: &[Vec<Cycle>],
@@ -879,11 +821,10 @@ pub(crate) fn fleet_live<W: LiveWorker>(
     let endpoint_of = endpoint_index(&config.endpoints);
     let replicas = endpoint_of.len();
     if workers.len() != replicas {
-        return Err(ServeError::WorkerMismatch {
+        return Err(FleetError::WorkerMismatch {
             workers: workers.len(),
             replicas,
-        }
-        .into());
+        });
     }
     let capacity = config.queue.capacity();
     let admission = config.admission;
@@ -1035,13 +976,18 @@ pub(crate) fn fleet_live<W: LiveWorker>(
 
 #[cfg(test)]
 mod tests {
-    // The deprecated entry points stay under test: they are the published
-    // API surface the wrappers must keep equivalent to the unified path.
-    #![allow(deprecated)]
-
-    use super::super::sim::serve_trace;
-    use super::super::ServeConfig;
+    use super::super::live::ModelWorker;
     use super::*;
+
+    /// The cycle-domain scan, through the public entry.
+    fn sim(
+        costs: &[Vec<Cycle>],
+        class_of: &[usize],
+        config: &FleetConfig,
+    ) -> Result<ServeReport, FleetError> {
+        run_fleet::<ModelWorker>(costs, class_of, config, FleetRuntime::Sim, None)
+            .map(|r| r.sim().expect("sim runtime yields a sim report"))
+    }
 
     fn two_class_config() -> FleetConfigBuilder {
         FleetConfig::builder()
@@ -1077,28 +1023,30 @@ mod tests {
         );
         assert_eq!(
             two_class_config().batch(0, 5).build().unwrap_err(),
-            FleetError::Serve(ServeError::ZeroBatch)
+            FleetError::ZeroBatch
         );
+        // A later valid setting repairs the chain: only build() judges.
+        assert!(two_class_config().batch(0, 5).batch(4, 5).build().is_ok());
         let ok = two_class_config().build().unwrap();
         assert_eq!(ok.total_replicas(), 1);
     }
 
     #[test]
-    fn serve_fleet_validates_shapes() {
+    fn run_fleet_validates_shapes_and_hand_built_configs() {
         let config = two_class_config().build().unwrap();
         assert_eq!(
-            serve_fleet(&[vec![10]], &[], &config).unwrap_err(),
-            FleetError::Serve(ServeError::EmptyTrace)
+            sim(&[vec![10]], &[], &config).unwrap_err(),
+            FleetError::EmptyTrace
         );
         assert_eq!(
-            serve_fleet(&[vec![10], vec![20]], &[0], &config).unwrap_err(),
+            sim(&[vec![10], vec![20]], &[0], &config).unwrap_err(),
             FleetError::EndpointCountMismatch {
                 cost_rows: 2,
                 endpoints: 1
             }
         );
         assert_eq!(
-            serve_fleet(&[vec![10, 20]], &[0], &config).unwrap_err(),
+            sim(&[vec![10, 20]], &[0], &config).unwrap_err(),
             FleetError::CostShapeMismatch {
                 endpoint: 0,
                 rows: 2,
@@ -1106,22 +1054,43 @@ mod tests {
             }
         );
         assert_eq!(
-            serve_fleet(&[vec![10, 20]], &[0, 7], &config).unwrap_err(),
+            sim(&[vec![10, 20]], &[0, 7], &config).unwrap_err(),
             FleetError::ClassOutOfRange {
                 request: 1,
                 class: 7
             }
         );
+        // A struct assembled by hand skips the builder; the run applies
+        // the same registry and batch checks.
+        let mut hand_built = config.clone();
+        hand_built.endpoints[0].replicas = 0;
+        assert_eq!(
+            sim(&[vec![10]], &[0], &hand_built).unwrap_err(),
+            FleetError::EndpointZeroReplicas { endpoint: 0 }
+        );
+        let mut hand_built = config;
+        hand_built.batch = Some(BatchConfig {
+            max_size: 0,
+            overhead_cycles: 5,
+        });
+        assert_eq!(
+            sim(&[vec![10]], &[0], &hand_built).unwrap_err(),
+            FleetError::ZeroBatch
+        );
     }
 
     #[test]
-    fn fleet_errors_render_and_chain() {
+    fn fleet_errors_render_for_humans() {
         use std::error::Error;
-        let e = FleetError::from(ServeError::EmptyTrace);
-        assert!(e.to_string().contains("empty request trace"));
-        assert!(e.source().is_some(), "Serve wraps its source");
-        assert!(FleetError::NoEndpoints.source().is_none());
-        for e in [
+        let errors = [
+            FleetError::EmptyTrace,
+            FleetError::EmptySample,
+            FleetError::ZeroReplicas,
+            FleetError::ZeroBatch,
+            FleetError::WorkerMismatch {
+                workers: 3,
+                replicas: 4,
+            },
             FleetError::NoEndpoints,
             FleetError::NoClasses,
             FleetError::EndpointZeroReplicas { endpoint: 3 },
@@ -1138,47 +1107,52 @@ mod tests {
                 request: 9,
                 class: 4,
             },
-        ] {
-            assert!(!e.to_string().is_empty());
+        ];
+        let messages: Vec<String> = errors.iter().map(|e| e.to_string()).collect();
+        for (e, m) in errors.iter().zip(&messages) {
+            assert!(!m.is_empty());
+            assert!(e.source().is_none(), "one flat error type, no nesting");
         }
+        assert!(messages[0].contains("empty request trace"));
+        assert!(messages[1].contains("empty sample"));
+        assert!(messages[4].contains("3 workers for 4 replicas"));
     }
 
     #[test]
-    fn degenerate_fleet_matches_the_plain_pool_scan() {
-        // One endpoint, one class, FIFO admission, a legacy policy: the
-        // fleet is serve_trace over the endpoint's cost row, bit for bit.
-        let service: Vec<Cycle> = (0..40).map(|i| 400 + (i % 7) * 90).collect();
-        let plain_config = ServeConfig::builder()
-            .arrivals(ArrivalProcess::poisson_rate(250_000.0, 9))
-            .queue_capacity(3)
-            .replicas(3)
+    fn pool_is_the_one_endpoint_one_class_fleet() {
+        let pool = FleetConfig::pool(3)
+            .arrivals(ArrivalProcess::Fixed { gap: 250 })
+            .queue_capacity(4)
             .policy(DispatchPolicy::JoinShortestQueue)
             .build()
             .unwrap();
-        let fleet_config = FleetConfig::builder()
-            .arrivals(ArrivalProcess::poisson_rate(250_000.0, 9))
-            .queue_capacity(3)
+        let explicit = FleetConfig::builder()
+            .arrivals(ArrivalProcess::Fixed { gap: 250 })
+            .queue_capacity(4)
             .policy(DispatchPolicy::JoinShortestQueue)
             .endpoint(ModelEndpoint::new("pool", 3))
             .class(RequestClass::new("default", 0))
             .build()
             .unwrap();
-        let plain = serve_trace(&service, &plain_config).unwrap();
-        let fleet = serve_fleet(
-            std::slice::from_ref(&service),
-            &vec![0; service.len()],
-            &fleet_config,
-        )
-        .unwrap();
-        assert_eq!(fleet.records, plain.records);
-        assert_eq!(fleet.per_replica, plain.per_replica);
-        assert_eq!(fleet.p99_ms, plain.p99_ms);
-        assert_eq!(fleet.makespan_cycles, plain.makespan_cycles);
-        // The fleet adds its views on top.
-        assert_eq!(fleet.per_class.len(), 1);
-        assert_eq!(fleet.per_class[0].requests, service.len());
-        assert_eq!(fleet.per_endpoint.len(), 1);
-        assert_eq!(fleet.per_endpoint[0].completed, fleet.completed);
+        assert_eq!(pool, explicit);
+        assert_eq!(pool.total_replicas(), 3);
+        assert_eq!(pool.admission, AdmissionPolicy::Fifo);
+        assert_eq!(pool.batch, None);
+        // The closed-loop defaults: gap-0 arrivals, unbounded queue,
+        // round-robin routing.
+        let closed = FleetConfig::pool(1).build().unwrap();
+        assert_eq!(closed.arrivals, ArrivalProcess::Fixed { gap: 0 });
+        assert_eq!(closed.queue, QueuePolicy::Unbounded);
+        assert_eq!(closed.policy, DispatchPolicy::RoundRobin);
+        // Serving it adds one class and one endpoint view on top of the
+        // pool scan.
+        let service: Vec<Cycle> = (0..20).map(|i| 300 + (i % 5) * 40).collect();
+        let report = sim(std::slice::from_ref(&service), &[0; 20], &pool).unwrap();
+        assert_eq!(report.per_class.len(), 1);
+        assert_eq!(report.per_class[0].requests, service.len());
+        assert_eq!(report.per_endpoint.len(), 1);
+        assert_eq!(report.per_endpoint[0].name, "pool");
+        assert_eq!(report.per_endpoint[0].completed, report.completed);
     }
 
     #[test]
@@ -1201,8 +1175,8 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let fifo = serve_fleet(&costs, &class_of, &build(AdmissionPolicy::Fifo)).unwrap();
-        let prio = serve_fleet(&costs, &class_of, &build(AdmissionPolicy::Priority)).unwrap();
+        let fifo = sim(&costs, &class_of, &build(AdmissionPolicy::Fifo)).unwrap();
+        let prio = sim(&costs, &class_of, &build(AdmissionPolicy::Priority)).unwrap();
         // Same offered load either way.
         assert_eq!(fifo.requests, prio.requests);
         assert_eq!(fifo.completed + fifo.dropped, n);
@@ -1247,7 +1221,7 @@ mod tests {
             .class(RequestClass::new("tenant", 0))
             .build()
             .unwrap();
-        let report = serve_fleet(&[accel, cpu], &vec![0; n], &config).unwrap();
+        let report = sim(&[accel, cpu], &vec![0; n], &config).unwrap();
         assert_eq!(report.dropped, 0);
         let on_accel = |pred: &dyn Fn(usize) -> bool| {
             report
@@ -1294,7 +1268,7 @@ mod tests {
             .class(RequestClass::new("tight", 0).with_slo_ms(2.5))
             .build()
             .unwrap();
-        let report = serve_fleet(&costs, &vec![0; n], &config).unwrap();
+        let report = sim(&costs, &vec![0; n], &config).unwrap();
         let stats = &report.per_class[0];
         assert_eq!(stats.requests, n);
         assert_eq!(stats.dropped, 0);
@@ -1309,13 +1283,12 @@ mod tests {
             .class(RequestClass::new("free", 0))
             .build()
             .unwrap();
-        let report = serve_fleet(&costs, &vec![0; n], &no_slo).unwrap();
+        let report = sim(&costs, &vec![0; n], &no_slo).unwrap();
         assert_eq!(report.per_class[0].slo_attainment, None);
     }
 
     #[test]
     fn live_fleet_serves_classes_across_endpoint_threads() {
-        use super::super::live::ModelWorker;
         use std::time::Duration;
 
         let n = 16;
@@ -1332,7 +1305,11 @@ mod tests {
         let workers: Vec<ModelWorker> = (0..3)
             .map(|_| ModelWorker::new(vec![Duration::from_micros(50)]))
             .collect();
-        let report = serve_fleet_live(workers, &costs, &class_of, &config).unwrap();
+        let live = FleetRuntime::Live(workers);
+        let report = run_fleet(&costs, &class_of, &config, live, None)
+            .unwrap()
+            .live()
+            .expect("live runtime yields a wall report");
         assert_eq!(report.completed, n);
         assert_eq!(report.per_class.len(), 2);
         assert_eq!(report.per_endpoint.len(), 2);
@@ -1353,65 +1330,19 @@ mod tests {
         // Worker-count mismatch is a typed error.
         let one_worker = vec![ModelWorker::new(vec![Duration::from_micros(1)])];
         assert_eq!(
-            serve_fleet_live(one_worker, &costs, &class_of, &config).unwrap_err(),
-            FleetError::Serve(ServeError::WorkerMismatch {
+            run_fleet(
+                &costs,
+                &class_of,
+                &config,
+                FleetRuntime::Live(one_worker),
+                None
+            )
+            .unwrap_err(),
+            FleetError::WorkerMismatch {
                 workers: 1,
                 replicas: 3
-            })
+            }
         );
-    }
-
-    #[test]
-    fn run_fleet_sim_matches_the_deprecated_entry_bit_for_bit() {
-        let n = 32;
-        let costs = vec![vec![700u64; n], vec![2_100u64; n]];
-        let class_of: Vec<usize> = (0..n).map(|i| i % 2).collect();
-        let config = FleetConfig::builder()
-            .arrivals(ArrivalProcess::poisson_rate(200_000.0, 5))
-            .queue_capacity(2)
-            .admission(AdmissionPolicy::Priority)
-            .policy(DispatchPolicy::CostBased)
-            .endpoint(ModelEndpoint::new("accel", 1))
-            .endpoint(ModelEndpoint::new("cpu", 2))
-            .class(RequestClass::new("hi", 1))
-            .class(RequestClass::new("lo", 0))
-            .build()
-            .unwrap();
-        let old = serve_fleet(&costs, &class_of, &config).unwrap();
-        let new = run_fleet(&costs, &class_of, &config, FleetRuntime::sim(), None)
-            .unwrap()
-            .sim()
-            .expect("sim runtime yields a sim report");
-        assert_eq!(old, new);
-    }
-
-    #[test]
-    fn serve_config_lifts_to_its_degenerate_fleet() {
-        let plain = ServeConfig::builder()
-            .arrivals(ArrivalProcess::Fixed { gap: 250 })
-            .queue_capacity(4)
-            .replicas(3)
-            .policy(DispatchPolicy::JoinShortestQueue)
-            .build()
-            .unwrap();
-        let fleet = FleetConfig::from(&plain);
-        assert_eq!(fleet.total_replicas(), 3);
-        assert_eq!(fleet.admission, AdmissionPolicy::Fifo);
-        assert_eq!(fleet.endpoints.len(), 1);
-        assert_eq!(fleet.classes.len(), 1);
-        // Serving through the lifted config is bit-identical to the
-        // plain pool scan over the same trace.
-        let service: Vec<Cycle> = (0..20).map(|i| 300 + (i % 5) * 40).collect();
-        let plain_report = serve_trace(&service, &plain).unwrap();
-        let lifted = fleet_sim(
-            std::slice::from_ref(&service),
-            &vec![0; service.len()],
-            &fleet,
-            None,
-        )
-        .unwrap();
-        assert_eq!(lifted.records, plain_report.records);
-        assert_eq!(lifted.per_replica, plain_report.per_replica);
     }
 
     #[test]

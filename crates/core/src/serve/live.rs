@@ -1,19 +1,20 @@
 //! The live wall-clock serving runtime: real OS threads, real queues,
 //! real time.
 //!
-//! Where [`super::sim`] *models* a replica pool as a discrete-event scan,
-//! [`serve_live`] *is* one: `R` OS threads each own a [`LiveWorker`]
-//! (for the cycle engine, an accelerator clone plus its scratch), the
-//! calling thread runs an open-loop load generator pacing the same
+//! Where the cycle-domain scan *models* a replica pool, the live runtime
+//! ([`super::run_fleet`] with [`super::FleetRuntime::Live`]) *is* one:
+//! `R` OS threads each own a [`LiveWorker`] (for the cycle engine, an
+//! accelerator clone plus its scratch), the calling thread runs an
+//! open-loop load generator pacing the same
 //! [`ArrivalProcess`](super::ArrivalProcess) schedules in wall time
 //! ([`ArrivalProcess::wall_schedule`](super::ArrivalProcess::wall_schedule)),
-//! and the same [`Dispatcher`](super::dispatch::Dispatcher) that routes the simulator's requests
-//! routes these — reading backlogs from each replica's admission shard
-//! atomically instead of from simulated state. The result is a
-//! [`ServeReport`]`<`[`WallDomain`]`>`: identical shape and statistics to
-//! the simulated report, timeline stamped in nanoseconds instead of
-//! cycles, so simulated and measured tails sit side by side
-//! (`repro live`).
+//! and the same [`Dispatcher`](super::dispatch::Dispatcher) that routes
+//! the simulator's requests routes these — reading backlogs from each
+//! replica's admission shard atomically instead of from simulated state.
+//! The result is a [`ServeReport`](super::ServeReport)`<`[`WallDomain`](super::WallDomain)`>`:
+//! identical shape and statistics to the simulated report, timeline
+//! stamped in nanoseconds instead of cycles, so simulated and measured
+//! tails sit side by side (`repro live`).
 //!
 //! Thread/ownership shape (see DESIGN.md §3g for the full diagram):
 //!
@@ -37,10 +38,6 @@
 
 use std::time::{Duration, Instant};
 
-use super::fleet::{fleet_live, FleetConfig, FleetError};
-use super::report::{ServeReport, WallDomain};
-use super::{ServeConfig, ServeError};
-
 /// One live replica's request processor: the real work a replica thread
 /// performs per admitted request. Implementors own whatever state the
 /// work needs (an engine clone, scratch buffers, a latency table) —
@@ -63,8 +60,9 @@ impl<W: LiveWorker + ?Sized> LiveWorker for Box<W> {
 /// rather than an executable engine: it occupies its replica thread for
 /// the modeled per-request latency (busy-spinning, so short latencies
 /// are honoured more precisely than a sleep could). This is what the
-/// default [`InferenceBackend::serve_live`](crate::InferenceBackend::serve_live)
-/// builds from per-graph `latency_ms`.
+/// default [`InferenceBackend::serve_on`](crate::InferenceBackend::serve_on)
+/// builds from per-graph `latency_ms` under
+/// [`Runtime::Live`](super::Runtime::Live).
 pub struct ModelWorker {
     durations: Vec<Duration>,
 }
@@ -124,94 +122,13 @@ pub(crate) fn elapsed_ns(t0: Instant) -> u64 {
     t0.elapsed().as_nanos() as u64
 }
 
-/// Serves `requests` requests through a pool of live replica workers —
-/// one OS thread each — under `config`, and summarises the run on the
-/// wall-clock timeline.
-///
-/// The configuration means exactly what it means in the simulator:
-/// `config.arrivals` paces the open-loop generator (its cycle schedule
-/// converted to wall offsets at the simulated clock), `config.policy`
-/// routes each arrival via the shared [`Dispatcher`](super::dispatch::Dispatcher) over the shards'
-/// lock-free backlog reads, `config.queue` bounds each replica's waiting
-/// room (a full shard drops the request at arrival), and
-/// `config.batch.max_size` lets a freed worker drain several waiting
-/// requests as one service event (`overhead_cycles` does not apply: a
-/// live event's overhead is whatever the replica actually spends).
-///
-/// The generator runs on the calling thread, so this call blocks for the
-/// whole serving run (roughly the schedule's span plus queue drain).
-///
-/// # Errors
-///
-/// Returns [`ServeError::EmptyTrace`] when `requests` is zero,
-/// [`ServeError::ZeroReplicas`] / [`ServeError::ZeroBatch`] for the
-/// invariants the builder enforces, and [`ServeError::WorkerMismatch`]
-/// when `workers.len() != config.replicas` — every replica needs exactly
-/// one worker.
-#[deprecated(
-    since = "0.9.0",
-    note = "use `InferenceBackend::serve_on(stream, limit, &config.into(), Runtime::Live, None)` \
-            or `run_fleet` with `FleetRuntime::Live(workers)` instead"
-)]
-pub fn serve_live<W: LiveWorker>(
-    workers: Vec<W>,
-    requests: usize,
-    config: &ServeConfig,
-) -> Result<ServeReport<WallDomain>, ServeError> {
-    serve_live_inner(workers, requests, config)
-}
-
-/// The non-deprecated body behind [`serve_live`]: validates the plain
-/// pool invariants, lifts the configuration through
-/// `FleetConfig::from(&ServeConfig)` (the degenerate-fleet equivalence),
-/// and runs the live fleet runtime. Unit cost rows make cost-based
-/// routing observe exactly the shard backlogs (pending cost == waiting +
-/// in-flight), matching the policy's backlog-argmin fallback in
-/// `Dispatcher::route`.
-pub(crate) fn serve_live_inner<W: LiveWorker>(
-    workers: Vec<W>,
-    requests: usize,
-    config: &ServeConfig,
-) -> Result<ServeReport<WallDomain>, ServeError> {
-    if requests == 0 {
-        return Err(ServeError::EmptyTrace);
-    }
-    if config.replicas == 0 {
-        return Err(ServeError::ZeroReplicas);
-    }
-    if config.batch.is_some_and(|b| b.max_size == 0) {
-        return Err(ServeError::ZeroBatch);
-    }
-    if workers.len() != config.replicas {
-        return Err(ServeError::WorkerMismatch {
-            workers: workers.len(),
-            replicas: config.replicas,
-        });
-    }
-    let fleet_config = FleetConfig::from(config);
-    let costs = vec![vec![1u64; requests]];
-    let class_of = vec![0usize; requests];
-    let mut report =
-        fleet_live(workers, &costs, &class_of, &fleet_config, None).map_err(|e| match e {
-            FleetError::Serve(e) => e,
-            other => unreachable!("degenerate fleet is well-formed by construction: {other}"),
-        })?;
-    // Preserve the pre-fleet report shape: the single-model entry point
-    // has no class or endpoint registry to report on.
-    report.per_class.clear();
-    report.per_endpoint.clear();
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
-    // The deprecated wrapper stays under test: it must keep delegating to
-    // the unified fleet path unchanged.
-    #![allow(deprecated)]
-
-    use super::super::{ArrivalProcess, DispatchPolicy, QueuePolicy};
+    use super::super::{
+        run_fleet, ArrivalProcess, DispatchPolicy, FleetConfig, FleetConfigBuilder, FleetError,
+        FleetRuntime, QueuePolicy, ServeReport, WallDomain,
+    };
     use super::*;
-    use crate::serve::ServeConfig;
 
     fn short_workers(n: usize, us: u64) -> Vec<ModelWorker> {
         (0..n)
@@ -219,23 +136,36 @@ mod tests {
             .collect()
     }
 
+    /// Serves `requests` requests through the live pool `config`, with
+    /// unit cost rows (cost-based routing then observes plain backlogs).
+    fn live<W: LiveWorker>(
+        workers: Vec<W>,
+        requests: usize,
+        config: FleetConfigBuilder,
+    ) -> Result<ServeReport<WallDomain>, FleetError> {
+        let config = config.build()?;
+        let costs = [vec![1; requests]];
+        let class_of = vec![0; requests];
+        run_fleet(
+            &costs,
+            &class_of,
+            &config,
+            FleetRuntime::Live(workers),
+            None,
+        )
+        .map(|r| r.live().expect("live runtime yields a wall report"))
+    }
+
     #[test]
     fn closed_loop_live_run_completes_everything() {
         let n = 24;
-        let config = ServeConfig::builder().replicas(2).build().unwrap();
-        let report = serve_live(short_workers(2, 30), n, &config).unwrap();
+        let report = live(short_workers(2, 30), n, FleetConfig::pool(2)).unwrap();
         assert_eq!(report.requests, n);
         assert_eq!(report.completed, n);
         assert_eq!(report.dropped, 0);
         assert_eq!(report.per_replica.len(), 2);
-        assert_eq!(
-            report
-                .per_replica
-                .iter()
-                .map(|r| r.completed)
-                .sum::<usize>(),
-            n
-        );
+        let served: usize = report.per_replica.iter().map(|r| r.completed).sum();
+        assert_eq!(served, n);
         // Real stamps: ordered per request, makespan covers the work.
         for r in &report.records {
             assert!(r.start >= r.arrival);
@@ -260,16 +190,9 @@ mod tests {
         // assertion is structural (admissions are rare, drops dominate)
         // rather than an exact count — the OS may deschedule either
         // thread between offers.
-        let config = ServeConfig::builder()
-            .queue(QueuePolicy::Bounded(0))
-            .build()
-            .unwrap();
-        let report = serve_live(
-            vec![ModelWorker::new(vec![Duration::from_millis(20)])],
-            10,
-            &config,
-        )
-        .unwrap();
+        let workers = vec![ModelWorker::new(vec![Duration::from_millis(20)])];
+        let config = FleetConfig::pool(1).queue(QueuePolicy::Bounded(0));
+        let report = live(workers, 10, config).unwrap();
         assert!(report.completed >= 1, "idle fast path admits the first");
         assert!(report.dropped >= 5, "a busy zero-capacity replica drops");
         assert_eq!(report.completed + report.dropped, 10);
@@ -284,8 +207,7 @@ mod tests {
         // Slow first event, everything pending at t0: the remaining
         // requests batch up while the worker is busy, so some service
         // events carry multiple requests with one start/finish pair.
-        let config = ServeConfig::builder().batch(4, 0).build().unwrap();
-        let report = serve_live(short_workers(1, 500), 12, &config).unwrap();
+        let report = live(short_workers(1, 500), 12, FleetConfig::pool(1).batch(4, 0)).unwrap();
         assert_eq!(report.completed, 12);
         let mut by_start: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
         for r in &report.records {
@@ -300,25 +222,20 @@ mod tests {
 
     #[test]
     fn live_rejects_malformed_configurations() {
-        let config = ServeConfig::default();
         assert_eq!(
-            serve_live(short_workers(1, 1), 0, &config).unwrap_err(),
-            ServeError::EmptyTrace
+            live(short_workers(1, 1), 0, FleetConfig::pool(1)).unwrap_err(),
+            FleetError::EmptyTrace
         );
         assert_eq!(
-            serve_live(short_workers(3, 1), 5, &config).unwrap_err(),
-            ServeError::WorkerMismatch {
+            live(short_workers(3, 1), 5, FleetConfig::pool(1)).unwrap_err(),
+            FleetError::WorkerMismatch {
                 workers: 3,
                 replicas: 1
             }
         );
-        let zero = ServeConfig {
-            replicas: 0,
-            ..ServeConfig::default()
-        };
         assert_eq!(
-            serve_live(Vec::<ModelWorker>::new(), 5, &zero).unwrap_err(),
-            ServeError::ZeroReplicas
+            live(Vec::<ModelWorker>::new(), 5, FleetConfig::pool(0)).unwrap_err(),
+            FleetError::EndpointZeroReplicas { endpoint: 0 }
         );
     }
 
@@ -330,12 +247,8 @@ mod tests {
             DispatchPolicy::JoinShortestQueue,
             DispatchPolicy::PowerOfTwoChoices { seed: 5 },
         ] {
-            let config = ServeConfig::builder()
-                .replicas(2)
-                .policy(policy)
-                .build()
-                .unwrap();
-            let report = serve_live(short_workers(2, 100), 30, &config).unwrap();
+            let config = FleetConfig::pool(2).policy(policy);
+            let report = live(short_workers(2, 100), 30, config).unwrap();
             assert_eq!(report.completed, 30, "{policy:?}");
             for stats in &report.per_replica {
                 assert!(stats.completed > 0, "{policy:?} used both replicas");
@@ -347,12 +260,8 @@ mod tests {
     fn live_paced_arrivals_follow_the_wall_schedule() {
         // 600 us gaps (180k cycles at 300 MHz), 60 us service: arrivals
         // must be spaced out in the records, and nobody should queue.
-        let gap_cycles = 180_000;
-        let config = ServeConfig::builder()
-            .arrivals(ArrivalProcess::Fixed { gap: gap_cycles })
-            .build()
-            .unwrap();
-        let report = serve_live(short_workers(1, 60), 6, &config).unwrap();
+        let config = FleetConfig::pool(1).arrivals(ArrivalProcess::Fixed { gap: 180_000 });
+        let report = live(short_workers(1, 60), 6, config).unwrap();
         assert_eq!(report.dropped, 0);
         for (k, r) in report.records.iter().enumerate() {
             let scheduled_ns = k as u64 * 600_000;
@@ -373,8 +282,7 @@ mod tests {
             Box::new(ModelWorker::new(vec![Duration::from_micros(10)])),
             Box::new(ModelWorker::new(vec![Duration::from_micros(10)])),
         ];
-        let config = ServeConfig::builder().replicas(2).build().unwrap();
-        let report = serve_live(workers, 8, &config).unwrap();
+        let report = live(workers, 8, FleetConfig::pool(2)).unwrap();
         assert_eq!(report.completed, 8);
     }
 }

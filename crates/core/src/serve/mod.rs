@@ -8,12 +8,13 @@
 //! their own schedule, queue behind the servers, and experience
 //! `wait + service` sojourn times whose tail (p99, max) is the metric an
 //! SLO is written against. This module models that regime, scaled out
-//! across a pool of accelerator replicas, in two time domains:
+//! across a fleet of accelerator replicas, in two time domains behind one
+//! entry point, [`run_fleet`] (or [`crate::InferenceBackend::serve_on`],
+//! which builds the cost rows from a backend's graph stream):
 //!
-//! - [`sim`] is the cycle-domain discrete-event simulator
-//!   ([`sim::serve_trace`]): deterministic, instant to sweep, timeline in
-//!   simulated cycles;
-//! - [`live`] is the wall-clock runtime ([`live::serve_live`]): one OS
+//! - [`FleetRuntime::Sim`] is the cycle-domain discrete-event scan:
+//!   deterministic, instant to sweep, timeline in simulated cycles;
+//! - [`FleetRuntime::Live`] is the wall-clock runtime ([`live`]): one OS
 //!   thread per replica really doing the work, a load generator really
 //!   pacing arrivals, timeline in measured nanoseconds.
 //!
@@ -39,13 +40,11 @@
 //!   the sojourn distribution at p50/p95/p99/max, with per-class
 //!   ([`ClassStats`]) and per-endpoint ([`EndpointStats`]) views for
 //!   fleet runs;
-//! - [`fleet`] — [`FleetConfig`] generalises the pool to a multi-model,
-//!   multi-tenant fleet: a [`ModelEndpoint`] registry of heterogeneous
-//!   backends, [`RequestClass`] stamps with priorities and per-class
-//!   SLOs, and [`DispatchPolicy::CostBased`] routing over per-endpoint
-//!   service-cost rows ([`serve_fleet`] / [`serve_fleet_live`]); the
-//!   single-model entry points are its one-endpoint, one-class
-//!   degenerate case.
+//! - [`fleet`] — [`FleetConfig`] describes the fleet: a [`ModelEndpoint`]
+//!   registry of heterogeneous backends, [`RequestClass`] stamps with
+//!   priorities and per-class SLOs, and [`DispatchPolicy::CostBased`]
+//!   routing over per-endpoint service-cost rows. A plain replica pool is
+//!   its one-endpoint, one-class case, built by [`FleetConfig::pool`].
 //!
 //! The closed-loop streaming evaluation is the degenerate point of this
 //! model — one replica, round-robin, no batching, every request arriving
@@ -54,24 +53,25 @@
 //! case, so the paper-reproduction path and the serving path cannot
 //! drift apart (`tests/differential.rs` pins both equivalences).
 //!
-//! Configurations are built fluently and validated at `build()`:
+//! Configurations are built fluently and validated once, at `build()`:
 //!
 //! ```
 //! use flowgnn_core::prelude::*;
 //!
-//! let config = ServeConfig::builder()
+//! let config = FleetConfig::pool(4)
 //!     .arrivals(ArrivalProcess::poisson_rate(50_000.0, 7))
 //!     .queue_capacity(64)
-//!     .replicas(4)
 //!     .policy(DispatchPolicy::JoinShortestQueue)
 //!     .build()
 //!     .unwrap();
-//! let report = serve_trace(&[600, 580, 660, 620, 590, 610], &config).unwrap();
+//! let service = vec![600, 580, 660, 620, 590, 610];
+//! let report = run_fleet::<ModelWorker>(&[service], &[0; 6], &config, FleetRuntime::Sim, None)
+//!     .unwrap()
+//!     .sim()
+//!     .unwrap();
 //! assert_eq!(report.completed + report.dropped, 6);
 //! assert_eq!(report.per_replica.len(), 4);
 //! ```
-
-use std::fmt;
 
 use flowgnn_desim::{Cycle, CLOCK_HZ};
 
@@ -87,14 +87,10 @@ pub mod sim;
 pub use arrivals::ArrivalProcess;
 pub use batch::BatchConfig;
 pub use dispatch::{DispatchPolicy, Dispatcher};
-pub use fleet::run_fleet;
-#[allow(deprecated)]
 pub use fleet::{
-    serve_fleet, serve_fleet_live, FleetConfig, FleetConfigBuilder, FleetError, FleetRuntime,
-    ModelEndpoint, RequestClass,
+    run_fleet, FleetConfig, FleetConfigBuilder, FleetError, FleetRuntime, ModelEndpoint,
+    RequestClass,
 };
-#[allow(deprecated)]
-pub use live::serve_live;
 pub use live::{LiveWorker, ModelWorker};
 pub use queue::{AdmissionPolicy, QueuePolicy};
 pub use report::{
@@ -110,9 +106,8 @@ pub use report::{
 /// lives in the [`FleetConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Runtime {
-    /// The cycle-domain discrete-event simulator ([`sim::serve_trace`] /
-    /// the fleet scan): deterministic, instant, timeline in simulated
-    /// cycles.
+    /// The cycle-domain discrete-event fleet scan: deterministic,
+    /// instant, timeline in simulated cycles.
     Sim,
     /// The wall-clock runtime: one OS thread per replica really doing
     /// the work, timeline in measured nanoseconds.
@@ -156,260 +151,10 @@ pub fn ms_to_cycles(ms: f64) -> Cycle {
     (ms * CLOCK_HZ / 1e3).round() as Cycle
 }
 
-/// Why a serving-layer computation could not produce a result.
-///
-/// The serving layer reports malformed inputs as typed errors instead of
-/// panicking, so sweep drivers can surface a configuration mistake
-/// without tearing down the whole run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeError {
-    /// [`sim::serve_trace`] was given an empty service-time trace (or
-    /// [`live::serve_live`] zero requests): there is nothing to serve and
-    /// no meaningful report to build.
-    EmptyTrace,
-    /// [`percentile_nearest_rank`] was given an empty sample: no rank
-    /// exists to select.
-    EmptySample,
-    /// [`ServeConfig::replicas`] was zero: a pool needs at least one
-    /// replica to serve anything.
-    ZeroReplicas,
-    /// [`BatchConfig::max_size`] was zero: a service event must admit at
-    /// least one request.
-    ZeroBatch,
-    /// [`live::serve_live`] was given a worker pool whose size does not
-    /// match `config.replicas`: every live replica needs exactly one
-    /// worker thread.
-    WorkerMismatch {
-        /// Workers supplied.
-        workers: usize,
-        /// Replicas the configuration asks for.
-        replicas: usize,
-    },
-}
-
-impl fmt::Display for ServeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeError::EmptyTrace => write!(f, "cannot serve an empty request trace"),
-            ServeError::EmptySample => write!(f, "percentile of an empty sample"),
-            ServeError::ZeroReplicas => write!(f, "replica pool must have at least one replica"),
-            ServeError::ZeroBatch => write!(f, "batch size must be at least one request"),
-            ServeError::WorkerMismatch { workers, replicas } => write!(
-                f,
-                "live worker pool has {workers} workers for {replicas} replicas"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
-/// An open-loop serving scenario: the arrival process, the per-replica
-/// admission-queue bound, the replica count, the dispatch policy, and
-/// optional micro-batching. One `ServeConfig` drives either runtime —
-/// [`sim::serve_trace`] reads it on the cycle timeline,
-/// [`live::serve_live`] on the wall clock.
-///
-/// Build one fluently with [`ServeConfig::builder`]; the default
-/// configuration is the closed-loop degenerate point (gap-0 arrivals,
-/// unbounded queue, one replica, round-robin, no batching).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServeConfig {
-    /// How requests arrive.
-    pub arrivals: ArrivalProcess,
-    /// How many may wait, per replica.
-    pub queue: QueuePolicy,
-    /// How many independent replicas serve the trace (≥ 1).
-    pub replicas: usize,
-    /// How arriving requests are routed across replicas.
-    pub policy: DispatchPolicy,
-    /// Optional micro-batching of queued requests into service events.
-    pub batch: Option<BatchConfig>,
-}
-
-impl Default for ServeConfig {
-    /// The closed-loop degenerate point: every request pending at cycle
-    /// 0, one replica, unbounded queue, no batching.
-    fn default() -> Self {
-        Self {
-            arrivals: ArrivalProcess::closed_loop(),
-            queue: QueuePolicy::Unbounded,
-            replicas: 1,
-            policy: DispatchPolicy::RoundRobin,
-            batch: None,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// Starts a fluent builder from the closed-loop defaults (gap-0
-    /// arrivals, unbounded queue, one replica, round-robin, no batching).
-    pub fn builder() -> ServeConfigBuilder {
-        ServeConfigBuilder {
-            config: Self::default(),
-        }
-    }
-}
-
-/// Fluent builder for [`ServeConfig`], so new serving knobs (replicas,
-/// dispatch policy, batching) never multiply constructor arity. Created
-/// by [`ServeConfig::builder`]; every setter returns `self` by value and
-/// accepts any input — invariants (replicas ≥ 1, batch size ≥ 1) are
-/// checked once, at [`ServeConfigBuilder::build`], which returns a typed
-/// [`ServeError`] instead of panicking mid-chain.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeConfigBuilder {
-    config: ServeConfig,
-}
-
-impl ServeConfigBuilder {
-    /// Sets the arrival process.
-    pub fn arrivals(mut self, arrivals: ArrivalProcess) -> Self {
-        self.config.arrivals = arrivals;
-        self
-    }
-
-    /// Sets the per-replica admission-queue policy.
-    pub fn queue(mut self, queue: QueuePolicy) -> Self {
-        self.config.queue = queue;
-        self
-    }
-
-    /// Bounds each replica's admission queue to `capacity` waiting
-    /// requests (shorthand for `.queue(QueuePolicy::Bounded(capacity))`).
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.queue = QueuePolicy::Bounded(capacity);
-        self
-    }
-
-    /// Sets the replica-pool size. Validated at
-    /// [`build`](ServeConfigBuilder::build): zero replicas is rejected
-    /// there with [`ServeError::ZeroReplicas`].
-    pub fn replicas(mut self, replicas: usize) -> Self {
-        self.config.replicas = replicas;
-        self
-    }
-
-    /// Sets the dispatch policy routing requests across replicas.
-    pub fn policy(mut self, policy: DispatchPolicy) -> Self {
-        self.config.policy = policy;
-        self
-    }
-
-    /// Enables micro-batching: up to `max_size` queued requests per
-    /// service event, each event costing `overhead_cycles` on top of its
-    /// members' service times. Validated at
-    /// [`build`](ServeConfigBuilder::build): a zero `max_size` is
-    /// rejected there with [`ServeError::ZeroBatch`].
-    pub fn batch(mut self, max_size: usize, overhead_cycles: Cycle) -> Self {
-        self.config.batch = Some(BatchConfig {
-            max_size,
-            overhead_cycles,
-        });
-        self
-    }
-
-    /// Finishes the builder, validating every invariant in one place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::ZeroReplicas`] if the replica count is zero
-    /// and [`ServeError::ZeroBatch`] if batching was enabled with a zero
-    /// `max_size`.
-    pub fn build(self) -> Result<ServeConfig, ServeError> {
-        if self.config.replicas == 0 {
-            return Err(ServeError::ZeroReplicas);
-        }
-        if self.config.batch.is_some_and(|b| b.max_size == 0) {
-            return Err(ServeError::ZeroBatch);
-        }
-        Ok(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use flowgnn_desim::cycles_to_ms;
-
-    #[test]
-    fn builder_defaults_are_the_closed_loop_point() {
-        let c = ServeConfig::builder().build().unwrap();
-        assert_eq!(c.arrivals, ArrivalProcess::Fixed { gap: 0 });
-        assert_eq!(c.queue, QueuePolicy::Unbounded);
-        assert_eq!(c.replicas, 1);
-        assert_eq!(c.policy, DispatchPolicy::RoundRobin);
-        assert_eq!(c.batch, None);
-        assert_eq!(c, ServeConfig::default());
-    }
-
-    #[test]
-    fn builder_sets_every_knob() {
-        let c = ServeConfig::builder()
-            .arrivals(ArrivalProcess::Fixed { gap: 50 })
-            .queue_capacity(8)
-            .replicas(4)
-            .policy(DispatchPolicy::JoinShortestQueue)
-            .batch(16, 200)
-            .build()
-            .unwrap();
-        assert_eq!(c.arrivals, ArrivalProcess::Fixed { gap: 50 });
-        assert_eq!(c.queue, QueuePolicy::Bounded(8));
-        assert_eq!(c.replicas, 4);
-        assert_eq!(c.policy, DispatchPolicy::JoinShortestQueue);
-        assert_eq!(
-            c.batch,
-            Some(BatchConfig {
-                max_size: 16,
-                overhead_cycles: 200
-            })
-        );
-    }
-
-    #[test]
-    fn builder_rejects_zero_replicas_at_build() {
-        assert_eq!(
-            ServeConfig::builder().replicas(0).build(),
-            Err(ServeError::ZeroReplicas)
-        );
-    }
-
-    #[test]
-    fn builder_rejects_zero_batch_at_build() {
-        assert_eq!(
-            ServeConfig::builder().batch(0, 10).build(),
-            Err(ServeError::ZeroBatch)
-        );
-        // A later valid setting repairs the chain: only build() judges.
-        assert!(ServeConfig::builder()
-            .batch(0, 10)
-            .batch(4, 10)
-            .build()
-            .is_ok());
-    }
-
-    #[test]
-    fn serve_errors_render_for_humans() {
-        let messages: Vec<String> = [
-            ServeError::EmptyTrace,
-            ServeError::EmptySample,
-            ServeError::ZeroReplicas,
-            ServeError::ZeroBatch,
-            ServeError::WorkerMismatch {
-                workers: 3,
-                replicas: 4,
-            },
-        ]
-        .iter()
-        .map(|e| e.to_string())
-        .collect();
-        for m in &messages {
-            assert!(!m.is_empty());
-        }
-        assert!(messages[0].contains("empty request trace"));
-        assert!(messages[1].contains("empty sample"));
-        assert!(messages[4].contains("3 workers for 4 replicas"));
-    }
 
     #[test]
     fn ms_cycle_round_trip() {

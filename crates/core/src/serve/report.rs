@@ -14,7 +14,7 @@ use std::marker::PhantomData;
 
 use flowgnn_desim::{cycles_to_ms, Cycle};
 
-use super::ServeError;
+use super::FleetError;
 
 /// A timeline a serving run is accounted on: the raw `u64` stamps in
 /// [`RequestRecord`] and [`ServeReport`] are in this domain's unit, and
@@ -146,8 +146,6 @@ pub struct ClassStats {
 
 /// Per-endpoint accounting of one fleet serving run: one entry per
 /// [`super::fleet::ModelEndpoint`], aggregating that endpoint's replicas.
-/// Single-model entry points attach a one-element vector so endpoint
-/// cache counters have one home whatever the fleet shape.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EndpointStats {
     /// The endpoint's name (usually its backend name).
@@ -161,8 +159,9 @@ pub struct EndpointStats {
     pub busy_cycles: u64,
     /// Service-trace cache counters for this endpoint's backend, when it
     /// carries a [`crate::ServiceTraceCache`]. Always `None` from the
-    /// queueing loops themselves — only trace-producing callers (e.g.
-    /// [`crate::Accelerator::serve`]) observe cache activity.
+    /// queueing loops themselves — only trace-producing callers (the
+    /// accelerator's [`crate::InferenceBackend::serve_on`] under
+    /// [`super::Runtime::Sim`]) observe cache activity.
     pub cache: Option<crate::CacheStats>,
 }
 
@@ -220,14 +219,10 @@ pub struct ServeReport<D: TimeDomain = CycleDomain> {
     /// Per-request lifecycle records, in arrival order.
     pub records: Vec<RequestRecord>,
     /// Per-class tails and SLO attainment, one entry per
-    /// [`super::fleet::RequestClass`] in registry order. Empty from the
-    /// single-class serving entry points ([`super::sim::serve_trace`],
-    /// [`super::live::serve_live`]), which have no class registry.
+    /// [`super::fleet::RequestClass`] in registry order.
     pub per_class: Vec<ClassStats>,
     /// Per-endpoint aggregates (utilization inputs and cache counters),
     /// one entry per [`super::fleet::ModelEndpoint`] in registry order.
-    /// Empty from the queueing loops unless a fleet or a trace-producing
-    /// caller (e.g. [`crate::Accelerator::serve`]) attaches entries.
     pub per_endpoint: Vec<EndpointStats>,
     _domain: PhantomData<D>,
 }
@@ -258,13 +253,13 @@ impl<D: TimeDomain> ServeReport<D> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::ZeroReplicas`] when the report carries no
+    /// Returns [`FleetError::ZeroReplicas`] when the report carries no
     /// per-replica stats at all (there is no pool to describe), instead
     /// of silently yielding an empty vector a caller could mistake for a
     /// zero-utilization answer.
-    pub fn replica_utilization(&self) -> Result<Vec<f64>, ServeError> {
+    pub fn replica_utilization(&self) -> Result<Vec<f64>, FleetError> {
         if self.per_replica.is_empty() {
-            return Err(ServeError::ZeroReplicas);
+            return Err(FleetError::ZeroReplicas);
         }
         let span = self.makespan_cycles;
         Ok(self
@@ -288,12 +283,12 @@ impl<D: TimeDomain> ServeReport<D> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::ZeroReplicas`] when the report carries no
+    /// Returns [`FleetError::ZeroReplicas`] when the report carries no
     /// per-replica stats at all, instead of a NaN-adjacent silent zero.
-    pub fn load_imbalance_percent(&self) -> Result<f64, ServeError> {
+    pub fn load_imbalance_percent(&self) -> Result<f64, FleetError> {
         let n = self.per_replica.len();
         if n == 0 {
-            return Err(ServeError::ZeroReplicas);
+            return Err(FleetError::ZeroReplicas);
         }
         let busy: Vec<f64> = self
             .per_replica
@@ -316,10 +311,10 @@ impl<D: TimeDomain> ServeReport<D> {
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::EmptySample`] if `sorted` is empty.
-pub fn percentile_nearest_rank(sorted: &[f64], p: f64) -> Result<f64, ServeError> {
+/// Returns [`FleetError::EmptySample`] if `sorted` is empty.
+pub fn percentile_nearest_rank(sorted: &[f64], p: f64) -> Result<f64, FleetError> {
     if sorted.is_empty() {
-        return Err(ServeError::EmptySample);
+        return Err(FleetError::EmptySample);
     }
     let n = sorted.len();
     let rank = ((p / 100.0) * n as f64).ceil() as usize;
@@ -422,7 +417,7 @@ mod tests {
     fn percentile_rejects_empty() {
         assert_eq!(
             percentile_nearest_rank(&[], 50.0),
-            Err(ServeError::EmptySample)
+            Err(FleetError::EmptySample)
         );
     }
 

@@ -1,27 +1,25 @@
-//! The cycle-domain serving simulator: a deterministic discrete-event
-//! scan of the replica pool.
+//! The cycle-domain replica state machine: one accelerator replica's
+//! service timeline, waiting queue, and accounting.
 //!
-//! [`serve_trace`] is the pre-split serving loop, behavior-preserved: it
-//! pushes a per-request service-time trace through the pool under a
-//! [`ServeConfig`] and summarises the result in the
-//! [`CycleDomain`](super::report::CycleDomain). Routing goes through the
-//! shared [`Dispatcher`] — the same code the live wall-clock runtime
-//! schedules real OS threads with — and `tests/differential.rs` pins the
-//! whole scan bit-identical to the pre-refactor monolith.
+//! `ReplicaSim` is what the fleet scan ([`super::fleet`], reached
+//! through [`super::run_fleet`] with [`super::FleetRuntime::Sim`])
+//! advances per replica between arrivals. Routing goes through the shared
+//! [`Dispatcher`](super::Dispatcher) — the same code the live wall-clock
+//! runtime schedules real OS threads with — and `tests/differential.rs`
+//! pins the whole scan bit-identical to independent inline copies of the
+//! pre-refactor pool scans.
 
 use std::collections::VecDeque;
 
 use flowgnn_desim::Cycle;
 
 use super::batch::BatchConfig;
-use super::dispatch::Dispatcher;
-use super::report::{summarize, ReplicaStats, RequestRecord, ServeReport};
-use super::{ServeConfig, ServeError};
+use super::report::RequestRecord;
 
 /// One replica's simulation state: when its current service event ends,
-/// which requests are waiting, and its running accounting. Shared with
-/// [`super::fleet`], whose cycle-domain scan drives the same state
-/// machine over a heterogeneous pool.
+/// which requests are waiting, and its running accounting. The
+/// [`super::fleet`] cycle-domain scan drives one per replica, each at its
+/// endpoint's service costs.
 pub(crate) struct ReplicaSim {
     /// Cycle the replica's in-flight service event finishes (busy until
     /// then; idle if `free_at <= now` and the queue is empty).
@@ -121,119 +119,32 @@ impl ReplicaSim {
     }
 }
 
-/// Runs one service-time trace through the replica pool under `config`
-/// and summarises the result.
-///
-/// `service[i]` is the service time, in cycles, request `i` will need if
-/// admitted. Arrivals come from `config.arrivals` (one per service
-/// entry); each arrival is routed to a replica by `config.policy`, and a
-/// request dispatched to a replica whose admission queue is full is
-/// dropped. The simulation is a deterministic `O(n × R)` scan, so
-/// sweeping arrival rates, replica counts, and policies over a fixed
-/// service trace costs nothing beyond the scan.
-///
-/// With one replica, round-robin dispatch, and no batching this is
-/// exactly the classic single-server FIFO queue; `tests/differential.rs`
-/// pins that case bit-identical to the pre-pool implementation, and pins
-/// the full pool scan bit-identical to the pre-split monolith.
-///
-/// # Errors
-///
-/// Returns [`ServeError::EmptyTrace`] for an empty `service` trace,
-/// [`ServeError::ZeroReplicas`] if `config.replicas` is zero, and
-/// [`ServeError::ZeroBatch`] if batching is enabled with a zero
-/// `max_size` (the builder enforces both invariants at construction).
-pub fn serve_trace(service: &[Cycle], config: &ServeConfig) -> Result<ServeReport, ServeError> {
-    if service.is_empty() {
-        return Err(ServeError::EmptyTrace);
-    }
-    if config.replicas == 0 {
-        return Err(ServeError::ZeroReplicas);
-    }
-    if config.batch.is_some_and(|b| b.max_size == 0) {
-        return Err(ServeError::ZeroBatch);
-    }
-    let arrivals = config.arrivals.arrivals(service.len());
-    let capacity = config.queue.capacity();
-    let batch = config.batch;
-    let replicas = config.replicas;
-
-    let mut pool: Vec<ReplicaSim> = (0..replicas).map(|_| ReplicaSim::new()).collect();
-    let mut dispatcher = Dispatcher::new(config.policy);
-    let placeholder = RequestRecord {
-        arrival: 0,
-        start: 0,
-        finish: 0,
-        dropped: true,
-        replica: 0,
-    };
-    let mut records = vec![placeholder; service.len()];
-
-    for (i, &arrival) in arrivals.iter().enumerate() {
-        // Bring every replica up to date first, so the load-aware
-        // policies observe fresh backlogs at this arrival cycle.
-        for (r, rep) in pool.iter_mut().enumerate() {
-            rep.advance(Some(arrival), r, batch, &arrivals, service, &mut records);
-        }
-        // Legacy policies never consult the cost closure (bit-identity
-        // with the pre-fleet scan); cost-based routing over a homogeneous
-        // pool estimates completion as work-left plus this request's cost.
-        let target = dispatcher.route_with_cost(
-            i,
-            replicas,
-            |r| pool[r].backlog(arrival),
-            |r| pool[r].pending_work(arrival, service) + service[i],
-        );
-        let rep = &mut pool[target];
-        if rep.free_at <= arrival {
-            // Idle replica (advance drained its queue): serve on arrival.
-            rep.serve_now(i, arrival, target, batch, service, &mut records);
-        } else if rep.waiting.len() >= capacity {
-            records[i] = RequestRecord {
-                arrival,
-                start: arrival,
-                finish: arrival,
-                dropped: true,
-                replica: target,
-            };
-        } else {
-            rep.waiting.push_back(i);
-        }
-    }
-    // No more arrivals: run every queue dry.
-    for (r, rep) in pool.iter_mut().enumerate() {
-        rep.advance(None, r, batch, &arrivals, service, &mut records);
-    }
-
-    let per_replica = pool
-        .iter()
-        .map(|rep| ReplicaStats {
-            completed: rep.completed,
-            busy_cycles: rep.busy_cycles,
-        })
-        .collect();
-    Ok(summarize(records, per_replica))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::{ArrivalProcess, DispatchPolicy, QueuePolicy};
+    use super::super::{
+        run_fleet, ArrivalProcess, DispatchPolicy, FleetConfig, FleetConfigBuilder, FleetError,
+        FleetRuntime, ModelWorker, QueuePolicy, ServeReport,
+    };
     use super::*;
     use flowgnn_desim::cycles_to_ms;
 
+    /// Replays `service` through the pool `config` on the cycle scan.
+    fn scan(service: &[Cycle], config: FleetConfigBuilder) -> Result<ServeReport, FleetError> {
+        let config = config.build()?;
+        let class_of = vec![0; service.len()];
+        let costs = [service.to_vec()];
+        run_fleet::<ModelWorker>(&costs, &class_of, &config, FleetRuntime::Sim, None)
+            .map(|r| r.sim().expect("sim runtime yields a sim report"))
+    }
+
     /// Shorthand: single replica, explicit arrivals and queue.
-    fn single(arrivals: ArrivalProcess, queue: QueuePolicy) -> ServeConfig {
-        ServeConfig::builder()
-            .arrivals(arrivals)
-            .queue(queue)
-            .build()
-            .unwrap()
+    fn single(arrivals: ArrivalProcess, queue: QueuePolicy) -> FleetConfigBuilder {
+        FleetConfig::pool(1).arrivals(arrivals).queue(queue)
     }
 
     #[test]
     fn closed_loop_serves_back_to_back() {
-        let service = [100, 50, 25];
-        let report = serve_trace(&service, &ServeConfig::default()).unwrap();
+        let report = scan(&[100, 50, 25], FleetConfig::pool(1)).unwrap();
         assert_eq!(report.completed, 3);
         assert_eq!(report.dropped, 0);
         assert_eq!(report.makespan_cycles, 175);
@@ -245,11 +156,8 @@ mod tests {
     #[test]
     fn slow_arrivals_never_wait() {
         let service = [100, 100, 100];
-        let report = serve_trace(
-            &service,
-            &single(ArrivalProcess::Fixed { gap: 1000 }, QueuePolicy::Bounded(1)),
-        )
-        .unwrap();
+        let config = single(ArrivalProcess::Fixed { gap: 1000 }, QueuePolicy::Bounded(1));
+        let report = scan(&service, config).unwrap();
         assert_eq!(report.dropped, 0);
         assert!(report.records.iter().all(|r| r.wait_cycles() == 0));
         assert_eq!(report.mean_wait_ms, 0.0);
@@ -261,11 +169,8 @@ mod tests {
         // Service 10x slower than arrivals, queue of 2: the first request
         // is served immediately, two wait, the rest mostly drop.
         let service = vec![1000u64; 20];
-        let report = serve_trace(
-            &service,
-            &single(ArrivalProcess::Fixed { gap: 100 }, QueuePolicy::Bounded(2)),
-        )
-        .unwrap();
+        let config = single(ArrivalProcess::Fixed { gap: 100 }, QueuePolicy::Bounded(2));
+        let report = scan(&service, config).unwrap();
         assert!(report.dropped > 0, "overload must drop");
         assert!(report.completed + report.dropped == 20);
         assert!(report.drop_rate() > 0.5, "rate {}", report.drop_rate());
@@ -278,11 +183,8 @@ mod tests {
     #[test]
     fn unbounded_overload_completes_everything_with_growing_waits() {
         let service = vec![1000u64; 50];
-        let report = serve_trace(
-            &service,
-            &single(ArrivalProcess::Fixed { gap: 100 }, QueuePolicy::Unbounded),
-        )
-        .unwrap();
+        let config = single(ArrivalProcess::Fixed { gap: 100 }, QueuePolicy::Unbounded);
+        let report = scan(&service, config).unwrap();
         assert_eq!(report.dropped, 0);
         let first = report.records.first().unwrap().wait_cycles();
         let last = report.records.last().unwrap().wait_cycles();
@@ -292,14 +194,11 @@ mod tests {
 
     #[test]
     fn drops_do_not_pollute_latency_stats() {
-        let service = vec![1000u64; 10];
-        let bounded = serve_trace(
-            &service,
-            &single(ArrivalProcess::Fixed { gap: 0 }, QueuePolicy::Bounded(0)),
-        )
-        .unwrap();
         // Capacity 0: first request goes straight to the idle server, the
         // rest arrive at cycle 0 with no waiting room.
+        let service = vec![1000u64; 10];
+        let config = single(ArrivalProcess::Fixed { gap: 0 }, QueuePolicy::Bounded(0));
+        let bounded = scan(&service, config).unwrap();
         assert_eq!(bounded.completed, 1);
         assert_eq!(bounded.dropped, 9);
         assert!((bounded.max_ms - cycles_to_ms(1000)).abs() < 1e-15);
@@ -309,9 +208,7 @@ mod tests {
     fn round_robin_pool_splits_requests_in_turn() {
         // Three replicas, everything pending at cycle 0: request i lands
         // on replica i mod 3 regardless of load.
-        let service = vec![100u64; 9];
-        let config = ServeConfig::builder().replicas(3).build().unwrap();
-        let report = serve_trace(&service, &config).unwrap();
+        let report = scan(&[100u64; 9], FleetConfig::pool(3)).unwrap();
         assert_eq!(report.dropped, 0);
         for (i, r) in report.records.iter().enumerate() {
             assert_eq!(r.replica, i % 3, "request {i}");
@@ -333,32 +230,26 @@ mod tests {
         // the idle replica 1, and keeps alternating while both stay
         // equally loaded.
         let service = vec![1000u64; 6];
-        let config = ServeConfig::builder()
-            .arrivals(ArrivalProcess::Fixed { gap: 100 })
-            .replicas(2)
-            .policy(DispatchPolicy::JoinShortestQueue)
-            .build()
-            .unwrap();
-        let report = serve_trace(&service, &config).unwrap();
+        let config = || {
+            FleetConfig::pool(2)
+                .arrivals(ArrivalProcess::Fixed { gap: 100 })
+                .policy(DispatchPolicy::JoinShortestQueue)
+        };
+        let report = scan(&service, config()).unwrap();
         let assigned: Vec<usize> = report.records.iter().map(|r| r.replica).collect();
         assert_eq!(assigned, vec![0, 1, 0, 1, 0, 1]);
         // Determinism: a second run reproduces the assignment exactly.
-        let again = serve_trace(&service, &config).unwrap();
-        assert_eq!(report, again);
+        assert_eq!(report, scan(&service, config()).unwrap());
     }
 
     #[test]
     fn jsq_routes_around_a_long_job() {
         // Replica 0 gets stuck on one huge request; JSQ steers the
         // following short requests to replica 1 until backlogs even out.
-        let service = vec![10_000, 100, 100, 100];
-        let config = ServeConfig::builder()
+        let config = FleetConfig::pool(2)
             .arrivals(ArrivalProcess::Fixed { gap: 200 })
-            .replicas(2)
-            .policy(DispatchPolicy::JoinShortestQueue)
-            .build()
-            .unwrap();
-        let report = serve_trace(&service, &config).unwrap();
+            .policy(DispatchPolicy::JoinShortestQueue);
+        let report = scan(&[10_000, 100, 100, 100], config).unwrap();
         let assigned: Vec<usize> = report.records.iter().map(|r| r.replica).collect();
         assert_eq!(assigned[0], 0, "first request ties to replica 0");
         // Replica 0 is busy with the long job at every later arrival, so
@@ -370,18 +261,14 @@ mod tests {
     #[test]
     fn power_of_two_is_seed_deterministic() {
         let service = vec![500u64; 40];
-        let config = |seed| {
-            ServeConfig::builder()
+        let run = |seed| {
+            let config = FleetConfig::pool(4)
                 .arrivals(ArrivalProcess::Fixed { gap: 100 })
-                .replicas(4)
-                .policy(DispatchPolicy::PowerOfTwoChoices { seed })
-                .build()
-                .unwrap()
+                .policy(DispatchPolicy::PowerOfTwoChoices { seed });
+            scan(&service, config).unwrap()
         };
-        let a = serve_trace(&service, &config(9)).unwrap();
-        let b = serve_trace(&service, &config(9)).unwrap();
+        let (a, b, c) = (run(9), run(9), run(10));
         assert_eq!(a, b, "same seed, same assignment sequence");
-        let c = serve_trace(&service, &config(10)).unwrap();
         let seq = |r: &ServeReport| r.records.iter().map(|x| x.replica).collect::<Vec<_>>();
         assert_ne!(seq(&a), seq(&c), "different seeds explore differently");
         assert!(seq(&a).iter().all(|&r| r < 4), "assignments in range");
@@ -392,17 +279,11 @@ mod tests {
         // Same offered trace, 4x the servers: waits can only shrink.
         let service = vec![1000u64; 40];
         let arrivals = ArrivalProcess::Fixed { gap: 300 };
-        let one = serve_trace(&service, &single(arrivals, QueuePolicy::Unbounded)).unwrap();
-        let four = serve_trace(
-            &service,
-            &ServeConfig::builder()
-                .arrivals(arrivals)
-                .replicas(4)
-                .policy(DispatchPolicy::JoinShortestQueue)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
+        let one = scan(&service, single(arrivals, QueuePolicy::Unbounded)).unwrap();
+        let four = FleetConfig::pool(4)
+            .arrivals(arrivals)
+            .policy(DispatchPolicy::JoinShortestQueue);
+        let four = scan(&service, four).unwrap();
         assert!(four.p99_ms < one.p99_ms);
         assert!(four.mean_wait_ms < one.mean_wait_ms);
         assert_eq!(four.per_replica.len(), 4);
@@ -412,9 +293,7 @@ mod tests {
     fn batching_amortises_overhead_into_shared_events() {
         // Everything pending at cycle 0, batch of 2 with overhead 10.
         // Request 0 is picked up solo on arrival; {1, 2} and {3} batch.
-        let service = vec![100u64; 4];
-        let config = ServeConfig::builder().batch(2, 10).build().unwrap();
-        let report = serve_trace(&service, &config).unwrap();
+        let report = scan(&[100u64; 4], FleetConfig::pool(1).batch(2, 10)).unwrap();
         let r = &report.records;
         assert_eq!((r[0].start, r[0].finish), (0, 110));
         assert_eq!((r[1].start, r[1].finish), (110, 320));
@@ -429,12 +308,8 @@ mod tests {
         // max_size 1: same schedule as unbatched, shifted by the per-event
         // overhead cost.
         let service = [100, 50, 25];
-        let plain = serve_trace(&service, &ServeConfig::default()).unwrap();
-        let batched = serve_trace(
-            &service,
-            &ServeConfig::builder().batch(1, 7).build().unwrap(),
-        )
-        .unwrap();
+        let plain = scan(&service, FleetConfig::pool(1)).unwrap();
+        let batched = scan(&service, FleetConfig::pool(1).batch(1, 7)).unwrap();
         for (p, b) in plain.records.iter().zip(&batched.records) {
             assert_eq!(b.service_cycles(), p.service_cycles() + 7);
         }
@@ -442,32 +317,15 @@ mod tests {
     }
 
     #[test]
-    fn serve_rejects_empty_trace() {
+    fn scan_rejects_empty_trace_and_malformed_pools() {
+        assert_eq!(scan(&[], FleetConfig::pool(1)), Err(FleetError::EmptyTrace));
         assert_eq!(
-            serve_trace(&[], &ServeConfig::default()),
-            Err(ServeError::EmptyTrace)
+            scan(&[10], FleetConfig::pool(0)),
+            Err(FleetError::EndpointZeroReplicas { endpoint: 0 })
         );
-    }
-
-    #[test]
-    fn serve_rejects_malformed_hand_built_configs() {
-        // The builder forbids these at `build()`; hand-built structs
-        // surface the same invariants as typed errors.
-        let zero_replicas = ServeConfig {
-            replicas: 0,
-            ..ServeConfig::default()
-        };
         assert_eq!(
-            serve_trace(&[10], &zero_replicas),
-            Err(ServeError::ZeroReplicas)
+            scan(&[10], FleetConfig::pool(1).batch(0, 5)),
+            Err(FleetError::ZeroBatch)
         );
-        let zero_batch = ServeConfig {
-            batch: Some(BatchConfig {
-                max_size: 0,
-                overhead_cycles: 5,
-            }),
-            ..ServeConfig::default()
-        };
-        assert_eq!(serve_trace(&[10], &zero_batch), Err(ServeError::ZeroBatch));
     }
 }

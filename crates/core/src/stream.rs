@@ -5,21 +5,19 @@
 //! serving loop at its degenerate point (every request pending at cycle
 //! 0, unbounded admission queue), so [`Accelerator::run_stream`] builds a
 //! per-graph service trace and pushes it through
-//! [`serve_trace`](crate::serve::sim::serve_trace) under the closed-loop
-//! [`ServeConfig::default`]. The reports it returns are cycle-exact
-//! identical to the pre-refactor direct loop (pinned by
+//! [`run_fleet`](crate::serve::run_fleet) under the closed-loop
+//! one-replica [`FleetConfig::pool`]. The reports it returns are
+//! cycle-exact identical to the pre-refactor direct loop (pinned by
 //! `tests/differential.rs`).
 
 use flowgnn_desim::{cycles_to_ms, Cycle};
 use flowgnn_graph::GraphStream;
 
-use crate::cache::{graph_fingerprint, ServiceTraceCache};
+use crate::cache::graph_fingerprint;
 use crate::engine::{Accelerator, PreparedGraph};
 use crate::exec::SimScratch;
-use crate::serve::live::{serve_live_inner, LiveWorker};
-use crate::serve::report::WallDomain;
-use crate::serve::sim::serve_trace;
-use crate::serve::{ServeConfig, ServeError, ServeReport};
+use crate::serve::live::{LiveWorker, ModelWorker};
+use crate::serve::{run_fleet, FleetConfig, FleetRuntime};
 
 /// Latency statistics over a stream of graphs (all in milliseconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,7 +68,8 @@ impl Accelerator {
     /// size 1, reusing one scratch allocation across the stream. This is
     /// the service trace both the closed-loop wrapper
     /// ([`Accelerator::run_stream`]) and the open-loop server
-    /// ([`Accelerator::serve`]) feed into the queueing model. Public so
+    /// ([`crate::InferenceBackend::serve_on`]) feed into the queueing
+    /// model. Public so
     /// sweep drivers can compute the trace once and replay it across
     /// many serving configurations (replica counts, dispatch policies,
     /// offered loads) without re-simulating the engine.
@@ -134,8 +133,20 @@ impl Accelerator {
     /// Panics if the stream (after the limit) is empty.
     pub fn run_stream(&self, stream: GraphStream, limit: usize) -> StreamReport {
         let service = self.service_trace(stream, limit);
-        let report =
-            serve_trace(&service, &ServeConfig::default()).expect("non-empty service trace");
+        let class_of = vec![0; service.len()];
+        let config = FleetConfig::pool(1)
+            .build()
+            .expect("valid closed-loop pool");
+        let report = run_fleet::<ModelWorker>(
+            std::slice::from_ref(&service),
+            &class_of,
+            &config,
+            FleetRuntime::Sim,
+            None,
+        )
+        .expect("non-empty service trace")
+        .sim()
+        .expect("sim runtime yields a sim report");
         let mut min_ms = f64::INFINITY;
         let mut max_ms: f64 = 0.0;
         for r in &report.records {
@@ -153,84 +164,6 @@ impl Accelerator {
                 max_ms,
             },
         }
-    }
-
-    /// Serves up to `limit` graphs of `stream` as an open-loop request
-    /// trace: graphs arrive per `config.arrivals`, are dispatched across
-    /// the replica pool by `config.policy`, wait in per-replica bounded
-    /// admission queues, and are serviced with cycle-exact engine
-    /// latencies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream (after the limit) is empty, or if `config`
-    /// violates an invariant the builder enforces (zero replicas, zero
-    /// batch size).
-    ///
-    /// The returned report carries a one-entry
-    /// [`ServeReport::per_endpoint`] view for the accelerator; if a
-    /// [`crate::ServiceTraceCache`] is attached, that entry's `cache`
-    /// field carries the cache's counters as of the end of this call.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `InferenceBackend::serve_on(stream, limit, &config.into(), Runtime::Sim, None)` \
-                instead"
-    )]
-    pub fn serve(&self, stream: GraphStream, limit: usize, config: &ServeConfig) -> ServeReport {
-        let mut report = serve_trace(&self.service_trace(stream, limit), config)
-            .expect("non-empty trace with a validated config");
-        report.per_endpoint = vec![crate::serve::EndpointStats {
-            name: "FlowGNN".to_string(),
-            replicas: config.replicas,
-            completed: report.completed,
-            busy_cycles: report.per_replica.iter().map(|r| r.busy_cycles).sum(),
-            cache: self.trace_cache().map(ServiceTraceCache::stats),
-        }];
-        report
-    }
-
-    /// Serves up to `limit` graphs of `stream` through the *live*
-    /// wall-clock runtime: `config.replicas` OS threads, each owning an
-    /// [`EngineWorker`] — a clone of this accelerator (sharing any
-    /// attached [`crate::ServiceTraceCache`] handle) plus its own
-    /// prepared graphs and [`SimScratch`] — really simulating every
-    /// admitted request while an open-loop generator paces
-    /// `config.arrivals` in wall time. The wall-clock twin of
-    /// [`Accelerator::serve`]: same configuration semantics, timeline in
-    /// measured nanoseconds ([`WallDomain`]).
-    ///
-    /// The report's `per_endpoint` view stays empty: live replicas
-    /// execute the engine directly rather than consulting the
-    /// service-trace cache, so there is no cache activity to attach.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ServeError`] invariants
-    /// [`serve_live`](crate::serve::live::serve_live) reports (zero
-    /// replicas, zero batch size, zero requests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream (after the limit) is empty.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `InferenceBackend::serve_on(stream, limit, &config.into(), Runtime::Live, None)` \
-                instead"
-    )]
-    pub fn serve_live(
-        &self,
-        stream: GraphStream,
-        limit: usize,
-        config: &ServeConfig,
-    ) -> Result<ServeReport<WallDomain>, ServeError> {
-        let stream = stream.take_prefix(limit);
-        assert!(!stream.is_empty(), "cannot serve an empty graph stream");
-        let graphs: Vec<_> = stream.collect();
-        let requests = graphs.len();
-        let workers: Vec<EngineWorker> = (0..config.replicas)
-            .map(|_| EngineWorker::new(self.clone(), graphs.iter().cloned()))
-            .collect();
-        serve_live_inner(workers, requests, config)
     }
 
     /// Streams graphs with *inter-graph pipelining*: the next graph's COO
@@ -293,9 +226,10 @@ impl Accelerator {
 /// [`SimScratch`] — everything a replica thread needs to simulate
 /// requests without touching another thread's state.
 ///
-/// Built by [`Accelerator::serve_live`]; public so custom live-serving
+/// Built by the accelerator's [`crate::InferenceBackend::serve_on`] under
+/// [`Runtime::Live`](crate::Runtime::Live); public so custom live-serving
 /// drivers can assemble their own worker pools and hand them to
-/// [`serve_live`](crate::serve::live::serve_live).
+/// [`run_fleet`] as [`FleetRuntime::Live`].
 pub struct EngineWorker {
     acc: Accelerator,
     prepared: Vec<PreparedGraph<'static>>,
@@ -333,18 +267,28 @@ impl LiveWorker for EngineWorker {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated inherent entry points stay under test: they are thin
-    // wrappers whose behaviour must not drift from the unified path.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::serve::{ArrivalProcess, QueuePolicy};
-    use crate::ArchConfig;
+    use crate::serve::{ArrivalProcess, FleetConfigBuilder, QueuePolicy, Runtime, ServeReport};
+    use crate::{ArchConfig, InferenceBackend, ServiceTraceCache};
     use flowgnn_graph::generators::{GraphGenerator, MoleculeLike};
     use flowgnn_models::GnnModel;
 
     fn acc() -> Accelerator {
         Accelerator::new(GnnModel::gcn(9, 0), ArchConfig::default())
+    }
+
+    /// Serves `limit` graphs of `stream` through the accelerator's cycle
+    /// scan under `config`.
+    fn serve(
+        a: &Accelerator,
+        stream: GraphStream,
+        limit: usize,
+        config: FleetConfigBuilder,
+    ) -> ServeReport {
+        a.serve_on(stream, limit, &config.build().unwrap(), Runtime::Sim, None)
+            .unwrap()
+            .sim()
+            .expect("sim runtime yields a sim report")
     }
 
     #[test]
@@ -402,16 +346,15 @@ mod tests {
         let stream = || MoleculeLike::new(12.0, 4).stream(6);
         let a = acc();
         let closed = a.run_stream(stream(), 6);
-        let served = a.serve(
+        let served = serve(
+            &a,
             stream(),
             6,
-            &ServeConfig::builder()
+            FleetConfig::pool(1)
                 .arrivals(ArrivalProcess::Fixed {
                     gap: closed.total_cycles, // one full stream per gap
                 })
-                .queue_capacity(4)
-                .build()
-                .unwrap(),
+                .queue_capacity(4),
         );
         assert_eq!(served.dropped, 0);
         assert_eq!(served.mean_wait_ms, 0.0);
@@ -424,16 +367,15 @@ mod tests {
         let a = acc();
         // Arrivals 4x faster than the mean service rate: waits accumulate.
         let mean_service = a.run_stream(stream(), 12).total_cycles / 12;
-        let served = a.serve(
+        let served = serve(
+            &a,
             stream(),
             12,
-            &ServeConfig::builder()
+            FleetConfig::pool(1)
                 .arrivals(ArrivalProcess::Fixed {
                     gap: (mean_service / 4).max(1),
                 })
-                .queue(QueuePolicy::Unbounded)
-                .build()
-                .unwrap(),
+                .queue(QueuePolicy::Unbounded),
         );
         assert_eq!(served.dropped, 0);
         assert!(served.mean_wait_ms > 0.0);
@@ -446,22 +388,20 @@ mod tests {
         use crate::serve::DispatchPolicy;
         let stream = || MoleculeLike::new(12.0, 4).stream(8);
         let a = acc();
-        let report = a
-            .serve_live(
-                stream(),
-                8,
-                &ServeConfig::builder()
-                    .replicas(2)
-                    .policy(DispatchPolicy::JoinShortestQueue)
-                    .build()
-                    .unwrap(),
-            )
+        let config = FleetConfig::pool(2)
+            .policy(DispatchPolicy::JoinShortestQueue)
+            .build()
             .unwrap();
+        let report = a
+            .serve_on(stream(), 8, &config, Runtime::Live, None)
+            .unwrap()
+            .live()
+            .expect("live runtime yields a wall report");
         assert_eq!(report.completed, 8);
         assert_eq!(report.dropped, 0);
         assert_eq!(report.per_replica.len(), 2);
-        assert!(
-            report.per_endpoint.is_empty(),
+        assert_eq!(
+            report.per_endpoint[0].cache, None,
             "live replicas bypass the trace cache"
         );
         for r in &report.records {

@@ -6,10 +6,6 @@
 //! tolerance. These are the guarantees the perf-oriented plumbing
 //! (service-trace cache, zero-clone prepare) must never erode.
 
-// The deprecated serving entry points are pinned here on purpose: the
-// thin wrappers must keep matching the unified path bit for bit.
-#![allow(deprecated)]
-
 use flowgnn_core::prelude::*;
 use flowgnn_core::ServiceTraceCache;
 use flowgnn_graph::generators::{GraphGenerator, MoleculeLike};
@@ -52,17 +48,21 @@ fn cached_service_trace_is_bit_identical_to_uncached() {
 #[test]
 fn cached_serve_report_is_identical_and_carries_counters() {
     let n = 9;
-    let config = ServeConfig::builder()
+    let config = FleetConfig::pool(2)
         .arrivals(ArrivalProcess::Poisson {
             mean_gap: 50_000.0,
             seed: 7,
         })
-        .replicas(2)
         .build()
         .unwrap();
-    let plain = acc().serve(repeated_stream(3, 3), n, &config);
-    let cached_acc = acc().with_trace_cache(ServiceTraceCache::new(16));
-    let mut cached = cached_acc.serve(repeated_stream(3, 3), n, &config);
+    let serve = |a: &Accelerator| {
+        a.serve_on(repeated_stream(3, 3), n, &config, Runtime::Sim, None)
+            .unwrap()
+            .sim()
+            .expect("sim runtime yields a sim report")
+    };
+    let plain = serve(&acc());
+    let mut cached = serve(&acc().with_trace_cache(ServiceTraceCache::new(16)));
 
     assert_eq!(plain.per_endpoint.len(), 1, "one endpoint entry per serve");
     assert_eq!(

@@ -34,6 +34,8 @@ fn main() {
     let service = acc.service_trace(spec.stream(), REQUESTS);
     let wall_ms = (t0.elapsed().as_secs_f64() * 1e3 / REQUESTS as f64).max(0.005);
     let sim_ms = flowgnn::desim::cycles_to_ms(service.iter().sum::<u64>()) / service.len() as f64;
+    let class_of = vec![0; service.len()];
+    let costs = [service];
     println!(
         "MolHIV GCN: service {sim_ms:.4} ms simulated, {wall_ms:.4} ms wall on this host\n\
          offered load {:.0}% of each domain's capacity\n",
@@ -51,17 +53,25 @@ fn main() {
             ("p2c", DispatchPolicy::PowerOfTwoChoices { seed: 7 }),
         ] {
             let config = |rate: f64| {
-                ServeConfig::builder()
+                FleetConfig::pool(replicas)
                     .arrivals(ArrivalProcess::poisson_rate(rate, 42 + replicas as u64))
                     .queue_capacity(64)
-                    .replicas(replicas)
                     .policy(policy)
                     .build()
                     .expect("valid serving config")
             };
 
             let sim_rate = LOAD * replicas as f64 * 1e3 / sim_ms;
-            let sim = serve_trace(&service, &config(sim_rate)).expect("non-empty trace");
+            let sim = run_fleet::<ModelWorker>(
+                &costs,
+                &class_of,
+                &config(sim_rate),
+                FleetRuntime::Sim,
+                None,
+            )
+            .expect("non-empty trace")
+            .sim()
+            .expect("sim runtime yields a cycle-domain report");
             println!(
                 "{replicas:<10} {name:<8} {:<8} {sim_rate:>12.0} {:>10.4} {:>10.4} {:>10}",
                 "sim", sim.p50_ms, sim.p99_ms, sim.dropped
@@ -72,7 +82,7 @@ fn main() {
                 .serve_on(
                     spec.stream(),
                     REQUESTS,
-                    &FleetConfig::from(&config(live_rate)),
+                    &config(live_rate),
                     Runtime::Live,
                     None,
                 )
@@ -89,18 +99,11 @@ fn main() {
     // Saturation: a closed-loop backlog split across real threads.
     println!("\nclosed-loop live throughput (all requests pending at t0):");
     for replicas in [1usize, 2, 4] {
-        let config = ServeConfig::builder()
-            .replicas(replicas)
+        let config = FleetConfig::pool(replicas)
             .build()
             .expect("valid saturation config");
         let report = acc
-            .serve_on(
-                spec.stream(),
-                REQUESTS,
-                &FleetConfig::from(&config),
-                Runtime::Live,
-                None,
-            )
+            .serve_on(spec.stream(), REQUESTS, &config, Runtime::Live, None)
             .expect("valid live config")
             .live()
             .expect("live runtime yields a wall-domain report");

@@ -30,6 +30,17 @@ fn main() {
     let service = acc.service_trace(spec.stream(), REQUESTS);
     let mean_ms = flowgnn::desim::cycles_to_ms(service.iter().sum::<u64>()) / service.len() as f64;
     let slo_ms = mean_ms * 4.0;
+    let mean_cycles = service.iter().sum::<u64>() / service.len() as u64;
+    let class_of = vec![0; service.len()];
+    let costs = [service];
+    // Replays the trace through a plain replica pool on the cycle scan.
+    let replay = |config: FleetConfigBuilder| {
+        let config = config.build().expect("valid pool config");
+        run_fleet::<ModelWorker>(&costs, &class_of, &config, FleetRuntime::Sim, None)
+            .expect("non-empty trace")
+            .sim()
+            .expect("sim runtime yields a cycle-domain report")
+    };
     println!(
         "MolHIV GCN: mean service {:.4} ms -> p99 SLO {:.4} ms, offered load {:.0}%\n",
         mean_ms,
@@ -48,14 +59,12 @@ fn main() {
             ("jsq", DispatchPolicy::JoinShortestQueue),
             ("p2c", DispatchPolicy::PowerOfTwoChoices { seed: 7 }),
         ] {
-            let config = ServeConfig::builder()
-                .arrivals(ArrivalProcess::poisson_rate(rate, 42 + replicas as u64))
-                .queue_capacity(64)
-                .replicas(replicas)
-                .policy(policy)
-                .build()
-                .expect("valid pool config");
-            let report = serve_trace(&service, &config).expect("non-empty trace");
+            let report = replay(
+                FleetConfig::pool(replicas)
+                    .arrivals(ArrivalProcess::poisson_rate(rate, 42 + replicas as u64))
+                    .queue_capacity(64)
+                    .policy(policy),
+            );
             let verdict = if report.p99_ms <= slo_ms && report.dropped == 0 {
                 ""
             } else {
@@ -75,15 +84,14 @@ fn main() {
 
     // Micro-batching trades tail latency for amortised per-event cost.
     println!("\nmicro-batching on one replica (batch overhead = 10% of mean service):");
-    let overhead = (service.iter().sum::<u64>() / service.len() as u64) / 10;
+    let overhead = mean_cycles / 10;
     for batch in [1usize, 2, 4, 8] {
-        let config = ServeConfig::builder()
-            .arrivals(ArrivalProcess::poisson_rate(0.9 * 1e3 / mean_ms, 42))
-            .queue_capacity(64)
-            .batch(batch, overhead)
-            .build()
-            .expect("valid batching config");
-        let report = serve_trace(&service, &config).expect("non-empty trace");
+        let report = replay(
+            FleetConfig::pool(1)
+                .arrivals(ArrivalProcess::poisson_rate(0.9 * 1e3 / mean_ms, 42))
+                .queue_capacity(64)
+                .batch(batch, overhead),
+        );
         println!(
             "  B={batch}: p50 {:.4} ms, p99 {:.4} ms, util {:.2}",
             report.p50_ms,

@@ -45,13 +45,11 @@ pub use flowgnn_graph as graph;
 pub use flowgnn_models as models;
 pub use flowgnn_tensor as tensor;
 
-#[allow(deprecated)]
-pub use flowgnn_core::serve_live;
 pub use flowgnn_core::{
     run_fleet, Accelerator, ArchConfig, ArrivalProcess, BatchConfig, CycleDomain, DispatchPolicy,
-    Dispatcher, EngineMode, EngineWorker, ExecutionMode, FleetConfig, FleetRuntime, LiveWorker,
-    ModelWorker, PipelineStrategy, QueuePolicy, ReplicaStats, RunReport, Runtime, RuntimeReport,
-    ServeConfig, ServeError, ServeReport, TimeDomain, WallDomain,
+    Dispatcher, EngineMode, EngineWorker, ExecutionMode, FleetConfig, FleetError, FleetRuntime,
+    LiveWorker, ModelWorker, PipelineStrategy, QueuePolicy, ReplicaStats, RunReport, Runtime,
+    RuntimeReport, ServeReport, TimeDomain, WallDomain,
 };
 pub use flowgnn_graph::{Graph, GraphStream};
 pub use flowgnn_models::{Dataflow, GnnModel, ModelKind};
@@ -68,7 +66,7 @@ pub mod prelude {
     //!     GnnModel::gcn(spec.node_feat_dim(), 7),
     //!     ArchConfig::default(),
     //! );
-    //! let config = FleetConfig::from(&ServeConfig::builder().build().unwrap());
+    //! let config = FleetConfig::pool(1).build().unwrap();
     //! let report = acc
     //!     .serve_on(spec.stream(), 8, &config, Runtime::Sim, None)
     //!     .unwrap()

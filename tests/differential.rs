@@ -9,10 +9,9 @@
 //! workload-zoo graph families, and pipeline strategies. Any divergence,
 //! even one cycle or one ULP, is a bug in the horizon computation.
 
-// The deprecated serving entry points are pinned here on purpose: the
-// thin wrappers must keep matching the unified path bit for bit.
-#![allow(deprecated)]
+mod common;
 
+use common::{assert_matches, capacity, old_pool_scan, old_scan, run_pool};
 use flowgnn::graph::generators::{
     ChungLu, ErdosRenyi, GraphGenerator, GridMesh, KnnPointCloud, MoleculeLike, SmallWorld,
 };
@@ -227,11 +226,12 @@ fn closed_loop_serve_is_bit_identical_to_run_stream() {
 
         // And the explicit gap-0 serve must be the same schedule: every
         // request back-to-back, zero drops, makespan = sum of services.
-        let served = acc.serve(
-            spec.stream(),
-            limit,
-            &ServeConfig::builder().build().unwrap(),
-        );
+        let closed_loop = FleetConfig::pool(1).build().unwrap();
+        let served = acc
+            .serve_on(spec.stream(), limit, &closed_loop, Runtime::Sim, None)
+            .unwrap()
+            .sim()
+            .unwrap();
         assert_eq!(served.completed, n, "{kind:?}: served count");
         assert_eq!(served.dropped, 0, "{kind:?}: drops");
         assert_eq!(served.makespan_cycles, total, "{kind:?}: makespan");
@@ -249,38 +249,9 @@ fn closed_loop_serve_is_bit_identical_to_run_stream() {
 fn single_replica_pool_is_bit_identical_to_the_pre_pool_scan() {
     // The replica-pool generalisation claims the old single-server FIFO
     // is its R = 1 / round-robin / no-batching special case. Pin that
-    // against an *independent* reference: an inline copy of the pre-pool
-    // single-server scan, over cycle-exact accelerator service traces and
-    // a matrix of arrival processes and queue bounds.
-
-    /// The pre-pool `serve_trace` scan, verbatim semantics: one server,
-    /// FIFO, queue capacity counts only waiting (not in-service) requests.
-    fn old_scan(service: &[u64], arrivals: &[u64], capacity: usize) -> Vec<(u64, u64, u64, bool)> {
-        let mut records = Vec::with_capacity(service.len());
-        let mut server_free: u64 = 0;
-        let mut waiting: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
-        for (&arrival, &dur) in arrivals.iter().zip(service) {
-            while let Some(&front) = waiting.front() {
-                if front <= arrival {
-                    waiting.pop_front();
-                } else {
-                    break;
-                }
-            }
-            let start = server_free.max(arrival);
-            if start > arrival && waiting.len() >= capacity {
-                records.push((arrival, arrival, arrival, true));
-                continue;
-            }
-            if start > arrival {
-                waiting.push_back(start);
-            }
-            records.push((arrival, start, start + dur, false));
-            server_free = start + dur;
-        }
-        records
-    }
-
+    // against an *independent* reference: the shared inline copy of the
+    // pre-pool single-server scan, over cycle-exact accelerator service
+    // traces and a matrix of arrival processes and queue bounds.
     let spec = DatasetSpec::standard(DatasetKind::MolHiv);
     let acc = Accelerator::new(
         GnnModel::gcn(spec.node_feat_dim(), 57),
@@ -311,20 +282,15 @@ fn single_replica_pool_is_bit_identical_to_the_pre_pool_scan() {
             QueuePolicy::Bounded(2),
             QueuePolicy::Bounded(64),
         ] {
-            let config = ServeConfig::builder()
+            let config = FleetConfig::pool(1)
                 .arrivals(arrivals_proc)
                 .queue(queue)
                 .build()
                 .unwrap();
-            assert_eq!(config.replicas, 1, "builder defaults to one replica");
             assert_eq!(config.policy, DispatchPolicy::RoundRobin);
-            let report = serve_trace(&service, &config).unwrap();
+            let report = run_pool(&service, &config);
             let arrivals = arrivals_proc.arrivals(service.len());
-            let capacity = match queue {
-                QueuePolicy::Unbounded => usize::MAX,
-                QueuePolicy::Bounded(c) => c,
-            };
-            let reference = old_scan(&service, &arrivals, capacity);
+            let reference = old_scan(&service, &arrivals, capacity(queue));
             let what = format!("{arrivals_proc:?} / {queue:?}");
             assert_eq!(report.records.len(), reference.len(), "{what}: count");
             for (i, (rec, &(arr, start, finish, dropped))) in
@@ -437,129 +403,17 @@ fn fast_forward_is_exact_on_streams() {
 }
 
 /// The serve-module split (`serve.rs` → `serve/{arrivals,queue,dispatch,
-/// batch,report,sim,live}`) claims `serve::sim::serve_trace` is the
-/// pre-split monolith, verbatim. Pin that against an *independent* inline
-/// copy of the pre-split replica-pool scan — `ReplicaSim` semantics,
-/// dispatch tie-breaks, p2c's two-draws-per-request RNG discipline, batch
-/// formation, and bounded-admission drops included — over multi-replica
-/// pools, every policy, batching on and off, bounded and unbounded
-/// queues, and Poisson/on-off arrivals. Bit-identical records and
-/// per-replica accounting, or the refactor changed behavior.
+/// batch,report,sim,live}`) and the fleet refactor claim the pool scan is
+/// the pre-split monolith, verbatim. Pin the fleet scan on the plain pool
+/// against the *independent* shared copy of the pre-split replica-pool
+/// scan — `ReplicaSim` semantics, dispatch tie-breaks, p2c's
+/// two-draws-per-request RNG discipline, least-work-left cost routing,
+/// batch formation, and bounded-admission drops included — over
+/// multi-replica pools, every policy, batching on and off, bounded and
+/// unbounded queues, and Poisson/on-off arrivals. Bit-identical records
+/// and per-replica accounting, or the refactor changed behavior.
 #[test]
 fn split_serve_trace_is_bit_identical_to_the_pre_split_pool_scan() {
-    use flowgnn_rng::Rng;
-    use std::collections::VecDeque;
-
-    struct OldRep {
-        free_at: u64,
-        waiting: VecDeque<usize>,
-        busy_cycles: u64,
-        completed: usize,
-    }
-
-    impl OldRep {
-        fn advance(
-            &mut self,
-            now: Option<u64>,
-            replica: usize,
-            batch: Option<(usize, u64)>,
-            arrivals: &[u64],
-            service: &[u64],
-            records: &mut [(u64, u64, u64, bool, usize)],
-        ) {
-            while !self.waiting.is_empty() && now.is_none_or(|t| self.free_at <= t) {
-                let start = self.free_at;
-                let take = batch.map_or(1, |(max, _)| max).min(self.waiting.len());
-                let mut duration = batch.map_or(0, |(_, overhead)| overhead);
-                for k in 0..take {
-                    duration += service[self.waiting[k]];
-                }
-                let finish = start + duration;
-                for _ in 0..take {
-                    let i = self.waiting.pop_front().unwrap();
-                    records[i] = (arrivals[i], start, finish, false, replica);
-                }
-                self.free_at = finish;
-                self.busy_cycles += duration;
-                self.completed += take;
-            }
-        }
-
-        fn backlog(&self, now: u64) -> usize {
-            self.waiting.len() + usize::from(self.free_at > now)
-        }
-    }
-
-    /// Per-request record: (arrival, start, finish, dropped, replica).
-    type OldRecord = (u64, u64, u64, bool, usize);
-
-    /// The pre-split `serve_trace` pool scan, verbatim semantics.
-    fn old_pool_scan(
-        service: &[u64],
-        arrivals: &[u64],
-        capacity: usize,
-        replicas: usize,
-        policy: DispatchPolicy,
-        batch: Option<(usize, u64)>,
-    ) -> (Vec<OldRecord>, Vec<(usize, u64)>) {
-        let mut pool: Vec<OldRep> = (0..replicas)
-            .map(|_| OldRep {
-                free_at: 0,
-                waiting: VecDeque::new(),
-                busy_cycles: 0,
-                completed: 0,
-            })
-            .collect();
-        let mut rng = match policy {
-            DispatchPolicy::PowerOfTwoChoices { seed } => Some(Rng::seed_from_u64(seed)),
-            _ => None,
-        };
-        let mut records = vec![(0, 0, 0, true, 0); service.len()];
-        for (i, &arrival) in arrivals.iter().enumerate() {
-            for (r, rep) in pool.iter_mut().enumerate() {
-                rep.advance(Some(arrival), r, batch, arrivals, service, &mut records);
-            }
-            let target = match policy {
-                DispatchPolicy::RoundRobin => i % replicas,
-                DispatchPolicy::JoinShortestQueue | DispatchPolicy::CostBased => pool
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, rep)| rep.backlog(arrival))
-                    .map(|(r, _)| r)
-                    .unwrap(),
-                DispatchPolicy::PowerOfTwoChoices { .. } => {
-                    let rng = rng.as_mut().unwrap();
-                    let a = rng.bounded_u64(replicas as u64) as usize;
-                    let b = rng.bounded_u64(replicas as u64) as usize;
-                    let (lo, hi) = (a.min(b), a.max(b));
-                    if pool[hi].backlog(arrival) < pool[lo].backlog(arrival) {
-                        hi
-                    } else {
-                        lo
-                    }
-                }
-            };
-            let rep = &mut pool[target];
-            if rep.free_at <= arrival {
-                // Idle: serve on arrival as a batch of one.
-                let duration = batch.map_or(0, |(_, overhead)| overhead) + service[i];
-                records[i] = (arrival, arrival, arrival + duration, false, target);
-                rep.free_at = arrival + duration;
-                rep.busy_cycles += duration;
-                rep.completed += 1;
-            } else if rep.waiting.len() >= capacity {
-                records[i] = (arrival, arrival, arrival, true, target);
-            } else {
-                rep.waiting.push_back(i);
-            }
-        }
-        for (r, rep) in pool.iter_mut().enumerate() {
-            rep.advance(None, r, batch, arrivals, service, &mut records);
-        }
-        let stats = pool.iter().map(|r| (r.completed, r.busy_cycles)).collect();
-        (records, stats)
-    }
-
     let spec = DatasetSpec::standard(DatasetKind::MolHiv);
     let acc = Accelerator::new(
         GnnModel::gcn(spec.node_feat_dim(), 57),
@@ -584,6 +438,7 @@ fn split_serve_trace_is_bit_identical_to_the_pre_split_pool_scan() {
         DispatchPolicy::RoundRobin,
         DispatchPolicy::JoinShortestQueue,
         DispatchPolicy::PowerOfTwoChoices { seed: 21 },
+        DispatchPolicy::CostBased,
     ];
     let queues = [
         QueuePolicy::Unbounded,
@@ -598,41 +453,28 @@ fn split_serve_trace_is_bit_identical_to_the_pre_split_pool_scan() {
             for queue in queues {
                 for batch in batches {
                     for replicas in [1usize, 2, 3, 5] {
-                        let mut builder = ServeConfig::builder()
+                        let mut builder = FleetConfig::pool(replicas)
                             .arrivals(process)
                             .queue(queue)
-                            .replicas(replicas)
                             .policy(policy);
                         if let Some((max, overhead)) = batch {
                             builder = builder.batch(max, overhead);
                         }
-                        let config = builder.build().unwrap();
-                        let report = serve_trace(&service, &config).unwrap();
+                        let report = run_pool(&service, &builder.build().unwrap());
 
                         let arrivals = process.arrivals(service.len());
-                        let capacity = match queue {
-                            QueuePolicy::Unbounded => usize::MAX,
-                            QueuePolicy::Bounded(c) => c,
-                        };
-                        let (reference, stats) =
-                            old_pool_scan(&service, &arrivals, capacity, replicas, policy, batch);
+                        let (reference, stats) = old_pool_scan(
+                            &service,
+                            &arrivals,
+                            capacity(queue),
+                            replicas,
+                            policy,
+                            batch,
+                        );
                         let what = format!(
                             "{process:?} / {policy:?} / {queue:?} / {batch:?} / R={replicas}"
                         );
-                        assert_eq!(report.records.len(), reference.len(), "{what}");
-                        for (i, (rec, old)) in report.records.iter().zip(&reference).enumerate() {
-                            assert_eq!(
-                                (rec.arrival, rec.start, rec.finish, rec.dropped, rec.replica),
-                                *old,
-                                "{what}[{i}]"
-                            );
-                        }
-                        for (r, (stat, &(completed, busy))) in
-                            report.per_replica.iter().zip(&stats).enumerate()
-                        {
-                            assert_eq!(stat.completed, completed, "{what} r={r}: completed");
-                            assert_eq!(stat.busy_cycles, busy, "{what} r={r}: busy");
-                        }
+                        assert_matches(&report, &reference, &stats, &what);
                     }
                 }
             }
@@ -641,15 +483,17 @@ fn split_serve_trace_is_bit_identical_to_the_pre_split_pool_scan() {
 }
 
 /// The fleet refactor claims the degenerate fleet — one endpoint, one
-/// request class, FIFO admission — is the pre-refactor replica-pool scan,
-/// verbatim. Pin `serve_fleet` against `serve_trace` over the exact
-/// `repro scale` recipe: the cycle-exact MolHIV GCN service trace
-/// (timing-only engine, model seed 11), rate = load x replicas x service
-/// rate, arrival seed `0x5CA1E + (p*1000 + r*100 + l)`, p2c dispatch
-/// seed `0x2C401CE + (p*1000 + r*100 + l)`, 64-deep bounded queues, and
-/// the full `(process, policy, replicas, load)` grid the sweep emits.
-/// Bit-identical records, per-replica accounting, and tail statistics,
-/// or the fleet path would perturb `results/scale_out.csv`.
+/// request class, FIFO admission, as [`FleetConfig::pool`] builds it — is
+/// the pre-refactor replica-pool scan, verbatim. Pin the fleet scan
+/// against the shared pre-split pool scan over the exact `repro scale`
+/// recipe: the cycle-exact MolHIV GCN service trace (timing-only engine,
+/// model seed 11), rate = load x replicas x service rate, arrival seed
+/// `0x5CA1E + (p*1000 + r*100 + l)`, p2c dispatch seed
+/// `0x2C401CE + (p*1000 + r*100 + l)`, 64-deep bounded queues, and the
+/// full `(process, policy, replicas, load)` grid the sweep emits.
+/// Bit-identical records and per-replica accounting (from which the one
+/// shared summary derives every tail statistic), or the fleet path would
+/// perturb `results/scale_out.csv`.
 #[test]
 fn degenerate_fleet_is_bit_identical_to_the_scale_recipe() {
     use flowgnn::desim::cycles_to_ms;
@@ -664,8 +508,6 @@ fn degenerate_fleet_is_bit_identical_to_the_scale_recipe() {
     let service = acc.service_trace(spec.stream(), requests);
     let mean_service_ms = cycles_to_ms(service.iter().sum::<u64>()) / service.len() as f64;
     let service_rate_per_s = 1e3 / mean_service_ms;
-    let costs = [service.clone()];
-    let class_of = vec![0usize; service.len()];
 
     let processes = ["fixed", "poisson"];
     let policies = ["rr", "jsq", "p2c"];
@@ -690,35 +532,26 @@ fn degenerate_fleet_is_bit_identical_to_the_scale_recipe() {
                         },
                     };
 
-                    let plain_config = ServeConfig::builder()
+                    let config = FleetConfig::pool(replicas)
                         .arrivals(arrivals)
                         .queue_capacity(QUEUE_CAPACITY)
-                        .replicas(replicas)
                         .policy(policy)
                         .build()
                         .expect("valid scale-recipe config");
-                    let plain = serve_trace(&service, &plain_config).expect("non-empty trace");
+                    let fleet = run_pool(&service, &config);
 
-                    let fleet_config = FleetConfig::builder()
-                        .arrivals(arrivals)
-                        .queue_capacity(QUEUE_CAPACITY)
-                        .policy(policy)
-                        .endpoint(ModelEndpoint::new("pool", replicas))
-                        .class(RequestClass::new("default", 0))
-                        .build()
-                        .expect("valid degenerate fleet config");
-                    let mut fleet =
-                        serve_fleet(&costs, &class_of, &fleet_config).expect("non-empty fleet");
-
+                    let (reference, stats) = old_pool_scan(
+                        &service,
+                        &arrivals.arrivals(service.len()),
+                        QUEUE_CAPACITY,
+                        replicas,
+                        policy,
+                        None,
+                    );
                     let what = format!("{process}/{policy_name}/x{replicas}/load {load}");
-                    // The fleet report carries its class and endpoint
-                    // views on top of the identical pool scan; strip
-                    // them and demand byte equality on everything else.
                     assert_eq!(fleet.per_class.len(), 1, "{what}: one class view");
                     assert_eq!(fleet.per_endpoint.len(), 1, "{what}: one endpoint view");
-                    fleet.per_class.clear();
-                    fleet.per_endpoint.clear();
-                    assert_eq!(plain, fleet, "{what}: degenerate fleet diverged");
+                    assert_matches(&fleet, &reference, &stats, &what);
                 }
             }
         }

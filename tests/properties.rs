@@ -2,10 +2,9 @@
 //! claims rest on, checked over deterministic pseudo-random graphs and
 //! configurations (seeded in-tree PRNG, so every run covers the same cases).
 
-// The deprecated serving entry points are pinned here on purpose: the
-// thin wrappers must keep matching the unified path bit for bit.
-#![allow(deprecated)]
+mod common;
 
+use common::{assert_matches, capacity, old_pool_scan, old_scan, run_pool, run_sim};
 use flowgnn::core::{bank_workloads, imbalance_percent};
 use flowgnn::graph::generators::{ErdosRenyi, GraphGenerator};
 use flowgnn::models::reference;
@@ -175,9 +174,10 @@ fn stream_latency_stats_invariants() {
 /// single servers: replica `r` of a pool fed `Fixed { gap }` arrivals
 /// sees requests `r, r+R, r+2R, …` at cycles `(r + kR)·gap`, which is the
 /// single-server run over the subsampled service trace with `Fixed { gap:
-/// R·gap }` arrivals, time-shifted by `r·gap`. Checked over random pool
-/// sizes, gaps, queue bounds, and service traces — including bounded
-/// queues, where the drop *pattern* must also shift-match.
+/// R·gap }` arrivals, time-shifted by `r·gap`. The single servers are the
+/// independent pre-pool reference scan; checked over random pool sizes,
+/// gaps, queue bounds, and service traces — including bounded queues,
+/// where the drop *pattern* must also shift-match.
 #[test]
 fn round_robin_pool_is_r_interleaved_single_servers() {
     let mut rng = Rng::seed_from_u64(0xF10_0007);
@@ -185,61 +185,48 @@ fn round_robin_pool_is_r_interleaved_single_servers() {
         let replicas = rng.gen_range(1usize..6);
         let gap = rng.gen_range(1u64..2000);
         let n = rng.gen_range(1usize..120);
-        let capacity = if rng.gen_bool(0.5) {
+        let queue = if rng.gen_bool(0.5) {
             QueuePolicy::Unbounded
         } else {
             QueuePolicy::Bounded(rng.gen_range(0usize..4))
         };
         let service: Vec<u64> = (0..n).map(|_| rng.gen_range(1u64..5000)).collect();
 
-        let pool = serve_trace(
-            &service,
-            &ServeConfig::builder()
-                .arrivals(ArrivalProcess::Fixed { gap })
-                .queue(capacity)
-                .replicas(replicas)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
+        let config = FleetConfig::pool(replicas)
+            .arrivals(ArrivalProcess::Fixed { gap })
+            .queue(queue)
+            .build()
+            .unwrap();
+        let pool = run_pool(&service, &config);
 
         for r in 0..replicas {
             let sub: Vec<u64> = service.iter().skip(r).step_by(replicas).copied().collect();
             if sub.is_empty() {
                 continue;
             }
-            let single = serve_trace(
-                &sub,
-                &ServeConfig::builder()
-                    .arrivals(ArrivalProcess::Fixed {
-                        gap: gap * replicas as u64,
-                    })
-                    .queue(capacity)
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
+            let sub_gap = gap * replicas as u64;
+            let arrivals = ArrivalProcess::Fixed { gap: sub_gap }.arrivals(sub.len());
+            let single = old_scan(&sub, &arrivals, capacity(queue));
             let shift = r as u64 * gap;
-            for (k, single_rec) in single.records.iter().enumerate() {
+            for (k, &(arrival, start, finish, dropped)) in single.iter().enumerate() {
                 let pool_rec = &pool.records[r + k * replicas];
-                let what = format!("R={replicas} gap={gap} {capacity:?} r={r} k={k}");
+                let what = format!("R={replicas} gap={gap} {queue:?} r={r} k={k}");
                 assert_eq!(pool_rec.replica, r, "{what}: replica");
-                assert_eq!(pool_rec.dropped, single_rec.dropped, "{what}: dropped");
-                assert_eq!(
-                    pool_rec.arrival,
-                    single_rec.arrival + shift,
-                    "{what}: arrival"
-                );
-                assert_eq!(pool_rec.start, single_rec.start + shift, "{what}: start");
-                assert_eq!(pool_rec.finish, single_rec.finish + shift, "{what}: finish");
+                assert_eq!(pool_rec.dropped, dropped, "{what}: dropped");
+                assert_eq!(pool_rec.arrival, arrival + shift, "{what}: arrival");
+                assert_eq!(pool_rec.start, start + shift, "{what}: start");
+                assert_eq!(pool_rec.finish, finish + shift, "{what}: finish");
             }
             // Per-replica accounting matches the single server's totals.
+            let served: Vec<_> = single.iter().filter(|rec| !rec.3).collect();
+            let busy: u64 = served.iter().map(|rec| rec.2 - rec.1).sum();
             assert_eq!(
-                pool.per_replica[r].completed, single.completed,
+                pool.per_replica[r].completed,
+                served.len(),
                 "R={replicas} r={r}: completed"
             );
             assert_eq!(
-                pool.per_replica[r].busy_cycles, single.per_replica[0].busy_cycles,
+                pool.per_replica[r].busy_cycles, busy,
                 "R={replicas} r={r}: busy"
             );
         }
@@ -444,7 +431,7 @@ fn fleet_admission_is_work_conserving() {
             builder = builder.endpoint(ModelEndpoint::new(format!("e{e}"), replicas));
         }
         let config = builder.build().unwrap();
-        let report = serve_fleet(&costs, &class_of, &config).unwrap();
+        let report = run_sim(&costs, &class_of, &config);
 
         for replica in 0..total_replicas {
             let mut served: Vec<_> = report
@@ -504,7 +491,7 @@ fn priority_admission_never_starves_high_priority() {
                 .class(RequestClass::new("hi", 2))
                 .build()
                 .unwrap();
-            serve_fleet(&costs, &class_of, &config).unwrap()
+            run_sim(&costs, &class_of, &config)
         };
         let fifo = run(AdmissionPolicy::Fifo);
         let prio = run(AdmissionPolicy::Priority);
@@ -540,12 +527,14 @@ fn priority_admission_never_starves_high_priority() {
 }
 
 /// A fleet of one endpoint and one class under FIFO admission *is* the
-/// replica-pool scan: `serve_fleet` must reproduce `serve_trace` bitwise
-/// — records, per-replica accounting, and every derived statistic — over
-/// random service traces, arrival processes, dispatch policies, queue
-/// bounds, batching, and pool sizes. This is the randomized counterpart
-/// of the scale-recipe pin in `differential.rs`: the fleet layer adds
-/// class and endpoint views on top of the scan, it never perturbs it.
+/// replica-pool scan: the fleet scan on `FleetConfig::pool` must
+/// reproduce the independent pre-split pool scan bitwise — records and
+/// per-replica accounting, from which the one shared summary derives
+/// every statistic — over random service traces, arrival processes,
+/// dispatch policies, queue bounds, batching, and pool sizes. This is the
+/// randomized counterpart of the scale-recipe pin in `differential.rs`:
+/// the fleet layer adds class and endpoint views on top of the scan, it
+/// never perturbs it.
 #[test]
 fn degenerate_fleet_equals_the_replica_pool_scan() {
     let mut rng = Rng::seed_from_u64(0x000F_1EE7_0003);
@@ -584,24 +573,22 @@ fn degenerate_fleet_equals_the_replica_pool_scan() {
             .gen_bool(0.3)
             .then(|| (rng.gen_range(2usize..5), rng.gen_range(0u64..300)));
 
-        let mut plain_builder = ServeConfig::builder()
+        let mut builder = FleetConfig::pool(replicas)
             .arrivals(arrivals)
             .queue(queue)
-            .replicas(replicas)
             .policy(policy);
-        let mut fleet_builder = FleetConfig::builder()
-            .arrivals(arrivals)
-            .queue(queue)
-            .policy(policy)
-            .endpoint(ModelEndpoint::new("pool", replicas))
-            .class(RequestClass::new("default", 0));
         if let Some((max, overhead)) = batch {
-            plain_builder = plain_builder.batch(max, overhead);
-            fleet_builder = fleet_builder.batch(max, overhead);
+            builder = builder.batch(max, overhead);
         }
-        let plain = serve_trace(&service, &plain_builder.build().unwrap()).unwrap();
-        let costs = [service.clone()];
-        let mut fleet = serve_fleet(&costs, &vec![0; n], &fleet_builder.build().unwrap()).unwrap();
+        let fleet = run_pool(&service, &builder.build().unwrap());
+        let (reference, stats) = old_pool_scan(
+            &service,
+            &arrivals.arrivals(n),
+            capacity(queue),
+            replicas,
+            policy,
+            batch,
+        );
 
         let what = format!("{arrivals:?} / {policy:?} / {queue:?} / {batch:?} / R={replicas}");
         assert_eq!(fleet.per_class.len(), 1, "{what}");
@@ -611,8 +598,6 @@ fn degenerate_fleet_equals_the_replica_pool_scan() {
             n,
             "{what}: class view covers every request"
         );
-        fleet.per_class.clear();
-        fleet.per_endpoint.clear();
-        assert_eq!(plain, fleet, "{what}: fleet perturbed the pool scan");
+        assert_matches(&fleet, &reference, &stats, &what);
     }
 }
