@@ -17,10 +17,11 @@
 //! --no-trace-cache   disable the service-trace cache in the serve/scale
 //!                    sweeps (output is byte-identical either way; CI
 //!                    `cmp`s the two to pin that)
-//! --scalar-kernels   run all arithmetic on the scalar reference kernels
-//!                    instead of the SIMD path (timing tables are
-//!                    byte-identical either way; functional values agree
-//!                    within the differential-test tolerance)
+//! --scalar-kernels   run `dot` left to right and `Linear` as a column
+//!                    walk (the reference kernel bodies) instead of the
+//!                    default ones (timing tables are byte-identical
+//!                    either way; functional values agree within the
+//!                    differential-test tolerance)
 //! --resume             read checkpoint sidecars back and skip grid points a
 //!                      previous interrupted run already computed; resumed
 //!                      output is byte-identical to an uninterrupted run
@@ -151,7 +152,7 @@ fn main() {
                      --filter S              run only experiments containing the substring S\n\
                      --list                  print the experiment names, one per line, and exit\n\
                      --no-trace-cache        disable the service-trace cache (output identical)\n\
-                     --scalar-kernels        scalar reference kernels instead of SIMD\n\
+                     --scalar-kernels        reference dot and Linear loops (tables identical)\n\
                      --resume                skip grid points an interrupted run checkpointed\n\
                      --checkpoint-dir DIR    sidecar directory (default .flowgnn-checkpoints)\n\
                      --abort-after-points N  exit(3) after N fresh grid points (for CI)\n\

@@ -1,17 +1,22 @@
-//! Kernel-path study: SIMD vs. scalar arithmetic, end to end.
+//! Kernel-path study: the default and reference kernel bodies, end to end.
 //!
-//! Two measurement layers, serialized together as `BENCH_kernel_simd.json`:
+//! Two kernels have a second body behind the run-time switch
+//! ([`flowgnn_tensor::simd::set_scalar_kernels`]): `ops::dot` (the fixed
+//! two-accumulator order vs. the left-to-right sum) and `Linear`'s
+//! input-stationary loop (contiguous transposed rows vs. a strided column
+//! walk). Every other kernel is one function, so timing it "under both
+//! paths" would time it against itself. Two measurement layers,
+//! serialized together as `BENCH_kernel_simd.json`:
 //!
-//! 1. **Kernel microbenchmarks** — each vectorized `flowgnn_tensor` kernel
-//!    timed under the scalar reference path and the SIMD path, at the
-//!    feature dimensions the paper's models actually use.
+//! 1. **Kernel microbenchmarks** — `dot` and `Linear::forward` timed under
+//!    each path, at the feature dimension the paper's models use.
 //! 2. **Saturated functional throughput** — the saturated fixed workloads
 //!    of the throughput benchmark re-run with full (functional) execution
 //!    under both kernel paths, reporting graphs-per-second before/after.
 //!
-//! The runtime toggle ([`flowgnn_tensor::simd::set_scalar_kernels`]) is
-//! flipped around each measurement and restored afterwards, so the study
-//! can run inside a `repro` invocation regardless of `--scalar-kernels`.
+//! The switch is flipped around each measurement and restored afterwards,
+//! so the study can run inside a `repro` invocation regardless of
+//! `--scalar-kernels`.
 
 use crate::microbench::Microbench;
 use crate::{SampleSize, TextTable};
@@ -28,12 +33,12 @@ pub struct KernelRow {
     pub kernel: String,
     /// Best per-iteration time on the scalar reference path.
     pub scalar_ns: f64,
-    /// Best per-iteration time on the SIMD path.
+    /// Best per-iteration time on the default (`simd`) path.
     pub simd_ns: f64,
 }
 
 impl KernelRow {
-    /// Scalar-over-SIMD speedup.
+    /// Scalar-over-default speedup.
     pub fn speedup(&self) -> f64 {
         self.scalar_ns / self.simd_ns.max(1e-12)
     }
@@ -48,12 +53,12 @@ pub struct SaturatedRow {
     pub graphs: usize,
     /// Graphs per wall-second with scalar kernels.
     pub scalar_graphs_per_second: f64,
-    /// Graphs per wall-second with SIMD kernels.
+    /// Graphs per wall-second on the default (`simd`) path.
     pub simd_graphs_per_second: f64,
 }
 
 impl SaturatedRow {
-    /// SIMD-over-scalar functional throughput speedup.
+    /// Default-over-scalar functional throughput speedup.
     pub fn speedup(&self) -> f64 {
         self.simd_graphs_per_second / self.scalar_graphs_per_second.max(1e-12)
     }
@@ -96,29 +101,9 @@ fn kernel_rows() -> Vec<KernelRow> {
         });
     };
 
-    let (a, b) = (xs.clone(), ys.clone());
     bench(&format!("dot_{HIDDEN}"), &mut || {
-        std::hint::black_box(ops::dot(&a, &b));
+        std::hint::black_box(ops::dot(&xs, &ys));
     });
-    let mut dst = xs.clone();
-    let src = ys.clone();
-    bench(&format!("axpy_{HIDDEN}"), &mut || {
-        ops::axpy(&mut dst, 0.5, &src)
-    });
-    let mut dst = xs.clone();
-    bench(&format!("add_assign_{HIDDEN}"), &mut || {
-        ops::add_assign(&mut dst, &src)
-    });
-    let mut dst = xs.clone();
-    bench(&format!("max_assign_{HIDDEN}"), &mut || {
-        ops::max_assign(&mut dst, &src)
-    });
-    let mut dst = xs.clone();
-    bench(&format!("scale_{HIDDEN}"), &mut || {
-        ops::scale(&mut dst, 1.0)
-    });
-    let mut dst = xs.clone();
-    bench(&format!("relu_{HIDDEN}"), &mut || ops::relu(&mut dst));
     let mut out = Vec::new();
     bench(&format!("linear_forward_{HIDDEN}x{HIDDEN}"), &mut || {
         linear.forward_into(&xs, &mut out)
@@ -187,7 +172,7 @@ fn functional_graphs_per_second(acc: &Accelerator, prepared: &[PreparedGraph]) -
 /// Runs the study at the given sample size, restoring the kernel path the
 /// process started with.
 pub fn measure(sample: SampleSize) -> KernelStudy {
-    let was_scalar = simd::scalar_kernels();
+    let was_scalar = simd::kernel_path() == "scalar";
     let kernels = kernel_rows();
     let mut saturated = Vec::new();
     for (name, kind, model, config) in saturated_workloads() {

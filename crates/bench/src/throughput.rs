@@ -4,7 +4,7 @@
 //! reports simulated-cycles-per-wall-second and graphs-per-second, in both
 //! engine modes (per-cycle reference vs. fast-forward) and both execution
 //! modes (timing-only and full functional, where the arithmetic actually
-//! runs and the SIMD kernels matter), serialized as
+//! runs and the compute kernels matter), serialized as
 //! `BENCH_sim_throughput.json`. Future PRs compare against this file to
 //! keep a perf trajectory. Each row records which kernel path
 //! (`simd`/`scalar`) produced it.
@@ -125,7 +125,7 @@ fn measure_one(
 ///
 /// Timing-only rows cover both engine modes (the fast-forward speedup);
 /// functional rows run the arithmetic under the fast-forward engine — the
-/// rows where the kernel path (SIMD vs. scalar) moves throughput.
+/// rows where the kernel path (`simd` vs. `scalar`) moves throughput.
 pub fn measure(sample: SampleSize) -> ThroughputReport {
     let mut rows = Vec::new();
     for (name, kind, model, config) in fixed_workloads() {

@@ -3,9 +3,9 @@
 //! Per-node `Vec<f32>` rows scatter embeddings across the heap; every
 //! message then chases a pointer before it can touch a lane. The arena
 //! packs all `rows × dim` values into a single contiguous `f32` slab
-//! with each row stride-padded to the SIMD lane width, so row handles
-//! are plain slices, walks over consecutive nodes are sequential in
-//! memory, and every row start is lane-aligned for the vectorized
+//! with each row stride-padded to a multiple of [`LANES`], so row
+//! handles are plain slices, walks over consecutive nodes are sequential
+//! in memory, and every row starts on a lane-chunk boundary for the
 //! kernels in `flowgnn-tensor`.
 
 use flowgnn_tensor::simd::LANES;

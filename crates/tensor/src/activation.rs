@@ -53,8 +53,8 @@ impl Activation {
     /// Applies the activation to every element of `xs` in place.
     ///
     /// ReLU — the activation on every hot per-node path — goes through
-    /// the vectorized [`crate::ops::relu`] kernel (bit-identical to the
-    /// scalar [`Activation::apply`] loop).
+    /// the [`crate::ops::relu`] kernel (bit-identical to the
+    /// [`Activation::apply`] loop).
     pub fn apply_slice(self, xs: &mut [f32]) {
         match self {
             Activation::Identity => {}

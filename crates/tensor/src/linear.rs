@@ -27,7 +27,7 @@ use crate::{ops, simd, Activation, Matrix, WeightInit};
 pub struct Linear {
     weight: Matrix,
     // Transposed copy (`in × out`) kept alongside the canonical `out × in`
-    // matrix: the input-stationary SIMD path streams one *contiguous*
+    // matrix: the input-stationary loop streams one *contiguous*
     // transposed row per nonzero input instead of a strided column walk.
     wt: Matrix,
     bias: Vec<f32>,
@@ -139,12 +139,13 @@ impl Linear {
     /// (`P_apply` input elements per cycle); exposing it lets the simulator
     /// share the arithmetic while accounting cycles itself.
     ///
-    /// The SIMD path tiles the same schedule: each nonzero input selects
-    /// one contiguous row of the transposed weights, and eight such rows
-    /// at a time sweep the output 8 lanes wide ([`ops::axpy8`], with
-    /// [`ops::axpy4`]/[`ops::axpy`] tails). Per output element the adds
-    /// still apply in ascending input order, so both kernel paths are
-    /// **bit-identical**, zero-skipping included.
+    /// Each nonzero input selects one contiguous row of the transposed
+    /// weights and updates the whole output with one [`ops::axpy`], in
+    /// ascending input order. The `--scalar-kernels` switch
+    /// ([`crate::simd::set_scalar_kernels`]) selects the reference walk
+    /// down the columns of the `out × in` matrix instead; both add the
+    /// same products to each output element in the same order, so they
+    /// are **bit-identical**, zero-skipping included.
     ///
     /// # Panics
     ///
@@ -159,50 +160,18 @@ impl Linear {
         );
         out.clear();
         out.extend_from_slice(&self.bias);
-        if simd::scalar_kernels() {
-            // Retained reference path: strided column walk over the
-            // canonical out × in matrix, exactly the pre-SIMD loop.
-            for (i, xi) in x.iter().enumerate() {
-                if *xi == 0.0 {
-                    continue; // skip zero inputs; result identical, cheaper in sim
-                }
-                for (o, row) in out.iter_mut().zip(self.weight.iter_rows()) {
-                    *o += xi * row[i];
-                }
-            }
-            return;
-        }
-        let o = out.as_mut_slice();
-        // Gather nonzero inputs into blocks of eight transposed rows (a
-        // 4-row block then singles for the tail); the per-element add
-        // order inside a block stays ascending in `i`.
-        let mut ks = [0.0f32; 8];
-        let mut rows: [&[f32]; 8] = [&[]; 8];
-        let mut n = 0;
+        let column_walk = simd::scalar_kernels();
         for (i, xi) in x.iter().enumerate() {
             if *xi == 0.0 {
                 continue; // skip zero inputs; result identical, cheaper in sim
             }
-            ks[n] = *xi;
-            rows[n] = self.wt.row(i);
-            n += 1;
-            if n == 8 {
-                ops::axpy8(o, ks, rows);
-                n = 0;
+            if column_walk {
+                for (o, row) in out.iter_mut().zip(self.weight.iter_rows()) {
+                    *o += xi * row[i];
+                }
+            } else {
+                ops::axpy(out, *xi, self.wt.row(i));
             }
-        }
-        if n >= 4 {
-            ops::axpy4(
-                o,
-                [ks[0], ks[1], ks[2], ks[3]],
-                [rows[0], rows[1], rows[2], rows[3]],
-            );
-            ks.copy_within(4..8, 0);
-            rows.copy_within(4..8, 0);
-            n -= 4;
-        }
-        for j in 0..n {
-            ops::axpy(o, ks[j], rows[j]);
         }
     }
 }

@@ -148,8 +148,7 @@ impl Matrix {
         );
         out.clear();
         out.resize(self.rows, 0.0);
-        // One dot per row; crate::ops::dot dispatches between the lane
-        // kernel and the retained sequential loop.
+        // One dot per row, in crate::ops::dot's fixed summation order.
         for (r, o) in out.iter_mut().enumerate() {
             let row = &self.data[r * self.cols..(r + 1) * self.cols];
             *o = crate::ops::dot(row, x);

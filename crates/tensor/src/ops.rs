@@ -4,117 +4,20 @@
 //! aggregation stages execute. They are plain functions (no trait dispatch)
 //! so the hot simulation loops stay branch-predictable.
 //!
-//! Every kernel that benefits from width dispatches between an [`F32x8`]
-//! SIMD body and the retained scalar reference path in [`scalar`]; see
-//! [`crate::simd`] for the tail-masking and determinism contract. The
-//! element-wise kernels (`add_assign`, `max_assign`, `min_assign`,
-//! `scale`, `axpy`, `axpy4`, `relu`) preserve per-element evaluation
-//! order, so both paths are **bit-identical**; `dot` reassociates into a
-//! fixed lane-accumulator tree and is pinned to the scalar result within
-//! 1e-6 by the property tests.
+//! The element-wise kernels (`add_assign`, `max_assign`, `min_assign`,
+//! `scale`, `axpy`, `relu`) are plain loops over the slices: LLVM
+//! vectorizes them at the workspace's pinned `target-cpu`, and since Rust
+//! neither fuses nor reassociates floating-point operations, each element
+//! is computed exactly as written on every target. [`dot`] is the one
+//! reduction; its summation order is spelled out in its docs and pinned
+//! bit for bit by a golden test.
 
-use crate::simd::{scalar_kernels, F32x8, LANES};
+use crate::simd::{scalar_kernels, LANES};
 
-/// The retained scalar reference path for every dispatching kernel.
-///
-/// These are the pre-SIMD loops, kept callable so the vectorized bodies
-/// can be golden-tested against them and so `force_scalar` builds (and
-/// the `--scalar-kernels` runtime toggle) reproduce historical numbers
-/// exactly.
+/// The sequential dot product, kept as the reference [`dot`] is compared
+/// against and the body the `--scalar-kernels` switch selects.
 pub mod scalar {
-    /// Scalar `dst += src`. See [`super::add_assign`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn add_assign(dst: &mut [f32], src: &[f32]) {
-        assert_eq!(dst.len(), src.len(), "add_assign length mismatch");
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d += s;
-        }
-    }
-
-    /// Scalar `dst = max(dst, src)`. See [`super::max_assign`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn max_assign(dst: &mut [f32], src: &[f32]) {
-        assert_eq!(dst.len(), src.len(), "max_assign length mismatch");
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = d.max(*s);
-        }
-    }
-
-    /// Scalar `dst = min(dst, src)`. See [`super::min_assign`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn min_assign(dst: &mut [f32], src: &[f32]) {
-        assert_eq!(dst.len(), src.len(), "min_assign length mismatch");
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = d.min(*s);
-        }
-    }
-
-    /// Scalar `xs *= k`. See [`super::scale`].
-    pub fn scale(xs: &mut [f32], k: f32) {
-        for x in xs {
-            *x *= k;
-        }
-    }
-
-    /// Scalar `dst += k * src`. See [`super::axpy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn axpy(dst: &mut [f32], k: f32, src: &[f32]) {
-        assert_eq!(dst.len(), src.len(), "axpy length mismatch");
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d += k * s;
-        }
-    }
-
-    /// Scalar four-fold axpy. See [`super::axpy4`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any source length differs from `dst`.
-    pub fn axpy4(dst: &mut [f32], ks: [f32; 4], srcs: [&[f32]; 4]) {
-        for src in srcs {
-            assert_eq!(dst.len(), src.len(), "axpy4 length mismatch");
-        }
-        for (i, d) in dst.iter_mut().enumerate() {
-            // Per element: the four updates apply in order, exactly as
-            // four sequential axpy calls would.
-            *d += ks[0] * srcs[0][i];
-            *d += ks[1] * srcs[1][i];
-            *d += ks[2] * srcs[2][i];
-            *d += ks[3] * srcs[3][i];
-        }
-    }
-
-    /// Scalar eight-fold axpy. See [`super::axpy8`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any source length differs from `dst`.
-    pub fn axpy8(dst: &mut [f32], ks: [f32; 8], srcs: [&[f32]; 8]) {
-        for src in srcs {
-            assert_eq!(dst.len(), src.len(), "axpy8 length mismatch");
-        }
-        for (i, d) in dst.iter_mut().enumerate() {
-            // Per element: the eight updates apply in order, exactly as
-            // eight sequential axpy calls would.
-            for (k, src) in ks.iter().zip(&srcs) {
-                *d += k * src[i];
-            }
-        }
-    }
-
-    /// Scalar sequential dot product. See [`super::dot`].
+    /// Left-to-right dot product. See [`super::dot`].
     ///
     /// # Panics
     ///
@@ -123,248 +26,86 @@ pub mod scalar {
         assert_eq!(a.len(), b.len(), "dot length mismatch");
         a.iter().zip(b).map(|(x, y)| x * y).sum()
     }
-
-    /// Scalar `xs = max(xs, 0)`. See [`super::relu`].
-    pub fn relu(xs: &mut [f32]) {
-        for x in xs {
-            *x = x.max(0.0);
-        }
-    }
-}
-
-/// Shared zip-into-`dst` loop for the binary element-wise kernels:
-/// four lane chunks per iteration (matching the unroll LLVM gives the
-/// scalar references), then single chunks, then a scalar tail. `lane`
-/// and `tail` must compute the same per-element function, which keeps
-/// every caller bit-identical to its scalar reference.
-#[inline(always)]
-fn zip_lanes(
-    dst: &mut [f32],
-    src: &[f32],
-    lane: impl Fn(F32x8, F32x8) -> F32x8,
-    tail: impl Fn(f32, f32) -> f32,
-) {
-    let len = dst.len();
-    let mut i = 0;
-    while i + 4 * LANES <= len {
-        let r0 = lane(F32x8::load(&dst[i..]), F32x8::load(&src[i..]));
-        let r1 = lane(
-            F32x8::load(&dst[i + LANES..]),
-            F32x8::load(&src[i + LANES..]),
-        );
-        let r2 = lane(
-            F32x8::load(&dst[i + 2 * LANES..]),
-            F32x8::load(&src[i + 2 * LANES..]),
-        );
-        let r3 = lane(
-            F32x8::load(&dst[i + 3 * LANES..]),
-            F32x8::load(&src[i + 3 * LANES..]),
-        );
-        r0.store(&mut dst[i..]);
-        r1.store(&mut dst[i + LANES..]);
-        r2.store(&mut dst[i + 2 * LANES..]);
-        r3.store(&mut dst[i + 3 * LANES..]);
-        i += 4 * LANES;
-    }
-    while i + LANES <= len {
-        lane(F32x8::load(&dst[i..]), F32x8::load(&src[i..])).store(&mut dst[i..]);
-        i += LANES;
-    }
-    while i < len {
-        dst[i] = tail(dst[i], src[i]);
-        i += 1;
-    }
-}
-
-/// Unary sibling of [`zip_lanes`] for the in-place map kernels.
-#[inline(always)]
-fn map_lanes(xs: &mut [f32], lane: impl Fn(F32x8) -> F32x8, tail: impl Fn(f32) -> f32) {
-    let len = xs.len();
-    let mut i = 0;
-    while i + 4 * LANES <= len {
-        let r0 = lane(F32x8::load(&xs[i..]));
-        let r1 = lane(F32x8::load(&xs[i + LANES..]));
-        let r2 = lane(F32x8::load(&xs[i + 2 * LANES..]));
-        let r3 = lane(F32x8::load(&xs[i + 3 * LANES..]));
-        r0.store(&mut xs[i..]);
-        r1.store(&mut xs[i + LANES..]);
-        r2.store(&mut xs[i + 2 * LANES..]);
-        r3.store(&mut xs[i + 3 * LANES..]);
-        i += 4 * LANES;
-    }
-    while i + LANES <= len {
-        lane(F32x8::load(&xs[i..])).store(&mut xs[i..]);
-        i += LANES;
-    }
-    while i < len {
-        xs[i] = tail(xs[i]);
-        i += 1;
-    }
 }
 
 /// Adds `src` into `dst` element-wise (`dst += src`).
-///
-/// Bit-identical to [`scalar::add_assign`] on both kernel paths.
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
 pub fn add_assign(dst: &mut [f32], src: &[f32]) {
-    if scalar_kernels() {
-        return scalar::add_assign(dst, src);
-    }
     assert_eq!(dst.len(), src.len(), "add_assign length mismatch");
-    zip_lanes(dst, src, |d, s| d + s, |d, s| d + s);
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
 }
 
 /// Element-wise maximum into `dst` (`dst = max(dst, src)`).
-///
-/// Bit-identical to [`scalar::max_assign`] on both kernel paths.
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
 pub fn max_assign(dst: &mut [f32], src: &[f32]) {
-    if scalar_kernels() {
-        return scalar::max_assign(dst, src);
-    }
     assert_eq!(dst.len(), src.len(), "max_assign length mismatch");
-    zip_lanes(dst, src, |d, s| d.max(s), f32::max);
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = d.max(*s);
+    }
 }
 
 /// Element-wise minimum into `dst` (`dst = min(dst, src)`).
-///
-/// Bit-identical to [`scalar::min_assign`] on both kernel paths.
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
 pub fn min_assign(dst: &mut [f32], src: &[f32]) {
-    if scalar_kernels() {
-        return scalar::min_assign(dst, src);
-    }
     assert_eq!(dst.len(), src.len(), "min_assign length mismatch");
-    zip_lanes(dst, src, |d, s| d.min(s), f32::min);
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = d.min(*s);
+    }
 }
 
 /// Scales every element of `xs` by `k`.
-///
-/// Bit-identical to [`scalar::scale`] on both kernel paths.
 pub fn scale(xs: &mut [f32], k: f32) {
-    if scalar_kernels() {
-        return scalar::scale(xs, k);
+    for x in xs {
+        *x *= k;
     }
-    let kv = F32x8::splat(k);
-    map_lanes(xs, |x| x * kv, |x| x * k);
 }
 
-/// `dst += k * src` (axpy).
-///
-/// Bit-identical to [`scalar::axpy`] on both kernel paths (the lane
-/// multiply-add is unfused).
+/// `dst += k * src` (axpy), with the multiply and add rounded separately.
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
 pub fn axpy(dst: &mut [f32], k: f32, src: &[f32]) {
-    if scalar_kernels() {
-        return scalar::axpy(dst, k, src);
-    }
     assert_eq!(dst.len(), src.len(), "axpy length mismatch");
-    let kv = F32x8::splat(k);
-    zip_lanes(dst, src, |d, s| s.fma(kv, d), |d, s| d + k * s);
-}
-
-/// Four axpy updates applied in order: `dst += k0*s0; …; dst += k3*s3`.
-///
-/// This is the 4-way blocked inner step of the tiled
-/// [`crate::Linear::forward`]: four input elements share one pass over
-/// the output vector, quartering the loads/stores of `dst`. Per output
-/// element the four adds apply sequentially in index order, so the
-/// result is **bit-identical** to four consecutive [`axpy`] calls (and
-/// to [`scalar::axpy4`]).
-///
-/// # Panics
-///
-/// Panics if any source length differs from `dst`.
-pub fn axpy4(dst: &mut [f32], ks: [f32; 4], srcs: [&[f32]; 4]) {
-    if scalar_kernels() {
-        return scalar::axpy4(dst, ks, srcs);
-    }
-    for src in srcs {
-        assert_eq!(dst.len(), src.len(), "axpy4 length mismatch");
-    }
-    let kv = [
-        F32x8::splat(ks[0]),
-        F32x8::splat(ks[1]),
-        F32x8::splat(ks[2]),
-        F32x8::splat(ks[3]),
-    ];
-    let mut i = 0;
-    while i + LANES <= dst.len() {
-        let dc = &mut dst[i..i + LANES];
-        let mut acc = F32x8::load(dc);
-        acc = F32x8::load(&srcs[0][i..]).fma(kv[0], acc);
-        acc = F32x8::load(&srcs[1][i..]).fma(kv[1], acc);
-        acc = F32x8::load(&srcs[2][i..]).fma(kv[2], acc);
-        acc = F32x8::load(&srcs[3][i..]).fma(kv[3], acc);
-        acc.store(dc);
-        i += LANES;
-    }
-    for j in i..dst.len() {
-        let mut d = dst[j];
-        d += ks[0] * srcs[0][j];
-        d += ks[1] * srcs[1][j];
-        d += ks[2] * srcs[2][j];
-        d += ks[3] * srcs[3][j];
-        dst[j] = d;
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d += k * s;
     }
 }
 
-/// Eight axpy updates applied in order: `dst += k0*s0; …; dst += k7*s7`.
-///
-/// The 8-way blocked inner step of the tiled [`crate::Linear::forward`]:
-/// eight input elements share one pass over the output vector. Per
-/// output element the eight adds apply sequentially in index order, so
-/// the result is **bit-identical** to eight consecutive [`axpy`] calls
-/// (and to [`scalar::axpy8`]).
-///
-/// # Panics
-///
-/// Panics if any source length differs from `dst`.
-pub fn axpy8(dst: &mut [f32], ks: [f32; 8], srcs: [&[f32]; 8]) {
-    if scalar_kernels() {
-        return scalar::axpy8(dst, ks, srcs);
-    }
-    for src in srcs {
-        assert_eq!(dst.len(), src.len(), "axpy8 length mismatch");
-    }
-    let kv: [F32x8; 8] = std::array::from_fn(|j| F32x8::splat(ks[j]));
-    let mut i = 0;
-    while i + LANES <= dst.len() {
-        let dc = &mut dst[i..i + LANES];
-        let mut acc = F32x8::load(dc);
-        for (k, src) in kv.iter().zip(&srcs) {
-            acc = F32x8::load(&src[i..]).fma(*k, acc);
-        }
-        acc.store(dc);
-        i += LANES;
-    }
-    for j in i..dst.len() {
-        let mut d = dst[j];
-        for (k, src) in ks.iter().zip(&srcs) {
-            d += k * src[j];
-        }
-        dst[j] = d;
+/// `acc[l] += x[l] * y[l]` over the first [`LANES`] elements.
+#[inline(always)]
+fn accumulate(acc: &mut [f32; LANES], x: &[f32], y: &[f32]) {
+    for ((s, x), y) in acc.iter_mut().zip(&x[..LANES]).zip(&y[..LANES]) {
+        *s += x * y;
     }
 }
 
-/// Dot product.
+/// Dot product, summed in a fixed order:
 ///
-/// The SIMD path accumulates into two lane vectors (even/odd 8-chunks)
-/// and reduces through a fixed pairwise tree — deterministic, but
-/// reassociated relative to [`scalar::dot`]; the property tests pin the
-/// two paths together within 1e-6.
+/// 1. the inputs are cut into chunks of [`LANES`]; even chunks accumulate
+///    lane-wise into one accumulator, odd chunks into a second, so two
+///    independent add chains run side by side;
+/// 2. a shorter tail is zero-padded to a full chunk and multiplied across
+///    all eight lanes into the second accumulator;
+/// 3. the accumulators are summed lane-wise and reduced as
+///    `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`.
+///
+/// The result depends only on the inputs, never on the target CPU, but it
+/// differs from the left-to-right [`scalar::dot`] by rounding; the
+/// property tests pin the two within 1e-6. Under the `--scalar-kernels`
+/// switch ([`crate::simd::set_scalar_kernels`]) this calls
+/// [`scalar::dot`] instead.
 ///
 /// # Panics
 ///
@@ -374,38 +115,35 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         return scalar::dot(a, b);
     }
     assert_eq!(a.len(), b.len(), "dot length mismatch");
-    let mut acc0 = F32x8::ZERO;
-    let mut acc1 = F32x8::ZERO;
-    let mut i = 0;
-    // Two independent accumulators hide the add latency; the chunk ->
-    // accumulator assignment depends only on the length, keeping the
-    // reduction order fixed for a given input size.
-    while i + 2 * LANES <= a.len() {
-        acc0 = F32x8::load(&a[i..]).fma(F32x8::load(&b[i..]), acc0);
-        acc1 = F32x8::load(&a[i + LANES..]).fma(F32x8::load(&b[i + LANES..]), acc1);
-        i += 2 * LANES;
+    let mut even = [0.0f32; LANES];
+    let mut odd = [0.0f32; LANES];
+    let (mut a, mut b) = (a, b);
+    while a.len() >= 2 * LANES {
+        accumulate(&mut even, a, b);
+        accumulate(&mut odd, &a[LANES..], &b[LANES..]);
+        (a, b) = (&a[2 * LANES..], &b[2 * LANES..]);
     }
-    if i + LANES <= a.len() {
-        acc0 = F32x8::load(&a[i..]).fma(F32x8::load(&b[i..]), acc0);
-        i += LANES;
+    if a.len() >= LANES {
+        accumulate(&mut even, a, b);
+        (a, b) = (&a[LANES..], &b[LANES..]);
     }
-    if i < a.len() {
-        // Masked tail: dead lanes contribute the sum identity 0.0.
-        acc1 = F32x8::load_or(&a[i..], 0.0).fma(F32x8::load_or(&b[i..], 0.0), acc1);
+    if !a.is_empty() {
+        // Padding lanes still add 0.0 * 0.0 = +0.0: it turns a -0.0
+        // accumulator lane into +0.0, so skipping them would change bits.
+        for (l, s) in odd.iter_mut().enumerate() {
+            *s += if l < a.len() { a[l] * b[l] } else { 0.0 };
+        }
     }
-    (acc0 + acc1).horizontal_sum()
+    let l: [f32; LANES] = std::array::from_fn(|i| even[i] + odd[i]);
+    ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
 }
 
-/// In-place ReLU: `xs[i] = max(xs[i], 0)`.
-///
-/// Bit-identical to [`scalar::relu`] on both kernel paths and to
+/// In-place ReLU: `xs[i] = max(xs[i], 0)`, the same as
 /// [`crate::Activation::Relu`] applied element-wise.
 pub fn relu(xs: &mut [f32]) {
-    if scalar_kernels() {
-        return scalar::relu(xs);
+    for x in xs {
+        *x = x.max(0.0);
     }
-    let zero = F32x8::ZERO;
-    map_lanes(xs, |x| x.max(zero), |x| x.max(0.0));
 }
 
 /// Element-wise sum of two slices into a fresh vector.
@@ -534,20 +272,22 @@ mod tests {
     }
 
     #[test]
-    fn axpy4_equals_four_axpys() {
-        // Length 11 exercises a full lane chunk and a 3-element tail.
-        let base: Vec<f32> = (0..11).map(|i| (i as f32 * 0.7).sin()).collect();
-        let srcs: Vec<Vec<f32>> = (0..4)
-            .map(|j| (0..11).map(|i| ((i + 3 * j) as f32 * 0.3).cos()).collect())
-            .collect();
-        let ks = [0.5, -1.25, 2.0, 0.125];
-        let mut blocked = base.clone();
-        axpy4(&mut blocked, ks, [&srcs[0], &srcs[1], &srcs[2], &srcs[3]]);
-        let mut sequential = base;
-        for (k, s) in ks.iter().zip(&srcs) {
-            axpy(&mut sequential, *k, s);
+    fn dot_summation_order_is_pinned() {
+        // FNV-1a over the result bits for every length 0..=100, which
+        // covers every tail length after both even and odd chunk counts.
+        // Any change to the summation order documented on `dot` changes
+        // the hash.
+        let mut rng = flowgnn_rng::Rng::seed_from_u64(0xD07_0DE5);
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for len in 0..=100 {
+            let a: Vec<f32> = (0..len).map(|_| rng.gen_range(-2.0f32..=2.0)).collect();
+            let b: Vec<f32> = (0..len).map(|_| rng.gen_range(-2.0f32..=2.0)).collect();
+            for byte in dot(&a, &b).to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
         }
-        assert_eq!(blocked, sequential, "axpy4 must be bit-identical");
+        assert_eq!(hash, 0xae4f_df8c_8784_8d26);
     }
 
     #[test]
