@@ -365,6 +365,10 @@ fn main() {
                 let report = throughput::measure(sample);
                 print!("{}", report.table());
                 println!();
+                if let Err(e) = report.validate() {
+                    eprintln!("sim throughput cycle gate failed: {e}");
+                    std::process::exit(1);
+                }
                 if let Some(dir) = &csv_dir {
                     let path = dir.join("BENCH_sim_throughput.json");
                     if let Err(e) = std::fs::write(&path, report.to_json()) {

@@ -157,6 +157,32 @@ pub fn measure(sample: SampleSize) -> ThroughputReport {
 use crate::json::json_escape;
 
 impl ThroughputReport {
+    /// The gate `repro throughput` enforces: engine and execution modes
+    /// never change simulated time, so every row of a workload (reference,
+    /// fast-forward, functional) must report the same `sim_cycles`.
+    pub fn validate(&self) -> Result<(), String> {
+        for r in &self.rows {
+            let first = self
+                .rows
+                .iter()
+                .find(|f| f.name == r.name)
+                .expect("a row is its own workload's first row at worst");
+            if r.sim_cycles != first.sim_cycles {
+                return Err(format!(
+                    "{}: {} {} simulated {} cycles, {} {} simulated {}",
+                    r.name,
+                    first.engine.name(),
+                    first.execution.name(),
+                    first.sim_cycles,
+                    r.engine.name(),
+                    r.execution.name(),
+                    r.sim_cycles,
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Fast-forward over reference speedup (wall-clock), aggregated over
     /// the timing-only workloads (both engine modes exist only there).
     /// `None` until both modes are present.
@@ -232,38 +258,36 @@ impl ThroughputReport {
 mod tests {
     use super::*;
 
+    fn row(
+        engine: EngineMode,
+        execution: ExecutionMode,
+        sim_cycles: u64,
+        wall_seconds: f64,
+    ) -> WorkloadThroughput {
+        WorkloadThroughput {
+            name: "w".into(),
+            engine,
+            execution,
+            kernels: "simd",
+            graphs: 10,
+            sim_cycles,
+            wall_seconds,
+        }
+    }
+
     #[test]
     fn json_shape_and_speedup() {
         let report = ThroughputReport {
             rows: vec![
-                WorkloadThroughput {
-                    name: "w".into(),
-                    engine: EngineMode::Reference,
-                    execution: ExecutionMode::TimingOnly,
-                    kernels: "simd",
-                    graphs: 10,
-                    sim_cycles: 1000,
-                    wall_seconds: 2.0,
-                },
-                WorkloadThroughput {
-                    name: "w".into(),
-                    engine: EngineMode::FastForward,
-                    execution: ExecutionMode::TimingOnly,
-                    kernels: "simd",
-                    graphs: 10,
-                    sim_cycles: 1000,
-                    wall_seconds: 0.5,
-                },
+                row(EngineMode::Reference, ExecutionMode::TimingOnly, 1000, 2.0),
+                row(
+                    EngineMode::FastForward,
+                    ExecutionMode::TimingOnly,
+                    1000,
+                    0.5,
+                ),
                 // A functional row must not skew the engine-mode speedup.
-                WorkloadThroughput {
-                    name: "w".into(),
-                    engine: EngineMode::FastForward,
-                    execution: ExecutionMode::Full,
-                    kernels: "simd",
-                    graphs: 10,
-                    sim_cycles: 1000,
-                    wall_seconds: 100.0,
-                },
+                row(EngineMode::FastForward, ExecutionMode::Full, 1000, 100.0),
             ],
         };
         assert_eq!(report.aggregate_speedup(), Some(4.0));
@@ -275,6 +299,37 @@ mod tests {
         assert!(j.contains("\"kernels\": \"simd\""));
         assert!(j.contains("\"fast_forward_speedup\": 4.00"));
         assert!(j.contains("\"cycles_per_second\": 500.0"));
+    }
+
+    #[test]
+    fn validate_catches_disagreeing_sim_cycles() {
+        let mut report = ThroughputReport {
+            rows: vec![
+                row(EngineMode::Reference, ExecutionMode::TimingOnly, 1000, 2.0),
+                row(
+                    EngineMode::FastForward,
+                    ExecutionMode::TimingOnly,
+                    1000,
+                    0.5,
+                ),
+                row(EngineMode::FastForward, ExecutionMode::Full, 1000, 1.0),
+            ],
+        };
+        assert_eq!(report.validate(), Ok(()));
+        report.rows[1].sim_cycles = 999;
+        let err = report.validate().unwrap_err();
+        assert!(
+            err.contains("fast-forward timing-only simulated 999"),
+            "{err}"
+        );
+        // Another workload's rows are never compared against these.
+        report.rows[1].sim_cycles = 1000;
+        report.rows.push(WorkloadThroughput {
+            name: "v".into(),
+            sim_cycles: 7,
+            ..row(EngineMode::Reference, ExecutionMode::TimingOnly, 0, 1.0)
+        });
+        assert_eq!(report.validate(), Ok(()));
     }
 
     #[test]
@@ -291,10 +346,8 @@ mod tests {
                 .count(),
             4
         );
-        // Execution mode never changes the simulated cycle counts.
-        for pair in report.rows.chunks(3) {
-            assert_eq!(pair[1].sim_cycles, pair[2].sim_cycles, "{}", pair[1].name);
-        }
+        // Neither engine nor execution mode changes simulated cycles.
+        assert_eq!(report.validate(), Ok(()));
         assert!(report.aggregate_speedup().is_some());
     }
 }

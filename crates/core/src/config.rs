@@ -100,6 +100,14 @@ pub enum EngineMode {
     /// ticking idle cycles one by one. Cycle-exact by construction — every
     /// cycle on which any unit's state can change is still executed by
     /// the ordinary per-cycle code.
+    ///
+    /// In [`ExecutionMode::TimingOnly`] runs without a trace it also
+    /// fast-forwards whole regions: a region whose timing signature (kind,
+    /// NT accumulate cycles, payload dimension, MP chunks per edge) equals
+    /// an earlier region's copies that region's stats instead of stepping
+    /// its cycles again. The identical hidden layers of every preset model
+    /// are such twins. [`ExecutionMode::Full`] and traced runs step every
+    /// region.
     #[default]
     FastForward,
     /// Naive per-cycle stepping: every cycle runs every unit.

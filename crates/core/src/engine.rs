@@ -6,6 +6,13 @@
 //! models in `crate::units`; this module owns the run lifecycle — graph
 //! preparation, the region walk, load/readout costing, and the
 //! [`RunReport`] the caller gets back.
+//!
+//! The region walk simulates each region in order, except that a
+//! timing-only, untraced [`EngineMode::FastForward`] run copies a twin
+//! region's stats from the earlier region with the same timing signature
+//! instead of stepping it again (DESIGN.md §3b): every preset model
+//! stacks identical hidden layers, so most regions are twins. Reports are
+//! bit-identical either way.
 
 use flowgnn_desim::{cycles_to_ms, cycles_to_us, Cycle};
 use flowgnn_graph::{Adjacency, FeatureArena, Graph};
@@ -13,11 +20,10 @@ use flowgnn_models::reference::ReferenceOutput;
 use flowgnn_models::{Dataflow, GnnModel, GraphContext};
 
 use crate::cache::ServiceTraceCache;
-use crate::config::{ArchConfig, ExecutionMode};
+use crate::config::{ArchConfig, EngineMode, ExecutionMode};
 use crate::exec::{ExecState, SimScratch};
-use crate::pipeline::region_label;
 use crate::regions::{lower, BankedEdges, Region};
-use crate::trace::{RegionTrace, Trace};
+use crate::trace::Trace;
 use crate::units::RegionStats;
 
 use std::borrow::Cow;
@@ -131,6 +137,9 @@ pub struct Accelerator {
     model: GnnModel,
     config: ArchConfig,
     regions: Vec<Region>,
+    /// Per region, the earlier region with the same timing signature whose
+    /// stats a timing-only fast-forward run copies (see `twin_map`).
+    twins: Vec<Option<usize>>,
     trace_cache: Option<ServiceTraceCache>,
     metrics: Option<crate::metrics::EngineMetrics>,
 }
@@ -139,13 +148,16 @@ impl Accelerator {
     /// Compiles `model` onto `config`.
     pub fn new(model: GnnModel, config: ArchConfig) -> Self {
         let regions = lower(&model);
-        Self {
+        let mut acc = Self {
             model,
             config,
             regions,
+            twins: Vec::new(),
             trace_cache: None,
             metrics: None,
-        }
+        };
+        acc.twins = acc.twin_map(&acc.regions);
+        acc
     }
 
     /// Attaches a [`ServiceTraceCache`]: subsequent
@@ -226,7 +238,9 @@ impl Accelerator {
     ///
     /// # Panics
     ///
-    /// Panics if the graph's feature dimensions do not match the model.
+    /// In [`ExecutionMode::Full`], panics if the graph's node-feature
+    /// dimension does not match the model's input dimension; timing-only
+    /// runs accept any feature width.
     pub fn run(&self, graph: &Graph) -> RunReport {
         self.run_prepared(&self.prepare(graph), &mut SimScratch::default())
     }
@@ -286,7 +300,9 @@ impl Accelerator {
     ///
     /// # Panics
     ///
-    /// Panics if the graph's feature dimensions do not match the model.
+    /// In [`ExecutionMode::Full`], panics if the graph's node-feature
+    /// dimension does not match the model's input dimension; timing-only
+    /// runs accept any feature width.
     pub fn run_prepared(
         &self,
         prepared: &PreparedGraph<'_>,
@@ -316,34 +332,26 @@ impl Accelerator {
             scratch,
         );
         let mut region_cycles = Vec::with_capacity(self.regions.len());
+        let mut region_stats = Vec::with_capacity(self.regions.len());
         let mut totals = RegionStats::default();
         let mut trace = self.config.trace.then(Trace::default);
+        // A timing-only fast-forward run simulates each distinct region
+        // once: a twin steps through exactly its earlier region's cycles
+        // (DESIGN.md §3b). Functional runs still execute every layer's
+        // arithmetic in dataflow order, and the reference engine and the
+        // tracer step every region.
+        let copy_twins =
+            !functional && trace.is_none() && self.config.engine == EngineMode::FastForward;
 
-        for region in &self.regions {
+        for (region, twin) in self.regions.iter().zip(&self.twins) {
             exec.begin_region(region.payload_dim);
-            let mut region_trace = trace.as_ref().map(|_| {
-                let p_node = self.config.effective_p_node();
-                let p_edge = self.config.effective_p_edge();
-                let mut names: Vec<String> = (0..p_node).map(|i| format!("NT{i}")).collect();
-                if region.scatter_layer.is_some() || region.gather_layer.is_some() {
-                    names.extend((0..p_edge).map(|k| format!("MP{k}")));
+            let stats = match *twin {
+                Some(j) if copy_twins => region_stats[j],
+                _ => {
+                    self.simulate_region(region, g, banked, csc.as_ref(), &mut exec, trace.as_mut())
                 }
-                RegionTrace::new(region_label(region), names)
-            });
-            let stats = if region.gather_layer.is_some() {
-                self.simulate_gather_region(
-                    region,
-                    g,
-                    csc.as_ref().expect("csc"),
-                    &mut exec,
-                    region_trace.as_mut(),
-                )
-            } else {
-                self.simulate_scatter_region(region, g, banked, &mut exec, region_trace.as_mut())
             };
-            if let (Some(trace), Some(rt)) = (trace.as_mut(), region_trace) {
-                trace.regions.push(rt);
-            }
+            region_stats.push(stats);
             region_cycles
                 .push(stats.cycles + self.config.region_overhead + self.config.nt_pipeline_depth);
             totals.nt_busy += stats.nt_busy;
@@ -436,6 +444,7 @@ const MEM_WORDS_PER_CYCLE: u64 = 64; // multi-channel HBM: 2048 bits/cycle of 32
 mod tests {
     use super::*;
     use crate::config::PipelineStrategy;
+    use crate::regions::NtOp;
     use flowgnn_graph::generators::{GraphGenerator, MoleculeLike};
     use flowgnn_models::reference;
 
@@ -654,6 +663,81 @@ mod tests {
         );
         assert!(report.stalled_fraction() >= 0.0);
         assert!(report.stalled_fraction() < 1.0);
+    }
+
+    #[test]
+    fn gcn_hidden_regions_twin_the_first_one() {
+        let acc = Accelerator::new(GnnModel::gcn(9, 0), ArchConfig::default());
+        // Encode, then γ(L0..L3) each scattering, then γ(L4) NT-only.
+        assert_eq!(acc.twins, [None, None, Some(1), Some(1), Some(1), None]);
+    }
+
+    #[test]
+    fn gat_layers_twin_layer_zero_project_and_gather() {
+        let acc = Accelerator::new(GnnModel::gat(9, 0), ArchConfig::default());
+        // Encode, then project(Lk) and gather(Lk) + normalize(Lk) per layer.
+        let mut expected = vec![None, None, None];
+        for _ in 1..acc.model().layers().len() {
+            expected.extend([Some(1), Some(2)]);
+        }
+        assert_eq!(acc.twins, expected);
+    }
+
+    #[test]
+    fn encode_never_twins() {
+        for model in [
+            GnnModel::gcn(9, 0),
+            GnnModel::gin(9, Some(3), 0),
+            GnnModel::gin_vn(9, Some(3), 0),
+            GnnModel::gat(9, 0),
+            GnnModel::pna(9, Some(3), 0),
+            GnnModel::dgn(9, 0),
+        ] {
+            let acc = Accelerator::new(model, ArchConfig::default());
+            let encode = &acc.regions()[0];
+            assert_eq!(encode.nt_op, NtOp::Encode);
+            assert_eq!(acc.twins[0], None, "{}", acc.model().name());
+            assert!(!acc.twins.contains(&Some(0)), "{}", acc.model().name());
+            // Not even an identical Encode region: its cost is per node.
+            assert_eq!(
+                acc.twin_map(&[encode.clone(), encode.clone()]),
+                [None, None]
+            );
+        }
+    }
+
+    #[test]
+    fn regions_differing_in_one_signature_field_do_not_twin() {
+        let config = ArchConfig::default().with_parallelism(2, 4, 8, 8);
+        let acc = Accelerator::new(GnnModel::gcn(9, 0), config);
+        let base = Region {
+            nt_op: NtOp::Gamma(0),
+            nt_fc: vec![(100, 100)],
+            nt_read_dim: 100,
+            payload_dim: 100,
+            scatter_layer: None,
+            gather_layer: None,
+        };
+        assert_eq!(acc.twin_map(&[base.clone(), base.clone()]), [None, Some(0)]);
+        // 100 and 104 elements both take 13 output cycles and 13 flits at
+        // P_apply = P_scatter = 8, but the payload itself is signed.
+        assert_eq!(100usize.div_ceil(8), 104usize.div_ceil(8));
+        let wider = Region {
+            nt_fc: vec![(100, 104)],
+            payload_dim: 104,
+            ..base.clone()
+        };
+        let slower = Region {
+            nt_fc: vec![(200, 100)],
+            ..base.clone()
+        };
+        let scatter = Region {
+            scatter_layer: Some(1),
+            ..base.clone()
+        };
+        for other in [wider, slower, scatter] {
+            assert_eq!(acc.twin_map(&[base.clone(), other]), [None, None]);
+        }
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! per-cycle loop, the fast-forward scan, and the trace emission — so the
 //! reference mode, the fast-forward mode, and the tracer all execute the
 //! same unit code.
+//!
+//! This module also owns what a region's timing depends on: its
+//! [`TimingSignature`] (kind, uniform NT accumulate cycles, payload
+//! dimension, MP chunks per edge) and the twin map built from it, which
+//! names for each region the first earlier region that steps through the
+//! same cycles on any graph. The engine uses the map to fast-forward
+//! whole regions in timing-only runs (DESIGN.md §3b).
 
 use flowgnn_desim::Cycle;
 use flowgnn_graph::{Adjacency, Graph, NodeId};
@@ -16,7 +23,7 @@ use crate::config::{EngineMode, GatherBanking, PipelineStrategy};
 use crate::engine::Accelerator;
 use crate::exec::ExecState;
 use crate::regions::{BankedEdges, NtOp, Region};
-use crate::trace::{LaneSymbol, RegionTrace};
+use crate::trace::{LaneSymbol, RegionTrace, Trace};
 use crate::units::adapter::ScatterCtx;
 use crate::units::gather::{GatherCtx, GatherMp, GatherNt};
 use crate::units::mp::MpUnit;
@@ -33,6 +40,31 @@ enum RegionKind {
     Scatter,
     /// MP feeds NT with aggregate tokens (front = NT, back = MP).
     Gather,
+}
+
+/// Which units a region deploys, as its [`TimingSignature`] records it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// NT units feeding MP units through the adapter.
+    Scatter,
+    /// NT units only.
+    NtOnly,
+    /// MP units feeding NT units with aggregate tokens.
+    Gather,
+}
+
+/// Every per-region value a region's timing simulation reads besides the
+/// graph (the [`crate::ArchConfig`] is fixed per accelerator). Two regions
+/// with equal signatures step through the same cycles on any graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TimingSignature {
+    shape: Shape,
+    /// Uniform NT accumulate cycles per node.
+    acc_cycles: u64,
+    /// NT output dimension: output cycles and flits per node derive from it.
+    payload_dim: usize,
+    /// MP cycles per edge (`None` in NT-only regions).
+    chunks_per_edge: Option<u64>,
 }
 
 /// The per-cycle loop shared by every cycle-stepped region.
@@ -190,7 +222,7 @@ where
 }
 
 /// Human-readable label for a pipeline region (used by traces).
-pub(crate) fn region_label(region: &Region) -> String {
+fn region_label(region: &Region) -> String {
     let nt = match region.nt_op {
         NtOp::Encode => "encode".to_string(),
         NtOp::Gamma(l) => format!("gamma(L{l})"),
@@ -214,14 +246,24 @@ impl Accelerator {
     /// makes sparse bag-of-words features (Cora at 1.27% density) cheap —
     /// the same property AWB-GCN's zero-skipping SpMM exploits.
     fn acc_cycles(&self, region: &Region, g: &Graph) -> AccCost {
-        let pa = self.config().p_apply as u64;
-        if region.nt_op == NtOp::Encode {
-            let feats = g.node_features();
-            let per_node: Vec<u64> = (0..g.num_nodes())
-                .map(|v| (feats.row_nnz(v) as u64).max(1).div_ceil(pa))
-                .collect();
-            return AccCost::PerNode(per_node);
+        if let Some(c) = self.uniform_acc_cycles(region) {
+            return AccCost::Uniform(c);
         }
+        let pa = self.config().p_apply as u64;
+        let feats = g.node_features();
+        let per_node: Vec<u64> = (0..g.num_nodes())
+            .map(|v| (feats.row_nnz(v) as u64).max(1).div_ceil(pa))
+            .collect();
+        AccCost::PerNode(per_node)
+    }
+
+    /// NT accumulate cycles per node when they are the same for every node:
+    /// every region but Encode, whose cost depends on the graph's features.
+    fn uniform_acc_cycles(&self, region: &Region) -> Option<u64> {
+        if region.nt_op == NtOp::Encode {
+            return None;
+        }
+        let pa = self.config().p_apply as u64;
         let compute: u64 = if region.nt_fc.is_empty() {
             (region.nt_read_dim as u64).div_ceil(pa)
         } else {
@@ -231,7 +273,7 @@ impl Accelerator {
                 .map(|&(i, _)| (i as u64).div_ceil(pa))
                 .sum()
         };
-        AccCost::Uniform(compute.max(1))
+        Some(compute.max(1))
     }
 
     /// NT output cycles per node in a region.
@@ -263,9 +305,69 @@ impl Accelerator {
         1_000 + 64 * (n + e) * dim
     }
 
+    /// The region's [`TimingSignature`]; `None` for Encode, whose
+    /// accumulate cost is per node and depends on the graph.
+    fn timing_signature(&self, region: &Region) -> Option<TimingSignature> {
+        let (shape, layer) = match (region.scatter_layer, region.gather_layer) {
+            (Some(l), _) => (Shape::Scatter, Some(l)),
+            (None, Some(l)) => (Shape::Gather, Some(l)),
+            (None, None) => (Shape::NtOnly, None),
+        };
+        Some(TimingSignature {
+            shape,
+            acc_cycles: self.uniform_acc_cycles(region)?,
+            payload_dim: region.payload_dim,
+            chunks_per_edge: layer.map(|l| self.chunks_per_edge(l)),
+        })
+    }
+
+    /// The twin map of `regions`: entry `i` names the first earlier region
+    /// with the same [`TimingSignature`], or is `None` when region `i` is
+    /// the first of its signature or has none (Encode). The named region
+    /// is never a twin itself, so a run always simulates it first.
+    pub(crate) fn twin_map(&self, regions: &[Region]) -> Vec<Option<usize>> {
+        let sigs: Vec<_> = regions.iter().map(|r| self.timing_signature(r)).collect();
+        sigs.iter()
+            .enumerate()
+            .map(|(i, sig)| sig.and_then(|sig| sigs[..i].iter().position(|&s| s == Some(sig))))
+            .collect()
+    }
+
+    /// Simulates one region of a run on `g`, appending its lanes to
+    /// `trace` when the run is traced.
+    pub(crate) fn simulate_region(
+        &self,
+        region: &Region,
+        g: &Graph,
+        banked: &BankedEdges,
+        csc: Option<&Adjacency>,
+        exec: &mut ExecState<'_>,
+        trace: Option<&mut Trace>,
+    ) -> RegionStats {
+        let mut region_trace = trace.as_ref().map(|_| {
+            let p_node = self.config().effective_p_node();
+            let p_edge = self.config().effective_p_edge();
+            let mut names: Vec<String> = (0..p_node).map(|i| format!("NT{i}")).collect();
+            if region.scatter_layer.is_some() || region.gather_layer.is_some() {
+                names.extend((0..p_edge).map(|k| format!("MP{k}")));
+            }
+            RegionTrace::new(region_label(region), names)
+        });
+        let stats = if region.gather_layer.is_some() {
+            let csc = csc.expect("gather models build a CSC");
+            self.simulate_gather_region(region, g, csc, exec, region_trace.as_mut())
+        } else {
+            self.simulate_scatter_region(region, g, banked, exec, region_trace.as_mut())
+        };
+        if let (Some(trace), Some(rt)) = (trace, region_trace) {
+            trace.regions.push(rt);
+        }
+        stats
+    }
+
     // ----- scatter-style regions (NT→MP and NT-only) --------------------
 
-    pub(crate) fn simulate_scatter_region(
+    fn simulate_scatter_region(
         &self,
         region: &Region,
         g: &Graph,
@@ -461,7 +563,7 @@ impl Accelerator {
 
     // ----- gather-style regions (MP→NT models) ---------------------------
 
-    pub(crate) fn simulate_gather_region(
+    fn simulate_gather_region(
         &self,
         region: &Region,
         g: &Graph,
@@ -507,10 +609,9 @@ impl Accelerator {
         let p_edge = self.config().effective_p_edge();
         let p_node = self.config().effective_p_node();
         let chunks = self.chunks_per_edge(layer);
-        let acc = match self.acc_cycles(region, g) {
-            AccCost::Uniform(c) => c,
-            AccCost::PerNode(_) => unreachable!("gather regions are never Encode"),
-        };
+        let acc = self
+            .uniform_acc_cycles(region)
+            .expect("gather regions are never Encode");
         let out = self.out_cycles(region);
 
         // Functional: gather per destination (the merged partials).
@@ -556,10 +657,9 @@ impl Accelerator {
     ) -> RegionStats {
         let n = g.num_nodes();
         let chunks = self.chunks_per_edge(layer);
-        let acc = match self.acc_cycles(region, g) {
-            AccCost::Uniform(c) => c,
-            AccCost::PerNode(_) => unreachable!("gather regions are never Encode"),
-        };
+        let acc = self
+            .uniform_acc_cycles(region)
+            .expect("gather regions are never Encode");
         let out = self.out_cycles(region);
         let nt_time = acc + out;
 
@@ -640,10 +740,9 @@ impl Accelerator {
         let n = g.num_nodes();
         let p_node = self.config().effective_p_node();
         let p_edge = self.config().effective_p_edge();
-        let acc = match self.acc_cycles(region, g) {
-            AccCost::Uniform(c) => c,
-            AccCost::PerNode(_) => unreachable!("gather regions are never Encode"),
-        };
+        let acc = self
+            .uniform_acc_cycles(region)
+            .expect("gather regions are never Encode");
         let out = self.out_cycles(region);
 
         let mut ctx = GatherCtx {

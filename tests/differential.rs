@@ -88,10 +88,14 @@ fn assert_reports_identical(fast: &RunReport, reference: &RunReport, what: &str)
         fast.mp_stall_cycles, reference.mp_stall_cycles,
         "{what}: mp_stall"
     );
-    let (a, b) = (
-        fast.output.as_ref().unwrap(),
-        reference.output.as_ref().unwrap(),
-    );
+    // Timing-only runs carry no output on either side.
+    let (Some(a), Some(b)) = (&fast.output, &reference.output) else {
+        assert!(
+            fast.output.is_none() && reference.output.is_none(),
+            "{what}: only one report carries a functional output"
+        );
+        return;
+    };
     // Bitwise float equality: fast-forward must not reorder any arithmetic.
     assert_eq!(
         a.node_embeddings.as_slice(),
@@ -116,25 +120,35 @@ fn fast_forward_is_cycle_exact_everywhere() {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let graphs = zoo();
-    for model in models() {
-        for (family, g) in &graphs {
-            for strategy in PipelineStrategy::ABLATION_ORDER {
-                let fast = Accelerator::new(
-                    model.clone(),
-                    ArchConfig::default()
-                        .with_strategy(strategy)
-                        .with_engine(EngineMode::FastForward),
-                )
-                .run(g);
-                let reference = Accelerator::new(
-                    model.clone(),
-                    ArchConfig::default()
-                        .with_strategy(strategy)
-                        .with_engine(EngineMode::Reference),
-                )
-                .run(g);
-                let what = format!("{} / {family} / {strategy}", model.name());
-                assert_reports_identical(&fast, &reference, &what);
+    // Timing-only fast-forward runs also copy twin regions' stats instead
+    // of stepping them; the reference engine steps every region.
+    for execution in [ExecutionMode::Full, ExecutionMode::TimingOnly] {
+        for banking in [GatherBanking::Destination, GatherBanking::Source] {
+            for model in models() {
+                for (family, g) in &graphs {
+                    for strategy in PipelineStrategy::ABLATION_ORDER {
+                        let config = ArchConfig::default()
+                            .with_strategy(strategy)
+                            .with_execution(execution)
+                            .with_gather_banking(banking);
+                        let fast = Accelerator::new(
+                            model.clone(),
+                            config.with_engine(EngineMode::FastForward),
+                        )
+                        .run(g);
+                        let reference = Accelerator::new(
+                            model.clone(),
+                            config.with_engine(EngineMode::Reference),
+                        )
+                        .run(g);
+                        let what = format!(
+                            "{} / {family} / {strategy} / {} / {banking:?}",
+                            model.name(),
+                            execution.name()
+                        );
+                        assert_reports_identical(&fast, &reference, &what);
+                    }
+                }
             }
         }
     }
@@ -145,39 +159,56 @@ fn fast_forward_is_exact_across_parallelism_corners() {
     // Queue pressure is where horizon bugs hide: tiny queues force the
     // StallFull paths, wide units force multi-unit interleavings.
     let g = MoleculeLike::new(22.0, 7).node_feat_dim(9).generate(3);
-    let model = GnnModel::gin(9, Some(3), 21);
-    for (pn, pe, pa, ps) in [
-        (1, 1, 1, 1),
-        (1, 4, 2, 8),
-        (4, 1, 8, 2),
-        (4, 8, 8, 8),
-        (2, 4, 16, 4),
-    ] {
-        for cap in [1, 2, 16] {
-            let cfg = ArchConfig::default()
-                .with_parallelism(pn, pe, pa, ps)
-                .with_queue_capacity(cap);
-            let fast =
-                Accelerator::new(model.clone(), cfg.with_engine(EngineMode::FastForward)).run(&g);
-            let reference =
-                Accelerator::new(model.clone(), cfg.with_engine(EngineMode::Reference)).run(&g);
-            let what = format!("P=({pn},{pe},{pa},{ps}) cap={cap}");
-            assert_reports_identical(&fast, &reference, &what);
+    for execution in [ExecutionMode::Full, ExecutionMode::TimingOnly] {
+        for model in models() {
+            for (pn, pe, pa, ps) in [
+                (1, 1, 1, 1),
+                (1, 4, 2, 8),
+                (4, 1, 8, 2),
+                (4, 8, 8, 8),
+                (2, 4, 16, 4),
+            ] {
+                for cap in [1, 2, 16] {
+                    let cfg = ArchConfig::default()
+                        .with_parallelism(pn, pe, pa, ps)
+                        .with_queue_capacity(cap)
+                        .with_execution(execution);
+                    let fast =
+                        Accelerator::new(model.clone(), cfg.with_engine(EngineMode::FastForward))
+                            .run(&g);
+                    let reference =
+                        Accelerator::new(model.clone(), cfg.with_engine(EngineMode::Reference))
+                            .run(&g);
+                    let what = format!(
+                        "{} / {} / P=({pn},{pe},{pa},{ps}) cap={cap}",
+                        model.name(),
+                        execution.name()
+                    );
+                    assert_reports_identical(&fast, &reference, &what);
+                }
+            }
         }
     }
 }
 
 #[test]
 fn fast_forward_matches_traced_per_cycle_run() {
-    // Tracing forces the per-cycle path even under FastForward; the
-    // timing must agree with the untraced fast-forwarded run.
+    // Tracing forces the per-cycle path (and every region) even under
+    // FastForward; the timing must agree with the untraced fast-forwarded
+    // run, whose timing-only variant also copies twin regions.
     let g = KnnPointCloud::new(30.0, 5, 9).node_feat_dim(9).generate(1);
-    for model in [GnnModel::gcn(9, 31), GnnModel::gat(9, 32)] {
-        let fast = Accelerator::new(model.clone(), ArchConfig::default()).run(&g);
-        let traced = Accelerator::new(model, ArchConfig::default().with_trace()).run(&g);
-        assert_eq!(fast.total_cycles, traced.total_cycles);
-        assert_eq!(fast.nt_busy_cycles, traced.nt_busy_cycles);
-        assert_eq!(fast.mp_busy_cycles, traced.mp_busy_cycles);
+    for execution in [ExecutionMode::Full, ExecutionMode::TimingOnly] {
+        for model in [GnnModel::gcn(9, 31), GnnModel::gat(9, 32)] {
+            let config = ArchConfig::default().with_execution(execution);
+            let fast = Accelerator::new(model.clone(), config).run(&g);
+            let traced = Accelerator::new(model, config.with_trace()).run(&g);
+            assert_eq!(fast.total_cycles, traced.total_cycles);
+            assert_eq!(fast.region_cycles, traced.region_cycles);
+            assert_eq!(fast.nt_busy_cycles, traced.nt_busy_cycles);
+            assert_eq!(fast.mp_busy_cycles, traced.mp_busy_cycles);
+            assert_eq!(fast.nt_stall_cycles, traced.nt_stall_cycles);
+            assert_eq!(fast.mp_stall_cycles, traced.mp_stall_cycles);
+        }
     }
 }
 
