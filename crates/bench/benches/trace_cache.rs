@@ -5,7 +5,9 @@
 //! the cache turns every replay after the first into fingerprint
 //! lookups. This bench measures both sides of that trade on a small
 //! MolHIV-like stream: the uncached engine pass, the cached replay
-//! (all hits), and the raw fingerprint cost.
+//! (all hits), and the raw fingerprint cost. The stream is stored and
+//! built once, outside the timed closures, so no timing includes graph
+//! generation.
 
 use flowgnn_bench::microbench::Microbench;
 use flowgnn_core::{graph_fingerprint, Accelerator, ArchConfig, ExecutionMode, ServiceTraceCache};
@@ -14,14 +16,6 @@ use flowgnn_graph::GraphStream;
 use flowgnn_models::GnnModel;
 
 const GRAPHS: usize = 8;
-
-fn stream() -> GraphStream {
-    GraphStream::from_graphs(
-        (0..GRAPHS)
-            .map(|i| MoleculeLike::new(20.0, 7).generate(i))
-            .collect(),
-    )
-}
 
 fn acc() -> Accelerator {
     Accelerator::new(
@@ -33,16 +27,21 @@ fn acc() -> Accelerator {
 fn bench(c: &mut Microbench) {
     let mut group = c.benchmark_group("trace_cache");
 
+    let stored = GraphStream::from_graphs(
+        (0..GRAPHS)
+            .map(|i| MoleculeLike::new(20.0, 7).generate(i))
+            .collect(),
+    );
     let uncached = acc();
     group.bench_function("service_trace_uncached", |b| {
-        b.iter(|| std::hint::black_box(uncached.service_trace(stream(), GRAPHS)))
+        b.iter(|| std::hint::black_box(uncached.service_trace(stored.clone(), GRAPHS)))
     });
 
     let cache = ServiceTraceCache::new(GRAPHS);
     let cached = acc().with_trace_cache(cache.clone());
-    cached.service_trace(stream(), GRAPHS); // warm: one engine pass
+    cached.service_trace(stored.clone(), GRAPHS); // warm: one engine pass
     group.bench_function("service_trace_all_hits", |b| {
-        b.iter(|| std::hint::black_box(cached.service_trace(stream(), GRAPHS)))
+        b.iter(|| std::hint::black_box(cached.service_trace(stored.clone(), GRAPHS)))
     });
 
     let g = MoleculeLike::new(20.0, 7).generate(0);

@@ -190,20 +190,18 @@ pub trait InferenceBackend {
     /// this backend* — drive [`crate::serve::fleet::run_fleet`] directly
     /// for genuinely heterogeneous fleets with per-endpoint cost rows).
     /// [`Runtime::Sim`] runs the deterministic cycle scan over
-    /// [`Self::service_trace`]; [`Runtime::Live`] spins up one
-    /// [`ModelWorker`] thread per replica occupying its thread for the
-    /// modeled per-graph latency (the cycle engine overrides this to run
-    /// real inference per request). `metrics`, when given, is updated
-    /// while the run executes; it never changes the report.
+    /// [`Self::service_trace`], which reads the graphs from `stream`
+    /// itself; [`Runtime::Live`] spins up one [`ModelWorker`] thread per
+    /// replica occupying its thread for the modeled per-graph latency (the
+    /// cycle engine overrides this to run real inference per request).
+    /// `metrics`, when given, is updated while the run executes; it never
+    /// changes the report.
     ///
     /// # Errors
     ///
-    /// The [`FleetError`] naming the violated invariant, as in
-    /// [`crate::serve::fleet::run_fleet`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream (after the limit) is empty.
+    /// [`FleetError::EmptyTrace`] if the stream (after the limit) is
+    /// empty, including `limit == 0`; otherwise the [`FleetError`] naming
+    /// the violated invariant, as in [`crate::serve::fleet::run_fleet`].
     fn serve_on(
         &self,
         stream: GraphStream,
@@ -212,6 +210,7 @@ pub trait InferenceBackend {
         runtime: Runtime,
         metrics: Option<&ServeMetrics>,
     ) -> Result<RuntimeReport, FleetError> {
+        let stream = served_prefix(stream, limit)?;
         match runtime {
             Runtime::Sim => {
                 let service = self.service_trace(stream, limit);
@@ -221,8 +220,6 @@ pub trait InferenceBackend {
                 run_fleet::<ModelWorker>(&costs, &class_of, config, FleetRuntime::Sim, metrics)
             }
             Runtime::Live => {
-                let stream = stream.take_prefix(limit);
-                assert!(!stream.is_empty(), "cannot serve an empty graph stream");
                 let durations: Vec<Duration> = stream
                     .map(|g| Duration::from_secs_f64(self.run_graph(&g).latency_ms / 1e3))
                     .collect();
@@ -251,6 +248,16 @@ pub trait InferenceBackend {
             }
         }
     }
+}
+
+/// The first `limit` graphs of `stream`, or [`FleetError::EmptyTrace`]
+/// when that leaves nothing to serve.
+fn served_prefix(stream: GraphStream, limit: usize) -> Result<GraphStream, FleetError> {
+    let stream = stream.take_prefix(limit);
+    if stream.is_empty() {
+        return Err(FleetError::EmptyTrace);
+    }
+    Ok(stream)
 }
 
 impl InferenceBackend for Accelerator {
@@ -300,8 +307,20 @@ impl InferenceBackend for Accelerator {
     /// Overrides the default with cycle-exact cost rows
     /// ([`Accelerator::service_trace`], consulting the attached trace
     /// cache) and, for [`Runtime::Live`], replica threads that run real
-    /// engine inference per request ([`crate::EngineWorker`]). Sim
-    /// reports carry the trace cache's counters on every endpoint entry.
+    /// engine inference per request ([`crate::EngineWorker`]).
+    ///
+    /// [`Runtime::Sim`] hands `stream` straight to the service trace, which
+    /// takes each graph once from the stream (generating it, or cloning it
+    /// from a stored stream), fingerprints it and, only on a cache miss,
+    /// simulates it; no other copy is made. Sim reports carry the trace
+    /// cache's counters on every endpoint entry. [`Runtime::Live`]
+    /// materialises the graphs once; the service trace reads them from
+    /// there, and each replica worker prepares its own copy.
+    ///
+    /// # Errors
+    ///
+    /// As the default: [`FleetError::EmptyTrace`] for an empty stream or
+    /// `limit == 0`, else what [`crate::serve::fleet::run_fleet`] returns.
     fn serve_on(
         &self,
         stream: GraphStream,
@@ -312,11 +331,12 @@ impl InferenceBackend for Accelerator {
     ) -> Result<RuntimeReport, FleetError> {
         use crate::stream::EngineWorker;
 
-        let stream = stream.take_prefix(limit);
-        assert!(!stream.is_empty(), "cannot serve an empty graph stream");
-        let graphs: Vec<Graph> = stream.collect();
-        let service =
-            Accelerator::service_trace(self, GraphStream::from_graphs(graphs.clone()), limit);
+        let stream = served_prefix(stream, limit)?;
+        let stream = match runtime {
+            Runtime::Sim => stream,
+            Runtime::Live => GraphStream::from_graphs(stream.collect()),
+        };
+        let service = Accelerator::service_trace(self, stream.clone(), limit);
         let costs: Vec<Vec<Cycle>> = config.endpoints.iter().map(|_| service.clone()).collect();
         let class_of = vec![0usize; service.len()];
         match runtime {
@@ -339,7 +359,7 @@ impl InferenceBackend for Accelerator {
             }
             Runtime::Live => {
                 let workers: Vec<EngineWorker> = (0..config.total_replicas())
-                    .map(|_| EngineWorker::new(self.clone(), graphs.iter().cloned()))
+                    .map(|_| EngineWorker::new(self.clone(), stream.clone()))
                     .collect();
                 run_fleet(
                     &costs,
@@ -501,6 +521,28 @@ mod tests {
         assert_eq!(report.completed, 4);
         assert_eq!(report.per_replica.len(), 2);
         assert!(report.makespan_cycles > 0, "real time elapsed");
+    }
+
+    #[test]
+    fn serve_on_returns_empty_trace_for_nothing_to_serve() {
+        let config = FleetConfig::pool(2).build().unwrap();
+        let a = acc();
+        let backends: [&dyn InferenceBackend; 2] = [&Fixed(0.05), &a];
+        for backend in backends {
+            for runtime in [Runtime::Sim, Runtime::Live] {
+                let empty = GraphStream::from_graphs(vec![]);
+                let three = MoleculeLike::new(12.0, 4).stream(3);
+                for (stream, limit) in [(empty, 4), (three, 0)] {
+                    let served = backend.serve_on(stream, limit, &config, runtime, None);
+                    assert_eq!(
+                        served.err(),
+                        Some(FleetError::EmptyTrace),
+                        "{} under {runtime:?}, limit {limit}",
+                        backend.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

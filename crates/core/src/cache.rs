@@ -11,6 +11,14 @@
 //! cycles a fresh simulation would compute, so cached and uncached
 //! serving reports are identical (pinned by `tests/differential.rs`).
 //!
+//! On a warm cache a simulated request costs only its graph's
+//! generation, fingerprint and lookup before the queueing scan. So
+//! [`graph_fingerprint`] mixes a whole 64-bit word per step (one per
+//! edge, feature value and shape field), and
+//! [`serve_on`](crate::InferenceBackend::serve_on) under
+//! [`Runtime::Sim`](crate::Runtime::Sim) hands its stream straight to
+//! the lookup without copying a graph.
+//!
 //! The cache is a cloneable handle over shared state, so sweep drivers
 //! hand the *same* cache to every [`crate::Accelerator`] instance they
 //! construct for a model. It must never be shared across *models*: the
@@ -33,8 +41,10 @@ use flowgnn_graph::{FeatureSource, Graph};
 
 use crate::config::ArchConfig;
 
-/// Content fingerprint of a graph: a 64-bit FNV-1a hash over the node
-/// count, the edge list, and the feature content.
+/// Content fingerprint of a graph: a 64-bit hash over the node and edge
+/// counts, the edge list, and the feature content, mixed one `u64` word
+/// per step (an edge, a feature value, a tag or a shape field) and
+/// finished with an avalanche.
 ///
 /// Procedural feature sources hash their *description* (rows, dim, seed,
 /// density) rather than materialising rows — procedural rows are pure
@@ -42,9 +52,10 @@ use crate::config::ArchConfig;
 /// features. Dense matrices and edge-feature matrices hash their value
 /// bits. Two graphs with equal fingerprints therefore present identical
 /// inputs to the engine (modulo 64-bit hash collisions, which at the
-/// stream sizes the sweeps use are negligible).
+/// stream sizes the sweeps use are negligible). The hash is a fixed
+/// function of the content, equal across runs and processes.
 pub fn graph_fingerprint(g: &Graph) -> u64 {
-    let mut h = Fnv1a::new();
+    let mut h = WordHash::new();
     h.write_u64(g.num_nodes() as u64);
     h.write_u64(g.num_edges() as u64);
     for &(s, d) in g.edges() {
@@ -89,23 +100,33 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
     h.finish()
 }
 
-/// 64-bit FNV-1a, fed `u64`s a byte at a time.
-struct Fnv1a(u64);
+/// A 64-bit hash fed one `u64` word per step.
+///
+/// Each step xors the word into the state, multiplies by an odd constant
+/// and folds the high half back down with an xor-shift. All three are
+/// bijections of the state, so two equal-length inputs that differ in a
+/// single word always end in different states. [`WordHash::finish`]
+/// applies murmur3's `fmix64` avalanche, which is a bijection too and
+/// spreads every input bit over the whole output.
+struct WordHash(u64);
 
-impl Fnv1a {
+impl WordHash {
     fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
+        WordHash(0x243f_6a88_85a3_08d3)
     }
 
     fn write_u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
+        let h = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
     }
 
     fn finish(&self) -> u64 {
-        self.0
+        let mut k = self.0;
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        k ^ (k >> 33)
     }
 }
 
@@ -245,6 +266,7 @@ impl ServiceTraceCache {
 mod tests {
     use super::*;
     use flowgnn_graph::generators::{GraphGenerator, MoleculeLike};
+    use flowgnn_tensor::Matrix;
 
     fn cfg() -> ArchConfig {
         ArchConfig::default()
@@ -324,12 +346,86 @@ mod tests {
 
     #[test]
     fn fingerprint_separates_structure_and_features() {
+        let fp = graph_fingerprint;
         let g0 = MoleculeLike::new(14.0, 7).generate(0);
         let g1 = MoleculeLike::new(14.0, 7).generate(1);
-        assert_eq!(graph_fingerprint(&g0), graph_fingerprint(&g0));
-        assert_ne!(graph_fingerprint(&g0), graph_fingerprint(&g1));
+        assert_eq!(fp(&g0), fp(&g0));
+        assert_ne!(fp(&g0), fp(&g1));
         // Clones fingerprint identically (content-addressed, not identity).
-        assert_eq!(graph_fingerprint(&g0), graph_fingerprint(&g0.clone()));
+        assert_eq!(fp(&g0), fp(&g0.clone()));
+
+        // One change to anything the engine reads moves the fingerprint.
+        let n = g0.num_nodes();
+        let edges = g0.edges().to_vec();
+        let FeatureSource::Dense(x) = g0.node_features() else {
+            panic!("molecules carry dense node features");
+        };
+        let ef = g0
+            .edge_feature_matrix()
+            .expect("molecules carry edge features");
+        let build = |n, edges, x: &Matrix, ef: Option<&Matrix>| {
+            Graph::new(n, edges, FeatureSource::dense(x.clone()), ef.cloned()).unwrap()
+        };
+        let flip_lowest_bit = |m: &Matrix| {
+            let mut m = m.clone();
+            let v = &mut m.row_mut(0)[0];
+            *v = f32::from_bits(v.to_bits() ^ 1);
+            m
+        };
+        let mut moved = edges.clone();
+        moved[0].1 = (moved[0].1 + 1) % n as u32;
+        let mut swapped = edges.clone();
+        assert_ne!(edges[0], edges[1]);
+        swapped.swap(0, 1);
+        let mut grown = x.as_slice().to_vec();
+        grown.resize(grown.len() + x.cols(), 0.0);
+        let grown = Matrix::from_vec(n + 1, x.cols(), grown);
+        assert_eq!(fp(&build(n, edges.clone(), x, Some(ef))), fp(&g0));
+        let variants = [
+            (
+                "dense bit",
+                build(n, edges.clone(), &flip_lowest_bit(x), Some(ef)),
+            ),
+            (
+                "edge bit",
+                build(n, edges.clone(), x, Some(&flip_lowest_bit(ef))),
+            ),
+            ("endpoint", build(n, moved, x, Some(ef))),
+            ("edge swap", build(n, swapped, x, Some(ef))),
+            (
+                "isolated node",
+                build(n + 1, edges.clone(), &grown, Some(ef)),
+            ),
+            ("no edge features", build(n, edges, x, None)),
+        ];
+        for (what, g) in &variants {
+            assert_ne!(fp(g), fp(&g0), "{what}");
+        }
+
+        // Procedural sources hash their description, field by field.
+        let with = |f: FeatureSource| Graph::new(f.rows(), vec![(0, 1)], f, None).unwrap();
+        let procedural = fp(&with(FeatureSource::procedural(6, 4, 9)));
+        for f in [
+            FeatureSource::procedural(7, 4, 9),
+            FeatureSource::procedural(6, 5, 9),
+            FeatureSource::procedural(6, 4, 10),
+        ] {
+            assert_ne!(fp(&with(f.clone())), procedural, "{f:?}");
+        }
+        let sparse = fp(&with(FeatureSource::sparse_procedural(6, 4, 0.5, 9)));
+        for f in [
+            FeatureSource::sparse_procedural(7, 4, 0.5, 9),
+            FeatureSource::sparse_procedural(6, 5, 0.5, 9),
+            FeatureSource::sparse_procedural(6, 4, 0.25, 9),
+            FeatureSource::sparse_procedural(6, 4, 0.5, 10),
+        ] {
+            assert_ne!(fp(&with(f.clone())), sparse, "{f:?}");
+        }
+        assert_ne!(sparse, procedural);
+        // A dense source holding the very rows a procedural one generates
+        // is a different source: the tag keeps the two apart.
+        let materialized = FeatureSource::procedural(6, 4, 9).materialize();
+        assert_ne!(fp(&with(FeatureSource::dense(materialized))), procedural);
     }
 
     #[test]

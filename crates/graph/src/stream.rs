@@ -7,21 +7,10 @@ use crate::Graph;
 
 type GeneratorFn = dyn Fn(usize) -> Graph + Send + Sync;
 
+#[derive(Clone)]
 enum Source {
     Stored(Arc<[Graph]>),
-    Generated { len: usize, gen: Arc<GeneratorFn> },
-}
-
-impl Clone for Source {
-    fn clone(&self) -> Self {
-        match self {
-            Source::Stored(g) => Source::Stored(Arc::clone(g)),
-            Source::Generated { len, gen } => Source::Generated {
-                len: *len,
-                gen: Arc::clone(gen),
-            },
-        }
-    }
+    Generated(Arc<GeneratorFn>),
 }
 
 /// A finite stream of graphs arriving one at a time.
@@ -51,6 +40,9 @@ impl Clone for Source {
 #[derive(Clone)]
 pub struct GraphStream {
     source: Source,
+    /// Graphs in the stream: all of a generated source, a prefix of a
+    /// stored one after [`GraphStream::take_prefix`].
+    len: usize,
     next: usize,
 }
 
@@ -58,6 +50,7 @@ impl GraphStream {
     /// Creates a stream over already-materialised graphs.
     pub fn from_graphs(graphs: Vec<Graph>) -> Self {
         Self {
+            len: graphs.len(),
             source: Source::Stored(graphs.into()),
             next: 0,
         }
@@ -72,10 +65,8 @@ impl GraphStream {
         F: Fn(usize) -> Graph + Send + Sync + 'static,
     {
         Self {
-            source: Source::Generated {
-                len,
-                gen: Arc::new(gen),
-            },
+            source: Source::Generated(Arc::new(gen)),
+            len,
             next: 0,
         }
     }
@@ -86,10 +77,7 @@ impl GraphStream {
     /// *remaining* count; inside iterator methods the trait method shadows
     /// this one, so internal code uses [`GraphStream::total`].
     pub fn total(&self) -> usize {
-        match &self.source {
-            Source::Stored(g) => g.len(),
-            Source::Generated { len, .. } => *len,
-        }
+        self.len
     }
 
     /// Whether the stream contains no graphs.
@@ -120,22 +108,18 @@ impl GraphStream {
         );
         match &self.source {
             Source::Stored(g) => g[i].clone(),
-            Source::Generated { gen, .. } => gen(i),
+            Source::Generated(gen) => gen(i),
         }
     }
 
-    /// Restricts the stream to its first `n` graphs (useful for smoke tests
-    /// over large generated datasets). If `n >= len`, the stream is
-    /// unchanged.
-    pub fn take_prefix(self, n: usize) -> Self {
-        let len = self.total().min(n);
-        match self.source {
-            Source::Stored(g) => GraphStream::from_graphs(g.iter().take(len).cloned().collect()),
-            Source::Generated { gen, .. } => GraphStream {
-                source: Source::Generated { len, gen },
-                next: 0,
-            },
-        }
+    /// Restricts the stream to its first `n` graphs, rewound to the start
+    /// (useful for smoke tests over large generated datasets). If
+    /// `n >= len`, every graph stays. No graph is copied: a stored stream
+    /// keeps sharing its graphs and only narrows its bound.
+    pub fn take_prefix(mut self, n: usize) -> Self {
+        self.len = self.len.min(n);
+        self.next = 0;
+        self
     }
 }
 
@@ -168,7 +152,7 @@ impl fmt::Debug for GraphStream {
             self.next,
             match self.source {
                 Source::Stored(_) => "stored",
-                Source::Generated { .. } => "generated",
+                Source::Generated(_) => "generated",
             }
         )
     }
@@ -221,7 +205,23 @@ mod tests {
         let s = GraphStream::generated(100, tiny).take_prefix(3);
         assert_eq!(s.total(), 3);
         let s = GraphStream::from_graphs(vec![tiny(1), tiny(2), tiny(3)]).take_prefix(2);
-        assert_eq!(s.count(), 2);
+        assert_eq!(s.clone().count(), 2);
+
+        // A narrowed stored stream sees only its prefix, everywhere.
+        let mut s = s;
+        assert_eq!(s.total(), 2);
+        assert_eq!(s.get(0).num_nodes(), 1);
+        assert_eq!(s.get(1).num_nodes(), 2);
+        assert_eq!(s.next().map(|g| g.num_nodes()), Some(1));
+        assert_eq!(s.size_hint(), (1, Some(1)));
+        s.reset();
+        let ns: Vec<usize> = s.clone().map(|g| g.num_nodes()).collect();
+        assert_eq!(ns, vec![1, 2]);
+        let past_end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.get(2)));
+        assert!(
+            past_end.is_err(),
+            "get(len) must panic on a narrowed stream"
+        );
     }
 
     #[test]
