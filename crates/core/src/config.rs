@@ -101,6 +101,12 @@ pub enum EngineMode {
     /// cycle on which any unit's state can change is still executed by
     /// the ordinary per-cycle code.
     ///
+    /// In a saturated scatter region, where MP units pop flits every cycle
+    /// and the blocked NT units refill the freed slots, it also jumps that
+    /// producer–queue–consumer chain in bulk up to the next edge, node or
+    /// job boundary on either side (the coupled jump, when
+    /// `P_apply ≤ P_scatter`).
+    ///
     /// In [`ExecutionMode::TimingOnly`] runs without a trace it also
     /// fast-forwards whole regions: a region whose timing signature (kind,
     /// NT accumulate cycles, payload dimension, MP chunks per edge) equals

@@ -346,7 +346,12 @@ impl Accelerator {
         for (region, twin) in self.regions.iter().zip(&self.twins) {
             exec.begin_region(region.payload_dim);
             let stats = match *twin {
-                Some(j) if copy_twins => region_stats[j],
+                // A copied twin steps and skips nothing.
+                Some(j) if copy_twins => RegionStats {
+                    stepped: 0,
+                    skipped: 0,
+                    ..region_stats[j]
+                },
                 _ => {
                     self.simulate_region(region, g, banked, csc.as_ref(), &mut exec, trace.as_mut())
                 }
@@ -358,6 +363,8 @@ impl Accelerator {
             totals.mp_busy += stats.mp_busy;
             totals.nt_stall += stats.nt_stall;
             totals.mp_stall += stats.mp_stall;
+            totals.stepped += stats.stepped;
+            totals.skipped += stats.skipped;
             exec.advance_region();
         }
 
@@ -384,6 +391,8 @@ impl Accelerator {
         if let Some(m) = &self.metrics {
             m.graphs.inc();
             m.cycles.add(total_cycles);
+            m.stepped_cycles.add(totals.stepped);
+            m.skipped_cycles.add(totals.skipped);
         }
 
         RunReport {

@@ -622,6 +622,13 @@ pub struct EngineMetrics {
     pub graphs: Arc<Counter>,
     /// Total simulated cycles across all runs.
     pub cycles: Arc<Counter>,
+    /// Region cycles the cycle-stepped dataflow regions ran one at a time
+    /// through the per-cycle unit code. Region twins a run copies and the
+    /// analytic schedules count in neither this nor `skipped_cycles`.
+    pub stepped_cycles: Arc<Counter>,
+    /// Region cycles the cycle-stepped dataflow regions advanced in bulk
+    /// (fast-forward jumps, pure or coupled).
+    pub skipped_cycles: Arc<Counter>,
     /// Service-trace-cache hits (graph served from cached cycles).
     pub cache_hits: Arc<Counter>,
     /// Service-trace-cache misses (graph simulated by the engine).
@@ -641,6 +648,16 @@ impl EngineMetrics {
             cycles: registry.counter(
                 "flowgnn_engine_cycles_total",
                 "Simulated cycles across all engine runs.",
+                &[],
+            ),
+            stepped_cycles: registry.counter(
+                "flowgnn_engine_stepped_cycles_total",
+                "Dataflow-region cycles run through the per-cycle unit code.",
+                &[],
+            ),
+            skipped_cycles: registry.counter(
+                "flowgnn_engine_skipped_cycles_total",
+                "Dataflow-region cycles advanced in bulk by fast-forward jumps.",
                 &[],
             ),
             cache_hits: registry.counter(

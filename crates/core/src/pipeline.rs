@@ -7,7 +7,15 @@
 //! `crate::units` and hand them to [`run_dataflow`], which owns the
 //! per-cycle loop, the fast-forward scan, and the trace emission — so the
 //! reference mode, the fast-forward mode, and the tracer all execute the
-//! same unit code.
+//! same unit code. When the scan finds a unit with an event this cycle,
+//! the loop offers the region's coupled jump (`CoupledJump`), which
+//! scatter regions implement next to their context in
+//! `crate::units::adapter`. The loop counts the cycles it stepped and the
+//! cycles it jumped in the region's `RegionStats`.
+//!
+//! `scatter_dataflow` computes every per-region constant the unit steps
+//! read (unit counts, the NT push budget, the per-chunk flit table) once,
+//! in the `ScatterCtx` it builds.
 //!
 //! This module also owns what a region's timing depends on: its
 //! [`TimingSignature`] (kind, uniform NT accumulate cycles, payload
@@ -29,7 +37,7 @@ use crate::units::gather::{GatherCtx, GatherMp, GatherNt};
 use crate::units::mp::MpUnit;
 use crate::units::nt::NtUnit;
 use crate::units::{
-    AccCost, DataflowCtx, PureClass, RegionStats, UnitStep, FF_BACKOFF_MAX, HORIZON_INF,
+    AccCost, CoupledJump, PureClass, RegionStats, UnitStep, FF_BACKOFF_MAX, HORIZON_INF,
 };
 
 /// Which kind of dataflow region the scheduler is driving; fixes the
@@ -73,7 +81,8 @@ struct TimingSignature {
 /// first so they pop flits committed on the previous cycle). The
 /// fast-forward scan also runs front-then-back, early-exiting as soon as
 /// any unit's horizon pins the cycle at zero (see DESIGN.md,
-/// "fast-forward invariant").
+/// "fast-forward invariant"); the region's coupled jump then gets its
+/// chance.
 #[allow(clippy::too_many_arguments)]
 fn run_dataflow<C, F, B>(
     front: &mut [F],
@@ -86,7 +95,7 @@ fn run_dataflow<C, F, B>(
     kind: RegionKind,
 ) -> RegionStats
 where
-    C: DataflowCtx,
+    C: CoupledJump<F, B>,
     F: UnitStep<C> + std::fmt::Debug,
     B: UnitStep<C> + std::fmt::Debug,
 {
@@ -136,10 +145,20 @@ where
             // infinite) region lands just below the limit, then the
             // per-cycle step trips the same panic the reference engine
             // would reach.
-            delta = delta.min((max_cycles - 1).saturating_sub(cycle));
+            let cap = (max_cycles - 1).saturating_sub(cycle);
+            delta = delta.min(cap);
             if delta == 0 {
-                ff_penalty = (ff_penalty * 2).clamp(1, FF_BACKOFF_MAX);
-                ff_skip = ff_penalty;
+                // No unit is pure: try the saturated producer–queue–
+                // consumer chain instead (DESIGN.md §3b, "coupled jump").
+                let jumped = ctx.coupled_jump(front, back, cap, exec, &mut stats);
+                if jumped == 0 {
+                    ff_penalty = (ff_penalty * 2).clamp(1, FF_BACKOFF_MAX);
+                    ff_skip = ff_penalty;
+                } else {
+                    ff_penalty = 0;
+                    cycle += jumped;
+                    stats.skipped += jumped;
+                }
             } else {
                 ff_penalty = 0;
                 for (u, &(_, class)) in front.iter_mut().zip(&front_hz) {
@@ -149,6 +168,7 @@ where
                     u.fast_forward(delta, class, ctx, exec, &mut stats);
                 }
                 cycle += delta;
+                stats.skipped += delta;
             }
         } else {
             ff_skip = ff_skip.saturating_sub(1);
@@ -218,6 +238,7 @@ where
         }
     }
     stats.cycles = cycle;
+    stats.stepped = cycle - stats.skipped;
     stats
 }
 
@@ -284,6 +305,24 @@ impl Accelerator {
     /// Flits per node-embedding through the adapter.
     fn flits_per_node(&self, region: &Region) -> usize {
         region.payload_dim.div_ceil(self.config().p_scatter)
+    }
+
+    /// Per chunk `c` of an edge split into `chunks`, the flits that must
+    /// have arrived before it advances: all `flits_total` under node
+    /// granularity (BaselineDataflow), else the proportional share
+    /// `⌈(c+1)·flits_total / chunks⌉`.
+    fn flits_needed(&self, chunks: u64, flits_total: usize) -> Vec<usize> {
+        let node_granularity = self.config().strategy == PipelineStrategy::BaselineDataflow;
+        let chunks = chunks as usize;
+        (0..chunks)
+            .map(|c| {
+                if node_granularity {
+                    flits_total
+                } else {
+                    ((c + 1) * flits_total).div_ceil(chunks)
+                }
+            })
+            .collect()
     }
 
     /// MP cycles per edge in a scatter/gather region for `layer`.
@@ -519,25 +558,31 @@ impl Accelerator {
         let n = g.num_nodes();
         let p_node = self.config().effective_p_node();
         let p_edge = self.config().effective_p_edge();
+        let (p_apply, p_scatter) = (self.config().p_apply, self.config().p_scatter);
         let scatter = region.scatter_layer;
+        let chunks = scatter.map(|l| self.chunks_per_edge(l));
+        let flits_total = self.flits_per_node(region);
 
         let mut ctx = ScatterCtx {
             // One queue per (NT, MP) pair, borrowed from the scratch so
             // the ring allocations persist across regions and runs.
             queues: exec.take_scatter_queues(p_node * p_edge, self.config().queue_capacity),
+            p_node,
             p_edge,
-            intake: (self.config().p_apply / self.config().p_scatter).max(1),
-            flits_total: self.flits_per_node(region),
-            chunks: scatter.map(|l| self.chunks_per_edge(l)),
+            intake: (p_apply / p_scatter).max(1),
+            push_budget: p_apply.div_ceil(p_scatter),
+            flits_total,
+            chunks,
+            flits_needed: chunks.map_or_else(Vec::new, |c| self.flits_needed(c, flits_total)),
             scatter,
-            node_granularity: self.config().strategy == PipelineStrategy::BaselineDataflow,
-            p_apply: self.config().p_apply,
-            p_scatter: self.config().p_scatter,
+            p_apply,
+            p_scatter,
             payload: region.payload_dim,
             acc: self.acc_cycles(region, g),
             region,
             banked,
             model: self.model(),
+            roles: Vec::with_capacity(p_node + p_edge),
         };
         let mut nts: Vec<NtUnit> = (0..p_node).map(|i| NtUnit::new(i, n, p_node)).collect();
         // NT-only regions deploy no MP units (nothing ever stepped them).

@@ -269,8 +269,8 @@ impl LiveWorker for EngineWorker {
 mod tests {
     use super::*;
     use crate::serve::{ArrivalProcess, FleetConfigBuilder, QueuePolicy, Runtime, ServeReport};
-    use crate::{ArchConfig, InferenceBackend, ServiceTraceCache};
-    use flowgnn_graph::generators::{GraphGenerator, MoleculeLike};
+    use crate::{ArchConfig, ExecutionMode, InferenceBackend, ServiceTraceCache};
+    use flowgnn_graph::generators::{GraphGenerator, KnnPointCloud, MoleculeLike};
     use flowgnn_models::GnnModel;
 
     fn acc() -> Accelerator {
@@ -437,6 +437,34 @@ mod tests {
         // Only the misses ran the engine.
         assert_eq!(metrics.graphs.get(), 3);
         assert!(metrics.cycles.get() > 0);
+
+        // Stepped and skipped cycles cover exactly the simulated dataflow
+        // regions. A Full-mode run copies no twin regions, so on GCN they
+        // add up to the region cycles less each region's fixed overheads.
+        // The dense point cloud saturates the adapter queues.
+        let dense = KnnPointCloud::new(30.0, 16, 0).node_feat_dim(9).generate(1);
+        let metrics = EngineMetrics::new(&Registry::new());
+        let a = acc().with_metrics(metrics.clone());
+        assert_eq!(a.config().execution, ExecutionMode::Full);
+        let observed = a.run(&dense);
+        let bare = acc().run(&dense);
+        assert_eq!(bare.region_cycles, observed.region_cycles);
+        assert_eq!(
+            (bare.nt_busy_cycles, bare.nt_stall_cycles),
+            (observed.nt_busy_cycles, observed.nt_stall_cycles)
+        );
+        assert_eq!(
+            (bare.mp_busy_cycles, bare.mp_stall_cycles),
+            (observed.mp_busy_cycles, observed.mp_stall_cycles)
+        );
+        let overheads = observed.region_cycles.len() as Cycle
+            * (a.config().region_overhead + a.config().nt_pipeline_depth);
+        let (stepped, skipped) = (metrics.stepped_cycles.get(), metrics.skipped_cycles.get());
+        assert_eq!(
+            stepped + skipped,
+            observed.region_cycles.iter().sum::<Cycle>() - overheads
+        );
+        assert!(skipped > 0, "stepped {stepped}, skipped {skipped}");
     }
 
     #[test]

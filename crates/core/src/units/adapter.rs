@@ -1,7 +1,8 @@
 //! NT-to-MP multicast adapter (paper Sec. III-C, Fig. 3): the
 //! `P_node × P_edge` grid of registered queues that decouples the NT and
 //! MP units in scatter regions, plus the shared region context
-//! ([`ScatterCtx`]) the units operate in.
+//! ([`ScatterCtx`]) the units operate in and the coupled jump that
+//! advances the saturated NT→queue→MP chain in bulk.
 //!
 //! The adapter is flit-granular and each (NT, MP) queue makes progress
 //! independently — atomic multicast would deadlock: two MP units each
@@ -11,8 +12,11 @@ use flowgnn_desim::Fifo;
 use flowgnn_graph::NodeId;
 use flowgnn_models::GnnModel;
 
+use crate::exec::ExecState;
 use crate::regions::{BankedEdges, Region};
-use crate::units::{AccCost, DataflowCtx};
+use crate::units::mp::MpUnit;
+use crate::units::nt::NtUnit;
+use crate::units::{AccCost, CoupledJump, DataflowCtx, PureClass, RegionStats, UnitStep};
 
 /// A flit through the NT-to-MP adapter: `P_scatter` embedding elements of
 /// one node (values live in the execution state; flits carry timing).
@@ -27,22 +31,29 @@ pub(crate) fn qindex(nt_unit: usize, k: usize, p_edge: usize) -> usize {
 }
 
 /// Shared context of one scatter-style region (NT→MP or NT-only): the
-/// adapter's queue grid plus the region's static cost parameters.
+/// adapter's queue grid plus the region's static cost parameters, all
+/// computed once per region so no unit step divides.
 pub(crate) struct ScatterCtx<'a> {
     /// The adapter: one queue per (NT, MP) pair, indexed by [`qindex`].
     pub(crate) queues: Vec<Fifo<Flit>>,
+    pub(crate) p_node: usize,
     pub(crate) p_edge: usize,
     /// Flit pops per MP unit per cycle: `max(P_apply / P_scatter, 1)`.
     pub(crate) intake: usize,
+    /// Flit pushes per NT unit per target queue per cycle:
+    /// `⌈P_apply / P_scatter⌉`.
+    pub(crate) push_budget: usize,
     /// Flits per node-embedding through the adapter.
     pub(crate) flits_total: usize,
     /// MP cycles per edge; `None` in NT-only regions (no MP units).
     pub(crate) chunks: Option<u64>,
+    /// Per chunk of an edge, the flits that must have arrived before the
+    /// chunk can advance: all of them under node-granular forwarding
+    /// (BaselineDataflow), else a proportional share (FlowGnn). Empty in
+    /// NT-only regions.
+    pub(crate) flits_needed: Vec<usize>,
     /// `Some(layer)` when the region scatters messages for that layer.
     pub(crate) scatter: Option<usize>,
-    /// Node-granular forwarding (BaselineDataflow) vs flit-granular
-    /// (FlowGnn).
-    pub(crate) node_granularity: bool,
     pub(crate) p_apply: usize,
     pub(crate) p_scatter: usize,
     /// NT payload (output embedding) dimension.
@@ -52,6 +63,8 @@ pub(crate) struct ScatterCtx<'a> {
     pub(crate) region: &'a Region,
     pub(crate) banked: &'a BankedEdges,
     pub(crate) model: &'a GnnModel,
+    /// Coupled-jump scratch: each MP unit's role, then each NT unit's.
+    pub(crate) roles: Vec<ChainRole>,
 }
 
 impl DataflowCtx for ScatterCtx<'_> {
@@ -69,5 +82,86 @@ impl DataflowCtx for ScatterCtx<'_> {
         for (i, q) in self.queues.iter().enumerate() {
             eprintln!("Q{i}: len={} ready={}", q.len(), q.ready_len());
         }
+    }
+}
+
+/// A unit's part in a coupled jump.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ChainRole {
+    /// Runs through the window on its own pure horizon, accruing `class`.
+    Pure(PureClass),
+    /// An MP unit popping this queue once per cycle into its back job
+    /// while its front job processes one chunk per cycle.
+    Receive(usize),
+    /// An NT unit refilling the queues its receiving MP units pop.
+    Refill,
+}
+
+impl CoupledJump<MpUnit, NtUnit> for ScatterCtx<'_> {
+    /// The coupled jump (DESIGN.md §3b): when the only cross-unit traffic
+    /// is "an MP unit pops a flit and the blocked NT unit refills that
+    /// slot", that traffic is deterministic until the next edge, node or
+    /// job boundary on either side. Each unit bounds the window: pure
+    /// units by their horizon, receiving MP units by their flits, chunks
+    /// and ready flits, refilling NT units by their job's retirement.
+    /// Every bound stops short of that unit's next event, so the boundary
+    /// cycle still runs through the per-cycle code.
+    fn coupled_jump(
+        &mut self,
+        mps: &mut [MpUnit],
+        nts: &mut [NtUnit],
+        cap: u64,
+        exec: &mut ExecState<'_>,
+        stats: &mut RegionStats,
+    ) -> u64 {
+        // One pop per MP unit and one push per target queue per cycle:
+        // only when P_apply ≤ P_scatter.
+        if self.push_budget != 1 {
+            return 0;
+        }
+        let mut window = cap;
+        self.roles.clear();
+        for mp in mps.iter() {
+            let Some((bound, role)) = mp.chain_role(self) else {
+                return 0;
+            };
+            window = window.min(bound);
+            if window < 2 {
+                return 0;
+            }
+            self.roles.push(role);
+        }
+        for nt in nts.iter() {
+            let Some((bound, role)) = nt.chain_role(&self.roles[..mps.len()], self) else {
+                return 0;
+            };
+            window = window.min(bound);
+            if window < 2 {
+                return 0;
+            }
+            self.roles.push(role);
+        }
+
+        let roles = std::mem::take(&mut self.roles);
+        let (mp_roles, nt_roles) = roles.split_at(mps.len());
+        // Pops before pushes, as within a cycle: every push lands in a
+        // slot a pop freed.
+        for (mp, &role) in mps.iter_mut().zip(mp_roles) {
+            match role {
+                ChainRole::Pure(class) => mp.fast_forward(window, class, self, exec, stats),
+                ChainRole::Receive(_) => mp.receive_for(window, self, exec, stats),
+                ChainRole::Refill => unreachable!("MP units never refill"),
+            }
+        }
+        for (nt, &role) in nts.iter_mut().zip(nt_roles) {
+            match role {
+                ChainRole::Pure(class) => nt.fast_forward(window, class, self, exec, stats),
+                ChainRole::Refill => nt.refill_for(window, mp_roles, self, stats),
+                ChainRole::Receive(_) => unreachable!("NT units never receive"),
+            }
+        }
+        self.commit_queues();
+        self.roles = roles;
+        window
     }
 }

@@ -11,7 +11,7 @@ use flowgnn_models::GnnModel;
 use crate::exec::ExecState;
 use crate::regions::Region;
 use crate::trace::LaneSymbol;
-use crate::units::{DataflowCtx, PureClass, RegionStats, UnitStep, HORIZON_INF};
+use crate::units::{CoupledJump, DataflowCtx, PureClass, RegionStats, UnitStep, HORIZON_INF};
 
 /// Shared context of one gather region: the aggregate-token queue grid
 /// (one queue per (MP, NT) pair) plus the region's static parameters.
@@ -56,6 +56,9 @@ impl DataflowCtx for GatherCtx<'_> {
         }
     }
 }
+
+/// Gather regions stream whole-node tokens, not flits: no coupled jump.
+impl CoupledJump<GatherNt, GatherMp> for GatherCtx<'_> {}
 
 /// Gather-path MP unit: owns destinations `v ≡ index (mod P_edge)`,
 /// enumerated arithmetically (`index + j·P_edge`, no materialised list),

@@ -48,7 +48,10 @@ pub(crate) const HORIZON_INF: u64 = u64::MAX;
 /// Upper bound on the fast-forward scan backoff. When the pipeline is
 /// saturated (an event on every cycle) the horizon scan is pure overhead,
 /// so after each failed attempt the engine runs plain per-cycle steps for
-/// an exponentially growing stretch before rescanning. Skipped attempts
+/// an exponentially growing stretch before rescanning. An attempt whose
+/// pure scan finds no span also tries the region's coupled jump
+/// ([`CoupledJump`]); it fails only when both find nothing, and a
+/// successful jump of either kind resets the backoff. Skipped attempts
 /// never affect exactness — fast-forwarding is opportunistic — they only
 /// bound the scan cost at ~1/32 per cycle in the worst case while still
 /// catching long stall/drain phases quickly.
@@ -77,6 +80,12 @@ pub(crate) struct RegionStats {
     pub(crate) mp_busy: u64,
     pub(crate) nt_stall: u64,
     pub(crate) mp_stall: u64,
+    /// Cycles the region scheduler ran through the per-cycle unit code;
+    /// zero in analytic schedules, which step nothing.
+    pub(crate) stepped: Cycle,
+    /// Cycles the region scheduler advanced in bulk (pure or coupled
+    /// jumps); `stepped + skipped == cycles` in cycle-stepped regions.
+    pub(crate) skipped: Cycle,
 }
 
 /// NT accumulate cost: uniform across nodes, or per node (Encode regions,
@@ -145,6 +154,27 @@ pub(crate) trait UnitStep<C> {
 
     /// Whether this unit has fully drained (used for region termination).
     fn done(&self, ctx: &C) -> bool;
+}
+
+/// A region whose producer–queue–consumer chain can advance in bulk when
+/// the pure scan finds no span (DESIGN.md §3b, "coupled jump"). Scatter
+/// regions implement it; gather regions keep the default, which never
+/// jumps.
+pub(crate) trait CoupledJump<F, B>: DataflowCtx {
+    /// Advances the `front` and `back` units and the queues through the
+    /// coupled window, at most `cap` cycles, committing the queues, and
+    /// returns its length; returns 0 and changes nothing when no window of
+    /// at least two cycles exists.
+    fn coupled_jump(
+        &mut self,
+        _front: &mut [F],
+        _back: &mut [B],
+        _cap: u64,
+        _exec: &mut ExecState<'_>,
+        _stats: &mut RegionStats,
+    ) -> u64 {
+        0
+    }
 }
 
 /// The queue fabric a region's units communicate through, as seen by the

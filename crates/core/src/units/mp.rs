@@ -8,7 +8,7 @@ use flowgnn_graph::NodeId;
 
 use crate::exec::ExecState;
 use crate::trace::LaneSymbol;
-use crate::units::adapter::ScatterCtx;
+use crate::units::adapter::{ChainRole, ScatterCtx};
 use crate::units::{outcome_symbol, PureClass, RegionStats, StepOutcome, UnitStep, HORIZON_INF};
 
 /// One MP unit (edge bank `index`).
@@ -29,8 +29,17 @@ struct MpJob {
     node: NodeId,
     queue: usize,
     flits_recv: usize,
+    /// The node's edges in this unit's bank, counted when the job opens.
+    edges: usize,
     edge_cursor: usize,
     chunk: u64,
+}
+
+impl MpJob {
+    /// Chunks left until the job's last edge completes.
+    fn chunks_left(&self, chunks_per_edge: u64) -> u64 {
+        (self.edges - self.edge_cursor) as u64 * chunks_per_edge - self.chunk
+    }
 }
 
 impl MpUnit {
@@ -74,15 +83,14 @@ impl MpUnit {
 
     fn is_drained(&self, ctx: &ScatterCtx<'_>) -> bool {
         self.jobs[0].is_none()
-            && (0..ctx.queues.len() / ctx.p_edge)
-                .all(|nt| ctx.queues[nt * ctx.p_edge + self.index].is_empty())
+            && (0..ctx.p_node).all(|nt| ctx.queues[nt * ctx.p_edge + self.index].is_empty())
     }
 
     fn step_outcome(&mut self, ctx: &mut ScatterCtx<'_>, exec: &mut ExecState<'_>) -> StepOutcome {
         let layer = ctx.scatter.expect("MP unit in a region without scatter");
         let chunks_per_edge = ctx.chunks.expect("MP unit in a region without chunks");
         let flits_total = ctx.flits_total;
-        let p_node = ctx.queues.len() / ctx.p_edge;
+        let p_node = ctx.p_node;
         // Flit intake, up to `intake` pops per cycle. Receives into the
         // youngest job until its embedding is complete, then opens a
         // prefetch job from any non-empty queue.
@@ -110,6 +118,7 @@ impl MpUnit {
                                 node: flit.node,
                                 queue: q,
                                 flits_recv: 1,
+                                edges: ctx.banked.edges(self.index, flit.node).len(),
                                 edge_cursor: 0,
                                 chunk: 0,
                             });
@@ -124,32 +133,23 @@ impl MpUnit {
             }
         }
 
-        // Processing: one message chunk per cycle on the front job.
+        // Processing: one message chunk per cycle on the front job, once
+        // the chunk's share of the payload flits has arrived.
         let mut active = false;
         let mut retire = false;
         if let Some(job) = self.jobs[0].as_mut() {
-            let edges = ctx.banked.edges(self.index, job.node);
-            if job.edge_cursor < edges.len() {
-                let required = if ctx.node_granularity {
-                    flits_total
-                } else {
-                    // Chunk c of an edge needs a proportional share of the
-                    // payload flits to have arrived.
-                    (((job.chunk + 1) as usize * flits_total).div_ceil(chunks_per_edge as usize))
-                        .min(flits_total)
-                };
-                if job.flits_recv >= required {
-                    job.chunk += 1;
-                    active = true;
-                    if job.chunk == chunks_per_edge {
-                        let (dst, eid) = edges.get(job.edge_cursor);
-                        exec.mp_process_edge(ctx.model, layer, job.node, dst, eid);
-                        job.edge_cursor += 1;
-                        job.chunk = 0;
-                    }
+            if job.edge_cursor < job.edges && job.flits_recv >= ctx.flits_needed[job.chunk as usize]
+            {
+                job.chunk += 1;
+                active = true;
+                if job.chunk == chunks_per_edge {
+                    let (dst, eid) = ctx.banked.edges(self.index, job.node).get(job.edge_cursor);
+                    exec.mp_process_edge(ctx.model, layer, job.node, dst, eid);
+                    job.edge_cursor += 1;
+                    job.chunk = 0;
                 }
             }
-            if job.edge_cursor == edges.len() && job.flits_recv == flits_total {
+            if job.edge_cursor == job.edges && job.flits_recv == flits_total {
                 retire = true;
             }
         }
@@ -164,6 +164,59 @@ impl MpUnit {
             // A job exists but no chunk advanced: starved for flits.
             StepOutcome::StallEmpty
         }
+    }
+
+    /// This unit's part in a coupled jump (`ScatterCtx`'s
+    /// `CoupledJump`): its bound on the window and its role, or `None`
+    /// when it has an event this cycle the jump does not model.
+    ///
+    /// The unit *receives* when it holds two jobs, the back job still
+    /// lacks flits and its queue holds ready ones, and the front job holds
+    /// all its flits: each cycle it then pops one flit (one pop per cycle
+    /// when `P_apply ≤ P_scatter`) and processes one chunk. The bound keeps
+    /// the back job short of its last flit, the front job short of its
+    /// last chunk (which retires it), and the pops within the flits
+    /// already ready. Any other unit takes part only with a positive pure
+    /// horizon.
+    pub(crate) fn chain_role(&self, ctx: &ScatterCtx<'_>) -> Option<(u64, ChainRole)> {
+        if let [Some(front), Some(back)] = &self.jobs {
+            let ready = ctx.queues[back.queue].ready_len();
+            if back.flits_recv < ctx.flits_total && ready > 0 {
+                debug_assert_eq!(
+                    front.flits_recv, ctx.flits_total,
+                    "a back job opens only once the front job holds every flit"
+                );
+                let chunks_per_edge = ctx.chunks.expect("MP unit in a region without chunks");
+                let bound = ((ctx.flits_total - back.flits_recv - 1) as u64)
+                    .min(front.chunks_left(chunks_per_edge).saturating_sub(1))
+                    .min(ready as u64);
+                return Some((bound, ChainRole::Receive(back.queue)));
+            }
+        }
+        let (horizon, class) = self.pure_horizon(ctx);
+        (horizon > 0).then_some((horizon, ChainRole::Pure(class)))
+    }
+
+    /// Runs `window` receiving cycles of a coupled jump: pops `window`
+    /// flits into the back job and advances the front job `window`
+    /// chunks, replaying its completed edges in order.
+    pub(crate) fn receive_for(
+        &mut self,
+        window: u64,
+        ctx: &mut ScatterCtx<'_>,
+        exec: &mut ExecState<'_>,
+        stats: &mut RegionStats,
+    ) {
+        let back = self.jobs[1]
+            .as_mut()
+            .expect("a receiving unit holds two jobs");
+        let queue = &mut ctx.queues[back.queue];
+        for _ in 0..window {
+            let flit = queue.pop().expect("the window pops only ready flits");
+            debug_assert_eq!(flit.node, back.node, "interleaved node flits in queue");
+        }
+        back.flits_recv += window as usize;
+        self.fast_forward(window, PureClass::Busy, ctx, exec, stats);
     }
 }
 
@@ -189,9 +242,8 @@ impl<'a> UnitStep<ScatterCtx<'a>> for MpUnit {
     fn pure_horizon(&self, ctx: &ScatterCtx<'a>) -> (u64, PureClass) {
         let flits_total = ctx.flits_total;
         let chunks_per_edge = ctx.chunks.expect("MP unit in a region without chunks");
-        let p_node = ctx.queues.len() / ctx.p_edge;
         let owned_nonempty =
-            (0..p_node).any(|nt| !ctx.queues[nt * ctx.p_edge + self.index].is_empty());
+            (0..ctx.p_node).any(|nt| !ctx.queues[nt * ctx.p_edge + self.index].is_empty());
         let Some(front) = self.jobs[0].as_ref() else {
             return if owned_nonempty {
                 (0, PureClass::Busy) // would open a job this cycle
@@ -210,8 +262,7 @@ impl<'a> UnitStep<ScatterCtx<'a>> for MpUnit {
         }
         // No intake possible (queues are frozen while every unit is pure),
         // so only the front job's chunk counter can move.
-        let edges = ctx.banked.edges(self.index, front.node);
-        if front.edge_cursor >= edges.len() {
+        if front.edge_cursor >= front.edges {
             return if front.flits_recv == flits_total {
                 (0, PureClass::Busy) // retires the job this cycle
             } else {
@@ -227,22 +278,17 @@ impl<'a> UnitStep<ScatterCtx<'a>> for MpUnit {
             // disjoint destination set), so `fast_forward` replays them in
             // order; only the cycle that completes the *last* edge stays
             // live, because it also retires the job.
-            let span = (edges.len() - front.edge_cursor) as u64 * chunks_per_edge - front.chunk;
-            return (span - 1, PureClass::Busy);
+            return (front.chunks_left(chunks_per_edge) - 1, PureClass::Busy);
         }
-        if ctx.node_granularity {
-            return (HORIZON_INF, PureClass::StallEmpty);
-        }
-        // Flit granularity: chunk c can advance while its proportional
-        // flit share has arrived, i.e. while c + 1 <= f·chunks/flits
-        // (the integer inverse of `required` in `step`). With f below
-        // flits_total, max_reachable stays below chunks_per_edge, so no
-        // edge can complete inside this span.
-        let max_reachable = f as u64 * chunks_per_edge / flits_total as u64;
-        if front.chunk + 1 > max_reachable {
+        // Chunk c can advance once `flits_needed[c] <= f`; the table
+        // never decreases, so the chunks below `reachable` are exactly
+        // those. With f below flits_total the last chunk's share (every
+        // flit) has not arrived, so no edge can complete inside this span.
+        let reachable = ctx.flits_needed.partition_point(|&need| need <= f) as u64;
+        if reachable <= front.chunk {
             (HORIZON_INF, PureClass::StallEmpty)
         } else {
-            (max_reachable - front.chunk, PureClass::Busy)
+            (reachable - front.chunk, PureClass::Busy)
         }
     }
 
@@ -263,13 +309,16 @@ impl<'a> UnitStep<ScatterCtx<'a>> for MpUnit {
                     // `delta` chunk advances, one edge completing per
                     // `chunks_per_edge` of them. The horizon guarantees
                     // the cursor stays short of the final edge.
-                    let edges = ctx.banked.edges(self.index, job.node);
                     let progress = job.chunk + delta;
                     job.chunk = progress % chunks_per_edge;
-                    for _ in 0..progress / chunks_per_edge {
-                        let (dst, eid) = edges.get(job.edge_cursor);
-                        exec.mp_process_edge(ctx.model, layer, job.node, dst, eid);
-                        job.edge_cursor += 1;
+                    let completed = (progress / chunks_per_edge) as usize;
+                    if completed > 0 {
+                        let edges = ctx.banked.edges(self.index, job.node);
+                        for _ in 0..completed {
+                            let (dst, eid) = edges.get(job.edge_cursor);
+                            exec.mp_process_edge(ctx.model, layer, job.node, dst, eid);
+                            job.edge_cursor += 1;
+                        }
                     }
                 }
                 stats.mp_busy += delta;

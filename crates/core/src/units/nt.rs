@@ -7,7 +7,7 @@ use flowgnn_graph::NodeId;
 
 use crate::exec::ExecState;
 use crate::trace::LaneSymbol;
-use crate::units::adapter::{qindex, Flit, ScatterCtx};
+use crate::units::adapter::{qindex, ChainRole, Flit, ScatterCtx};
 use crate::units::{outcome_symbol, PureClass, RegionStats, StepOutcome, UnitStep, HORIZON_INF};
 
 /// One NT unit: owns nodes `v ≡ index (mod P_node)`, enumerated
@@ -99,11 +99,10 @@ impl NtUnit {
             } else {
                 job.elems_produced / ctx.p_scatter
             };
-            let per_cycle = ctx.p_apply.div_ceil(ctx.p_scatter).max(1);
             let mut all_delivered = true;
             for (pushed, &k) in self.pushed.iter_mut().zip(targets) {
                 let q = &mut ctx.queues[qindex(unit, k, ctx.p_edge)];
-                let mut budget = per_cycle;
+                let mut budget = ctx.push_budget;
                 while *pushed < flits_avail && budget > 0 && q.try_push(Flit { node: job.node }) {
                     *pushed += 1;
                     budget -= 1;
@@ -176,6 +175,93 @@ impl NtUnit {
         } else {
             StepOutcome::Idle
         }
+    }
+
+    /// This unit's part in a coupled jump (`ScatterCtx`'s
+    /// `CoupledJump`) once every MP unit's role is known: its bound on the
+    /// window and its role, or `None` when it has an event this cycle the
+    /// jump does not model.
+    ///
+    /// Every unit needs a positive pure horizon, so this cycle it neither
+    /// fetches nor finalises a node nor pushes into a queue with room. A
+    /// unit whose job has an undelivered target being popped *refills*:
+    /// that job must be fully produced, and when every undelivered target
+    /// is popped the window stops one cycle short of the push that
+    /// completes delivery and retires the job. Any other unit is pure.
+    pub(crate) fn chain_role(
+        &self,
+        mp_roles: &[ChainRole],
+        ctx: &ScatterCtx<'_>,
+    ) -> Option<(u64, ChainRole)> {
+        let (horizon, class) = self.pure_horizon(ctx);
+        if horizon == 0 {
+            return None;
+        }
+        let Some(job) = &self.out else {
+            return Some((horizon, ChainRole::Pure(class)));
+        };
+        let (mut refills, mut all_popped, mut most_left) = (false, true, 0);
+        for (&pushed, &k) in self.pushed.iter().zip(Self::targets(job, ctx)) {
+            if pushed == ctx.flits_total {
+                continue;
+            }
+            if mp_roles[k] == ChainRole::Receive(qindex(self.index, k, ctx.p_edge)) {
+                refills = true;
+                most_left = most_left.max(ctx.flits_total - pushed);
+            } else {
+                all_popped = false;
+            }
+        }
+        if !refills {
+            return Some((horizon, ChainRole::Pure(class)));
+        }
+        if job.elems_produced < ctx.payload {
+            return None;
+        }
+        let bound = if all_popped {
+            most_left as u64 - 1
+        } else {
+            HORIZON_INF
+        };
+        Some((bound, ChainRole::Refill))
+    }
+
+    /// Runs `window` refilling cycles of a coupled jump: each popped,
+    /// undelivered target gets one flit per cycle until delivered, and the
+    /// accumulate counter keeps counting down. The unit is busy while it
+    /// still pushes or counts, and stalled on the full queues after.
+    pub(crate) fn refill_for(
+        &mut self,
+        window: u64,
+        mp_roles: &[ChainRole],
+        ctx: &mut ScatterCtx<'_>,
+        stats: &mut RegionStats,
+    ) {
+        let job = self
+            .out
+            .as_ref()
+            .expect("a refilling unit holds an output job");
+        let mut most_pushed = 0;
+        for (pushed, &k) in self.pushed.iter_mut().zip(Self::targets(job, ctx)) {
+            let q = qindex(self.index, k, ctx.p_edge);
+            if *pushed == ctx.flits_total || mp_roles[k] != ChainRole::Receive(q) {
+                continue;
+            }
+            let refill = (ctx.flits_total - *pushed).min(window as usize);
+            for _ in 0..refill {
+                ctx.queues[q].push(Flit { node: job.node });
+            }
+            *pushed += refill;
+            most_pushed = most_pushed.max(refill as u64);
+        }
+        let counted = self.acc.as_mut().map_or(0, |(_, rem)| {
+            let counted = (*rem).min(window);
+            *rem -= counted;
+            counted
+        });
+        let busy = most_pushed.max(counted);
+        stats.nt_busy += busy;
+        stats.nt_stall += window - busy;
     }
 }
 

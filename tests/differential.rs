@@ -156,35 +156,55 @@ fn fast_forward_is_cycle_exact_everywhere() {
 
 #[test]
 fn fast_forward_is_exact_across_parallelism_corners() {
+    let _guard = KERNEL_TOGGLE_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     // Queue pressure is where horizon bugs hide: tiny queues force the
-    // StallFull paths, wide units force multi-unit interleavings.
-    let g = MoleculeLike::new(22.0, 7).node_feat_dim(9).generate(3);
+    // StallFull paths, wide units force multi-unit interleavings. The
+    // dense HEP-shaped point cloud (36 nodes, 576 edges) keeps the
+    // adapter saturated, which is where the coupled jump fires.
+    let graphs = [
+        (
+            "molecule",
+            MoleculeLike::new(22.0, 7).node_feat_dim(9).generate(3),
+        ),
+        (
+            "dense-knn",
+            KnnPointCloud::new(30.0, 16, 0).node_feat_dim(9).generate(1),
+        ),
+    ];
     for execution in [ExecutionMode::Full, ExecutionMode::TimingOnly] {
         for model in models() {
-            for (pn, pe, pa, ps) in [
-                (1, 1, 1, 1),
-                (1, 4, 2, 8),
-                (4, 1, 8, 2),
-                (4, 8, 8, 8),
-                (2, 4, 16, 4),
-            ] {
-                for cap in [1, 2, 16] {
-                    let cfg = ArchConfig::default()
-                        .with_parallelism(pn, pe, pa, ps)
-                        .with_queue_capacity(cap)
-                        .with_execution(execution);
-                    let fast =
-                        Accelerator::new(model.clone(), cfg.with_engine(EngineMode::FastForward))
-                            .run(&g);
-                    let reference =
-                        Accelerator::new(model.clone(), cfg.with_engine(EngineMode::Reference))
-                            .run(&g);
-                    let what = format!(
-                        "{} / {} / P=({pn},{pe},{pa},{ps}) cap={cap}",
-                        model.name(),
-                        execution.name()
-                    );
-                    assert_reports_identical(&fast, &reference, &what);
+            for (family, g) in &graphs {
+                for (pn, pe, pa, ps) in [
+                    (1, 1, 1, 1),
+                    (1, 4, 2, 8),
+                    (4, 1, 8, 2),
+                    (4, 8, 8, 8),
+                    (2, 4, 16, 4),
+                    (2, 4, 8, 8),
+                    (2, 4, 1, 1),
+                ] {
+                    for cap in [1, 2, 16] {
+                        let cfg = ArchConfig::default()
+                            .with_parallelism(pn, pe, pa, ps)
+                            .with_queue_capacity(cap)
+                            .with_execution(execution);
+                        let fast = Accelerator::new(
+                            model.clone(),
+                            cfg.with_engine(EngineMode::FastForward),
+                        )
+                        .run(g);
+                        let reference =
+                            Accelerator::new(model.clone(), cfg.with_engine(EngineMode::Reference))
+                                .run(g);
+                        let what = format!(
+                            "{} / {family} / {} / P=({pn},{pe},{pa},{ps}) cap={cap}",
+                            model.name(),
+                            execution.name()
+                        );
+                        assert_reports_identical(&fast, &reference, &what);
+                    }
                 }
             }
         }
