@@ -13,9 +13,9 @@
 //!
 //! On a warm cache a simulated request costs only its graph's
 //! generation, fingerprint and lookup before the queueing scan. So
-//! [`graph_fingerprint`] mixes a whole 64-bit word per step (one per
-//! edge, feature value and shape field), and
-//! [`serve_on`](crate::InferenceBackend::serve_on) under
+//! [`graph_fingerprint`] packs an edge or two feature values into each
+//! 64-bit word and spreads a slab's words over four independent hash
+//! lanes, and [`serve_on`](crate::InferenceBackend::serve_on) under
 //! [`Runtime::Sim`](crate::Runtime::Sim) hands its stream straight to
 //! the lookup without copying a graph.
 //!
@@ -42,9 +42,19 @@ use flowgnn_graph::{FeatureSource, Graph};
 use crate::config::ArchConfig;
 
 /// Content fingerprint of a graph: a 64-bit hash over the node and edge
-/// counts, the edge list, and the feature content, mixed one `u64` word
-/// per step (an edge, a feature value, a tag or a shape field) and
-/// finished with an avalanche.
+/// counts, the edge list, and the feature content, finished with an
+/// avalanche.
+///
+/// Shape fields and tags are mixed one `u64` word per step. Each bulk
+/// slab (the edge list, a dense node-feature matrix, the edge-feature
+/// matrix) is first packed into words, one edge or two `f32` bit
+/// patterns per word (an odd-length slab's last word holds one value).
+/// Word `k` of a slab steps lane `k mod 4` of four independent lanes,
+/// and the four lane states are then mixed into the main state in lane
+/// order. Two equal-length inputs that differ in a single word never
+/// collide: every step is a bijection of its state and injective in its
+/// word, equal lengths put every word in the same lane, so exactly one
+/// lane state differs, and that state is one differing word of the fold.
 ///
 /// Procedural feature sources hash their *description* (rows, dim, seed,
 /// density) rather than materialising rows — procedural rows are pure
@@ -58,17 +68,15 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
     let mut h = WordHash::new();
     h.write_u64(g.num_nodes() as u64);
     h.write_u64(g.num_edges() as u64);
-    for &(s, d) in g.edges() {
-        h.write_u64(((s as u64) << 32) | d as u64);
-    }
+    h.write_lanes(g.edges(), 1, |e| {
+        (u64::from(e[0].0) << 32) | u64::from(e[0].1)
+    });
     match g.node_features() {
         FeatureSource::Dense(m) => {
             h.write_u64(0xD0);
             h.write_u64(m.rows() as u64);
             h.write_u64(m.cols() as u64);
-            for &x in m.as_slice() {
-                h.write_u64(x.to_bits() as u64);
-            }
+            h.write_lanes(m.as_slice(), 2, pack_f32s);
         }
         FeatureSource::Procedural { rows, dim, seed } => {
             h.write_u64(0x9C);
@@ -93,21 +101,32 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
         h.write_u64(0xEF);
         h.write_u64(ef.rows() as u64);
         h.write_u64(ef.cols() as u64);
-        for &x in ef.as_slice() {
-            h.write_u64(x.to_bits() as u64);
-        }
+        h.write_lanes(ef.as_slice(), 2, pack_f32s);
     }
     h.finish()
 }
+
+/// One word from up to two `f32` values: the first value's bits in the
+/// low half, the second's (if any) in the high half.
+fn pack_f32s(pair: &[f32]) -> u64 {
+    let hi = pair.get(1).map_or(0, |x| u64::from(x.to_bits()));
+    (hi << 32) | u64::from(pair[0].to_bits())
+}
+
+/// Independent hash lanes a bulk slab is spread over, so consecutive
+/// words' multiplies overlap instead of waiting on one another.
+const LANES: usize = 4;
 
 /// A 64-bit hash fed one `u64` word per step.
 ///
 /// Each step xors the word into the state, multiplies by an odd constant
 /// and folds the high half back down with an xor-shift. All three are
-/// bijections of the state, so two equal-length inputs that differ in a
-/// single word always end in different states. [`WordHash::finish`]
-/// applies murmur3's `fmix64` avalanche, which is a bijection too and
-/// spreads every input bit over the whole output.
+/// bijections of the state, and for a fixed state the step is injective
+/// in the word, so two equal-length inputs that differ in a single word
+/// always end in different states. [`WordHash::finish`] applies murmur3's
+/// `fmix64` avalanche, which is a bijection too and spreads every input
+/// bit over the whole output.
+#[derive(Clone, Copy)]
 struct WordHash(u64);
 
 impl WordHash {
@@ -118,6 +137,25 @@ impl WordHash {
     fn write_u64(&mut self, x: u64) {
         let h = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         self.0 = h ^ (h >> 32);
+    }
+
+    /// Hashes a slab packed `per_word` items to a word by `word`: word
+    /// `k` steps lane `k mod LANES`, each lane a fresh [`WordHash`], and
+    /// the final lane states are then written to `self` in lane order.
+    fn write_lanes<T>(&mut self, items: &[T], per_word: usize, word: impl Fn(&[T]) -> u64) {
+        let mut lanes = [WordHash::new(); LANES];
+        let mut blocks = items.chunks_exact(per_word * LANES);
+        for block in blocks.by_ref() {
+            for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(per_word)) {
+                lane.write_u64(word(w));
+            }
+        }
+        for (lane, w) in lanes.iter_mut().zip(blocks.remainder().chunks(per_word)) {
+            lane.write_u64(word(w));
+        }
+        for lane in lanes {
+            self.write_u64(lane.0);
+        }
     }
 
     fn finish(&self) -> u64 {
@@ -366,12 +404,19 @@ mod tests {
         let build = |n, edges, x: &Matrix, ef: Option<&Matrix>| {
             Graph::new(n, edges, FeatureSource::dense(x.clone()), ef.cloned()).unwrap()
         };
-        let flip_lowest_bit = |m: &Matrix| {
-            let mut m = m.clone();
-            let v = &mut m.row_mut(0)[0];
-            *v = f32::from_bits(v.to_bits() ^ 1);
-            m
+        // Rewrites value `k` of a matrix's row-major slab.
+        let edit = |m: &Matrix, k: usize, f: fn(f32) -> f32| {
+            let mut v = m.as_slice().to_vec();
+            v[k] = f(v[k]);
+            Matrix::from_vec(m.rows(), m.cols(), v)
         };
+        let flip: fn(f32) -> f32 = |v| f32::from_bits(v.to_bits() ^ 1);
+        let flip_lowest_bit = |m: &Matrix| edit(m, 0, flip);
+        // Values 0 and 1 share a packed word; swapping them must show.
+        let mut pair_swapped = x.as_slice().to_vec();
+        assert_ne!(pair_swapped[0], pair_swapped[1]);
+        pair_swapped.swap(0, 1);
+        let pair_swapped = Matrix::from_vec(n, x.cols(), pair_swapped);
         let mut moved = edges.clone();
         moved[0].1 = (moved[0].1 + 1) % n as u32;
         let mut swapped = edges.clone();
@@ -396,11 +441,29 @@ mod tests {
                 "isolated node",
                 build(n + 1, edges.clone(), &grown, Some(ef)),
             ),
-            ("no edge features", build(n, edges, x, None)),
+            ("no edge features", build(n, edges.clone(), x, None)),
+            (
+                "packed pair swap",
+                build(n, edges.clone(), &pair_swapped, Some(ef)),
+            ),
         ];
         for (what, g) in &variants {
             assert_ne!(fp(g), fp(&g0), "{what}");
         }
+        // One flip in each of the four lanes: word `lane` holds values
+        // `2 lane` and `2 lane + 1`.
+        for lane in 0..LANES {
+            let g = build(n, edges.clone(), &edit(x, 2 * lane + 1, flip), Some(ef));
+            assert_ne!(fp(&g), fp(&g0), "lane {lane}");
+        }
+        // +0.0 and -0.0 compare equal but are different inputs.
+        let signed_zero =
+            |z: fn(f32) -> f32| fp(&build(n, edges.clone(), x, Some(&edit(ef, 0, z))));
+        assert_ne!(signed_zero(|_| 0.0), signed_zero(|_| -0.0));
+        // An odd-length slab's last word holds one value; it still counts.
+        let odd = Matrix::from_vec(3, 3, (0..9).map(|v| v as f32).collect());
+        let tiny = |x: &Matrix| fp(&build(3, vec![(0, 1)], x, None));
+        assert_ne!(tiny(&odd), tiny(&edit(&odd, 8, flip)));
 
         // Procedural sources hash their description, field by field.
         let with = |f: FeatureSource| Graph::new(f.rows(), vec![(0, 1)], f, None).unwrap();

@@ -56,8 +56,8 @@ use super::live::LiveWorker;
 use super::queue::{AdmissionPolicy, AdmissionShard, OfferOutcome, QueuePolicy};
 use super::report::RequestRecord;
 use super::report::{
-    percentile_nearest_rank, summarize, ClassStats, CycleDomain, EndpointStats, ReplicaStats,
-    ServeReport, TimeDomain, WallDomain,
+    class_summaries, summarize, CycleDomain, EndpointStats, ReplicaStats, ServeReport, TimeDomain,
+    WallDomain,
 };
 use super::sim::ReplicaSim;
 use super::RuntimeReport;
@@ -72,7 +72,8 @@ const SIM_SAMPLE_EVERY: usize = 64;
 /// full admission queue, and what latency they were promised.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestClass {
-    /// Tenant identifier (appears in [`ClassStats::name`]).
+    /// Tenant identifier (appears in
+    /// [`ClassStats::name`](super::ClassStats::name)).
     pub name: String,
     /// Admission priority: at a full queue under
     /// [`AdmissionPolicy::Priority`], an arrival displaces a waiting
@@ -80,7 +81,8 @@ pub struct RequestClass {
     /// on service order.
     pub priority: u8,
     /// The class's sojourn-latency objective in milliseconds, if any;
-    /// [`ClassStats::slo_attainment`] is measured against it.
+    /// [`ClassStats::slo_attainment`](super::ClassStats::slo_attainment)
+    /// is measured against it.
     pub slo_ms: Option<f64>,
 }
 
@@ -136,8 +138,8 @@ pub enum FleetError {
     /// The run was given zero requests: there is nothing to serve and no
     /// meaningful report to build.
     EmptyTrace,
-    /// [`percentile_nearest_rank`] was given an empty sample: no rank
-    /// exists to select.
+    /// [`percentile_nearest_rank`](super::percentile_nearest_rank) was
+    /// given an empty sample: no rank exists to select.
     EmptySample,
     /// A report carries no per-replica stats, so there is no pool to
     /// describe.
@@ -565,61 +567,6 @@ fn validate_fleet(
     Ok(requests)
 }
 
-/// Cuts per-class tails and SLO attainment from a run's records: the
-/// same percentile math as the global summary, restricted to each
-/// class's requests. Attainment is over *offered* requests — a dropped
-/// request fails its class SLO by definition.
-fn class_summaries<D: TimeDomain>(
-    records: &[RequestRecord],
-    class_of: &[usize],
-    classes: &[RequestClass],
-) -> Vec<ClassStats> {
-    classes
-        .iter()
-        .enumerate()
-        .map(|(c, class)| {
-            let mine: Vec<&RequestRecord> = records
-                .iter()
-                .zip(class_of)
-                .filter(|&(_, &cc)| cc == c)
-                .map(|(r, _)| r)
-                .collect();
-            let requests = mine.len();
-            let dropped = mine.iter().filter(|r| r.dropped).count();
-            let mut sojourns_ms: Vec<f64> = mine
-                .iter()
-                .filter(|r| !r.dropped)
-                .map(|r| D::to_ms(r.sojourn_cycles()))
-                .collect();
-            sojourns_ms.sort_by(f64::total_cmp);
-            let pct = |p| {
-                if sojourns_ms.is_empty() {
-                    0.0
-                } else {
-                    percentile_nearest_rank(&sojourns_ms, p).expect("non-empty sample")
-                }
-            };
-            let slo_attainment = class.slo_ms.map(|slo| {
-                let within = sojourns_ms.iter().filter(|&&ms| ms <= slo).count();
-                within as f64 / requests.max(1) as f64
-            });
-            ClassStats {
-                name: class.name.clone(),
-                priority: class.priority,
-                slo_ms: class.slo_ms,
-                requests,
-                completed: requests - dropped,
-                dropped,
-                p50_ms: pct(50.0),
-                p95_ms: pct(95.0),
-                p99_ms: pct(99.0),
-                max_ms: sojourns_ms.last().copied().unwrap_or(0.0),
-                slo_attainment,
-            }
-        })
-        .collect()
-}
-
 /// Aggregates per-replica stats into per-endpoint entries in registry
 /// order (cache counters stay `None` — the queueing loops never touch a
 /// backend's trace cache).
@@ -711,7 +658,7 @@ pub(crate) fn fleet_sim(
         if rep.free_at <= arrival {
             // Idle replica (advance drained its queue): serve on arrival.
             rep.serve_now(i, arrival, target, batch, service, &mut records);
-        } else if rep.waiting.len() >= capacity {
+        } else if rep.waiting().len() >= capacity {
             // Full queue: resolve per the admission policy. The victim
             // rule matches AdmissionShard::offer_prioritized exactly —
             // displace the rightmost lowest-priority waiting request iff
@@ -720,7 +667,7 @@ pub(crate) fn fleet_sim(
             let victim = match config.admission {
                 AdmissionPolicy::Fifo => None,
                 AdmissionPolicy::Priority => rep
-                    .waiting
+                    .waiting()
                     .iter()
                     .enumerate()
                     .fold(None, |best: Option<(usize, u8)>, (pos, &j)| match best {
@@ -731,7 +678,7 @@ pub(crate) fn fleet_sim(
             };
             match victim {
                 Some((pos, _)) => {
-                    let v = rep.waiting.remove(pos).expect("victim position in range");
+                    let v = rep.displace(pos, service);
                     records[v] = RequestRecord {
                         arrival: arrivals[v],
                         start: arrivals[v],
@@ -739,7 +686,7 @@ pub(crate) fn fleet_sim(
                         dropped: true,
                         replica: target,
                     };
-                    rep.waiting.push_back(i);
+                    rep.enqueue(i, service);
                     if let Some(m) = metrics {
                         m.dropped.inc();
                         m.displaced.inc();
@@ -759,11 +706,11 @@ pub(crate) fn fleet_sim(
                 }
             }
         } else {
-            rep.waiting.push_back(i);
+            rep.enqueue(i, service);
         }
         if let (Some(m), Some(b)) = (metrics, bound.as_ref()) {
             for (g, gauge) in b.depth.iter().enumerate() {
-                gauge.set(pool[g].waiting.len() as f64);
+                gauge.set(pool[g].waiting().len() as f64);
             }
             if i % SIM_SAMPLE_EVERY == 0 {
                 m.registry().sample(CycleDomain::to_ms(arrival));

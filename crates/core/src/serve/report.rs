@@ -14,7 +14,7 @@ use std::marker::PhantomData;
 
 use flowgnn_desim::{cycles_to_ms, Cycle};
 
-use super::FleetError;
+use super::{FleetError, RequestClass};
 
 /// A timeline a serving run is accounted on: the raw `u64` stamps in
 /// [`RequestRecord`] and [`ServeReport`] are in this domain's unit, and
@@ -24,7 +24,9 @@ pub trait TimeDomain {
     /// Human-readable name of the raw timeline unit (`"cycles"`, `"ns"`).
     const UNIT: &'static str;
 
-    /// Converts a raw timeline stamp or span to milliseconds.
+    /// Converts a raw timeline stamp or span to milliseconds. Must be
+    /// non-decreasing: the summaries sort raw spans and convert only the
+    /// ranks they report.
     fn to_ms(raw: u64) -> f64;
 }
 
@@ -316,9 +318,14 @@ pub fn percentile_nearest_rank(sorted: &[f64], p: f64) -> Result<f64, FleetError
     if sorted.is_empty() {
         return Err(FleetError::EmptySample);
     }
-    let n = sorted.len();
+    Ok(sorted[nearest_rank(sorted.len(), p)])
+}
+
+/// The 0-based index of [`percentile_nearest_rank`]'s rank for `p` in an
+/// ascending sample of `n > 0` values.
+fn nearest_rank(n: usize, p: f64) -> usize {
     let rank = ((p / 100.0) * n as f64).ceil() as usize;
-    Ok(sorted[rank.clamp(1, n) - 1])
+    rank.clamp(1, n) - 1
 }
 
 /// Summarises one serving run's records into a report in domain `D`: the
@@ -332,23 +339,9 @@ pub(crate) fn summarize<D: TimeDomain>(
     let completed: Vec<&RequestRecord> = records.iter().filter(|r| !r.dropped).collect();
     let dropped = requests - completed.len();
 
-    let mut sojourns_ms: Vec<f64> = completed
-        .iter()
-        .map(|r| D::to_ms(r.sojourn_cycles()))
-        .collect();
-    sojourns_ms.sort_by(f64::total_cmp);
-
-    let (p50_ms, p95_ms, p99_ms, max_ms) = if sojourns_ms.is_empty() {
-        (0.0, 0.0, 0.0, 0.0)
-    } else {
-        let pct = |p| percentile_nearest_rank(&sojourns_ms, p).expect("non-empty sample");
-        (
-            pct(50.0),
-            pct(95.0),
-            pct(99.0),
-            *sojourns_ms.last().unwrap(),
-        )
-    };
+    let mut sojourns: Vec<u64> = completed.iter().map(|r| r.sojourn_cycles()).collect();
+    sojourns.sort_unstable();
+    let [p50_ms, p95_ms, p99_ms, max_ms] = tails_ms::<D>(&sojourns);
     let n = completed.len().max(1) as f64;
     let mean_wait_ms = completed
         .iter()
@@ -379,6 +372,69 @@ pub(crate) fn summarize<D: TimeDomain>(
         per_endpoint: Vec::new(),
         _domain: PhantomData,
     }
+}
+
+/// Nearest-rank p50, p95 and p99 and the maximum of an ascending sample
+/// of raw sojourns, in milliseconds; all zero for an empty sample. Only
+/// the four selected spans are converted: `to_ms` is non-decreasing, so
+/// converting first and sorting after would select the same values.
+fn tails_ms<D: TimeDomain>(sorted: &[u64]) -> [f64; 4] {
+    let Some(&max) = sorted.last() else {
+        return [0.0; 4];
+    };
+    let pct = |p| D::to_ms(sorted[nearest_rank(sorted.len(), p)]);
+    [pct(50.0), pct(95.0), pct(99.0), D::to_ms(max)]
+}
+
+/// Cuts per-class tails and SLO attainment from a run's records: the
+/// same percentile math as the global summary, restricted to each
+/// class's requests. Attainment is over *offered* requests — a dropped
+/// request fails its class SLO by definition.
+pub(crate) fn class_summaries<D: TimeDomain>(
+    records: &[RequestRecord],
+    class_of: &[usize],
+    classes: &[RequestClass],
+) -> Vec<ClassStats> {
+    classes
+        .iter()
+        .enumerate()
+        .map(|(c, class)| {
+            let mine: Vec<&RequestRecord> = records
+                .iter()
+                .zip(class_of)
+                .filter(|&(_, &cc)| cc == c)
+                .map(|(r, _)| r)
+                .collect();
+            let requests = mine.len();
+            let dropped = mine.iter().filter(|r| r.dropped).count();
+            let mut sojourns: Vec<u64> = mine
+                .iter()
+                .filter(|r| !r.dropped)
+                .map(|r| r.sojourn_cycles())
+                .collect();
+            sojourns.sort_unstable();
+            let [p50_ms, p95_ms, p99_ms, max_ms] = tails_ms::<D>(&sojourns);
+            // The sojourns within the SLO are a prefix of the sorted
+            // sample, since `to_ms` is non-decreasing.
+            let slo_attainment = class.slo_ms.map(|slo| {
+                let within = sojourns.partition_point(|&c| D::to_ms(c) <= slo);
+                within as f64 / requests.max(1) as f64
+            });
+            ClassStats {
+                name: class.name.clone(),
+                priority: class.priority,
+                slo_ms: class.slo_ms,
+                requests,
+                completed: requests - dropped,
+                dropped,
+                p50_ms,
+                p95_ms,
+                p99_ms,
+                max_ms,
+                slo_attainment,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -429,6 +485,110 @@ mod tests {
         // 1e6 nanoseconds is one millisecond.
         assert_eq!(WallDomain::to_ms(1_000_000), 1.0);
         assert_eq!(WallDomain::UNIT, "ns");
+    }
+
+    /// Reference tails and SLO attainment in `f64`: convert every
+    /// sojourn, sort by `total_cmp`, pick ranks, and count SLO hits over
+    /// the whole sample.
+    fn f64_path<D: TimeDomain>(
+        sojourns: &[u64],
+        slo_ms: Option<f64>,
+        offered: usize,
+    ) -> ([u64; 4], Option<u64>) {
+        let mut ms: Vec<f64> = sojourns.iter().map(|&c| D::to_ms(c)).collect();
+        ms.sort_by(f64::total_cmp);
+        let tails = match ms.last() {
+            None => [0.0; 4],
+            Some(&max) => {
+                let n = ms.len();
+                let pct = |p: f64| ms[(((p / 100.0) * n as f64).ceil() as usize).clamp(1, n) - 1];
+                [pct(50.0), pct(95.0), pct(99.0), max]
+            }
+        };
+        let slo = slo_ms.map(|slo| {
+            let within = ms.iter().filter(|&&x| x <= slo).count();
+            (within as f64 / offered.max(1) as f64).to_bits()
+        });
+        (tails.map(f64::to_bits), slo)
+    }
+
+    fn check_against_f64_path<D: TimeDomain>(records: &[RequestRecord], class_of: &[usize]) {
+        // SLOs on a tied sojourn's exact millisecond value, between
+        // values, and none; class 3 draws no requests.
+        let classes = [
+            RequestClass::new("tied", 2).with_slo_ms(D::to_ms(30_000)),
+            RequestClass::new("between", 1).with_slo_ms(0.7),
+            RequestClass::new("none", 0),
+            RequestClass::new("empty", 0).with_slo_ms(1.0),
+        ];
+        let sojourns = |keep: &dyn Fn(usize) -> bool| -> Vec<u64> {
+            records
+                .iter()
+                .enumerate()
+                .filter(|&(i, r)| !r.dropped && keep(i))
+                .map(|(_, r)| r.sojourn_cycles())
+                .collect()
+        };
+        let report: ServeReport<D> = summarize(records.to_vec(), Vec::new());
+        let got = [report.p50_ms, report.p95_ms, report.p99_ms, report.max_ms];
+        let (want, _) = f64_path::<D>(&sojourns(&|_| true), None, records.len());
+        assert_eq!(got.map(f64::to_bits), want, "{}", D::UNIT);
+        for (c, stats) in class_summaries::<D>(records, class_of, &classes)
+            .iter()
+            .enumerate()
+        {
+            let mine = sojourns(&|i| class_of[i] == c);
+            let (want, slo) = f64_path::<D>(&mine, classes[c].slo_ms, stats.requests);
+            let got = [stats.p50_ms, stats.p95_ms, stats.p99_ms, stats.max_ms];
+            assert_eq!(got.map(f64::to_bits), want, "{} class {c}", D::UNIT);
+            assert_eq!(
+                stats.slo_attainment.map(f64::to_bits),
+                slo,
+                "{} class {c}",
+                D::UNIT
+            );
+        }
+    }
+
+    #[test]
+    fn summaries_match_the_f64_sort_path() {
+        // Ties come from a small pool of spans; the spans past 2^53
+        // collide once converted to f64.
+        let pool = [
+            1,
+            30_000,
+            30_000,
+            300_000,
+            (1 << 53) + 1,
+            1 << 60,
+            (1 << 60) + 1,
+        ];
+        let mut rng = flowgnn_rng::Rng::seed_from_u64(0x5E55);
+        for _ in 0..40 {
+            let n = rng.gen_range(1usize..300);
+            let mut class_of = Vec::with_capacity(n);
+            let records: Vec<RequestRecord> = (0..n)
+                .map(|_| {
+                    class_of.push(rng.gen_range(0usize..3));
+                    let arrival = rng.gen_range(0u64..1_000_000);
+                    let sojourn = if rng.gen_bool(0.5) {
+                        pool[rng.gen_range(0..pool.len())]
+                    } else {
+                        rng.gen_range(0u64..1_000_000)
+                    };
+                    let dropped = rng.gen_bool(0.2);
+                    RequestRecord {
+                        arrival,
+                        start: arrival + if dropped { 0 } else { sojourn / 3 },
+                        finish: arrival + if dropped { 0 } else { sojourn },
+                        dropped,
+                        replica: 0,
+                    }
+                })
+                .collect();
+            check_against_f64_path::<CycleDomain>(&records, &class_of);
+            check_against_f64_path::<WallDomain>(&records, &class_of);
+        }
     }
 
     #[test]

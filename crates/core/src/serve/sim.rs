@@ -25,7 +25,10 @@ pub(crate) struct ReplicaSim {
     /// then; idle if `free_at <= now` and the queue is empty).
     pub(crate) free_at: Cycle,
     /// Indices of dispatched requests that have not started service.
-    pub(crate) waiting: VecDeque<usize>,
+    waiting: VecDeque<usize>,
+    /// The sum of `waiting`'s service costs, kept in step with every
+    /// enqueue, start and displacement so `pending_work` is O(1).
+    waiting_work: Cycle,
     pub(crate) busy_cycles: Cycle,
     pub(crate) completed: usize,
 }
@@ -35,6 +38,7 @@ impl ReplicaSim {
         Self {
             free_at: 0,
             waiting: VecDeque::new(),
+            waiting_work: 0,
             busy_cycles: 0,
             completed: 0,
         }
@@ -64,6 +68,7 @@ impl ReplicaSim {
             let finish = start + duration;
             for _ in 0..take {
                 let i = self.waiting.pop_front().expect("take <= waiting.len()");
+                self.waiting_work -= service[i];
                 records[i] = RequestRecord {
                     arrival: arrivals[i],
                     start,
@@ -84,14 +89,40 @@ impl ReplicaSim {
         self.waiting.len() + usize::from(self.free_at > now)
     }
 
+    /// Requests dispatched here that have not started service, in FIFO
+    /// order.
+    pub(crate) fn waiting(&self) -> &VecDeque<usize> {
+        &self.waiting
+    }
+
+    /// Queues request `i`, which costs `service[i]` on this replica.
+    pub(crate) fn enqueue(&mut self, i: usize, service: &[Cycle]) {
+        self.waiting.push_back(i);
+        self.waiting_work += service[i];
+    }
+
+    /// Removes and returns the waiting request at queue position `pos`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is out of range.
+    pub(crate) fn displace(&mut self, pos: usize, service: &[Cycle]) -> usize {
+        let v = self.waiting.remove(pos).expect("victim position in range");
+        self.waiting_work -= service[v];
+        v
+    }
+
     /// The work outstanding on this replica at `now`, in cycles: the
     /// remainder of the in-flight service event plus every waiting
     /// request's service time. Cost-based routing adds the candidate
-    /// request's own cost to this to estimate its completion time;
-    /// computed on demand so the legacy policies (which never consult the
-    /// cost closure) leave the scan untouched.
+    /// request's own cost to this to estimate its completion time.
     pub(crate) fn pending_work(&self, now: Cycle, service: &[Cycle]) -> Cycle {
-        self.free_at.saturating_sub(now) + self.waiting.iter().map(|&j| service[j]).sum::<Cycle>()
+        debug_assert_eq!(
+            self.waiting_work,
+            self.waiting.iter().map(|&j| service[j]).sum::<Cycle>(),
+            "running work sum out of step with the waiting queue"
+        );
+        self.free_at.saturating_sub(now) + self.waiting_work
     }
 
     /// Serves `i` immediately at `now` as a batch of one (the replica is

@@ -97,8 +97,9 @@ impl GraphGenerator for MoleculeLike {
         let n = rng.gen_range(lo..=hi.max(lo));
 
         let mut degree = vec![0usize; n];
-        // Undirected bonds (u, v); expanded to two directed edges below.
-        let mut bonds: Vec<(NodeId, NodeId)> = Vec::with_capacity(n + 4);
+        // Each undirected bond (u, v) goes in as the directed pair
+        // (u, v), (v, u), so `edges` holds both directions of every bond.
+        let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(2 * (n + 4));
 
         // Random tree skeleton with bounded valence: attach each new atom to
         // a uniformly random earlier atom that still has a free valence slot.
@@ -116,7 +117,7 @@ impl GraphGenerator for MoleculeLike {
             }
             degree[u] += 1;
             degree[v] += 1;
-            bonds.push((u as NodeId, v as NodeId));
+            edges.extend([(u as NodeId, v as NodeId), (v as NodeId, u as NodeId)]);
         }
 
         // Ring closures: geometric draw around mean_rings additional bonds
@@ -132,47 +133,39 @@ impl GraphGenerator for MoleculeLike {
                 continue;
             }
             let (a, b) = (u.min(v) as NodeId, u.max(v) as NodeId);
-            if bonds
-                .iter()
-                .any(|&(x, y)| (x, y) == (a, b) || (y, x) == (a, b))
-            {
+            if edges.contains(&(a, b)) {
                 continue;
             }
             degree[u] += 1;
             degree[v] += 1;
-            bonds.push((a, b));
+            edges.extend([(a, b), (b, a)]);
             closed += 1;
         }
 
-        // Expand to directed edges; both directions of a bond share its
-        // feature row, as OGB does.
-        let mut edges = Vec::with_capacity(bonds.len() * 2);
-        let mut edge_feat = Vec::with_capacity(bonds.len() * 2 * self.edge_feat_dim);
-        for &(u, v) in &bonds {
-            let feat: Vec<f32> = (0..self.edge_feat_dim)
-                .map(|_| rng.gen_range(-1.0..=1.0))
-                .collect();
-            edges.push((u, v));
-            edge_feat.extend_from_slice(&feat);
-            edges.push((v, u));
-            edge_feat.extend_from_slice(&feat);
+        // Both directions of a bond share its feature row, as OGB does:
+        // draw the forward row, then repeat it for the reverse edge.
+        let mut edge_feat = Vec::with_capacity(edges.len() * self.edge_feat_dim);
+        for _ in 0..edges.len() / 2 {
+            let row = edge_feat.len();
+            edge_feat.extend((0..self.edge_feat_dim).map(|_| rng.gen_range(-1.0f32..=1.0)));
+            edge_feat.extend_from_within(row..);
         }
 
-        let mut node_feat = Vec::with_capacity(n * self.node_feat_dim);
-        for _ in 0..n * self.node_feat_dim {
-            node_feat.push(rng.gen_range(-1.0..=1.0));
-        }
+        let node_feat: Vec<f32> = (0..n * self.node_feat_dim)
+            .map(|_| rng.gen_range(-1.0..=1.0))
+            .collect();
 
+        let num_edges = edges.len();
         Graph::new(
             n,
-            edges.clone(),
+            edges,
             FeatureSource::dense(flowgnn_tensor::Matrix::from_vec(
                 n,
                 self.node_feat_dim,
                 node_feat,
             )),
             Some(flowgnn_tensor::Matrix::from_vec(
-                edges.len(),
+                num_edges,
                 self.edge_feat_dim,
                 edge_feat,
             )),
@@ -263,6 +256,24 @@ mod tests {
             assert_eq!(edges[i].0, edges[i + 1].1);
             assert_eq!(edges[i].1, edges[i + 1].0);
             assert_eq!(g.edge_feature(i), g.edge_feature(i + 1));
+        }
+    }
+
+    #[test]
+    fn zero_feature_dims_keep_the_structure() {
+        // Features are drawn after the bonds, so dropping either feature
+        // kind leaves every edge where it was.
+        let gen = MoleculeLike::new(25.3, 5);
+        for i in 0..8 {
+            let g = gen.generate(i);
+            let no_edge_feat = gen.clone().edge_feat_dim(0).generate(i);
+            assert_eq!(no_edge_feat.edges(), g.edges());
+            assert_eq!(no_edge_feat.edge_feature_dim(), Some(0));
+            assert_eq!(no_edge_feat.node_feature_dim(), 9);
+            let no_node_feat = gen.clone().node_feat_dim(0).generate(i);
+            assert_eq!(no_node_feat.edges(), g.edges());
+            assert_eq!(no_node_feat.node_feature_dim(), 0);
+            assert_eq!(no_node_feat.edge_feature_matrix(), g.edge_feature_matrix());
         }
     }
 

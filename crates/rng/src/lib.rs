@@ -105,18 +105,24 @@ impl Rng {
     /// Uniform `u64` in `[0, bound)` by widening multiply with rejection
     /// (Lemire's method): unbiased and allocation-free.
     ///
+    /// A draw is rejected while its low word is below the threshold
+    /// `2^64 mod bound`, which is itself below `bound`. So the division
+    /// that computes the threshold runs only for a low word below `bound`;
+    /// the accepted draws are the same either way.
+    ///
     /// # Panics
     ///
     /// Panics if `bound == 0`.
     pub fn bounded_u64(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "empty sampling range");
-        let threshold = bound.wrapping_neg() % bound;
-        loop {
-            let wide = u128::from(self.next_u64()) * u128::from(bound);
-            if wide as u64 >= threshold {
-                return (wide >> 64) as u64;
+        let mut wide = u128::from(self.next_u64()) * u128::from(bound);
+        if (wide as u64) < bound {
+            let threshold = bound.wrapping_neg() % bound;
+            while (wide as u64) < threshold {
+                wide = u128::from(self.next_u64()) * u128::from(bound);
             }
         }
+        (wide >> 64) as u64
     }
 
     /// Uniform draw from a range, mirroring `rand`'s `gen_range`.
@@ -235,6 +241,34 @@ mod tests {
         }
         for &c in &counts {
             assert!((8_000..12_000).contains(&c), "{counts:?}");
+        }
+    }
+
+    #[test]
+    fn bounded_matches_the_eager_threshold_loop() {
+        // Lemire's method with the threshold computed before every draw.
+        fn eager(rng: &mut Rng, bound: u64) -> u64 {
+            let threshold = bound.wrapping_neg() % bound;
+            loop {
+                let wide = u128::from(rng.next_u64()) * u128::from(bound);
+                if wide as u64 >= threshold {
+                    return (wide >> 64) as u64;
+                }
+            }
+        }
+        // 2^63 + 1 rejects almost half its draws, so the threshold path
+        // runs there.
+        for bound in [1, 2, 3, 7, 49, (1 << 32) + 1, (1 << 63) + 1, u64::MAX] {
+            let mut lazy = Rng::seed_from_u64(bound);
+            let mut reference = lazy.clone();
+            for k in 0..100_000 {
+                assert_eq!(
+                    lazy.bounded_u64(bound),
+                    eager(&mut reference, bound),
+                    "bound {bound}, draw {k}"
+                );
+            }
+            assert_eq!(lazy, reference, "bound {bound}: streams fell out of step");
         }
     }
 

@@ -27,6 +27,50 @@ fn generator_goldens_are_stable() {
     assert_eq!(cora.num_edges(), 5429);
 }
 
+/// FNV-1a over a graph's node count, edges and every node- and edge-feature
+/// bit pattern, so a generator or RNG rewrite that moves any bit shows.
+fn fnv1a_graph_bits(hash: &mut u64, g: &flowgnn::graph::Graph) {
+    let mut feed = |word: u64| {
+        for byte in word.to_le_bytes() {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    feed(g.num_nodes() as u64);
+    feed(g.num_edges() as u64);
+    for &(s, d) in g.edges() {
+        feed((u64::from(s) << 32) | u64::from(d));
+    }
+    let x = g.node_features().materialize();
+    feed(x.cols() as u64);
+    for &v in x.as_slice() {
+        feed(u64::from(v.to_bits()));
+    }
+    match g.edge_feature_matrix() {
+        Some(ef) => {
+            feed(ef.cols() as u64);
+            for &v in ef.as_slice() {
+                feed(u64::from(v.to_bits()));
+            }
+        }
+        None => feed(u64::MAX),
+    }
+}
+
+#[test]
+fn generated_graph_bits_are_pinned() {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for (kind, count) in [
+        (DatasetKind::MolHiv, 64),
+        (DatasetKind::MolPcba, 64),
+        (DatasetKind::Hep, 8),
+    ] {
+        for g in DatasetSpec::standard(kind).stream().take(count) {
+            fnv1a_graph_bits(&mut hash, &g);
+        }
+    }
+    assert_eq!(hash, 0x0721_7dd9_52fa_9889, "generated graph bits drifted");
+}
+
 #[test]
 fn model_weight_goldens_are_stable() {
     let m = GnnModel::gin(9, Some(3), 42);

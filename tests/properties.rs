@@ -402,7 +402,8 @@ fn random_fleet_workload(
 /// if the server sat idle. Priority admission only changes *which*
 /// requests survive a full queue, never when surviving work runs, so the
 /// invariant holds for both policies over random fleets, class mixes, and
-/// queue bounds.
+/// queue bounds. Each fleet also runs under cost-based routing, which
+/// reads the replicas' outstanding work while displacements change it.
 #[test]
 fn fleet_admission_is_work_conserving() {
     let mut rng = Rng::seed_from_u64(0x000F_1EE7_0001);
@@ -430,27 +431,30 @@ fn fleet_admission_is_work_conserving() {
             total_replicas += replicas;
             builder = builder.endpoint(ModelEndpoint::new(format!("e{e}"), replicas));
         }
-        let config = builder.build().unwrap();
-        let report = run_sim(&costs, &class_of, &config);
+        for policy in [DispatchPolicy::RoundRobin, DispatchPolicy::CostBased] {
+            let config = builder.clone().policy(policy).build().unwrap();
+            let report = run_sim(&costs, &class_of, &config);
 
-        for replica in 0..total_replicas {
-            let mut served: Vec<_> = report
-                .records
-                .iter()
-                .filter(|rec| !rec.dropped && rec.replica == replica)
-                .collect();
-            served.sort_by_key(|rec| rec.start);
-            let mut prev_finish = 0u64;
-            for (k, rec) in served.iter().enumerate() {
-                let what =
-                    format!("{admission:?} cap={capacity} gap={gap} replica {replica} job {k}");
-                assert!(rec.finish > rec.start, "{what}: zero-length service");
-                assert_eq!(
-                    rec.start,
-                    prev_finish.max(rec.arrival),
-                    "{what}: replica idled with admitted work waiting"
-                );
-                prev_finish = rec.finish;
+            for replica in 0..total_replicas {
+                let mut served: Vec<_> = report
+                    .records
+                    .iter()
+                    .filter(|rec| !rec.dropped && rec.replica == replica)
+                    .collect();
+                served.sort_by_key(|rec| rec.start);
+                let mut prev_finish = 0u64;
+                for (k, rec) in served.iter().enumerate() {
+                    let what = format!(
+                        "{admission:?} {policy:?} cap={capacity} gap={gap} replica {replica} job {k}"
+                    );
+                    assert!(rec.finish > rec.start, "{what}: zero-length service");
+                    assert_eq!(
+                        rec.start,
+                        prev_finish.max(rec.arrival),
+                        "{what}: replica idled with admitted work waiting"
+                    );
+                    prev_finish = rec.finish;
+                }
             }
         }
     }
