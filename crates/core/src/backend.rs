@@ -2,10 +2,10 @@
 //!
 //! The paper's evaluation (Tables V/VI/VIII, Figs. 7/8) compares FlowGNN
 //! against CPU, GPU, I-GCN, and AWB-GCN. [`InferenceBackend`] is the one
-//! interface all of those speak: the cycle-level [`Accelerator`], the
-//! closed-form [`crate::AnalyticModel`], and the baseline platform models
-//! in `flowgnn-baselines` all implement it, so experiment drivers iterate
-//! over `&dyn InferenceBackend` rows instead of matching on platforms.
+//! interface all of those speak: the cycle-level [`Accelerator`] and the
+//! baseline platform models in `flowgnn-baselines` both implement it, so
+//! experiment drivers iterate over `&dyn InferenceBackend` rows instead
+//! of matching on platforms.
 
 use std::time::Duration;
 
@@ -80,9 +80,9 @@ impl BackendReport {
 ///
 /// Implementors fall into two classes:
 ///
-/// - **graph-exact** platforms ([`Accelerator`], `AnalyticModel`, the
-///   I-GCN/AWB-GCN models) need the actual graph: [`Self::run_graph`] is
-///   primary and [`Self::run_shape`] returns `None`;
+/// - **graph-exact** platforms ([`Accelerator`], the I-GCN/AWB-GCN
+///   models) need the actual graph: [`Self::run_graph`] is primary and
+///   [`Self::run_shape`] returns `None`;
 /// - **shape-based** cost models (the CPU/GPU platforms) are functions of
 ///   `(nodes, edges)` only: they implement [`Self::run_shape`] and derive
 ///   [`Self::run_graph`] from each graph's shape.
@@ -121,8 +121,8 @@ pub trait InferenceBackend {
     /// The default runs each graph independently through
     /// [`Self::run_graph`] and takes arithmetic means — the paper's
     /// batch-1 protocol for platforms with no inter-graph state.
-    /// Platforms with cross-graph effects (weight-load amortisation,
-    /// stream pipelining) override this.
+    /// Platforms with cross-graph effects (weight-load amortisation)
+    /// override this.
     ///
     /// # Panics
     ///
@@ -178,7 +178,7 @@ pub trait InferenceBackend {
     /// `limit` graphs of `stream` as an *open-loop* request trace:
     /// graphs arrive per `config.arrivals`, are dispatched across the
     /// replicas by `config.policy`, wait in per-replica bounded admission
-    /// queues, and are serviced (optionally in micro-batches). The
+    /// queues, and are served one at a time. The
     /// [`ServeReport`](crate::ServeReport) inside the result decomposes
     /// each request into queueing wait plus service and summarises the
     /// p50/p95/p99/max sojourn tails, drops, and per-replica, per-class,
@@ -394,7 +394,7 @@ impl InferenceBackend for Accelerator {
 mod tests {
     use super::*;
     use crate::serve::{ArrivalProcess, FleetConfigBuilder};
-    use crate::{AnalyticModel, ArchConfig, ExecutionMode};
+    use crate::{ArchConfig, ExecutionMode};
     use flowgnn_graph::generators::{GraphGenerator, MoleculeLike};
     use flowgnn_models::GnnModel;
 
@@ -543,16 +543,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn analytic_and_cycle_backends_agree_roughly() {
-        let g = MoleculeLike::new(20.0, 3).generate(0);
-        let model = GnnModel::gcn(9, 1);
-        let cfg = ArchConfig::default();
-        let exact = Accelerator::new(model.clone(), cfg).run_graph(&g);
-        let est = AnalyticModel::new(model, cfg).run_graph(&g);
-        let ratio = exact.latency_ms / est.latency_ms;
-        assert!((0.33..=3.0).contains(&ratio), "ratio {ratio}");
     }
 }

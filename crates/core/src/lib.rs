@@ -48,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod analytic;
 mod backend;
 pub mod cache;
 mod config;
@@ -65,7 +64,6 @@ mod stream;
 mod trace;
 mod units;
 
-pub use analytic::{analytic_cycles, AnalyticModel};
 pub use backend::{BackendReport, InferenceBackend};
 pub use cache::{graph_fingerprint, CacheStats, ServiceTraceCache};
 pub use config::{ArchConfig, EngineMode, ExecutionMode, GatherBanking, PipelineStrategy};
@@ -73,16 +71,13 @@ pub use energy::{graphs_per_kj, EnergyModel, FPGA_STATIC_WATTS};
 pub use engine::{Accelerator, PreparedGraph, RunReport};
 pub use exec::SimScratch;
 pub use imbalance::{bank_workloads, imbalance_percent, stream_imbalance_percent};
-pub use metrics::{
-    render_prometheus, EngineMetrics, MetricsSnapshotter, Registry, ServeMetrics,
-    LATENCY_BUCKETS_MS,
-};
+pub use metrics::{render_prometheus, EngineMetrics, Registry, ServeMetrics, LATENCY_BUCKETS_MS};
 pub use resource::{ResourceEstimate, U50_AVAILABLE};
 pub use serve::{
-    run_fleet, AdmissionPolicy, ArrivalProcess, BatchConfig, ClassStats, CycleDomain,
-    DispatchPolicy, Dispatcher, EndpointStats, FleetConfig, FleetConfigBuilder, FleetError,
-    FleetRuntime, LiveWorker, ModelEndpoint, ModelWorker, QueuePolicy, ReplicaStats, RequestClass,
-    RequestRecord, Runtime, RuntimeReport, ServeReport, TimeDomain, WallDomain,
+    run_fleet, AdmissionPolicy, ArrivalProcess, ClassStats, CycleDomain, DispatchPolicy,
+    Dispatcher, EndpointStats, FleetConfig, FleetConfigBuilder, FleetError, FleetRuntime,
+    LiveWorker, ModelEndpoint, ModelWorker, QueuePolicy, ReplicaStats, RequestClass, RequestRecord,
+    Runtime, RuntimeReport, ServeReport, TimeDomain, WallDomain,
 };
 pub use stream::{EngineWorker, LatencyStats, StreamReport};
 pub use trace::{LaneSymbol, RegionTrace, Trace};
@@ -102,16 +97,14 @@ pub mod prelude {
     };
     pub use crate::engine::{Accelerator, PreparedGraph, RunReport};
     pub use crate::metrics::{
-        render_prometheus, EngineMetrics, MetricsSnapshotter, Registry, ServeMetrics,
-        LATENCY_BUCKETS_MS,
+        render_prometheus, EngineMetrics, Registry, ServeMetrics, LATENCY_BUCKETS_MS,
     };
     pub use crate::serve::{
-        arrivals, batch, dispatch, fleet, live, ms_to_cycles, percentile_nearest_rank, queue,
-        report, run_fleet, sim, AdmissionPolicy, ArrivalProcess, BatchConfig, ClassStats,
-        CycleDomain, DispatchPolicy, Dispatcher, EndpointStats, FleetConfig, FleetConfigBuilder,
-        FleetError, FleetRuntime, LiveWorker, ModelEndpoint, ModelWorker, QueuePolicy,
-        ReplicaStats, RequestClass, RequestRecord, Runtime, RuntimeReport, ServeReport, TimeDomain,
-        WallDomain,
+        arrivals, dispatch, fleet, live, ms_to_cycles, percentile_nearest_rank, queue, report,
+        run_fleet, sim, AdmissionPolicy, ArrivalProcess, ClassStats, CycleDomain, DispatchPolicy,
+        Dispatcher, EndpointStats, FleetConfig, FleetConfigBuilder, FleetError, FleetRuntime,
+        LiveWorker, ModelEndpoint, ModelWorker, QueuePolicy, ReplicaStats, RequestClass,
+        RequestRecord, Runtime, RuntimeReport, ServeReport, TimeDomain, WallDomain,
     };
     pub use crate::stream::{EngineWorker, LatencyStats, StreamReport};
 }

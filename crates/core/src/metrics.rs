@@ -19,9 +19,8 @@
 //! threads are mid-flight* may be slightly stale per cell; after the
 //! run's threads are joined, every read is exact.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// A monotonically increasing event count.
 #[derive(Default)]
@@ -679,49 +678,6 @@ impl EngineMetrics {
     }
 }
 
-/// An opt-in background thread that renders the registry at a fixed
-/// wall-clock interval while a live run executes, yielding a time series
-/// of expositions — the live runtimes stay observable mid-run instead of
-/// only reporting at the end.
-#[derive(Debug)]
-pub struct MetricsSnapshotter {
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<Vec<(u64, String)>>,
-}
-
-impl MetricsSnapshotter {
-    /// Starts snapshotting `registry` every `interval` (first snapshot
-    /// after one interval; a final snapshot is always taken on
-    /// [`stop`](MetricsSnapshotter::stop), so at least one exposition is
-    /// captured however short the run).
-    pub fn start(registry: Registry, interval: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let t0 = Instant::now();
-            let mut snapshots = Vec::new();
-            while !stop2.load(Ordering::Relaxed) {
-                std::thread::sleep(interval.min(Duration::from_millis(5)));
-                if t0.elapsed() >= interval * (snapshots.len() as u32 + 1) {
-                    registry.sample(t0.elapsed().as_secs_f64());
-                    snapshots.push((t0.elapsed().as_nanos() as u64, render_prometheus(&registry)));
-                }
-            }
-            registry.sample(t0.elapsed().as_secs_f64());
-            snapshots.push((t0.elapsed().as_nanos() as u64, render_prometheus(&registry)));
-            snapshots
-        });
-        Self { stop, handle }
-    }
-
-    /// Stops the thread and returns the `(elapsed_ns, exposition)`
-    /// snapshots in capture order.
-    pub fn stop(self) -> Vec<(u64, String)> {
-        self.stop.store(true, Ordering::Relaxed);
-        self.handle.join().expect("snapshotter thread panicked")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -857,18 +813,5 @@ flowgnn_sojourn_ms_count 3
             Some(vec![(10.0, 1.0), (20.0, 4.0)])
         );
         assert_eq!(registry.gauge_series("depth", &[("queue", "9")]), None);
-    }
-
-    #[test]
-    fn snapshotter_captures_at_least_one_exposition() {
-        let registry = Registry::new();
-        let c = registry.counter("ticks_total", "Ticks.", &[]);
-        let snap = MetricsSnapshotter::start(registry.clone(), Duration::from_millis(1));
-        c.add(5);
-        std::thread::sleep(Duration::from_millis(5));
-        let snapshots = snap.stop();
-        assert!(!snapshots.is_empty());
-        let (_, last) = snapshots.last().expect("final snapshot");
-        assert!(last.contains("ticks_total 5"), "{last}");
     }
 }

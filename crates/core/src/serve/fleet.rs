@@ -50,7 +50,6 @@ use flowgnn_desim::Cycle;
 use crate::metrics::ServeMetrics;
 
 use super::arrivals::ArrivalProcess;
-use super::batch::BatchConfig;
 use super::dispatch::{DispatchPolicy, Dispatcher};
 use super::live::LiveWorker;
 use super::queue::{AdmissionPolicy, AdmissionShard, OfferOutcome, QueuePolicy};
@@ -144,9 +143,6 @@ pub enum FleetError {
     /// A report carries no per-replica stats, so there is no pool to
     /// describe.
     ZeroReplicas,
-    /// [`BatchConfig::max_size`] was zero: a service event must admit at
-    /// least one request.
-    ZeroBatch,
     /// The live worker pool's size differs from the fleet's total
     /// replica count: every live replica needs exactly one worker thread.
     WorkerMismatch {
@@ -196,7 +192,6 @@ impl fmt::Display for FleetError {
             FleetError::EmptyTrace => write!(f, "cannot serve an empty request trace"),
             FleetError::EmptySample => write!(f, "percentile of an empty sample"),
             FleetError::ZeroReplicas => write!(f, "replica pool must have at least one replica"),
-            FleetError::ZeroBatch => write!(f, "batch size must be at least one request"),
             FleetError::WorkerMismatch { workers, replicas } => write!(
                 f,
                 "live worker pool has {workers} workers for {replicas} replicas"
@@ -234,10 +229,10 @@ impl fmt::Display for FleetError {
 impl std::error::Error for FleetError {}
 
 /// A fleet serving scenario: the arrival process, the per-replica
-/// admission-queue bound, the admission and dispatch policies, optional
-/// micro-batching, the endpoint registry, and the class registry. One
-/// `FleetConfig` drives either runtime through [`run_fleet`] — on the
-/// cycle timeline or on the wall clock.
+/// admission-queue bound, the admission and dispatch policies, the
+/// endpoint registry, and the class registry. One `FleetConfig` drives
+/// either runtime through [`run_fleet`] — on the cycle timeline or on
+/// the wall clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// How requests arrive.
@@ -248,8 +243,6 @@ pub struct FleetConfig {
     pub admission: AdmissionPolicy,
     /// How arriving requests are routed across the fleet's replicas.
     pub policy: DispatchPolicy,
-    /// Optional micro-batching of queued requests into service events.
-    pub batch: Option<BatchConfig>,
     /// The fleet registry, in replica-index order: endpoint 0's replicas
     /// are global replicas `0..e0`, endpoint 1's the next block, and so
     /// on.
@@ -260,8 +253,8 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// Starts a fluent builder from the closed-loop defaults (gap-0
-    /// arrivals, unbounded queue, FIFO admission, round-robin routing, no
-    /// batching, empty registries).
+    /// arrivals, unbounded queue, FIFO admission, round-robin routing,
+    /// empty registries).
     pub fn builder() -> FleetConfigBuilder {
         FleetConfigBuilder {
             config: FleetConfig {
@@ -269,7 +262,6 @@ impl FleetConfig {
                 queue: QueuePolicy::Unbounded,
                 admission: AdmissionPolicy::Fifo,
                 policy: DispatchPolicy::RoundRobin,
-                batch: None,
                 endpoints: Vec::new(),
                 classes: Vec::new(),
             },
@@ -292,9 +284,9 @@ impl FleetConfig {
         self.endpoints.iter().map(|e| e.replicas).sum()
     }
 
-    /// The registry and batch invariants, checked by both
-    /// [`FleetConfigBuilder::build`] and every serving run (a
-    /// hand-assembled struct bypasses the builder).
+    /// The registry invariants, checked by both
+    /// [`FleetConfigBuilder::build`] and every serving run (a hand-assembled
+    /// struct bypasses the builder).
     fn validate(&self) -> Result<(), FleetError> {
         if self.endpoints.is_empty() {
             return Err(FleetError::NoEndpoints);
@@ -304,9 +296,6 @@ impl FleetConfig {
         }
         if self.classes.is_empty() {
             return Err(FleetError::NoClasses);
-        }
-        if self.batch.is_some_and(|b| b.max_size == 0) {
-            return Err(FleetError::ZeroBatch);
         }
         Ok(())
     }
@@ -442,7 +431,7 @@ fn observe_summary<D: TimeDomain>(
 }
 
 /// Fluent builder for [`FleetConfig`]; invariants (≥ 1 endpoint, every
-/// endpoint ≥ 1 replica, ≥ 1 class, batch size ≥ 1) are checked once at
+/// endpoint ≥ 1 replica, ≥ 1 class) are checked once at
 /// [`FleetConfigBuilder::build`].
 #[derive(Debug, Clone)]
 pub struct FleetConfigBuilder {
@@ -481,18 +470,6 @@ impl FleetConfigBuilder {
         self
     }
 
-    /// Enables micro-batching: up to `max_size` queued requests per
-    /// service event, each event costing `overhead_cycles` on top of its
-    /// members' service times. A zero `max_size` is rejected at
-    /// [`build`](FleetConfigBuilder::build).
-    pub fn batch(mut self, max_size: usize, overhead_cycles: Cycle) -> Self {
-        self.config.batch = Some(BatchConfig {
-            max_size,
-            overhead_cycles,
-        });
-        self
-    }
-
     /// Appends an endpoint to the fleet registry.
     pub fn endpoint(mut self, endpoint: ModelEndpoint) -> Self {
         self.config.endpoints.push(endpoint);
@@ -510,9 +487,8 @@ impl FleetConfigBuilder {
     /// # Errors
     ///
     /// Returns [`FleetError::NoEndpoints`] / [`FleetError::NoClasses`]
-    /// for empty registries, [`FleetError::EndpointZeroReplicas`] for a
-    /// replica-less endpoint, and [`FleetError::ZeroBatch`] for a zero
-    /// batch size.
+    /// for empty registries and [`FleetError::EndpointZeroReplicas`] for
+    /// a replica-less endpoint.
     pub fn build(self) -> Result<FleetConfig, FleetError> {
         self.config.validate()?;
         Ok(self.config)
@@ -615,7 +591,6 @@ pub(crate) fn fleet_sim(
     let replicas = endpoint_of.len();
     let arrivals = config.arrivals.arrivals(requests);
     let capacity = config.queue.capacity();
-    let batch = config.batch;
 
     let mut pool: Vec<ReplicaSim> = (0..replicas).map(|_| ReplicaSim::new()).collect();
     let mut dispatcher = Dispatcher::new(config.policy);
@@ -637,7 +612,6 @@ pub(crate) fn fleet_sim(
             rep.advance(
                 Some(arrival),
                 g,
-                batch,
                 &arrivals,
                 &costs[endpoint_of[g]],
                 &mut records,
@@ -657,7 +631,7 @@ pub(crate) fn fleet_sim(
         let rep = &mut pool[target];
         if rep.free_at <= arrival {
             // Idle replica (advance drained its queue): serve on arrival.
-            rep.serve_now(i, arrival, target, batch, service, &mut records);
+            rep.serve_now(i, arrival, target, service, &mut records);
         } else if rep.waiting().len() >= capacity {
             // Full queue: resolve per the admission policy. The victim
             // rule matches AdmissionShard::offer_prioritized exactly —
@@ -719,14 +693,7 @@ pub(crate) fn fleet_sim(
     }
     // No more arrivals: run every queue dry.
     for (g, rep) in pool.iter_mut().enumerate() {
-        rep.advance(
-            None,
-            g,
-            batch,
-            &arrivals,
-            &costs[endpoint_of[g]],
-            &mut records,
-        );
+        rep.advance(None, g, &arrivals, &costs[endpoint_of[g]], &mut records);
     }
 
     let per_replica: Vec<ReplicaStats> = pool
@@ -775,7 +742,6 @@ pub(crate) fn fleet_live<W: LiveWorker>(
     }
     let capacity = config.queue.capacity();
     let admission = config.admission;
-    let batch_max = config.batch.map_or(1, |b| b.max_size);
     let schedule = config.arrivals.wall_schedule(requests);
     let shards: Vec<AdmissionShard> = (0..replicas).map(|_| AdmissionShard::new()).collect();
     let mut dispatcher = Dispatcher::new(config.policy);
@@ -799,38 +765,27 @@ pub(crate) fn fleet_live<W: LiveWorker>(
                 let shard = &shards[g];
                 scope.spawn(move || {
                     let mut local: Vec<(usize, RequestRecord)> = Vec::new();
-                    let mut event: Vec<(usize, u64)> = Vec::new();
                     let mut busy: u64 = 0;
-                    let mut completed = 0usize;
-                    loop {
-                        event.clear();
-                        if !shard.take_batch(batch_max, &mut event) {
-                            break;
-                        }
+                    while let Some((i, arrival)) = shard.take() {
                         let start = super::live::elapsed_ns(t0);
-                        for &(i, _) in event.iter() {
-                            worker.process(i);
-                        }
+                        worker.process(i);
                         let finish = super::live::elapsed_ns(t0);
                         shard.finish_service();
                         busy += finish - start;
-                        completed += event.len();
-                        for &(i, arrival) in event.iter() {
-                            local.push((
-                                i,
-                                RequestRecord {
-                                    arrival,
-                                    start: start.max(arrival),
-                                    finish,
-                                    dropped: false,
-                                    replica: g,
-                                },
-                            ));
-                        }
+                        local.push((
+                            i,
+                            RequestRecord {
+                                arrival,
+                                start: start.max(arrival),
+                                finish,
+                                dropped: false,
+                                replica: g,
+                            },
+                        ));
                     }
                     (
                         ReplicaStats {
-                            completed,
+                            completed: local.len(),
                             busy_cycles: busy,
                         },
                         local,
@@ -968,12 +923,6 @@ mod tests {
                 .unwrap_err(),
             FleetError::EndpointZeroReplicas { endpoint: 1 }
         );
-        assert_eq!(
-            two_class_config().batch(0, 5).build().unwrap_err(),
-            FleetError::ZeroBatch
-        );
-        // A later valid setting repairs the chain: only build() judges.
-        assert!(two_class_config().batch(0, 5).batch(4, 5).build().is_ok());
         let ok = two_class_config().build().unwrap();
         assert_eq!(ok.total_replicas(), 1);
     }
@@ -1008,61 +957,67 @@ mod tests {
             }
         );
         // A struct assembled by hand skips the builder; the run applies
-        // the same registry and batch checks.
-        let mut hand_built = config.clone();
+        // the same registry checks.
+        let mut hand_built = config;
         hand_built.endpoints[0].replicas = 0;
         assert_eq!(
             sim(&[vec![10]], &[0], &hand_built).unwrap_err(),
             FleetError::EndpointZeroReplicas { endpoint: 0 }
-        );
-        let mut hand_built = config;
-        hand_built.batch = Some(BatchConfig {
-            max_size: 0,
-            overhead_cycles: 5,
-        });
-        assert_eq!(
-            sim(&[vec![10]], &[0], &hand_built).unwrap_err(),
-            FleetError::ZeroBatch
         );
     }
 
     #[test]
     fn fleet_errors_render_for_humans() {
         use std::error::Error;
-        let errors = [
-            FleetError::EmptyTrace,
-            FleetError::EmptySample,
-            FleetError::ZeroReplicas,
-            FleetError::ZeroBatch,
-            FleetError::WorkerMismatch {
-                workers: 3,
-                replicas: 4,
-            },
-            FleetError::NoEndpoints,
-            FleetError::NoClasses,
-            FleetError::EndpointZeroReplicas { endpoint: 3 },
-            FleetError::EndpointCountMismatch {
-                cost_rows: 1,
-                endpoints: 2,
-            },
-            FleetError::CostShapeMismatch {
-                endpoint: 0,
-                rows: 5,
-                requests: 6,
-            },
-            FleetError::ClassOutOfRange {
-                request: 9,
-                class: 4,
-            },
+        // Each variant paired with a substring only its own message
+        // contains, so a reordered list cannot check the wrong text.
+        let cases = [
+            (FleetError::EmptyTrace, "empty request trace"),
+            (FleetError::EmptySample, "empty sample"),
+            (FleetError::ZeroReplicas, "at least one replica"),
+            (
+                FleetError::WorkerMismatch {
+                    workers: 3,
+                    replicas: 4,
+                },
+                "3 workers for 4 replicas",
+            ),
+            (FleetError::NoEndpoints, "no endpoints"),
+            (FleetError::NoClasses, "no request classes"),
+            (
+                FleetError::EndpointZeroReplicas { endpoint: 3 },
+                "endpoint 3 contributes zero replicas",
+            ),
+            (
+                FleetError::EndpointCountMismatch {
+                    cost_rows: 1,
+                    endpoints: 2,
+                },
+                "1 rows for 2 endpoints",
+            ),
+            (
+                FleetError::CostShapeMismatch {
+                    endpoint: 0,
+                    rows: 5,
+                    requests: 6,
+                },
+                "endpoint 0 cost row has 5 entries for 6 requests",
+            ),
+            (
+                FleetError::ClassOutOfRange {
+                    request: 9,
+                    class: 4,
+                },
+                "request 9 stamped with out-of-range class 4",
+            ),
         ];
-        let messages: Vec<String> = errors.iter().map(|e| e.to_string()).collect();
-        for (e, m) in errors.iter().zip(&messages) {
-            assert!(!m.is_empty());
+        for (e, needle) in &cases {
             assert!(e.source().is_none(), "one flat error type, no nesting");
+            for (other, _) in &cases {
+                let m = other.to_string();
+                assert_eq!(m.contains(needle), other == e, "{e:?}: {needle:?} in {m:?}");
+            }
         }
-        assert!(messages[0].contains("empty request trace"));
-        assert!(messages[1].contains("empty sample"));
-        assert!(messages[4].contains("3 workers for 4 replicas"));
     }
 
     #[test]
@@ -1084,7 +1039,6 @@ mod tests {
         assert_eq!(pool, explicit);
         assert_eq!(pool.total_replicas(), 3);
         assert_eq!(pool.admission, AdmissionPolicy::Fifo);
-        assert_eq!(pool.batch, None);
         // The closed-loop defaults: gap-0 arrivals, unbounded queue,
         // round-robin routing.
         let closed = FleetConfig::pool(1).build().unwrap();

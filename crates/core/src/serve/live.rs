@@ -21,8 +21,8 @@
 //! ```text
 //! caller thread                    worker thread r (one per replica)
 //! ─────────────                    ─────────────────────────────────
-//! wall_schedule pacing      ┌────▶ shard[r].take_batch(max_size)
-//! dispatcher.route(i, ...)  │        worker.process(each member)
+//! wall_schedule pacing      ┌────▶ shard[r].take()
+//! dispatcher.route(i, ...)  │        worker.process(i)
 //! shard[target].offer ──────┘        shard[r].finish_service()
 //!   (full → drop record)             (records kept thread-local,
 //! ... last arrival ...                merged after join)
@@ -45,8 +45,8 @@ use std::time::{Duration, Instant};
 pub trait LiveWorker: Send {
     /// Processes request number `request` (its position in arrival
     /// order), blocking until the work is done. Called from the replica's
-    /// thread only; requests batched into one service event are processed
-    /// back to back between one shared start/finish stamp pair.
+    /// thread only, one request per service event: the worker stamps the
+    /// request's start just before this call and its finish just after.
     fn process(&mut self, request: usize);
 }
 
@@ -203,24 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn live_batching_shares_event_stamps() {
-        // Slow first event, everything pending at t0: the remaining
-        // requests batch up while the worker is busy, so some service
-        // events carry multiple requests with one start/finish pair.
-        let report = live(short_workers(1, 500), 12, FleetConfig::pool(1).batch(4, 0)).unwrap();
-        assert_eq!(report.completed, 12);
-        let mut by_start: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-        for r in &report.records {
-            *by_start.entry(r.start).or_default() += 1;
-        }
-        assert!(
-            by_start.values().any(|&n| n > 1),
-            "at least one multi-request service event"
-        );
-        assert!(by_start.values().all(|&n| n <= 4), "batch bound respected");
-    }
-
-    #[test]
     fn live_rejects_malformed_configurations() {
         assert_eq!(
             live(short_workers(1, 1), 0, FleetConfig::pool(1)).unwrap_err(),
@@ -250,8 +232,20 @@ mod tests {
             let config = FleetConfig::pool(2).policy(policy);
             let report = live(short_workers(2, 100), 30, config).unwrap();
             assert_eq!(report.completed, 30, "{policy:?}");
-            for stats in &report.per_replica {
+            for (r, stats) in report.per_replica.iter().enumerate() {
                 assert!(stats.completed > 0, "{policy:?} used both replicas");
+                // One request per service event: a replica's services,
+                // in start order, never overlap on the monotonic clock.
+                let mut served: Vec<_> = report
+                    .records
+                    .iter()
+                    .filter(|x| x.replica == r && !x.dropped)
+                    .collect();
+                served.sort_by_key(|x| x.start);
+                for pair in served.windows(2) {
+                    assert!(pair[1].start >= pair[0].finish, "{policy:?} replica {r}");
+                }
+                assert_eq!(stats.completed, served.len(), "{policy:?} replica {r}");
             }
         }
     }

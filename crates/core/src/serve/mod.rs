@@ -1,6 +1,6 @@
 //! Open-loop serving: request arrivals, replica pools, admission
-//! queueing, dispatch, batching, and tail-latency accounting — in two
-//! runtimes sharing one set of abstractions.
+//! queueing, dispatch, and tail-latency accounting — in two runtimes
+//! sharing one set of abstractions.
 //!
 //! The paper's evaluation is *closed-loop*: the next graph enters the
 //! accelerator the instant the previous one finishes, so only service
@@ -26,14 +26,13 @@
 //!   as wall offsets by the live generator;
 //! - [`dispatch`] — [`DispatchPolicy`] routes each arriving request to
 //!   one of `R` replicas (round-robin, join-shortest-queue,
-//!   power-of-two-choices) through one shared [`Dispatcher`] core;
+//!   power-of-two-choices, or cost-based: the smallest estimated
+//!   completion cost) through one shared [`Dispatcher`] core;
 //! - [`queue`] — [`QueuePolicy`] bounds each replica's admission queue,
 //!   and [`AdmissionPolicy`] resolves a full one: FIFO drops the
 //!   arrival; priority admission displaces the lowest-priority waiting
 //!   request when the arrival strictly outranks it (a dropped request is
 //!   rejected immediately, never served, never redispatched);
-//! - [`batch`] — [`BatchConfig`] optionally micro-batches queued
-//!   requests into shared service events;
 //! - [`report`] — [`ServeReport`], generic over its [`TimeDomain`]
 //!   ([`CycleDomain`] cycles / [`WallDomain`] nanoseconds), decomposes
 //!   every request into queueing wait plus service time and summarises
@@ -46,10 +45,14 @@
 //!   routing over per-endpoint service-cost rows. A plain replica pool is
 //!   its one-endpoint, one-class case, built by [`FleetConfig::pool`].
 //!
+//! A replica serves one request per service event, oldest first, so a
+//! [`RequestRecord`]'s `start` and `finish` always bound that request's
+//! own service.
+//!
 //! The closed-loop streaming evaluation is the degenerate point of this
-//! model — one replica, round-robin, no batching, every request arriving
-//! at cycle 0 ([`ArrivalProcess::closed_loop`]) with an unbounded queue —
-//! and `Accelerator::run_stream` is implemented as exactly that special
+//! model — one replica, round-robin, every request arriving at cycle 0
+//! ([`ArrivalProcess::closed_loop`]) with an unbounded queue — and
+//! `Accelerator::run_stream` is implemented as exactly that special
 //! case, so the paper-reproduction path and the serving path cannot
 //! drift apart (`tests/differential.rs` pins both equivalences).
 //!
@@ -76,7 +79,6 @@
 use flowgnn_desim::{Cycle, CLOCK_HZ};
 
 pub mod arrivals;
-pub mod batch;
 pub mod dispatch;
 pub mod fleet;
 pub mod live;
@@ -85,7 +87,6 @@ pub mod report;
 pub mod sim;
 
 pub use arrivals::ArrivalProcess;
-pub use batch::BatchConfig;
 pub use dispatch::{DispatchPolicy, Dispatcher};
 pub use fleet::{
     run_fleet, FleetConfig, FleetConfigBuilder, FleetError, FleetRuntime, ModelEndpoint,
@@ -102,7 +103,7 @@ pub use report::{
 /// the deterministic cycle-domain simulator or the wall-clock live
 /// runtime. This is the one switch the unified
 /// [`crate::InferenceBackend::serve_on`] entry takes — everything else
-/// (arrivals, queues, admission, dispatch, batching, endpoints, classes)
+/// (arrivals, queues, admission, dispatch, endpoints, classes)
 /// lives in the [`FleetConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Runtime {

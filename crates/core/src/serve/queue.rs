@@ -218,27 +218,22 @@ impl AdmissionShard {
         displaced.unwrap_or(OfferOutcome::Admitted)
     }
 
-    /// Parks until work arrives or the shard closes, then drains up to
-    /// `max` waiting requests into `out` as one service event (marking
-    /// the shard in-service). Returns `false` when the shard is closed
-    /// and drained — the worker's signal to exit.
-    pub(crate) fn take_batch(&self, max: usize, out: &mut Vec<(usize, u64)>) -> bool {
+    /// Parks until work arrives or the shard closes, then takes the
+    /// oldest waiting request into service (marking the shard
+    /// in-service) and returns its index and arrival stamp. Returns
+    /// `None` when the shard is closed and drained — the worker's signal
+    /// to exit.
+    pub(crate) fn take(&self) -> Option<(usize, u64)> {
         let mut s = self.state.lock().expect("admission shard poisoned");
         loop {
-            if !s.waiting.is_empty() {
-                let take = max.min(s.waiting.len());
-                let mut event_cost = 0u64;
-                for e in s.waiting.drain(..take) {
-                    event_cost += e.cost;
-                    out.push((e.request, e.arrival_ns));
-                }
+            if let Some(e) = s.waiting.pop_front() {
                 s.in_service = true;
-                s.in_service_cost = event_cost;
+                s.in_service_cost = e.cost;
                 self.publish(&s);
-                return true;
+                return Some((e.request, e.arrival_ns));
             }
             if s.closed {
-                return false;
+                return None;
             }
             s = self.available.wait(s).expect("admission shard poisoned");
         }
@@ -292,9 +287,7 @@ mod tests {
         // Someone is now waiting: capacity 0 has no room.
         assert!(!shard.offer(1, 20, 0));
 
-        let mut batch = Vec::new();
-        assert!(shard.take_batch(4, &mut batch));
-        assert_eq!(batch, vec![(0, 10)]);
+        assert_eq!(shard.take(), Some((0, 10)));
         assert_eq!(shard.backlog(), 1, "in-flight event counts");
         // In service with an empty queue: still not idle, still full.
         assert!(!shard.offer(2, 30, 0));
@@ -304,20 +297,18 @@ mod tests {
     }
 
     #[test]
-    fn take_batch_drains_fifo_up_to_max() {
+    fn take_drains_fifo_one_at_a_time() {
         let shard = AdmissionShard::new();
         for i in 0..5 {
             assert!(shard.offer(i, i as u64, 64));
         }
         assert_eq!(shard.backlog(), 5);
-        let mut batch = Vec::new();
-        assert!(shard.take_batch(3, &mut batch));
-        assert_eq!(batch, vec![(0, 0), (1, 1), (2, 2)]);
-        assert_eq!(shard.backlog(), 3, "2 waiting + 1 in flight");
-        shard.finish_service();
-        batch.clear();
-        assert!(shard.take_batch(3, &mut batch));
-        assert_eq!(batch, vec![(3, 3), (4, 4)]);
+        for i in 0..5 {
+            assert_eq!(shard.take(), Some((i, i as u64)));
+            assert_eq!(shard.backlog(), 5 - i, "{} waiting + 1 in flight", 4 - i);
+            shard.finish_service();
+        }
+        assert_eq!(shard.backlog(), 0);
     }
 
     #[test]
@@ -325,13 +316,11 @@ mod tests {
         let shard = AdmissionShard::new();
         assert!(shard.offer(0, 0, 64));
         shard.close();
-        let mut batch = Vec::new();
         // Queued work is still served after close...
-        assert!(shard.take_batch(8, &mut batch));
+        assert_eq!(shard.take(), Some((0, 0)));
         shard.finish_service();
-        batch.clear();
         // ...then the worker is told to exit.
-        assert!(!shard.take_batch(8, &mut batch));
+        assert_eq!(shard.take(), None);
     }
 
     #[test]
@@ -340,8 +329,7 @@ mod tests {
         // Fill the idle fast-path slot, then a capacity-2 waiting room
         // with priorities [1, 0].
         assert!(shard.offer(0, 0, 2));
-        let mut event = Vec::new();
-        assert!(shard.take_batch(1, &mut event)); // 0 in service
+        assert_eq!(shard.take(), Some((0, 0))); // 0 in service
         for (req, prio) in [(1usize, 1u8), (2, 0)] {
             assert_eq!(
                 shard.offer_prioritized(req, req as u64, prio, 5, 2, AdmissionPolicy::Priority),
@@ -378,9 +366,9 @@ mod tests {
         );
         shard.finish_service();
         // Service order of the survivors is still FIFO by admission.
-        event.clear();
-        assert!(shard.take_batch(4, &mut event));
-        assert_eq!(event, vec![(4, 4), (5, 5)]);
+        assert_eq!(shard.take(), Some((4, 4)));
+        shard.finish_service();
+        assert_eq!(shard.take(), Some((5, 5)));
     }
 
     #[test]
@@ -391,10 +379,14 @@ mod tests {
             shard.offer_prioritized(req, 0, 0, cost, 64, AdmissionPolicy::Fifo);
         }
         assert_eq!(shard.pending_cost(), 200);
-        let mut event = Vec::new();
-        assert!(shard.take_batch(2, &mut event));
-        // 60 waiting + 140 in flight.
+        assert_eq!(shard.take(), Some((0, 0)));
+        // 100 waiting + 100 in flight.
         assert_eq!(shard.pending_cost(), 200);
+        shard.finish_service();
+        assert_eq!(shard.pending_cost(), 100);
+        assert_eq!(shard.take(), Some((1, 0)));
+        // 60 waiting + 40 in flight.
+        assert_eq!(shard.pending_cost(), 100);
         shard.finish_service();
         assert_eq!(shard.pending_cost(), 60);
     }

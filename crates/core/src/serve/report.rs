@@ -67,12 +67,9 @@ impl TimeDomain for WallDomain {
 pub struct RequestRecord {
     /// When the request arrived.
     pub arrival: u64,
-    /// When service began (equals `arrival` for dropped requests). Under
-    /// micro-batching this is the start of the request's service event.
+    /// When service began (equals `arrival` for dropped requests).
     pub start: u64,
     /// When service finished (equals `arrival` for dropped requests).
-    /// Under micro-batching every member of a service event finishes when
-    /// the event does.
     pub finish: u64,
     /// Whether the request was rejected by its replica's admission queue.
     pub dropped: bool,
@@ -87,9 +84,7 @@ impl RequestRecord {
         self.start - self.arrival
     }
 
-    /// Raw timeline units spent in service. Under micro-batching this is
-    /// the whole service event's duration (batch overhead plus every
-    /// co-batched request's service time).
+    /// Raw timeline units spent in service.
     pub fn service_cycles(&self) -> Cycle {
         self.finish - self.start
     }

@@ -13,7 +13,6 @@ use std::collections::VecDeque;
 
 use flowgnn_desim::Cycle;
 
-use super::batch::BatchConfig;
 use super::report::RequestRecord;
 
 /// One replica's simulation state: when its current service event ends,
@@ -46,40 +45,34 @@ impl ReplicaSim {
 
     /// Starts every service event due by `now` (all remaining events when
     /// `None`): whenever the replica comes free with requests waiting, it
-    /// admits up to one batch and runs it to completion. Queued requests
-    /// always arrived before the replica's current `free_at`, so starts
-    /// are never earlier than arrivals.
+    /// serves the oldest one to completion. Queued requests always arrived
+    /// before the replica's current `free_at`, so starts are never earlier
+    /// than arrivals.
     pub(crate) fn advance(
         &mut self,
         now: Option<Cycle>,
         replica: usize,
-        batch: Option<BatchConfig>,
         arrivals: &[Cycle],
         service: &[Cycle],
         records: &mut [RequestRecord],
     ) {
-        while !self.waiting.is_empty() && now.is_none_or(|t| self.free_at <= t) {
+        while now.is_none_or(|t| self.free_at <= t) {
+            let Some(i) = self.waiting.pop_front() else {
+                break;
+            };
             let start = self.free_at;
-            let take = batch.map_or(1, |b| b.max_size).min(self.waiting.len());
-            let mut duration = batch.map_or(0, |b| b.overhead_cycles);
-            for k in 0..take {
-                duration += service[self.waiting[k]];
-            }
-            let finish = start + duration;
-            for _ in 0..take {
-                let i = self.waiting.pop_front().expect("take <= waiting.len()");
-                self.waiting_work -= service[i];
-                records[i] = RequestRecord {
-                    arrival: arrivals[i],
-                    start,
-                    finish,
-                    dropped: false,
-                    replica,
-                };
-            }
+            let finish = start + service[i];
+            self.waiting_work -= service[i];
+            records[i] = RequestRecord {
+                arrival: arrivals[i],
+                start,
+                finish,
+                dropped: false,
+                replica,
+            };
             self.free_at = finish;
-            self.busy_cycles += duration;
-            self.completed += take;
+            self.busy_cycles += service[i];
+            self.completed += 1;
         }
     }
 
@@ -125,27 +118,26 @@ impl ReplicaSim {
         self.free_at.saturating_sub(now) + self.waiting_work
     }
 
-    /// Serves `i` immediately at `now` as a batch of one (the replica is
-    /// idle: `free_at <= now` with nothing waiting).
+    /// Serves `i` immediately at `now` (the replica is idle: `free_at <= now`
+    /// with nothing waiting).
     pub(crate) fn serve_now(
         &mut self,
         i: usize,
         now: Cycle,
         replica: usize,
-        batch: Option<BatchConfig>,
         service: &[Cycle],
         records: &mut [RequestRecord],
     ) {
-        let duration = batch.map_or(0, |b| b.overhead_cycles) + service[i];
+        let finish = now + service[i];
         records[i] = RequestRecord {
             arrival: now,
             start: now,
-            finish: now + duration,
+            finish,
             dropped: false,
             replica,
         };
-        self.free_at = now + duration;
-        self.busy_cycles += duration;
+        self.free_at = finish;
+        self.busy_cycles += service[i];
         self.completed += 1;
     }
 }
@@ -321,42 +313,11 @@ mod tests {
     }
 
     #[test]
-    fn batching_amortises_overhead_into_shared_events() {
-        // Everything pending at cycle 0, batch of 2 with overhead 10.
-        // Request 0 is picked up solo on arrival; {1, 2} and {3} batch.
-        let report = scan(&[100u64; 4], FleetConfig::pool(1).batch(2, 10)).unwrap();
-        let r = &report.records;
-        assert_eq!((r[0].start, r[0].finish), (0, 110));
-        assert_eq!((r[1].start, r[1].finish), (110, 320));
-        assert_eq!((r[2].start, r[2].finish), (110, 320), "co-batched");
-        assert_eq!((r[3].start, r[3].finish), (320, 430));
-        assert_eq!(report.makespan_cycles, 430);
-        assert_eq!(report.per_replica[0].busy_cycles, 430);
-    }
-
-    #[test]
-    fn batch_of_one_only_adds_the_overhead() {
-        // max_size 1: same schedule as unbatched, shifted by the per-event
-        // overhead cost.
-        let service = [100, 50, 25];
-        let plain = scan(&service, FleetConfig::pool(1)).unwrap();
-        let batched = scan(&service, FleetConfig::pool(1).batch(1, 7)).unwrap();
-        for (p, b) in plain.records.iter().zip(&batched.records) {
-            assert_eq!(b.service_cycles(), p.service_cycles() + 7);
-        }
-        assert_eq!(batched.makespan_cycles, plain.makespan_cycles + 3 * 7);
-    }
-
-    #[test]
     fn scan_rejects_empty_trace_and_malformed_pools() {
         assert_eq!(scan(&[], FleetConfig::pool(1)), Err(FleetError::EmptyTrace));
         assert_eq!(
             scan(&[10], FleetConfig::pool(0)),
             Err(FleetError::EndpointZeroReplicas { endpoint: 0 })
-        );
-        assert_eq!(
-            scan(&[10], FleetConfig::pool(1).batch(0, 5)),
-            Err(FleetError::ZeroBatch)
         );
     }
 }

@@ -165,59 +165,6 @@ impl Accelerator {
             },
         }
     }
-
-    /// Streams graphs with *inter-graph pipelining*: the next graph's COO
-    /// stream loads into a second on-chip buffer while the current graph
-    /// computes (double buffering on the memory interface).
-    ///
-    /// Per-graph latency is unchanged — each graph still finishes
-    /// `load + compute` after its arrival — but *throughput* improves
-    /// because the memory interface and the compute pipeline overlap.
-    /// Standard two-stage pipeline recurrence with two graph buffers:
-    /// load `i` needs the buffer freed by compute `i − 2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream (after the limit) is empty.
-    pub fn run_stream_overlapped(&self, stream: GraphStream, limit: usize) -> StreamReport {
-        let stream = stream.take_prefix(limit);
-        assert!(!stream.is_empty(), "cannot evaluate an empty graph stream");
-        let mut graphs = 0usize;
-        let mut min_ms = f64::INFINITY;
-        let mut max_ms: f64 = 0.0;
-        let mut load_end: Cycle = 0;
-        let mut compute_end: Cycle = 0;
-        let mut prev_compute_end: Cycle = 0;
-        let mut scratch = SimScratch::default();
-        for g in stream {
-            let prepared = self.prepare_owned(g);
-            let report = self.run_prepared(&prepared, &mut scratch);
-            let load = report.load_cycles;
-            let compute = report.total_cycles - report.load_cycles;
-            // Load i starts when the port is free and the i−2 buffer is.
-            let load_start = load_end.max(prev_compute_end);
-            let this_load_end = load_start + load;
-            let compute_start = this_load_end.max(compute_end);
-            prev_compute_end = compute_end;
-            compute_end = compute_start + compute;
-            load_end = this_load_end;
-
-            let ms = report.latency_ms();
-            min_ms = min_ms.min(ms);
-            max_ms = max_ms.max(ms);
-            graphs += 1;
-        }
-        StreamReport {
-            graphs,
-            weight_load_cycles: self.weight_load_cycles(),
-            total_cycles: compute_end,
-            latency: LatencyStats {
-                mean_ms: cycles_to_ms(compute_end) / graphs as f64,
-                min_ms,
-                max_ms,
-            },
-        }
-    }
 }
 
 /// One live replica's engine state: a clone of the accelerator (cloning
@@ -465,42 +412,5 @@ mod tests {
             observed.region_cycles.iter().sum::<Cycle>() - overheads
         );
         assert!(skipped > 0, "stepped {stepped}, skipped {skipped}");
-    }
-
-    #[test]
-    fn overlapped_streaming_improves_throughput() {
-        let graphs = 12;
-        let sequential = acc().run_stream(MoleculeLike::new(12.0, 4).stream(graphs), graphs);
-        let overlapped =
-            acc().run_stream_overlapped(MoleculeLike::new(12.0, 4).stream(graphs), graphs);
-        assert!(
-            overlapped.total_cycles < sequential.total_cycles,
-            "overlapped {} vs sequential {}",
-            overlapped.total_cycles,
-            sequential.total_cycles
-        );
-    }
-
-    #[test]
-    fn overlapped_streaming_respects_resource_bounds() {
-        // Total time cannot beat either the pure-load or pure-compute sum.
-        let graphs = 8;
-        let stream = || MoleculeLike::new(12.0, 4).stream(graphs);
-        let a = acc();
-        let mut load_sum = 0;
-        let mut compute_sum = 0;
-        for g in stream() {
-            let r = a.run(&g);
-            load_sum += r.load_cycles;
-            compute_sum += r.total_cycles - r.load_cycles;
-        }
-        let overlapped = a.run_stream_overlapped(stream(), graphs);
-        assert!(overlapped.total_cycles >= load_sum.max(compute_sum));
-    }
-
-    #[test]
-    #[should_panic(expected = "empty graph stream")]
-    fn empty_overlapped_stream_panics() {
-        acc().run_stream_overlapped(GraphStream::from_graphs(vec![]), 10);
     }
 }

@@ -30,7 +30,6 @@ fn main() {
     let service = acc.service_trace(spec.stream(), REQUESTS);
     let mean_ms = flowgnn::desim::cycles_to_ms(service.iter().sum::<u64>()) / service.len() as f64;
     let slo_ms = mean_ms * 4.0;
-    let mean_cycles = service.iter().sum::<u64>() / service.len() as u64;
     let class_of = vec![0; service.len()];
     let costs = [service];
     // Replays the trace through a plain replica pool on the cycle scan.
@@ -80,23 +79,5 @@ fn main() {
                 report.load_imbalance_percent().expect("pool has replicas"),
             );
         }
-    }
-
-    // Micro-batching trades tail latency for amortised per-event cost.
-    println!("\nmicro-batching on one replica (batch overhead = 10% of mean service):");
-    let overhead = mean_cycles / 10;
-    for batch in [1usize, 2, 4, 8] {
-        let report = replay(
-            FleetConfig::pool(1)
-                .arrivals(ArrivalProcess::poisson_rate(0.9 * 1e3 / mean_ms, 42))
-                .queue_capacity(64)
-                .batch(batch, overhead),
-        );
-        println!(
-            "  B={batch}: p50 {:.4} ms, p99 {:.4} ms, util {:.2}",
-            report.p50_ms,
-            report.p99_ms,
-            report.replica_utilization().expect("pool has replicas")[0],
-        );
     }
 }

@@ -46,10 +46,10 @@ pub use flowgnn_models as models;
 pub use flowgnn_tensor as tensor;
 
 pub use flowgnn_core::{
-    run_fleet, Accelerator, ArchConfig, ArrivalProcess, BatchConfig, CycleDomain, DispatchPolicy,
-    Dispatcher, EngineMode, EngineWorker, ExecutionMode, FleetConfig, FleetError, FleetRuntime,
-    LiveWorker, ModelWorker, PipelineStrategy, QueuePolicy, ReplicaStats, RunReport, Runtime,
-    RuntimeReport, ServeReport, TimeDomain, WallDomain,
+    run_fleet, Accelerator, ArchConfig, ArrivalProcess, CycleDomain, DispatchPolicy, Dispatcher,
+    EngineMode, EngineWorker, ExecutionMode, FleetConfig, FleetError, FleetRuntime, LiveWorker,
+    ModelWorker, PipelineStrategy, QueuePolicy, ReplicaStats, RunReport, Runtime, RuntimeReport,
+    ServeReport, TimeDomain, WallDomain,
 };
 pub use flowgnn_graph::{Graph, GraphStream};
 pub use flowgnn_models::{Dataflow, GnnModel, ModelKind};

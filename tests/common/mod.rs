@@ -105,26 +105,18 @@ impl OldRep {
         &mut self,
         now: Option<u64>,
         replica: usize,
-        batch: Option<(usize, u64)>,
         arrivals: &[u64],
         service: &[u64],
         records: &mut [OldRecord],
     ) {
         while !self.waiting.is_empty() && now.is_none_or(|t| self.free_at <= t) {
             let start = self.free_at;
-            let take = batch.map_or(1, |(max, _)| max).min(self.waiting.len());
-            let mut duration = batch.map_or(0, |(_, overhead)| overhead);
-            for k in 0..take {
-                duration += service[self.waiting[k]];
-            }
-            let finish = start + duration;
-            for _ in 0..take {
-                let i = self.waiting.pop_front().unwrap();
-                records[i] = (arrivals[i], start, finish, false, replica);
-            }
+            let i = self.waiting.pop_front().unwrap();
+            let finish = start + service[i];
+            records[i] = (arrivals[i], start, finish, false, replica);
             self.free_at = finish;
-            self.busy_cycles += duration;
-            self.completed += take;
+            self.busy_cycles += service[i];
+            self.completed += 1;
         }
     }
 
@@ -140,8 +132,8 @@ impl OldRep {
 }
 
 /// The pre-split replica-pool scan, verbatim semantics — dispatch
-/// tie-breaks, p2c's two-draws-per-request RNG discipline, batch
-/// formation, and bounded-admission drops included — plus the
+/// tie-breaks, p2c's two-draws-per-request RNG discipline, and
+/// bounded-admission drops included — plus the
 /// least-work-left rule cost-based routing reduces to on a homogeneous
 /// pool. Returns the records and per-replica `(completed, busy)`.
 pub fn old_pool_scan(
@@ -150,7 +142,6 @@ pub fn old_pool_scan(
     capacity: usize,
     replicas: usize,
     policy: DispatchPolicy,
-    batch: Option<(usize, u64)>,
 ) -> (Vec<OldRecord>, Vec<(usize, u64)>) {
     let mut pool: Vec<OldRep> = (0..replicas)
         .map(|_| OldRep {
@@ -167,7 +158,7 @@ pub fn old_pool_scan(
     let mut records = vec![(0, 0, 0, true, 0); service.len()];
     for (i, &arrival) in arrivals.iter().enumerate() {
         for (r, rep) in pool.iter_mut().enumerate() {
-            rep.advance(Some(arrival), r, batch, arrivals, service, &mut records);
+            rep.advance(Some(arrival), r, arrivals, service, &mut records);
         }
         let target = match policy {
             DispatchPolicy::RoundRobin => i % replicas,
@@ -197,11 +188,10 @@ pub fn old_pool_scan(
         };
         let rep = &mut pool[target];
         if rep.free_at <= arrival {
-            // Idle: serve on arrival as a batch of one.
-            let duration = batch.map_or(0, |(_, overhead)| overhead) + service[i];
-            records[i] = (arrival, arrival, arrival + duration, false, target);
-            rep.free_at = arrival + duration;
-            rep.busy_cycles += duration;
+            // Idle: serve on arrival.
+            records[i] = (arrival, arrival, arrival + service[i], false, target);
+            rep.free_at = arrival + service[i];
+            rep.busy_cycles += service[i];
             rep.completed += 1;
         } else if rep.waiting.len() >= capacity {
             records[i] = (arrival, arrival, arrival, true, target);
@@ -210,7 +200,7 @@ pub fn old_pool_scan(
         }
     }
     for (r, rep) in pool.iter_mut().enumerate() {
-        rep.advance(None, r, batch, arrivals, service, &mut records);
+        rep.advance(None, r, arrivals, service, &mut records);
     }
     let stats = pool.iter().map(|r| (r.completed, r.busy_cycles)).collect();
     (records, stats)

@@ -299,7 +299,7 @@ fn closed_loop_serve_is_bit_identical_to_run_stream() {
 #[test]
 fn single_replica_pool_is_bit_identical_to_the_pre_pool_scan() {
     // The replica-pool generalisation claims the old single-server FIFO
-    // is its R = 1 / round-robin / no-batching special case. Pin that
+    // is its R = 1 / round-robin special case. Pin that
     // against an *independent* reference: the shared inline copy of the
     // pre-pool single-server scan, over cycle-exact accelerator service
     // traces and a matrix of arrival processes and queue bounds.
@@ -454,15 +454,15 @@ fn fast_forward_is_exact_on_streams() {
 }
 
 /// The serve-module split (`serve.rs` → `serve/{arrivals,queue,dispatch,
-/// batch,report,sim,live}`) and the fleet refactor claim the pool scan is
-/// the pre-split monolith, verbatim. Pin the fleet scan on the plain pool
+/// report,sim,live}`) and the fleet refactor claim the pool scan is the
+/// pre-split monolith, verbatim. Pin the fleet scan on the plain pool
 /// against the *independent* shared copy of the pre-split replica-pool
 /// scan — `ReplicaSim` semantics, dispatch tie-breaks, p2c's
 /// two-draws-per-request RNG discipline, least-work-left cost routing,
-/// batch formation, and bounded-admission drops included — over
-/// multi-replica pools, every policy, batching on and off, bounded and
-/// unbounded queues, and Poisson/on-off arrivals. Bit-identical records
-/// and per-replica accounting, or the refactor changed behavior.
+/// and bounded-admission drops included — over multi-replica pools,
+/// every policy, bounded and unbounded queues, and Poisson/on-off
+/// arrivals. Bit-identical records and per-replica accounting, or the
+/// refactor changed behavior.
 #[test]
 fn split_serve_trace_is_bit_identical_to_the_pre_split_pool_scan() {
     let spec = DatasetSpec::standard(DatasetKind::MolHiv);
@@ -497,36 +497,24 @@ fn split_serve_trace_is_bit_identical_to_the_pre_split_pool_scan() {
         QueuePolicy::Bounded(2),
         QueuePolicy::Bounded(64),
     ];
-    let batches: [Option<(usize, u64)>; 2] = [None, Some((3, mean / 10))];
 
     for process in processes {
         for policy in policies {
             for queue in queues {
-                for batch in batches {
-                    for replicas in [1usize, 2, 3, 5] {
-                        let mut builder = FleetConfig::pool(replicas)
-                            .arrivals(process)
-                            .queue(queue)
-                            .policy(policy);
-                        if let Some((max, overhead)) = batch {
-                            builder = builder.batch(max, overhead);
-                        }
-                        let report = run_pool(&service, &builder.build().unwrap());
+                for replicas in [1usize, 2, 3, 5] {
+                    let config = FleetConfig::pool(replicas)
+                        .arrivals(process)
+                        .queue(queue)
+                        .policy(policy)
+                        .build()
+                        .unwrap();
+                    let report = run_pool(&service, &config);
 
-                        let arrivals = process.arrivals(service.len());
-                        let (reference, stats) = old_pool_scan(
-                            &service,
-                            &arrivals,
-                            capacity(queue),
-                            replicas,
-                            policy,
-                            batch,
-                        );
-                        let what = format!(
-                            "{process:?} / {policy:?} / {queue:?} / {batch:?} / R={replicas}"
-                        );
-                        assert_matches(&report, &reference, &stats, &what);
-                    }
+                    let arrivals = process.arrivals(service.len());
+                    let (reference, stats) =
+                        old_pool_scan(&service, &arrivals, capacity(queue), replicas, policy);
+                    let what = format!("{process:?} / {policy:?} / {queue:?} / R={replicas}");
+                    assert_matches(&report, &reference, &stats, &what);
                 }
             }
         }
@@ -597,7 +585,6 @@ fn degenerate_fleet_is_bit_identical_to_the_scale_recipe() {
                         QUEUE_CAPACITY,
                         replicas,
                         policy,
-                        None,
                     );
                     let what = format!("{process}/{policy_name}/x{replicas}/load {load}");
                     assert_eq!(fleet.per_class.len(), 1, "{what}: one class view");
