@@ -3,8 +3,8 @@
 //! Two kernels have a second body behind the run-time switch
 //! ([`flowgnn_tensor::simd::set_scalar_kernels`]): `ops::dot` (the fixed
 //! two-accumulator order vs. the left-to-right sum) and `Linear`'s
-//! input-stationary loop (contiguous transposed rows vs. a strided column
-//! walk). Every other kernel is one function, so timing it "under both
+//! input-stationary loop (compacted nonzero inputs accumulated in register
+//! tiles over contiguous transposed rows vs. a strided column walk). Every other kernel is one function, so timing it "under both
 //! paths" would time it against itself. Two measurement layers,
 //! serialized together as `BENCH_kernel_simd.json`:
 //!

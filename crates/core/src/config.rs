@@ -107,13 +107,14 @@ pub enum EngineMode {
     /// job boundary on either side (the coupled jump, when
     /// `P_apply ≤ P_scatter`).
     ///
-    /// In [`ExecutionMode::TimingOnly`] runs without a trace it also
-    /// fast-forwards whole regions: a region whose timing signature (kind,
-    /// NT accumulate cycles, payload dimension, MP chunks per edge) equals
-    /// an earlier region's copies that region's stats instead of stepping
-    /// its cycles again. The identical hidden layers of every preset model
-    /// are such twins. [`ExecutionMode::Full`] and traced runs step every
-    /// region.
+    /// In runs without a trace it also fast-forwards whole regions: a
+    /// region whose timing signature (kind, NT accumulate cycles, payload
+    /// dimension, MP chunks per edge) equals an earlier region's copies
+    /// that region's stats instead of stepping its cycles again. The
+    /// identical hidden layers of every preset model are such twins. In
+    /// [`ExecutionMode::Full`] a copied twin's layer folds its messages in
+    /// the order the earlier region recorded, which is the order stepping
+    /// it would record. Traced runs step every region.
     #[default]
     FastForward,
     /// Naive per-cycle stepping: every cycle runs every unit.

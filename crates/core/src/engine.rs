@@ -7,12 +7,15 @@
 //! preparation, the region walk, load/readout costing, and the
 //! [`RunReport`] the caller gets back.
 //!
-//! The region walk simulates each region in order, except that a
-//! timing-only, untraced [`EngineMode::FastForward`] run copies a twin
-//! region's stats from the earlier region with the same timing signature
-//! instead of stepping it again (DESIGN.md §3b): every preset model
-//! stacks identical hidden layers, so most regions are twins. Reports are
-//! bit-identical either way.
+//! The region walk simulates each region in order, except that an
+//! untraced [`EngineMode::FastForward`] run copies a twin region's stats
+//! from the earlier region with the same timing signature instead of
+//! stepping it again (DESIGN.md §3b): every preset model stacks identical
+//! hidden layers, so most regions are twins. After each region's stats
+//! are known, stepped or copied, the region's arithmetic runs in one pass
+//! (`ExecState::run_region`); a copied twin folds over the edge order its
+//! source region recorded. Reports and outputs are bit-identical either
+//! way.
 
 use flowgnn_desim::{cycles_to_ms, cycles_to_us, Cycle};
 use flowgnn_graph::{Adjacency, FeatureArena, Graph};
@@ -138,7 +141,8 @@ pub struct Accelerator {
     config: ArchConfig,
     regions: Vec<Region>,
     /// Per region, the earlier region with the same timing signature whose
-    /// stats a timing-only fast-forward run copies (see `twin_map`).
+    /// stats and fold order an untraced fast-forward run copies (see
+    /// `twin_map`).
     twins: Vec<Option<usize>>,
     trace_cache: Option<ServiceTraceCache>,
     metrics: Option<crate::metrics::EngineMetrics>,
@@ -335,27 +339,29 @@ impl Accelerator {
         let mut region_stats = Vec::with_capacity(self.regions.len());
         let mut totals = RegionStats::default();
         let mut trace = self.config.trace.then(Trace::default);
-        // A timing-only fast-forward run simulates each distinct region
-        // once: a twin steps through exactly its earlier region's cycles
-        // (DESIGN.md §3b). Functional runs still execute every layer's
-        // arithmetic in dataflow order, and the reference engine and the
-        // tracer step every region.
-        let copy_twins =
-            !functional && trace.is_none() && self.config.engine == EngineMode::FastForward;
+        // A fast-forward run simulates each distinct region once: a twin
+        // steps through exactly its earlier region's cycles, so it also
+        // completes that region's edges in the same order, and its
+        // arithmetic folds over that recorded order (DESIGN.md §3b). The
+        // reference engine and the tracer step every region, each
+        // recording its own order.
+        let copy_twins = trace.is_none() && self.config.engine == EngineMode::FastForward;
 
-        for (region, twin) in self.regions.iter().zip(&self.twins) {
-            exec.begin_region(region.payload_dim);
-            let stats = match *twin {
+        for (i, (region, twin)) in self.regions.iter().zip(&self.twins).enumerate() {
+            exec.begin_region(i, region.payload_dim);
+            let copied = twin.filter(|_| copy_twins);
+            let stats = match copied {
                 // A copied twin steps and skips nothing.
-                Some(j) if copy_twins => RegionStats {
+                Some(j) => RegionStats {
                     stepped: 0,
                     skipped: 0,
                     ..region_stats[j]
                 },
-                _ => {
+                None => {
                     self.simulate_region(region, g, banked, csc.as_ref(), &mut exec, trace.as_mut())
                 }
             };
+            exec.run_region(&self.model, region, csc.as_ref(), copied);
             region_stats.push(stats);
             region_cycles
                 .push(stats.cycles + self.config.region_overhead + self.config.nt_pipeline_depth);

@@ -2,18 +2,23 @@
 //!
 //! Every simulation schedule — the sequential/lockstep baselines, the
 //! cycle-stepped dataflows, and the fast-forward replays — performs the
-//! model's arithmetic through one [`ExecState`]: NT completions call
-//! [`ExecState::nt_finalize`], MP edge completions call
-//! [`ExecState::mp_process_edge`] (scatter) or [`ExecState::gather_node`]
-//! (gather), and region boundaries call [`ExecState::advance_region`].
-//! Centralising the arithmetic here is what guarantees that every
+//! model's arithmetic through one [`ExecState`], and none of them does it
+//! while it steps cycles. Functionally, the only thing the dataflow
+//! decides is the order in which each destination's aggregator receives
+//! its messages, so a scatter region's schedule only records the edge ids
+//! in the order its MP units complete them ([`ExecState::record_edges`]).
+//! Once the region's stats are known, stepped or copied from a twin,
+//! [`ExecState::run_region`] runs its arithmetic in one pass: γ for every
+//! node (after that node's gather, in gather regions), then φ and the fold
+//! over the recorded order. [`ExecState::advance_region`] then swaps the
+//! buffers. Centralising the arithmetic here is what guarantees that every
 //! strategy, engine mode, and unit schedule computes the *same* function;
-//! only the timing differs.
+//! only the timing and the recorded fold order differ.
 
 use flowgnn_desim::Fifo;
 use flowgnn_graph::{Adjacency, FeatureArena, Graph, NodeId};
 use flowgnn_models::{
-    AggState, AggregatorKind, GnnModel, GraphContext, MessageCtx, NodeCtx, NtScratch,
+    AggState, AggregatorKind, GnnLayer, GnnModel, GraphContext, MessageCtx, NodeCtx, NtScratch,
 };
 
 use crate::regions::{NtOp, Region};
@@ -45,6 +50,8 @@ pub struct SimScratch {
     /// Retired aggregation states, reused via `AggregatorKind::reinit`
     /// so the per-node hot path never allocates fresh accumulators.
     state_pool: Vec<AggState>,
+    /// Per region, the fold order its schedule recorded (functional runs).
+    orders: Vec<Vec<u32>>,
 }
 
 /// Reshapes a reusable queue grid: keeps the ring allocations when the
@@ -68,7 +75,7 @@ pub(crate) struct ExecState<'a> {
     ctx: &'a GraphContext,
     /// Raw input features packed into a lane-padded arena by
     /// [`crate::Accelerator::prepare`] (functional runs only); when absent,
-    /// `nt_finalize` materialises rows on demand via `raw_buf`.
+    /// γ materialises rows on demand via `raw_buf`.
     feats: Option<&'a FeatureArena>,
     functional: bool,
     /// Embeddings at region start.
@@ -93,6 +100,11 @@ pub(crate) struct ExecState<'a> {
     gather_queues: Vec<Fifo<NodeId>>,
     /// Retired aggregation states awaiting reuse (see `fresh_state`).
     state_pool: Vec<AggState>,
+    /// Per region, the edge ids in the order its MP units completed them
+    /// (functional runs only); a copied twin folds over its source's.
+    orders: Vec<Vec<u32>>,
+    /// The region whose schedule is recording into `orders`.
+    region: usize,
 }
 
 impl<'a> ExecState<'a> {
@@ -134,6 +146,8 @@ impl<'a> ExecState<'a> {
             scatter_queues: std::mem::take(&mut scratch.scatter_queues),
             gather_queues: std::mem::take(&mut scratch.gather_queues),
             state_pool: std::mem::take(&mut scratch.state_pool),
+            orders: std::mem::take(&mut scratch.orders),
+            region: 0,
         }
     }
 
@@ -152,6 +166,7 @@ impl<'a> ExecState<'a> {
         scratch.scatter_queues = self.scatter_queues;
         scratch.gather_queues = self.gather_queues;
         scratch.state_pool = self.state_pool;
+        scratch.orders = self.orders;
     }
 
     /// An aggregation state for `agg` at `msg_dim`: a pooled one,
@@ -167,19 +182,33 @@ impl<'a> ExecState<'a> {
         }
     }
 
-    /// Sizes this region's output arena to `payload_dim` columns.
+    /// Starts region `index`: sizes its output arena to `payload_dim`
+    /// columns and empties its fold order.
     ///
-    /// Called once per region before any [`ExecState::nt_finalize`]; a
-    /// no-op in timing-only runs so large graphs never pay for zeroed
+    /// A no-op in timing-only runs, so large graphs never pay for zeroed
     /// feature slabs they would not read.
-    pub(crate) fn begin_region(&mut self, payload_dim: usize) {
+    pub(crate) fn begin_region(&mut self, index: usize, payload_dim: usize) {
         if !self.functional {
             return;
         }
-        // Every row is fully written by an NT unit (`set_row`) before
-        // anything reads it, so the reset skips the slab memset.
+        // Every row is fully written by γ (`set_row`) before anything
+        // reads it, so the reset skips the slab memset.
         self.x_next
             .reset_for_overwrite(self.graph.num_nodes(), payload_dim);
+        if self.orders.len() <= index {
+            self.orders.resize_with(index + 1, Vec::new);
+        }
+        self.orders[index].clear();
+        self.region = index;
+    }
+
+    /// Appends edges an MP unit just completed to the region's fold order
+    /// (functional runs only).
+    #[inline]
+    pub(crate) fn record_edges(&mut self, eids: &[u32]) {
+        if self.functional {
+            self.orders[self.region].extend_from_slice(eids);
+        }
     }
 
     /// Borrows the scatter adapter's queue grid for one region, reshaped
@@ -219,11 +248,48 @@ impl<'a> ExecState<'a> {
         }
     }
 
-    /// NT completion for node `v`: computes its new embedding.
-    pub(crate) fn nt_finalize(&mut self, model: &GnnModel, region: &Region, v: NodeId) {
+    /// Runs the current region's arithmetic once its schedule is known:
+    /// per node, the gather (gather regions) and γ; then, in scatter
+    /// regions, φ and the fold over the fold order the region recorded,
+    /// or over its source's when the region is a copy of `twin`. A twin
+    /// steps through its source's cycles, so it completes the same edges
+    /// in the same order.
+    ///
+    /// Running every γ before any fold changes no bit: γ reads only
+    /// `x_cur` and the previous region's aggregates, both complete when
+    /// the region starts, and a fold reads `x_next[src]`, which γ has then
+    /// written. Each destination receives its messages in the recorded
+    /// order, which is all the dataflow decides.
+    pub(crate) fn run_region(
+        &mut self,
+        model: &GnnModel,
+        region: &Region,
+        csc: Option<&Adjacency>,
+        twin: Option<usize>,
+    ) {
         if !self.functional {
             return;
         }
+        let gather = region.gather_layer.map(|l| {
+            let csc = csc.expect("gather models build a CSC");
+            (&model.layers()[l], csc)
+        });
+        for v in 0..self.graph.num_nodes() as NodeId {
+            if let Some((layer, csc)) = gather {
+                self.gather_node(layer, v, csc);
+            }
+            self.gamma(model, region, v);
+        }
+        if let Some(l) = region.scatter_layer {
+            let source = twin.unwrap_or(self.region);
+            let order = std::mem::take(&mut self.orders[source]);
+            self.fold(&model.layers()[l], &order);
+            self.orders[source] = order;
+        }
+    }
+
+    /// γ for node `v`: computes its new embedding.
+    fn gamma(&mut self, model: &GnnModel, region: &Region, v: NodeId) {
         let vi = v as usize;
         let node = self.node_ctx(v);
         match region.nt_op {
@@ -281,65 +347,43 @@ impl<'a> ExecState<'a> {
         }
     }
 
-    /// MP completion of one edge `src → dst` in a scatter region: compute
-    /// φ on the *new* embedding and fold into the destination's aggregate.
-    pub(crate) fn mp_process_edge(
-        &mut self,
-        model: &GnnModel,
-        layer: usize,
-        src: NodeId,
-        dst: NodeId,
-        eid: u32,
-    ) {
-        if !self.functional {
-            return;
+    /// φ and the fold for every edge of a scatter region, in `order`:
+    /// each message is computed on its source's *new* embedding and folded
+    /// into its destination's aggregate.
+    fn fold(&mut self, layer: &GnnLayer, order: &[u32]) {
+        let (weighting, phi, agg) = (layer.weighting(), layer.phi(), layer.agg());
+        let edges = self.graph.edges();
+        for &eid in order {
+            let (src, dst) = edges[eid as usize];
+            let mctx = MessageCtx {
+                x_src: self.x_next.row(src as usize),
+                x_dst: None,
+                edge_feat: self.graph.edge_feature(eid as usize),
+                edge_weight: weighting.weight(self.ctx, src, dst),
+            };
+            phi.apply_with_scratch(&mctx, &mut self.msg_buf, &mut self.phi_scratch);
+            let state = self.next_states[dst as usize].get_or_insert_with(|| {
+                Self::fresh_state(&mut self.state_pool, agg, layer.message_dim())
+            });
+            agg.push(state, &self.msg_buf);
         }
-        let l = &model.layers()[layer];
-        let weight = l.weighting().weight(self.ctx, src, dst);
-        let mctx = MessageCtx {
-            x_src: self.x_next.row(src as usize),
-            x_dst: None,
-            edge_feat: self.graph.edge_feature(eid as usize),
-            edge_weight: weight,
-        };
-        l.phi()
-            .apply_with_scratch(&mctx, &mut self.msg_buf, &mut self.phi_scratch);
-        let slot = &mut self.next_states[dst as usize];
-        if slot.is_none() {
-            *slot = Some(Self::fresh_state(
-                &mut self.state_pool,
-                l.agg(),
-                l.message_dim(),
-            ));
-        }
-        l.agg().push(slot.as_mut().unwrap(), &self.msg_buf);
     }
 
     /// Full gather for destination `v` in a gather region (GAT): folds all
-    /// in-edges into `prev_states[v]`, which `nt_finalize` will consume.
-    pub(crate) fn gather_node(
-        &mut self,
-        model: &GnnModel,
-        layer: usize,
-        v: NodeId,
-        csc: &Adjacency,
-    ) {
-        if !self.functional {
-            return;
-        }
-        let l = &model.layers()[layer];
-        let mut state = Self::fresh_state(&mut self.state_pool, l.agg(), l.message_dim());
+    /// in-edges, in CSC order, into `prev_states[v]`, which γ consumes.
+    fn gather_node(&mut self, layer: &GnnLayer, v: NodeId, csc: &Adjacency) {
+        let mut state = Self::fresh_state(&mut self.state_pool, layer.agg(), layer.message_dim());
         for (&u, &eid) in csc.neighbors(v).iter().zip(csc.edge_ids(v)) {
-            let weight = l.weighting().weight(self.ctx, u, v);
             let mctx = MessageCtx {
                 x_src: self.x_cur.row(u as usize),
                 x_dst: Some(self.x_cur.row(v as usize)),
                 edge_feat: self.graph.edge_feature(eid as usize),
-                edge_weight: weight,
+                edge_weight: layer.weighting().weight(self.ctx, u, v),
             };
-            l.phi()
+            layer
+                .phi()
                 .apply_with_scratch(&mctx, &mut self.msg_buf, &mut self.phi_scratch);
-            l.agg().push(&mut state, &self.msg_buf);
+            layer.agg().push(&mut state, &self.msg_buf);
         }
         self.prev_states[v as usize] = Some(state);
     }

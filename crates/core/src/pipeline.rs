@@ -22,7 +22,12 @@
 //! dimension, MP chunks per edge) and the twin map built from it, which
 //! names for each region the first earlier region that steps through the
 //! same cycles on any graph. The engine uses the map to fast-forward
-//! whole regions in timing-only runs (DESIGN.md §3b).
+//! whole regions in untraced fast-forward runs (DESIGN.md §3b).
+//!
+//! No schedule here runs arithmetic: a scatter region's schedule records
+//! the order in which edges complete (the MP units in the dataflows, the
+//! source-major walk in the sequential schedules), and the engine runs the
+//! region's arithmetic afterwards (`ExecState::run_region`).
 
 use flowgnn_desim::Cycle;
 use flowgnn_graph::{Adjacency, Graph, NodeId};
@@ -427,8 +432,8 @@ impl Accelerator {
         }
     }
 
-    /// Fig. 4(a)/(b): exact sequential or lockstep schedules. Functional
-    /// execution is identical; only the timing formula differs.
+    /// Fig. 4(a)/(b): exact sequential or lockstep schedules. They differ
+    /// only in the timing formula; both record the same fold order.
     fn scatter_sequential(
         &self,
         region: &Region,
@@ -444,16 +449,12 @@ impl Accelerator {
         let nt_time = |v: NodeId| acc.get(v) + out;
         let chunks = region.scatter_layer.map(|l| self.chunks_per_edge(l));
 
-        // Functional pass: NT for every node, then MP for every edge.
-        for v in 0..n as NodeId {
-            exec.nt_finalize(self.model(), region, v);
-        }
-        if let Some(layer) = region.scatter_layer {
+        // Fold order: MP runs after every NT, source by source, bank by
+        // bank.
+        if region.scatter_layer.is_some() {
             for v in 0..n as NodeId {
                 for k in 0..banked.p_edge() {
-                    for (dst, eid) in banked.edges(k, v).iter() {
-                        exec.mp_process_edge(self.model(), layer, v, dst, eid);
-                    }
+                    exec.record_edges(banked.edges(k, v));
                 }
             }
         }
@@ -579,9 +580,7 @@ impl Accelerator {
             p_scatter,
             payload: region.payload_dim,
             acc: self.acc_cycles(region, g),
-            region,
             banked,
-            model: self.model(),
             roles: Vec::with_capacity(p_node + p_edge),
         };
         let mut nts: Vec<NtUnit> = (0..p_node).map(|i| NtUnit::new(i, n, p_node)).collect();
@@ -619,17 +618,17 @@ impl Accelerator {
         let layer = region.gather_layer.expect("gather region");
         match self.config().strategy {
             PipelineStrategy::NonPipelined => {
-                self.gather_sequential(region, g, csc, exec, layer, false, trace)
+                self.gather_sequential(region, g, csc, layer, false, trace)
             }
             PipelineStrategy::FixedPipeline => {
-                self.gather_sequential(region, g, csc, exec, layer, true, trace)
+                self.gather_sequential(region, g, csc, layer, true, trace)
             }
             PipelineStrategy::BaselineDataflow | PipelineStrategy::FlowGnn => {
                 match self.config().gather_banking {
                     GatherBanking::Destination => {
                         self.gather_dataflow(region, g, csc, exec, layer, trace)
                     }
-                    GatherBanking::Source => self.gather_source_banked(region, g, csc, exec, layer),
+                    GatherBanking::Source => self.gather_source_banked(region, g, layer),
                 }
             }
         }
@@ -639,17 +638,10 @@ impl Accelerator {
     /// sources `s ≡ k (mod P_edge)` and accumulates *partial* aggregates
     /// per destination. Destinations\' aggregates are only final once every
     /// unit has drained its edges, so the node transformations run after a
-    /// barrier. Timing: `max_k(unit k edge work) + NT phase`; the
-    /// functional result is identical to destination banking up to
-    /// floating-point reordering.
-    fn gather_source_banked(
-        &self,
-        region: &Region,
-        g: &Graph,
-        csc: &Adjacency,
-        exec: &mut ExecState<'_>,
-        layer: usize,
-    ) -> RegionStats {
+    /// barrier. Timing: `max_k(unit k edge work) + NT phase`. The
+    /// arithmetic is destination banking's: every gather region folds each
+    /// destination's in-edges in CSC order (`ExecState::run_region`).
+    fn gather_source_banked(&self, region: &Region, g: &Graph, layer: usize) -> RegionStats {
         let n = g.num_nodes();
         let p_edge = self.config().effective_p_edge();
         let p_node = self.config().effective_p_node();
@@ -658,12 +650,6 @@ impl Accelerator {
             .uniform_acc_cycles(region)
             .expect("gather regions are never Encode");
         let out = self.out_cycles(region);
-
-        // Functional: gather per destination (the merged partials).
-        for v in 0..n as NodeId {
-            exec.gather_node(self.model(), layer, v, csc);
-            exec.nt_finalize(self.model(), region, v);
-        }
 
         // Timing: per-unit edge work by *source* bank; the slowest unit
         // sets the MP phase (plus one header cycle per owned source).
@@ -689,13 +675,11 @@ impl Accelerator {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn gather_sequential(
         &self,
         region: &Region,
         g: &Graph,
         csc: &Adjacency,
-        exec: &mut ExecState<'_>,
         layer: usize,
         lockstep: bool,
         trace: Option<&mut RegionTrace>,
@@ -707,11 +691,6 @@ impl Accelerator {
             .expect("gather regions are never Encode");
         let out = self.out_cycles(region);
         let nt_time = acc + out;
-
-        for v in 0..n as NodeId {
-            exec.gather_node(self.model(), layer, v, csc);
-            exec.nt_finalize(self.model(), region, v);
-        }
 
         let mp_time = |v: NodeId| -> u64 { csc.degree(v) as u64 * chunks + 1 };
         let mp_total: u64 = (0..n as NodeId).map(mp_time).sum();
@@ -796,10 +775,7 @@ impl Accelerator {
             p_edge,
             chunks: self.chunks_per_edge(layer),
             nt_time: acc + out,
-            layer,
             csc,
-            region,
-            model: self.model(),
         };
         let mut nts: Vec<GatherNt> = (0..p_node).map(|i| GatherNt::new(i, n, p_node)).collect();
         let mut mps: Vec<GatherMp> = (0..p_edge).map(|k| GatherMp::new(k, n, p_edge)).collect();

@@ -131,12 +131,12 @@ pub(crate) fn lower(model: &GnnModel) -> Vec<Region> {
 /// unit *k* sees: "each MP will process only those edges and scatter to
 /// only those nodes within its own bank" (Sec. III-D1).
 ///
-/// The storage is struct-of-arrays: destinations and edge ids live in two
-/// flat parallel lanes indexed by one bank-major offset table, so an MP
-/// unit chewing through a source's edges (which touches only the
-/// destination lane until the functional call needs the edge id) walks
-/// contiguous memory, and the whole structure costs three allocations
-/// regardless of `P_edge`. The per-source multicast targets are also
+/// The storage is a CSR: edge ids live in one flat lane indexed by one
+/// bank-major offset table, so an MP unit chewing through a source's
+/// edges (in functional runs it appends the edge ids it completes to the
+/// region's fold order) walks contiguous memory, and the structure costs
+/// two allocations regardless of `P_edge`. An edge's endpoints stay in
+/// the graph's COO list. The per-source multicast targets are also
 /// precomputed as a CSR, so the adapter's routing decision is a slice
 /// lookup rather than a per-node scan-and-collect.
 #[derive(Debug, Clone)]
@@ -144,44 +144,15 @@ pub(crate) struct BankedEdges {
     p_edge: usize,
     n: usize,
     /// Bank-major CSR over sources: bank `k`, source `s` spans
-    /// `offsets[k*(n+1)+s]..offsets[k*(n+1)+s+1]` of the lanes below
-    /// (offsets are global lane indices, so no per-bank base is needed).
+    /// `offsets[k*(n+1)+s]..offsets[k*(n+1)+s+1]` of `eids` (offsets are
+    /// global lane indices, so no per-bank base is needed).
     offsets: Vec<usize>,
-    /// Destination lane.
-    dests: Vec<NodeId>,
-    /// Edge-id lane, parallel to `dests`.
+    /// Edge-id lane, each (bank, source) span in edge-list order.
     eids: Vec<u32>,
     /// CSR of multicast targets per source: source `s` streams to banks
     /// `target_banks[target_offsets[s]..target_offsets[s+1]]`.
     target_offsets: Vec<usize>,
     target_banks: Vec<usize>,
-}
-
-/// The edges of one source within one bank: two parallel slices over the
-/// [`BankedEdges`] lanes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct EdgeSlice<'a> {
-    /// Destination nodes.
-    pub dests: &'a [NodeId],
-    /// Edge ids, parallel to `dests`.
-    pub eids: &'a [u32],
-}
-
-impl<'a> EdgeSlice<'a> {
-    /// Number of edges in the slice.
-    pub fn len(&self) -> usize {
-        self.dests.len()
-    }
-
-    /// The `(dst, edge_id)` pair at `i`.
-    pub fn get(&self, i: usize) -> (NodeId, u32) {
-        (self.dests[i], self.eids[i])
-    }
-
-    /// Iterates `(dst, edge_id)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, u32)> + 'a {
-        self.dests.iter().copied().zip(self.eids.iter().copied())
-    }
 }
 
 impl BankedEdges {
@@ -203,13 +174,11 @@ impl BankedEdges {
         }
         offsets.truncate(p_edge * (n + 1));
         let mut cursor: Vec<usize> = offsets.clone();
-        let mut dests = vec![0 as NodeId; e];
         let mut eids = vec![0u32; e];
         for (eid, &(src, dst)) in graph.edges().iter().enumerate() {
             let k = dst as usize % p_edge;
             let slot = cursor[k * (n + 1) + src as usize];
             cursor[k * (n + 1) + src as usize] += 1;
-            dests[slot] = dst;
             eids[slot] = eid as u32;
         }
         // Multicast-target CSR: for each source, the banks holding >= 1
@@ -232,7 +201,6 @@ impl BankedEdges {
             p_edge,
             n,
             offsets,
-            dests,
             eids,
             target_offsets,
             target_banks,
@@ -244,15 +212,11 @@ impl BankedEdges {
         self.p_edge
     }
 
-    /// Edges `(dst, edge_id)` of source `src` landing in bank `k`, as
-    /// parallel destination/edge-id lanes.
-    pub fn edges(&self, k: usize, src: NodeId) -> EdgeSlice<'_> {
+    /// Ids of the edges of source `src` landing in bank `k`, in
+    /// edge-list order.
+    pub fn edges(&self, k: usize, src: NodeId) -> &[u32] {
         let base = k * (self.n + 1) + src as usize;
-        let (lo, hi) = (self.offsets[base], self.offsets[base + 1]);
-        EdgeSlice {
-            dests: &self.dests[lo..hi],
-            eids: &self.eids[lo..hi],
-        }
+        &self.eids[self.offsets[base]..self.offsets[base + 1]]
     }
 
     /// Banks that source `src` multicasts to (those holding ≥ 1 of its
@@ -317,10 +281,9 @@ mod tests {
     fn banked_edges_match_fig5_example() {
         // With 2 banks: bank 1 gets dests {1, 3}, bank 0 gets dest {2}.
         let be = BankedEdges::new(&graph(), 2);
-        let pairs = |k, s| be.edges(k, s).iter().collect::<Vec<_>>();
-        assert_eq!(pairs(1, 0), vec![(1, 0)]); // 0→1 in bank 1
-        assert_eq!(pairs(0, 1), vec![(2, 1)]); // 1→2 in bank 0
-        assert_eq!(pairs(1, 1), vec![(3, 2)]); // 1→3 in bank 1
+        assert_eq!(be.edges(1, 0), [0]); // edge 0, 0→1, in bank 1
+        assert_eq!(be.edges(0, 1), [1]); // edge 1, 1→2, in bank 0
+        assert_eq!(be.edges(1, 1), [2]); // edge 2, 1→3, in bank 1
         assert_eq!(be.targets(1), &[0, 1]); // node 1 multicasts to both
         assert_eq!(be.targets(0), &[1]); // node 0 only to bank 1
         assert!(be.targets(3).is_empty()); // no out-edges

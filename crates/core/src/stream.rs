@@ -386,8 +386,9 @@ mod tests {
         assert!(metrics.cycles.get() > 0);
 
         // Stepped and skipped cycles cover exactly the simulated dataflow
-        // regions. A Full-mode run copies no twin regions, so on GCN they
-        // add up to the region cycles less each region's fixed overheads.
+        // regions: on GCN, the regions the twin map does not copy, less
+        // each one's fixed overheads. A Full-mode fast-forward run copies
+        // twins too, so that falls strictly below the all-regions sum.
         // The dense point cloud saturates the adapter queues.
         let dense = KnnPointCloud::new(30.0, 16, 0).node_feat_dim(9).generate(1);
         let metrics = EngineMetrics::new(&Registry::new());
@@ -404,12 +405,22 @@ mod tests {
             (bare.mp_busy_cycles, bare.mp_stall_cycles),
             (observed.mp_busy_cycles, observed.mp_stall_cycles)
         );
-        let overheads = observed.region_cycles.len() as Cycle
-            * (a.config().region_overhead + a.config().nt_pipeline_depth);
+        let overhead = a.config().region_overhead + a.config().nt_pipeline_depth;
+        let twins = a.twin_map(a.regions());
+        let simulated: Cycle = observed
+            .region_cycles
+            .iter()
+            .zip(&twins)
+            .filter(|(_, twin)| twin.is_none())
+            .map(|(&c, _)| c - overhead)
+            .sum();
+        let all = observed.region_cycles.iter().sum::<Cycle>()
+            - observed.region_cycles.len() as Cycle * overhead;
         let (stepped, skipped) = (metrics.stepped_cycles.get(), metrics.skipped_cycles.get());
-        assert_eq!(
-            stepped + skipped,
-            observed.region_cycles.iter().sum::<Cycle>() - overheads
+        assert_eq!(stepped + skipped, simulated);
+        assert!(
+            simulated < all,
+            "simulated {simulated} of {all} region cycles"
         );
         assert!(skipped > 0, "stepped {stepped}, skipped {skipped}");
     }

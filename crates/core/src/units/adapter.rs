@@ -10,10 +10,9 @@
 
 use flowgnn_desim::Fifo;
 use flowgnn_graph::NodeId;
-use flowgnn_models::GnnModel;
 
 use crate::exec::ExecState;
-use crate::regions::{BankedEdges, Region};
+use crate::regions::BankedEdges;
 use crate::units::mp::MpUnit;
 use crate::units::nt::NtUnit;
 use crate::units::{AccCost, CoupledJump, DataflowCtx, PureClass, RegionStats, UnitStep};
@@ -60,9 +59,7 @@ pub(crate) struct ScatterCtx<'a> {
     pub(crate) payload: usize,
     /// NT accumulate cost per node.
     pub(crate) acc: AccCost,
-    pub(crate) region: &'a Region,
     pub(crate) banked: &'a BankedEdges,
-    pub(crate) model: &'a GnnModel,
     /// Coupled-jump scratch: each MP unit's role, then each NT unit's.
     pub(crate) roles: Vec<ChainRole>,
 }

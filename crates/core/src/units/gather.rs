@@ -1,15 +1,17 @@
 //! Gather-path units (paper Sec. III-D, GAT-style MP→NT regions):
 //! destination-banked MP units walk each destination's in-edges (CSC
 //! adjacency) and produce whole-node aggregate tokens; NT units consume
-//! the tokens and finalise. The source-banked alternative (Sec. III-D2)
-//! is an analytic schedule and lives in the scheduler module.
+//! the tokens and finalise. The units model timing only: every gather
+//! region folds each destination's in-edges in CSC order whatever the
+//! schedule, so its arithmetic runs after the region
+//! (`ExecState::run_region`) and nothing is recorded. The source-banked
+//! alternative (Sec. III-D2) is an analytic schedule and lives in the
+//! scheduler module.
 
 use flowgnn_desim::Fifo;
 use flowgnn_graph::{Adjacency, NodeId};
-use flowgnn_models::GnnModel;
 
 use crate::exec::ExecState;
-use crate::regions::Region;
 use crate::trace::LaneSymbol;
 use crate::units::{CoupledJump, DataflowCtx, PureClass, RegionStats, UnitStep, HORIZON_INF};
 
@@ -25,11 +27,7 @@ pub(crate) struct GatherCtx<'a> {
     pub(crate) chunks: u64,
     /// NT cycles per node (accumulate + output).
     pub(crate) nt_time: u64,
-    /// The layer being gathered.
-    pub(crate) layer: usize,
     pub(crate) csc: &'a Adjacency,
-    pub(crate) region: &'a Region,
-    pub(crate) model: &'a GnnModel,
 }
 
 impl GatherCtx<'_> {
@@ -98,7 +96,7 @@ impl<'a> UnitStep<GatherCtx<'a>> for GatherMp {
     fn step(
         &mut self,
         ctx: &mut GatherCtx<'a>,
-        exec: &mut ExecState<'_>,
+        _exec: &mut ExecState<'_>,
         stats: &mut RegionStats,
     ) -> LaneSymbol {
         if self.next >= self.count {
@@ -122,7 +120,6 @@ impl<'a> UnitStep<GatherCtx<'a>> for GatherMp {
                 stats.mp_stall += 1;
                 sym = LaneSymbol::StallFull;
             } else {
-                exec.gather_node(ctx.model, ctx.layer, v, ctx.csc);
                 ctx.queues[q_index].push(v);
                 self.next += 1;
             }
@@ -184,7 +181,8 @@ impl<'a> UnitStep<GatherCtx<'a>> for GatherMp {
 #[derive(Debug)]
 pub(crate) struct GatherNt {
     index: usize,
-    job: Option<(NodeId, u64)>,
+    /// Cycles left on the current node's transformation.
+    job: Option<u64>,
     rr: usize,
     completed: usize,
     expected: usize,
@@ -210,17 +208,16 @@ impl<'a> UnitStep<GatherCtx<'a>> for GatherNt {
     fn step(
         &mut self,
         ctx: &mut GatherCtx<'a>,
-        exec: &mut ExecState<'_>,
+        _exec: &mut ExecState<'_>,
         stats: &mut RegionStats,
     ) -> LaneSymbol {
         let sym;
         match &mut self.job {
-            Some((v, rem)) => {
+            Some(rem) => {
                 *rem -= 1;
                 stats.nt_busy += 1;
                 sym = LaneSymbol::Busy;
                 if *rem == 0 {
-                    exec.nt_finalize(ctx.model, ctx.region, *v);
                     self.completed += 1;
                     self.job = None;
                 }
@@ -231,9 +228,9 @@ impl<'a> UnitStep<GatherCtx<'a>> for GatherNt {
                 for off in 0..ctx.p_edge {
                     let k = (self.rr + off) % ctx.p_edge;
                     let q_index = ctx.qid(k, self.index);
-                    if let Some(v) = ctx.queues[q_index].pop() {
+                    if ctx.queues[q_index].pop().is_some() {
                         self.rr = (k + 1) % ctx.p_edge;
-                        self.job = Some((v, ctx.nt_time));
+                        self.job = Some(ctx.nt_time);
                         found = true;
                         break;
                     }
@@ -254,7 +251,7 @@ impl<'a> UnitStep<GatherCtx<'a>> for GatherNt {
     /// Pure-cycle horizon (see the scatter NT unit's variant).
     fn pure_horizon(&self, ctx: &GatherCtx<'a>) -> (u64, PureClass) {
         match self.job {
-            Some((_, rem)) => (rem.saturating_sub(1), PureClass::Busy),
+            Some(rem) => (rem.saturating_sub(1), PureClass::Busy),
             None => {
                 let any_input =
                     (0..ctx.p_edge).any(|k| !ctx.queues[ctx.qid(k, self.index)].is_empty());
@@ -279,7 +276,7 @@ impl<'a> UnitStep<GatherCtx<'a>> for GatherNt {
     ) {
         match class {
             PureClass::Busy => {
-                if let Some((_, rem)) = &mut self.job {
+                if let Some(rem) = &mut self.job {
                     *rem -= delta;
                 }
                 stats.nt_busy += delta;

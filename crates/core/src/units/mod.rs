@@ -15,7 +15,11 @@
 //! Every unit implements one small interface, [`UnitStep`], and a single
 //! region scheduler (`crate::pipeline`) drives all of them: the same unit
 //! code backs the per-cycle reference mode, the event-horizon fast-forward
-//! mode, and the ASCII tracer.
+//! mode, and the ASCII tracer. Units model timing only. The one functional
+//! fact a schedule decides is the order in which MP units complete edges,
+//! and a scatter MP unit appends each completed edge to the region's fold
+//! order through `ExecState`; the region's arithmetic runs after it
+//! (`ExecState::run_region`).
 
 pub(crate) mod adapter;
 pub(crate) mod gather;
@@ -58,8 +62,9 @@ pub(crate) const HORIZON_INF: u64 = u64::MAX;
 pub(crate) const FF_BACKOFF_MAX: u64 = 32;
 
 /// Meter class a unit accrues during a run of *pure* cycles — cycles whose
-/// only effects are one counter decrement and one meter increment, with no
-/// queue traffic, functional execution, or job transitions.
+/// only effects are one counter decrement and one meter increment (plus,
+/// for an MP unit, appending the edges it completes to the fold order),
+/// with no queue traffic or job transitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PureClass {
     /// Counting down an accumulate/output/gather counter.
@@ -122,9 +127,10 @@ pub(crate) fn outcome_symbol(outcome: StepOutcome) -> LaneSymbol {
 /// and nothing else, which is what lets the per-cycle reference mode, the
 /// fast-forward mode, and the tracer all run the same unit code.
 pub(crate) trait UnitStep<C> {
-    /// Executes one cycle: moves flits/tokens, advances counters, performs
-    /// functional work through `exec`, updates the busy/stall meters in
-    /// `stats`, and reports the cycle's trace symbol.
+    /// Executes one cycle: moves flits/tokens, advances counters, appends
+    /// the edges a scatter MP unit completes to the region's fold order
+    /// through `exec`, updates the busy/stall meters in `stats`, and
+    /// reports the cycle's trace symbol.
     fn step(
         &mut self,
         ctx: &mut C,
@@ -140,9 +146,10 @@ pub(crate) trait UnitStep<C> {
     /// frozen until another unit moves.
     fn pure_horizon(&self, ctx: &C) -> (u64, PureClass);
 
-    /// Advances this unit through `delta` pure cycles at once. `class`
-    /// must come from [`UnitStep::pure_horizon`] and `delta` must not
-    /// exceed the returned horizon.
+    /// Advances this unit through `delta` pure cycles at once, recording
+    /// the edges completed on the way in order. `class` must come from
+    /// [`UnitStep::pure_horizon`] and `delta` must not exceed the returned
+    /// horizon.
     fn fast_forward(
         &mut self,
         delta: u64,

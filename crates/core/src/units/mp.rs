@@ -1,8 +1,9 @@
 //! Message-passing (MP) unit for scatter regions (paper Sec. III-B/C,
 //! Fig. 3 "MP unit"): destination-banked edge processing — unit `k` owns
 //! edges whose destination is `≡ k (mod P_edge)` — consuming flits from
-//! the multicast adapter and folding one `P_scatter`-element message chunk
-//! per cycle into the destination aggregates.
+//! the multicast adapter and processing one `P_scatter`-element message
+//! chunk per cycle. A completed edge is appended to the region's fold
+//! order; the arithmetic runs after the region (`ExecState::run_region`).
 
 use flowgnn_graph::NodeId;
 
@@ -39,6 +40,20 @@ impl MpJob {
     /// Chunks left until the job's last edge completes.
     fn chunks_left(&self, chunks_per_edge: u64) -> u64 {
         (self.edges - self.edge_cursor) as u64 * chunks_per_edge - self.chunk
+    }
+
+    /// Completes the job's next `count` edges in edge bank `bank`: appends
+    /// them to the region's fold order and moves the cursor past them.
+    fn complete_edges(
+        &mut self,
+        count: usize,
+        bank: usize,
+        ctx: &ScatterCtx<'_>,
+        exec: &mut ExecState<'_>,
+    ) {
+        let eids = ctx.banked.edges(bank, self.node);
+        exec.record_edges(&eids[self.edge_cursor..self.edge_cursor + count]);
+        self.edge_cursor += count;
     }
 }
 
@@ -87,7 +102,6 @@ impl MpUnit {
     }
 
     fn step_outcome(&mut self, ctx: &mut ScatterCtx<'_>, exec: &mut ExecState<'_>) -> StepOutcome {
-        let layer = ctx.scatter.expect("MP unit in a region without scatter");
         let chunks_per_edge = ctx.chunks.expect("MP unit in a region without chunks");
         let flits_total = ctx.flits_total;
         let p_node = ctx.p_node;
@@ -143,9 +157,7 @@ impl MpUnit {
                 job.chunk += 1;
                 active = true;
                 if job.chunk == chunks_per_edge {
-                    let (dst, eid) = ctx.banked.edges(self.index, job.node).get(job.edge_cursor);
-                    exec.mp_process_edge(ctx.model, layer, job.node, dst, eid);
-                    job.edge_cursor += 1;
+                    job.complete_edges(1, self.index, ctx, exec);
                     job.chunk = 0;
                 }
             }
@@ -203,7 +215,7 @@ impl MpUnit {
 
     /// Runs `window` receiving cycles of a coupled jump: pops `window`
     /// flits into the back job and advances the front job `window`
-    /// chunks, replaying its completed edges in order.
+    /// chunks, recording its completed edges in order.
     #[inline]
     pub(crate) fn receive_for(
         &mut self,
@@ -280,7 +292,7 @@ impl<'a> UnitStep<ScatterCtx<'a>> for MpUnit {
             // chews through its remaining edges with no queue interaction
             // until the retire cycle. Edge completions inside that span
             // are per-unit deterministic work (each MP bank folds into a
-            // disjoint destination set), so `fast_forward` replays them in
+            // disjoint destination set), so `fast_forward` records them in
             // order; only the cycle that completes the *last* edge stays
             // live, because it also retires the job.
             return (front.chunks_left(chunks_per_edge) - 1, PureClass::Busy);
@@ -308,7 +320,6 @@ impl<'a> UnitStep<ScatterCtx<'a>> for MpUnit {
         match class {
             PureClass::Busy => {
                 if let Some(job) = self.jobs[0].as_mut() {
-                    let layer = ctx.scatter.expect("MP unit in a region without scatter");
                     let chunks_per_edge = ctx.chunks.expect("MP unit in a region without chunks");
                     // Replay the per-cycle recurrence in closed form:
                     // `delta` chunk advances, one edge completing per
@@ -318,12 +329,7 @@ impl<'a> UnitStep<ScatterCtx<'a>> for MpUnit {
                     job.chunk = progress % chunks_per_edge;
                     let completed = (progress / chunks_per_edge) as usize;
                     if completed > 0 {
-                        let edges = ctx.banked.edges(self.index, job.node);
-                        for _ in 0..completed {
-                            let (dst, eid) = edges.get(job.edge_cursor);
-                            exec.mp_process_edge(ctx.model, layer, job.node, dst, eid);
-                            job.edge_cursor += 1;
-                        }
+                        job.complete_edges(completed, self.index, ctx, exec);
                     }
                 }
                 stats.mp_busy += delta;

@@ -79,7 +79,7 @@ impl NtUnit {
         self.finished_nodes == self.count
     }
 
-    fn step_outcome(&mut self, ctx: &mut ScatterCtx<'_>, exec: &mut ExecState<'_>) -> StepOutcome {
+    fn step_outcome(&mut self, ctx: &mut ScatterCtx<'_>) -> StepOutcome {
         let mut active = false;
         let mut blocked_output = false;
         let unit = self.index;
@@ -134,8 +134,8 @@ impl NtUnit {
                     blocked_output = true;
                 }
                 if *rem == 0 && self.out.is_none() {
+                    // The node's γ runs after the region (`ExecState::run_region`).
                     let v = *v;
-                    exec.nt_finalize(ctx.model, ctx.region, v);
                     let has_targets = ctx.scatter.is_some();
                     let n_targets = if has_targets {
                         ctx.banked.targets(v).len()
@@ -269,10 +269,10 @@ impl<'a> UnitStep<ScatterCtx<'a>> for NtUnit {
     fn step(
         &mut self,
         ctx: &mut ScatterCtx<'a>,
-        exec: &mut ExecState<'_>,
+        _exec: &mut ExecState<'_>,
         stats: &mut RegionStats,
     ) -> LaneSymbol {
-        let outcome = self.step_outcome(ctx, exec);
+        let outcome = self.step_outcome(ctx);
         match outcome {
             StepOutcome::Busy => stats.nt_busy += 1,
             StepOutcome::StallEmpty | StepOutcome::StallFull => stats.nt_stall += 1,

@@ -1,6 +1,6 @@
 //! Fully-connected (linear) layer.
 
-use crate::{ops, simd, Activation, Matrix, WeightInit};
+use crate::{simd, Activation, Matrix, WeightInit};
 
 /// A fully-connected layer `y = act(W·x + b)`.
 ///
@@ -27,8 +27,9 @@ use crate::{ops, simd, Activation, Matrix, WeightInit};
 pub struct Linear {
     weight: Matrix,
     // Transposed copy (`in × out`) kept alongside the canonical `out × in`
-    // matrix: the input-stationary loop streams one *contiguous*
-    // transposed row per nonzero input instead of a strided column walk.
+    // matrix: the input-stationary loop reads one *contiguous* slice of a
+    // transposed row per nonzero input and tile instead of a strided
+    // column walk.
     wt: Matrix,
     bias: Vec<f32>,
     activation: Activation,
@@ -139,11 +140,17 @@ impl Linear {
     /// (`P_apply` input elements per cycle); exposing it lets the simulator
     /// share the arithmetic while accounting cycles itself.
     ///
-    /// Each nonzero input selects one contiguous row of the transposed
-    /// weights and updates the whole output with one [`ops::axpy`], in
-    /// ascending input order. The `--scalar-kernels` switch
+    /// Inputs equal to `0.0` (either sign) are skipped, and every output
+    /// element starts from its bias and receives the products of the
+    /// remaining inputs in ascending input order, each multiply and add
+    /// rounded separately. The default body first compacts the nonzero
+    /// inputs of each block of 32 into a stack buffer, branch-free, then
+    /// accumulates the outputs in register tiles of 64, 32, 16, 8, 4, 2
+    /// and 1 columns: a tile stays in registers while it takes every
+    /// compacted input's product from one contiguous slice of the
+    /// transposed weights. The `--scalar-kernels` switch
     /// ([`crate::simd::set_scalar_kernels`]) selects the reference walk
-    /// down the columns of the `out × in` matrix instead; both add the
+    /// down the columns of the `out × in` matrix instead. Both add the
     /// same products to each output element in the same order, so they
     /// are **bit-identical**, zero-skipping included.
     ///
@@ -160,21 +167,71 @@ impl Linear {
         );
         out.clear();
         out.extend_from_slice(&self.bias);
-        let column_walk = simd::scalar_kernels();
-        for (i, xi) in x.iter().enumerate() {
-            if *xi == 0.0 {
-                continue; // skip zero inputs; result identical, cheaper in sim
-            }
-            if column_walk {
+        if simd::scalar_kernels() {
+            for (i, xi) in x.iter().enumerate() {
+                if *xi == 0.0 {
+                    continue; // skip zero inputs; result identical, cheaper in sim
+                }
                 for (o, row) in out.iter_mut().zip(self.weight.iter_rows()) {
                     *o += xi * row[i];
                 }
-            } else {
-                ops::axpy(out, *xi, self.wt.row(i));
             }
+            return;
+        }
+        let mut nonzero = [(0u32, 0.0f32); COMPACT_BLOCK];
+        for (b, block) in x.chunks(COMPACT_BLOCK).enumerate() {
+            // Every input is written; only a nonzero one advances the
+            // cursor, so a zero is overwritten by the next input.
+            let mut len = 0;
+            for (j, &xi) in block.iter().enumerate() {
+                nonzero[len] = ((b * COMPACT_BLOCK + j) as u32, xi);
+                len += usize::from(xi != 0.0);
+            }
+            let nonzero = &nonzero[..len];
+            let mut col = 0;
+            let rest = self.tiles::<64>(out, &mut col, nonzero);
+            let rest = self.tiles::<32>(rest, &mut col, nonzero);
+            let rest = self.tiles::<16>(rest, &mut col, nonzero);
+            let rest = self.tiles::<8>(rest, &mut col, nonzero);
+            let rest = self.tiles::<4>(rest, &mut col, nonzero);
+            let rest = self.tiles::<2>(rest, &mut col, nonzero);
+            self.tiles::<1>(rest, &mut col, nonzero);
         }
     }
+
+    /// Adds every `(i, x[i])` of `nonzero`, in order, into each whole
+    /// `W`-column tile of `out`, whose first column is output `col`.
+    /// Advances `col` past those tiles and returns the columns left over.
+    #[inline(always)]
+    fn tiles<'o, const W: usize>(
+        &self,
+        out: &'o mut [f32],
+        col: &mut usize,
+        nonzero: &[(u32, f32)],
+    ) -> &'o mut [f32] {
+        let mut tiles = out.chunks_exact_mut(W);
+        for tile in &mut tiles {
+            let tile: &mut [f32; W] = tile.try_into().expect("a whole tile");
+            let mut acc = *tile;
+            for &(i, xi) in nonzero {
+                let w: &[f32; W] = self.wt.row(i as usize)[*col..*col + W]
+                    .try_into()
+                    .expect("a whole tile");
+                for (a, w) in acc.iter_mut().zip(w) {
+                    *a += xi * w;
+                }
+            }
+            *tile = acc;
+            *col += W;
+        }
+        tiles.into_remainder()
+    }
 }
+
+/// Inputs [`Linear::forward_input_stationary`] compacts per block: their
+/// nonzero indices and values fit a small fixed stack buffer, so a layer
+/// of any width allocates nothing.
+const COMPACT_BLOCK: usize = 32;
 
 #[cfg(test)]
 mod tests {

@@ -85,22 +85,62 @@ fn reference_input_stationary(layer: &Linear, x: &[f32]) -> Vec<f32> {
     out
 }
 
+/// Sparse inputs plus the edge cases of the zero skip: all-zero inputs of
+/// either sign, and sparse inputs holding −0.0 (skipped like 0.0), NaN,
+/// +inf or −inf (never skipped).
+fn linear_inputs(rng: &mut Rng, len: usize) -> Vec<Vec<f32>> {
+    let mut inputs: Vec<Vec<f32>> = (0..4).map(|_| sparse_vec(rng, len)).collect();
+    inputs.push(vec![0.0; len]);
+    inputs.push(vec![-0.0; len]);
+    for special in [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut x = sparse_vec(rng, len);
+        for i in (rng.gen_range(0..len)..len).step_by(5) {
+            x[i] = special;
+        }
+        inputs.push(x);
+    }
+    inputs
+}
+
 #[test]
 fn tiled_linear_forward_is_bit_identical_to_the_scalar_schedule() {
     let mut rng = Rng::seed_from_u64(0x11EA);
-    for (in_dim, out_dim) in [(1, 1), (7, 3), (8, 8), (17, 9), (33, 20), (64, 5)] {
+    for (in_dim, out_dim) in [
+        (1, 1),
+        (7, 3),
+        (8, 8),
+        (17, 9),
+        (33, 20),
+        (64, 5),
+        // GIN: the MLP's two layers, the node encoder, the edge projection.
+        (100, 200),
+        (200, 100),
+        (9, 100),
+        (3, 100),
+        // Output widths whose last columns fall to every tail tile
+        // (64, 32, 16, 8, 4, 2 and 1 wide).
+        (5, 7),
+        (12, 33),
+        (40, 71),
+        (10, 127),
+        // Inputs spanning several 32-input compaction blocks and a partial
+        // last one.
+        (300, 13),
+    ] {
         for act in [Activation::Identity, Activation::Relu] {
             let layer = Linear::seeded(in_dim, out_dim, act, 7 + in_dim as u64);
-            for trial in 0..4 {
-                // Sparse inputs exercise the zero-skip path.
-                let x = sparse_vec(&mut rng, in_dim);
-                let got = layer.forward(&x);
-                let want = reference_input_stationary(&layer, &x);
-                assert_eq!(
-                    bits(&got),
-                    bits(&want),
-                    "linear {in_dim}->{out_dim} {act} trial {trial}"
-                );
+            // A −0.0 bias keeps its sign only if −0.0 inputs are skipped.
+            let signed = Linear::new(layer.weight().clone(), vec![-0.0; out_dim], act);
+            for (trial, x) in linear_inputs(&mut rng, in_dim).iter().enumerate() {
+                for layer in [&layer, &signed] {
+                    let got = layer.forward(x);
+                    let want = reference_input_stationary(layer, x);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "linear {in_dim}->{out_dim} {act} trial {trial}"
+                    );
+                }
             }
         }
     }

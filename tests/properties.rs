@@ -70,6 +70,54 @@ fn timing_only_equals_full_cycles() {
     }
 }
 
+/// On models deep enough to have twin regions, a `Full` fast-forward run,
+/// which copies each twin's stats and folds its layer over its source
+/// region's recorded order, is bit-identical to the reference engine,
+/// which steps every region and records each order itself.
+#[test]
+fn functional_twin_copies_match_the_reference_engine() {
+    let mut rng = Rng::seed_from_u64(0xF10_0009);
+    for case in 0..24 {
+        let n = rng.gen_range(2usize..25);
+        let p = rng.gen_range(0.05f64..0.5);
+        let seed = rng.gen_range(0u64..500);
+        let config = random_arch(&mut rng);
+        let graph = ErdosRenyi::new(n, p, seed).node_feat_dim(9).generate(0);
+        let model = if case % 2 == 0 {
+            GnnModel::gcn_with(9, 16, rng.gen_range(4usize..7), true, seed)
+        } else {
+            GnnModel::gin(9, None, seed)
+        };
+        let run = |engine| Accelerator::new(model.clone(), config.with_engine(engine)).run(&graph);
+        let (fast, reference) = (run(EngineMode::FastForward), run(EngineMode::Reference));
+        let what = format!("{} under {config:?}", model.name());
+        let timing = |r: &RunReport| {
+            (
+                r.total_cycles,
+                r.load_cycles,
+                r.region_cycles.clone(),
+                r.readout_cycles,
+                (r.nt_busy_cycles, r.nt_stall_cycles),
+                (r.mp_busy_cycles, r.mp_stall_cycles),
+                r.num_units,
+            )
+        };
+        assert_eq!(timing(&fast), timing(&reference), "{what}");
+        let (a, b) = (fast.output.unwrap(), reference.output.unwrap());
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(a.node_embeddings.as_slice()),
+            bits(b.node_embeddings.as_slice()),
+            "{what}: node embeddings"
+        );
+        assert_eq!(
+            bits(&a.graph_output.unwrap()),
+            bits(&b.graph_output.unwrap()),
+            "{what}: graph output"
+        );
+    }
+}
+
 /// Bank workloads always partition the edge set, and the imbalance metric
 /// is a percentage.
 #[test]
