@@ -6,59 +6,47 @@
 //! drives the push → commit → pop cycle the unit schedulers perform,
 //! at a queue depth matching [`flowgnn_core::ArchConfig`]'s default.
 
-use flowgnn_bench::microbench::Microbench;
+use flowgnn_bench::timing;
 use flowgnn_desim::Fifo;
 
-fn bench(c: &mut Microbench) {
-    let mut group = c.benchmark_group("hotpath_fifo");
-
+fn main() {
     // One producer/consumer cycle: stage a burst, commit, drain.
-    group.bench_function("push_commit_pop_burst8", |b| {
-        let mut q: Fifo<u64> = Fifo::new(16);
-        b.iter(|| {
-            for i in 0..8u64 {
-                q.push(i);
-            }
-            q.commit();
-            let mut sum = 0u64;
-            while let Some(x) = q.pop() {
-                sum += x;
-            }
-            std::hint::black_box(sum)
-        });
-    });
-
-    // Steady-state single-slot traffic (the common dataflow pattern:
-    // one flit in, one flit out per simulated cycle).
-    group.bench_function("steady_state_depth1", |b| {
-        let mut q: Fifo<u64> = Fifo::new(16);
-        q.push(0);
-        q.commit();
-        b.iter(|| {
-            q.push(1);
-            q.commit();
-            std::hint::black_box(q.pop())
-        });
-    });
-
-    // Backpressure probing: the full/empty checks unit horizons perform.
-    group.bench_function("occupancy_probes", |b| {
-        let mut q: Fifo<u64> = Fifo::new(16);
-        for i in 0..8 {
+    let mut q: Fifo<u64> = Fifo::new(16);
+    let burst = timing::measure(|| {
+        for i in 0..8u64 {
             q.push(i);
         }
         q.commit();
-        b.iter(|| {
-            std::hint::black_box(q.is_full());
-            std::hint::black_box(q.is_empty());
-            std::hint::black_box(q.len() + q.ready_len())
-        });
+        let mut sum = 0u64;
+        while let Some(x) = q.pop() {
+            sum += x;
+        }
+        sum
     });
+    println!("{:<40} {burst}", "hotpath_fifo/push_commit_pop_burst8");
 
-    group.finish();
-}
+    // Steady-state single-slot traffic (the common dataflow pattern:
+    // one flit in, one flit out per simulated cycle).
+    let mut q: Fifo<u64> = Fifo::new(16);
+    q.push(0);
+    q.commit();
+    let steady = timing::measure(|| {
+        q.push(1);
+        q.commit();
+        q.pop()
+    });
+    println!("{:<40} {steady}", "hotpath_fifo/steady_state_depth1");
 
-fn main() {
-    let mut c = Microbench::from_env();
-    bench(&mut c);
+    // Backpressure probing: the full/empty checks unit horizons perform.
+    let mut q: Fifo<u64> = Fifo::new(16);
+    for i in 0..8 {
+        q.push(i);
+    }
+    q.commit();
+    let probes = timing::measure(|| {
+        std::hint::black_box(q.is_full());
+        std::hint::black_box(q.is_empty());
+        q.len() + q.ready_len()
+    });
+    println!("{:<40} {probes}", "hotpath_fifo/occupancy_probes");
 }

@@ -9,7 +9,7 @@
 //! built once, outside the timed closures, so no timing includes graph
 //! generation.
 
-use flowgnn_bench::microbench::Microbench;
+use flowgnn_bench::timing;
 use flowgnn_core::{graph_fingerprint, Accelerator, ArchConfig, ExecutionMode, ServiceTraceCache};
 use flowgnn_graph::generators::{GraphGenerator, MoleculeLike};
 use flowgnn_graph::GraphStream;
@@ -24,35 +24,23 @@ fn acc() -> Accelerator {
     )
 }
 
-fn bench(c: &mut Microbench) {
-    let mut group = c.benchmark_group("trace_cache");
-
+fn main() {
     let stored = GraphStream::from_graphs(
         (0..GRAPHS)
             .map(|i| MoleculeLike::new(20.0, 7).generate(i))
             .collect(),
     );
     let uncached = acc();
-    group.bench_function("service_trace_uncached", |b| {
-        b.iter(|| std::hint::black_box(uncached.service_trace(stored.clone(), GRAPHS)))
-    });
+    let t = timing::measure(|| uncached.service_trace(stored.clone(), GRAPHS));
+    println!("{:<40} {t}", "trace_cache/service_trace_uncached");
 
     let cache = ServiceTraceCache::new(GRAPHS);
     let cached = acc().with_trace_cache(cache.clone());
     cached.service_trace(stored.clone(), GRAPHS); // warm: one engine pass
-    group.bench_function("service_trace_all_hits", |b| {
-        b.iter(|| std::hint::black_box(cached.service_trace(stored.clone(), GRAPHS)))
-    });
+    let t = timing::measure(|| cached.service_trace(stored.clone(), GRAPHS));
+    println!("{:<40} {t}", "trace_cache/service_trace_all_hits");
 
     let g = MoleculeLike::new(20.0, 7).generate(0);
-    group.bench_function("graph_fingerprint", |b| {
-        b.iter(|| std::hint::black_box(graph_fingerprint(&g)))
-    });
-
-    group.finish();
-}
-
-fn main() {
-    let mut c = Microbench::from_env();
-    bench(&mut c);
+    let t = timing::measure(|| graph_fingerprint(&g));
+    println!("{:<40} {t}", "trace_cache/graph_fingerprint");
 }

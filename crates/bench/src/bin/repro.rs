@@ -21,7 +21,8 @@
 //!                    walk (the reference kernel bodies) instead of the
 //!                    default ones (timing tables are byte-identical
 //!                    either way; functional values agree within the
-//!                    differential-test tolerance)
+//!                    differential-test tolerance; `throughput` sets each
+//!                    row's kernel path itself and ignores it)
 //! --resume             read checkpoint sidecars back and skip grid points a
 //!                      previous interrupted run already computed; resumed
 //!                      output is byte-identical to an uninterrupted run
@@ -39,7 +40,7 @@ use std::path::PathBuf;
 
 use flowgnn_core::{render_prometheus, Registry, ServeMetrics};
 
-use flowgnn_bench::{experiments, kernels, throughput, SampleSize, TextTable};
+use flowgnn_bench::{experiments, throughput, SampleSize, TextTable};
 use flowgnn_graph::datasets::DatasetKind;
 
 const ALL_EXPERIMENTS: &[&str] = &[
@@ -64,7 +65,6 @@ const ALL_EXPERIMENTS: &[&str] = &[
     "fleet",
     "live",
     "throughput",
-    "kernels",
 ];
 
 fn main() {
@@ -372,19 +372,6 @@ fn main() {
                 if let Some(dir) = &csv_dir {
                     let path = dir.join("BENCH_sim_throughput.json");
                     if let Err(e) = std::fs::write(&path, report.to_json()) {
-                        eprintln!("cannot write {}: {e}", path.display());
-                    }
-                }
-            }
-            "kernels" => {
-                let study = kernels::measure(sample);
-                println!("{}", study.table().render());
-                if let Some(s) = study.min_saturated_speedup() {
-                    println!("minimum saturated functional speedup: {s:.2}x\n");
-                }
-                if let Some(dir) = &csv_dir {
-                    let path = dir.join("BENCH_kernel_simd.json");
-                    if let Err(e) = std::fs::write(&path, study.to_json()) {
                         eprintln!("cannot write {}: {e}", path.display());
                     }
                 }

@@ -27,8 +27,6 @@
 //! scaling; on a single core it is flat by physics, which the gate
 //! tolerates.
 
-use std::time::Instant;
-
 use flowgnn_core::prelude::*;
 use flowgnn_desim::cycles_to_ms;
 use flowgnn_graph::datasets::{DatasetKind, DatasetSpec};
@@ -36,7 +34,7 @@ use flowgnn_models::GnnModel;
 
 use super::serve::QUEUE_CAPACITY;
 use crate::json::json_escape;
-use crate::{SampleSize, TextTable};
+use crate::{timing, SampleSize, TextTable};
 
 /// Dispatch policies swept, in both domains.
 pub const LIVE_POLICIES: [&str; 3] = ["rr", "jsq", "p2c"];
@@ -110,8 +108,9 @@ pub struct LiveStudy {
     pub requests: usize,
     /// Mean simulated service time (cycles at 300 MHz), in milliseconds.
     pub sim_service_ms: f64,
-    /// Mean wall-clock time to simulate one request on this host, in
-    /// milliseconds (the live domain's load calibration anchor).
+    /// Wall-clock time to simulate one request on this host, in
+    /// milliseconds: the median engine pass over the requests, divided by
+    /// their count (the live domain's load calibration anchor).
     pub wall_service_ms: f64,
     /// Replica counts actually swept.
     pub replica_counts: Vec<usize>,
@@ -343,13 +342,13 @@ pub fn live_serving_with(sample: SampleSize, metrics: Option<&ServeMetrics>) -> 
         ArchConfig::default().with_execution(ExecutionMode::TimingOnly),
     );
 
-    // One timed engine pass anchors both domains: the cycle trace is the
-    // sim domain's service process, and the wall time the host spent
+    // One engine pass anchors both domains: the cycle trace is the sim
+    // domain's service process, and the median wall time the host spends
     // producing it calibrates the live domain's offered load (floored at
     // 5 us so timer granularity can never produce absurd arrival rates).
-    let t0 = Instant::now();
-    let service = acc.service_trace(spec.stream(), requests);
-    let wall_service_ms = (t0.elapsed().as_secs_f64() * 1e3 / requests as f64).max(0.005);
+    let mut service = Vec::new();
+    let pass = timing::measure(|| service = acc.service_trace(spec.stream(), requests));
+    let wall_service_ms = (pass.median * 1e3 / requests as f64).max(0.005);
     let sim_service_ms = cycles_to_ms(service.iter().sum::<u64>()) / service.len() as f64;
     let class_of = vec![0; service.len()];
     let costs = [service];
@@ -475,6 +474,7 @@ mod tests {
 
     #[test]
     fn dual_domain_sweep_covers_the_grid_and_validates() {
+        let _serial = crate::wall_clock_lock();
         let study = live_serving(SampleSize::Quick);
         study.validate().expect("structural gate");
         assert_eq!(study.replica_counts, vec![1, 2]);

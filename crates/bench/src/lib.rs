@@ -3,9 +3,9 @@
 //!
 //! Each experiment lives in [`experiments`] as a function returning
 //! structured rows plus a paper-style text rendering, so the same code
-//! backs the `repro` binary, the `Microbench` benches, and the integration
-//! tests. The experiment ↔ module mapping is the per-experiment index in
-//! DESIGN.md:
+//! backs the `repro` binary and the integration tests. Every wall-clock
+//! number the crate reports comes from one stopwatch, [`timing`]. The
+//! experiment ↔ module mapping is the per-experiment index in DESIGN.md:
 //!
 //! | Paper artifact | Function |
 //! |---|---|
@@ -26,11 +26,10 @@
 pub mod checkpoint;
 pub mod experiments;
 mod json;
-pub mod kernels;
-pub mod microbench;
 pub mod par;
 mod table;
 pub mod throughput;
+pub mod timing;
 
 pub use par::par_map;
 pub use table::TextTable;
@@ -59,6 +58,17 @@ impl SampleSize {
             SampleSize::Full => total,
         }
     }
+}
+
+/// Serialises the unit tests that run the long timing study or gate on a
+/// wall-clock result, so `throughput`'s study never starves `live`'s
+/// saturation gate of CPU on a small host.
+#[cfg(test)]
+pub(crate) fn wall_clock_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // The guarded data is `()`, so a poisoned lock holds nothing invalid.
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]

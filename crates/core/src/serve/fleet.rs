@@ -52,7 +52,9 @@ use crate::metrics::ServeMetrics;
 use super::arrivals::ArrivalProcess;
 use super::dispatch::{DispatchPolicy, Dispatcher};
 use super::live::LiveWorker;
-use super::queue::{AdmissionPolicy, AdmissionShard, OfferOutcome, QueuePolicy};
+use super::queue::{
+    displacement_victim, AdmissionPolicy, AdmissionShard, OfferOutcome, QueuePolicy,
+};
 use super::report::RequestRecord;
 use super::report::{
     class_summaries, summarize, CycleDomain, EndpointStats, ReplicaStats, ServeReport, TimeDomain,
@@ -633,25 +635,11 @@ pub(crate) fn fleet_sim(
             // Idle replica (advance drained its queue): serve on arrival.
             rep.serve_now(i, arrival, target, service, &mut records);
         } else if rep.waiting().len() >= capacity {
-            // Full queue: resolve per the admission policy. The victim
-            // rule matches AdmissionShard::offer_prioritized exactly —
-            // displace the rightmost lowest-priority waiting request iff
-            // the arrival strictly outranks it.
+            // Full queue: resolve per the admission policy.
             let priority = |j: usize| config.classes[class_of[j]].priority;
-            let victim = match config.admission {
-                AdmissionPolicy::Fifo => None,
-                AdmissionPolicy::Priority => rep
-                    .waiting()
-                    .iter()
-                    .enumerate()
-                    .fold(None, |best: Option<(usize, u8)>, (pos, &j)| match best {
-                        Some((_, bp)) if priority(j) > bp => best,
-                        _ => Some((pos, priority(j))),
-                    })
-                    .filter(|&(_, vp)| vp < priority(i)),
-            };
-            match victim {
-                Some((pos, _)) => {
+            let waiting = rep.waiting().iter().map(|&j| priority(j));
+            match displacement_victim(config.admission, waiting, priority(i)) {
+                Some(pos) => {
                     let v = rep.displace(pos, service);
                     records[v] = RequestRecord {
                         arrival: arrivals[v],

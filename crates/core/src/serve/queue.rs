@@ -66,6 +66,32 @@ pub enum AdmissionPolicy {
     Priority,
 }
 
+/// The waiting request a full-queue arrival displaces under `policy`,
+/// given the waiting requests' priorities in queue order and the
+/// arrival's: the position of the rightmost lowest-priority request (the
+/// least-invested of the most-droppable) if that priority is strictly
+/// below the arrival's, and `None` — drop the arrival — otherwise and
+/// always under [`AdmissionPolicy::Fifo`]. Both runtimes resolve a full
+/// queue through this one rule.
+pub(crate) fn displacement_victim(
+    policy: AdmissionPolicy,
+    waiting: impl IntoIterator<Item = u8>,
+    arrival: u8,
+) -> Option<usize> {
+    if policy == AdmissionPolicy::Fifo {
+        return None;
+    }
+    waiting
+        .into_iter()
+        .enumerate()
+        .fold(None, |best: Option<(usize, u8)>, (pos, p)| match best {
+            Some((_, bp)) if p > bp => best,
+            _ => Some((pos, p)),
+        })
+        .filter(|&(_, p)| p < arrival)
+        .map(|(pos, _)| pos)
+}
+
 /// How one full-queue offer was resolved under an [`AdmissionPolicy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum OfferOutcome {
@@ -166,8 +192,7 @@ impl AdmissionShard {
 
     /// Offers one request carrying a priority and an estimated cost,
     /// resolving a full waiting room per `policy` (see
-    /// [`AdmissionPolicy`] for the displacement rule — identical to the
-    /// one the cycle-domain fleet scan applies).
+    /// [`displacement_victim`]).
     pub(crate) fn offer_prioritized(
         &self,
         request: usize,
@@ -181,30 +206,15 @@ impl AdmissionShard {
         let idle = s.waiting.is_empty() && !s.in_service;
         let mut displaced = None;
         if s.waiting.len() >= capacity && !idle {
-            match policy {
-                AdmissionPolicy::Fifo => return OfferOutcome::Rejected,
-                AdmissionPolicy::Priority => {
-                    // Rightmost entry with the minimum priority: the
-                    // least-invested of the most-droppable.
-                    let victim = s.waiting.iter().enumerate().fold(
-                        None,
-                        |best: Option<(usize, u8)>, (pos, e)| match best {
-                            Some((_, bp)) if e.priority > bp => best,
-                            _ => Some((pos, e.priority)),
-                        },
-                    );
-                    match victim {
-                        Some((pos, victim_priority)) if victim_priority < priority => {
-                            let e = s.waiting.remove(pos).expect("victim position in range");
-                            displaced = Some(OfferOutcome::Displaced {
-                                request: e.request,
-                                arrival_ns: e.arrival_ns,
-                            });
-                        }
-                        _ => return OfferOutcome::Rejected,
-                    }
-                }
-            }
+            let waiting = s.waiting.iter().map(|e| e.priority);
+            let Some(pos) = displacement_victim(policy, waiting, priority) else {
+                return OfferOutcome::Rejected;
+            };
+            let e = s.waiting.remove(pos).expect("victim position in range");
+            displaced = Some(OfferOutcome::Displaced {
+                request: e.request,
+                arrival_ns: e.arrival_ns,
+            });
         }
         s.waiting.push_back(WaitingEntry {
             request,

@@ -33,9 +33,6 @@
 /// items move, no memory is touched. Elements are required to be
 /// [`Default`] so popped slots can be vacated without `unsafe`.
 ///
-/// The FIFO also records occupancy statistics used for queue-sizing
-/// analyses.
-///
 /// # Example
 ///
 /// ```
@@ -55,9 +52,6 @@ pub struct Fifo<T> {
     head: usize,
     ready: usize,
     staged: usize,
-    total_pushed: u64,
-    total_popped: u64,
-    max_occupancy: usize,
 }
 
 impl<T: Default> Fifo<T> {
@@ -78,9 +72,6 @@ impl<T: Default> Fifo<T> {
             head: 0,
             ready: 0,
             staged: 0,
-            total_pushed: 0,
-            total_popped: 0,
-            max_occupancy: 0,
         }
     }
 
@@ -92,11 +83,10 @@ impl<T: Default> Fifo<T> {
         let item = std::mem::take(&mut self.buf[self.head]);
         self.head = (self.head + 1) & self.mask;
         self.ready -= 1;
-        self.total_popped += 1;
         Some(item)
     }
 
-    /// Removes all items and resets statistics (reuse between runs).
+    /// Removes all items (reuse between runs).
     pub fn reset(&mut self) {
         for i in 0..self.ready + self.staged {
             self.buf[(self.head + i) & self.mask] = T::default();
@@ -104,9 +94,6 @@ impl<T: Default> Fifo<T> {
         self.head = 0;
         self.ready = 0;
         self.staged = 0;
-        self.total_pushed = 0;
-        self.total_popped = 0;
-        self.max_occupancy = 0;
     }
 }
 
@@ -150,8 +137,6 @@ impl<T> Fifo<T> {
         let tail = (self.head + self.ready + self.staged) & self.mask;
         self.buf[tail] = item;
         self.staged += 1;
-        self.total_pushed += 1;
-        self.max_occupancy = self.max_occupancy.max(self.len());
     }
 
     /// Stages an item if there is room, returning whether it was accepted.
@@ -175,21 +160,6 @@ impl<T> Fifo<T> {
     pub fn commit(&mut self) {
         self.ready += self.staged;
         self.staged = 0;
-    }
-
-    /// Total items ever pushed (staged or committed).
-    pub fn total_pushed(&self) -> u64 {
-        self.total_pushed
-    }
-
-    /// Total items ever popped.
-    pub fn total_popped(&self) -> u64 {
-        self.total_popped
-    }
-
-    /// High-water mark of occupancy.
-    pub fn max_occupancy(&self) -> usize {
-        self.max_occupancy
     }
 }
 
@@ -339,18 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn statistics_track_flow() {
-        let mut q = Fifo::new(4);
-        q.push(1);
-        q.push(2);
-        q.commit();
-        q.pop();
-        assert_eq!(q.total_pushed(), 2);
-        assert_eq!(q.total_popped(), 1);
-        assert_eq!(q.max_occupancy(), 2);
-    }
-
-    #[test]
     fn conservation_of_items() {
         // Everything pushed is eventually popped exactly once.
         let mut q = Fifo::new(3);
@@ -366,7 +324,6 @@ mod tests {
             }
         }
         assert_eq!(popped, (0..next).collect::<Vec<_>>());
-        assert_eq!(q.total_pushed(), q.total_popped() + q.len() as u64);
     }
 
     #[test]
@@ -398,7 +355,6 @@ mod tests {
         q.commit();
         q.reset();
         assert!(q.is_empty());
-        assert_eq!(q.total_pushed(), 0);
         assert_eq!(q.pop(), None);
     }
 

@@ -60,7 +60,7 @@ fn conservation_and_fifo_order() {
     }
 }
 
-/// Occupancy never exceeds capacity, and the high-water mark is consistent.
+/// Occupancy never exceeds capacity.
 #[test]
 fn capacity_is_never_exceeded() {
     let mut rng = Rng::seed_from_u64(0xF1F0_0002);
@@ -78,7 +78,6 @@ fn capacity_is_never_exceeded() {
                 Op::Commit => q.commit(),
             }
             assert!(q.len() <= cap);
-            assert!(q.max_occupancy() <= cap);
         }
     }
 }
@@ -104,28 +103,6 @@ fn no_same_cycle_passthrough() {
     }
 }
 
-/// Push/pop counters reconcile with occupancy.
-#[test]
-fn counters_reconcile() {
-    let mut rng = Rng::seed_from_u64(0xF1F0_0004);
-    for _ in 0..256 {
-        let cap = rng.gen_range(1usize..16);
-        let mut q = Fifo::new(cap);
-        for op in random_schedule(&mut rng) {
-            match op {
-                Op::Push(v) => {
-                    let _ = q.try_push(v);
-                }
-                Op::Pop => {
-                    let _ = q.pop();
-                }
-                Op::Commit => q.commit(),
-            }
-        }
-        assert_eq!(q.total_pushed(), q.total_popped() + q.len() as u64);
-    }
-}
-
 /// A straightforward reference model of the registered-FIFO contract:
 /// committed items in a `VecDeque`, staged items in a `Vec`, capacity
 /// counted over both. The ring-buffer implementation must be
@@ -134,9 +111,6 @@ struct ModelFifo {
     capacity: usize,
     ready: std::collections::VecDeque<u32>,
     staged: Vec<u32>,
-    total_pushed: u64,
-    total_popped: u64,
-    max_occupancy: usize,
 }
 
 impl ModelFifo {
@@ -145,9 +119,6 @@ impl ModelFifo {
             capacity,
             ready: std::collections::VecDeque::new(),
             staged: Vec::new(),
-            total_pushed: 0,
-            total_popped: 0,
-            max_occupancy: 0,
         }
     }
 
@@ -160,17 +131,11 @@ impl ModelFifo {
             return false;
         }
         self.staged.push(v);
-        self.total_pushed += 1;
-        self.max_occupancy = self.max_occupancy.max(self.len());
         true
     }
 
     fn pop(&mut self) -> Option<u32> {
-        let item = self.ready.pop_front();
-        if item.is_some() {
-            self.total_popped += 1;
-        }
-        item
+        self.ready.pop_front()
     }
 
     fn commit(&mut self) {
@@ -180,16 +145,13 @@ impl ModelFifo {
     fn reset(&mut self) {
         self.ready.clear();
         self.staged.clear();
-        self.total_pushed = 0;
-        self.total_popped = 0;
-        self.max_occupancy = 0;
     }
 }
 
 /// The ring-buffer FIFO agrees with the deque reference model on every
-/// observable (pop results, occupancy, readiness, fullness, peek, and
-/// statistics) through randomized push/stage/commit/pop/reset schedules
-/// across capacities both at and off powers of two.
+/// observable (pop results, occupancy, readiness, fullness and peek)
+/// through randomized push/stage/commit/pop/reset schedules across
+/// capacities both at and off powers of two.
 #[test]
 fn ring_buffer_matches_deque_reference_model() {
     let mut rng = Rng::seed_from_u64(0xF1F0_0006);
@@ -223,9 +185,6 @@ fn ring_buffer_matches_deque_reference_model() {
             assert_eq!(q.is_full(), model.len() >= model.capacity);
             assert_eq!(q.is_empty(), model.len() == 0);
             assert_eq!(q.peek(), model.ready.front());
-            assert_eq!(q.total_pushed(), model.total_pushed);
-            assert_eq!(q.total_popped(), model.total_popped);
-            assert_eq!(q.max_occupancy(), model.max_occupancy);
         }
         // Drain both to confirm residual contents agree element-for-element.
         q.commit();
