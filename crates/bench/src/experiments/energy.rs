@@ -76,7 +76,8 @@ pub fn table6(sample: SampleSize) -> Table6 {
         .map(|model| {
             // CPU/GPU are shape-based cost models evaluated at the
             // dataset's mean shape; FlowGNN falls through to its native
-            // stream runner (weight load amortised over the stream).
+            // stream runner (weights already on chip: no weight load is
+            // charged).
             let backends: Vec<Box<dyn InferenceBackend>> = vec![
                 Box::new(CpuBackend::new(model.clone())),
                 Box::new(GpuBackend::new(model.clone(), 1)),

@@ -121,8 +121,9 @@ pub trait InferenceBackend {
     /// The default runs each graph independently through
     /// [`Self::run_graph`] and takes arithmetic means — the paper's
     /// batch-1 protocol for platforms with no inter-graph state.
-    /// Platforms with cross-graph effects (weight-load amortisation)
-    /// override this.
+    /// Platforms with a native stream runner override this; the
+    /// accelerator's runs graphs back to back on weights already on chip,
+    /// so its mean excludes weight load.
     ///
     /// # Panics
     ///

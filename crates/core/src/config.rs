@@ -164,11 +164,6 @@ pub struct ArchConfig {
     pub strategy: PipelineStrategy,
     /// Functional or timing-only execution.
     pub execution: ExecutionMode,
-    /// Fixed pipeline fill/drain overhead charged per node by the NT unit
-    /// (accumulate pipeline depth).
-    pub nt_pipeline_depth: u64,
-    /// Fixed overhead charged per region (dataflow-region fill/drain).
-    pub region_overhead: u64,
     /// Record a per-cycle pipeline trace (see [`crate::Trace`]).
     pub trace: bool,
     /// Edge partitioning for gather-dataflow regions.
@@ -187,8 +182,6 @@ impl Default for ArchConfig {
             queue_capacity: 16,
             strategy: PipelineStrategy::FlowGnn,
             execution: ExecutionMode::Full,
-            nt_pipeline_depth: 4,
-            region_overhead: 8,
             trace: false,
             gather_banking: GatherBanking::Destination,
             engine: EngineMode::FastForward,

@@ -221,22 +221,6 @@ impl Accelerator {
         &self.regions
     }
 
-    /// Cycles to stream the model weights on-chip once (amortised across a
-    /// stream of graphs; charged by the stream runner, not per graph).
-    pub fn weight_load_cycles(&self) -> Cycle {
-        let mut params = 0u64;
-        if let Some(enc) = self.model.encoder() {
-            params += enc.macs() + enc.out_dim() as u64;
-        }
-        for layer in self.model.layers() {
-            params += layer.nt_macs();
-        }
-        if let Some(r) = self.model.readout() {
-            params += r.head().macs();
-        }
-        params / MEM_WORDS_PER_CYCLE
-    }
-
     /// Runs one graph end-to-end, returning the timing report (and the
     /// functional output in [`ExecutionMode::Full`]).
     ///
@@ -363,8 +347,7 @@ impl Accelerator {
             };
             exec.run_region(&self.model, region, csc.as_ref(), copied);
             region_stats.push(stats);
-            region_cycles
-                .push(stats.cycles + self.config.region_overhead + self.config.nt_pipeline_depth);
+            region_cycles.push(stats.cycles + REGION_OVERHEAD + NT_PIPELINE_DEPTH);
             totals.nt_busy += stats.nt_busy;
             totals.mp_busy += stats.mp_busy;
             totals.nt_stall += stats.nt_stall;
@@ -449,11 +432,20 @@ impl Accelerator {
             .iter()
             .map(|l| (l.in_dim() as u64).div_ceil(self.config.p_apply as u64))
             .sum();
-        pool + head + self.config.nt_pipeline_depth
+        pool + head + NT_PIPELINE_DEPTH
     }
 }
 
 const MEM_WORDS_PER_CYCLE: u64 = 64; // multi-channel HBM: 2048 bits/cycle of 32-bit words
+
+/// Fill/drain latency of the NT accumulate pipeline. An II=1 pipeline
+/// pays its depth once per pass, not per node: it is charged once per
+/// region and once more in the readout.
+pub(crate) const NT_PIPELINE_DEPTH: Cycle = 4;
+
+/// Fixed fill/drain overhead of one dataflow region, charged once per
+/// region.
+pub(crate) const REGION_OVERHEAD: Cycle = 8;
 
 #[cfg(test)]
 mod tests {

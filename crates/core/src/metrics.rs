@@ -5,7 +5,7 @@
 //! Every cell is a plain atomic, so the hot path (a counter increment, a
 //! gauge store, a histogram observation) is a handful of relaxed atomic
 //! operations with **zero allocation**. The [`Registry`] mutex is taken
-//! only at registration, sampling, and render time — never per request
+//! only at registration and render time — never per request
 //! or per cycle. Instruments are handed out as `Arc`s, so the engine,
 //! the admission queues, the [`Dispatcher`](crate::serve::Dispatcher),
 //! and both serving runtimes hold direct references to their cells and
@@ -203,9 +203,6 @@ enum Cell {
 struct Series {
     labels: Vec<(String, String)>,
     cell: Cell,
-    /// `(timestamp, value)` samples appended by [`Registry::sample`]
-    /// (gauges only).
-    samples: Vec<(f64, f64)>,
 }
 
 struct Family {
@@ -288,7 +285,6 @@ impl Registry {
         family.series.push(Series {
             labels,
             cell: wrap(Arc::clone(&cell)),
-            samples: Vec::new(),
         });
         cell
     }
@@ -355,42 +351,6 @@ impl Registry {
                 _ => None,
             },
         )
-    }
-
-    /// Appends the current value of every gauge series to its in-registry
-    /// time series, stamped `timestamp` (caller-defined axis: simulated
-    /// cycles, elapsed seconds, arrival index — the registry does not
-    /// interpret it).
-    ///
-    /// Counters and histograms are already cumulative, so only gauges —
-    /// whose instantaneous values are otherwise lost — are journaled.
-    pub fn sample(&self, timestamp: f64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        for family in &mut inner.families {
-            for series in &mut family.series {
-                if let Cell::Gauge(g) = &series.cell {
-                    series.samples.push((timestamp, g.get()));
-                }
-            }
-        }
-    }
-
-    /// The `(timestamp, value)` samples recorded by [`Registry::sample`]
-    /// for one gauge series, or `None` if no such series exists.
-    pub fn gauge_series(&self, name: &str, labels: &[(&str, &str)]) -> Option<Vec<(f64, f64)>> {
-        let inner = self.inner.lock().expect("metrics registry poisoned");
-        let family = inner.families.iter().find(|f| f.name == name)?;
-        family
-            .series
-            .iter()
-            .find(|s| {
-                s.labels.len() == labels.len()
-                    && s.labels
-                        .iter()
-                        .zip(labels)
-                        .all(|((k, v), &(lk, lv))| k == lk && v == lv)
-            })
-            .map(|s| s.samples.clone())
     }
 }
 
@@ -581,9 +541,8 @@ impl ServeMetrics {
             .collect()
     }
 
-    /// One queue-depth gauge per admission queue, sampled at the
-    /// runtime's cadence (every arrival batch in the sim scan; every
-    /// publish in the live shards).
+    /// One queue-depth gauge per admission queue, set after every
+    /// arrival in both runtimes.
     pub fn queue_depth_gauges_for(&self, queues: usize) -> Vec<Arc<Gauge>> {
         (0..queues)
             .map(|q| {
@@ -798,20 +757,5 @@ flowgnn_sojourn_ms_sum 3.5
 flowgnn_sojourn_ms_count 3
 ";
         assert_eq!(render_prometheus(&registry), expected);
-    }
-
-    #[test]
-    fn gauge_time_series_accumulate_via_sample() {
-        let registry = Registry::new();
-        let g = registry.gauge("depth", "Depth.", &[("queue", "0")]);
-        g.set(1.0);
-        registry.sample(10.0);
-        g.set(4.0);
-        registry.sample(20.0);
-        assert_eq!(
-            registry.gauge_series("depth", &[("queue", "0")]),
-            Some(vec![(10.0, 1.0), (20.0, 4.0)])
-        );
-        assert_eq!(registry.gauge_series("depth", &[("queue", "9")]), None);
     }
 }

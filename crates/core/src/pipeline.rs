@@ -264,7 +264,7 @@ fn region_label(region: &Region) -> String {
 
 impl Accelerator {
     /// NT accumulate cycles per node in a region (initiation interval; the
-    /// pipeline fill latency `nt_pipeline_depth` is charged once per region
+    /// pipeline fill latency `NT_PIPELINE_DEPTH` is charged once per region
     /// by the caller, as an II=1 hardware pipeline amortises it).
     ///
     /// The Encode region is costed per node on the *nonzero* feature count:

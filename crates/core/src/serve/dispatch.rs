@@ -4,11 +4,11 @@
 //! state (the round-robin counter is implicit in the request index, the
 //! power-of-two-choices PRNG is explicit). Both the cycle-domain
 //! simulator and the live wall-clock runtime route through the *same*
-//! [`Dispatcher::route`] code — the simulator hands it backlogs read
-//! from its replica states, the live runtime hands it backlogs read from
-//! the admission shards' atomics — so a policy cannot behave differently
-//! in the two domains given the same observations
-//! (`tests/properties.rs` pins this).
+//! [`Dispatcher::route`] code — the simulator hands it backlogs and
+//! cost estimates read from its replica states, the live runtime hands
+//! it the same views read from the admission shards' atomics — so a
+//! policy cannot behave differently in the two domains given the same
+//! observations (`tests/properties.rs` pins this).
 
 use flowgnn_rng::Rng;
 
@@ -74,15 +74,14 @@ impl Dispatcher {
     }
 
     /// Routes request number `request` (its position in arrival order)
-    /// across `replicas` replicas, observing per-replica backlogs through
-    /// `backlog`. The closure is only consulted where the policy needs
-    /// it: round-robin never calls it, join-shortest-queue queries every
-    /// replica, power-of-two-choices queries exactly its two samples.
-    ///
-    /// [`DispatchPolicy::CostBased`] has no cost information here, so it
-    /// falls back to backlog-argmin (join-shortest-queue); fleet-aware
-    /// callers use [`Dispatcher::route_with_cost`], which every other
-    /// policy forwards straight back to this method.
+    /// across `replicas` replicas. The load-aware policies observe
+    /// per-replica backlogs through `backlog`;
+    /// [`DispatchPolicy::CostBased`] observes per-replica completion-cost
+    /// estimates through `cost`. Each closure is only consulted where the
+    /// policy needs it: round-robin calls neither, join-shortest-queue
+    /// queries every replica's backlog, power-of-two-choices queries
+    /// exactly its two samples' backlogs, and cost-based queries every
+    /// replica's cost and no backlog.
     ///
     /// # Panics
     ///
@@ -93,16 +92,18 @@ impl Dispatcher {
         request: usize,
         replicas: usize,
         mut backlog: impl FnMut(usize) -> usize,
+        mut cost: impl FnMut(usize) -> u64,
     ) -> usize {
+        // min_by_key keeps the first minimum: argmin ties break to the
+        // lowest replica index, deterministically.
         match self.policy {
             DispatchPolicy::RoundRobin => request % replicas,
-            DispatchPolicy::JoinShortestQueue | DispatchPolicy::CostBased => {
-                // min_by_key keeps the first minimum: ties break to the
-                // lowest replica index, deterministically.
-                (0..replicas)
-                    .min_by_key(|&r| backlog(r))
-                    .expect("pool is non-empty")
-            }
+            DispatchPolicy::JoinShortestQueue => (0..replicas)
+                .min_by_key(|&r| backlog(r))
+                .expect("pool is non-empty"),
+            DispatchPolicy::CostBased => (0..replicas)
+                .min_by_key(|&r| cost(r))
+                .expect("pool is non-empty"),
             DispatchPolicy::PowerOfTwoChoices { .. } => {
                 let rng = self.rng.as_mut().expect("p2c carries an rng");
                 let a = rng.bounded_u64(replicas as u64) as usize;
@@ -117,31 +118,6 @@ impl Dispatcher {
             }
         }
     }
-
-    /// Routes request number `request` with a per-replica *completion
-    /// cost* estimate alongside the backlog view. Only
-    /// [`DispatchPolicy::CostBased`] consults `cost` (argmin over all
-    /// replicas; ties break to the lowest index); every other policy
-    /// forwards to [`Dispatcher::route`] untouched, so legacy policies
-    /// behave bit-identically whether or not a cost model is supplied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas` is zero.
-    pub fn route_with_cost(
-        &mut self,
-        request: usize,
-        replicas: usize,
-        backlog: impl FnMut(usize) -> usize,
-        mut cost: impl FnMut(usize) -> u64,
-    ) -> usize {
-        match self.policy {
-            DispatchPolicy::CostBased => (0..replicas)
-                .min_by_key(|&r| cost(r))
-                .expect("pool is non-empty"),
-            _ => self.route(request, replicas, backlog),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +128,14 @@ mod tests {
     fn round_robin_ignores_backlogs() {
         let mut d = Dispatcher::new(DispatchPolicy::RoundRobin);
         let routes: Vec<usize> = (0..7)
-            .map(|i| d.route(i, 3, |_| panic!("round-robin observes nothing")))
+            .map(|i| {
+                d.route(
+                    i,
+                    3,
+                    |_| panic!("round-robin observes no backlog"),
+                    |_| panic!("round-robin observes no cost"),
+                )
+            })
             .collect();
         assert_eq!(routes, vec![0, 1, 2, 0, 1, 2, 0]);
     }
@@ -161,16 +144,18 @@ mod tests {
     fn jsq_takes_the_first_minimum() {
         let mut d = Dispatcher::new(DispatchPolicy::JoinShortestQueue);
         let depths = [3, 1, 1, 2];
-        assert_eq!(d.route(0, 4, |r| depths[r]), 1, "tie breaks low");
+        assert_eq!(d.route(0, 4, |r| depths[r], |_| 0), 1, "tie breaks low");
         let depths = [0, 0, 0];
-        assert_eq!(d.route(1, 3, |r| depths[r]), 0, "all-idle goes to 0");
+        assert_eq!(d.route(1, 3, |r| depths[r], |_| 0), 0, "all-idle goes to 0");
     }
 
     #[test]
     fn p2c_is_seeded_and_draws_twice_per_request() {
         let seq = |seed, n: usize| {
             let mut d = Dispatcher::new(DispatchPolicy::PowerOfTwoChoices { seed });
-            (0..n).map(|i| d.route(i, 8, |_| 0)).collect::<Vec<_>>()
+            (0..n)
+                .map(|i| d.route(i, 8, |_| 0, |_| 0))
+                .collect::<Vec<_>>()
         };
         assert_eq!(seq(9, 50), seq(9, 50), "same seed, same choices");
         assert_ne!(seq(9, 50), seq(10, 50), "seeds explore differently");
@@ -183,8 +168,8 @@ mod tests {
         let mut a = Dispatcher::new(DispatchPolicy::PowerOfTwoChoices { seed: 4 });
         let mut b = Dispatcher::new(DispatchPolicy::PowerOfTwoChoices { seed: 4 });
         for i in 0..20 {
-            let ra = a.route(i, 5, |_| 7);
-            let rb = b.route(i, 5, |_| 7);
+            let ra = a.route(i, 5, |_| 7, |_| 0);
+            let rb = b.route(i, 5, |_| 7, |_| 0);
             assert_eq!(ra, rb);
         }
     }
@@ -195,7 +180,7 @@ mod tests {
         // includes a non-zero replica must avoid 0.
         let mut d = Dispatcher::new(DispatchPolicy::PowerOfTwoChoices { seed: 2 });
         let depths = |r: usize| if r == 0 { 1000 } else { 0 };
-        let picks: Vec<usize> = (0..100).map(|i| d.route(i, 4, depths)).collect();
+        let picks: Vec<usize> = (0..100).map(|i| d.route(i, 4, depths, |_| 0)).collect();
         let zero_picks = picks.iter().filter(|&&r| r == 0).count();
         // 0 is only picked when both samples land on it: ~1/16 of draws.
         assert!(zero_picks < 20, "{zero_picks} routes to the loaded replica");
@@ -205,32 +190,28 @@ mod tests {
     fn cost_based_takes_the_cheapest_completion() {
         let mut d = Dispatcher::new(DispatchPolicy::CostBased);
         let costs = [40u64, 15, 15, 90];
-        let route = d.route_with_cost(0, 4, |_| panic!("cost-based ignores backlog"), |r| costs[r]);
+        let route = d.route(0, 4, |_| panic!("cost-based ignores backlog"), |r| costs[r]);
         assert_eq!(route, 1, "tie breaks to the lowest index");
-        // Without a cost model it degenerates to backlog argmin.
-        let depths = [2, 0, 1];
-        assert_eq!(d.route(1, 3, |r| depths[r]), 1);
     }
 
     #[test]
     fn legacy_policies_ignore_the_cost_closure() {
+        // Round-robin, JSQ and p2c never call the cost closure.
         for policy in [
             DispatchPolicy::RoundRobin,
             DispatchPolicy::JoinShortestQueue,
             DispatchPolicy::PowerOfTwoChoices { seed: 3 },
         ] {
-            let mut plain = Dispatcher::new(policy);
-            let mut costed = Dispatcher::new(policy);
+            let mut d = Dispatcher::new(policy);
             let depths = [4usize, 0, 2, 1];
             for i in 0..32 {
-                let a = plain.route(i, 4, |r| depths[r]);
-                let b = costed.route_with_cost(
+                let r = d.route(
                     i,
                     4,
                     |r| depths[r],
-                    |_| panic!("legacy policies never observe costs"),
+                    |_| panic!("{policy:?} observed a cost"),
                 );
-                assert_eq!(a, b, "{policy:?} diverged under route_with_cost");
+                assert!(r < 4);
             }
         }
     }

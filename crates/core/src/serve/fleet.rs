@@ -35,7 +35,7 @@
 //! [`run_fleet`] is the one entry point for both runtimes:
 //! [`FleetRuntime::Sim`] drives the simulator's `ReplicaSim` state
 //! machine per replica and routes through the shared
-//! [`Dispatcher::route_with_cost`]; [`FleetRuntime::Live`] runs the live
+//! [`Dispatcher::route`]; [`FleetRuntime::Live`] runs the live
 //! runtime's thread-per-replica loop over admission shards with the same
 //! displacement rule. With one endpoint, one class, and FIFO admission
 //! the scan is *bit-identical* to the pre-fleet replica-pool scan
@@ -62,12 +62,6 @@ use super::report::{
 };
 use super::sim::ReplicaSim;
 use super::RuntimeReport;
-
-/// How often the simulated fleet scan journals its gauges as a time
-/// series: one [`crate::metrics::Registry::sample`] every this many
-/// arrivals (plus one final sample at the makespan). Purely an
-/// observability cadence — it never affects the scan itself.
-const SIM_SAMPLE_EVERY: usize = 64;
 
 /// One tenant request class: who is asking, how important they are at a
 /// full admission queue, and what latency they were promised.
@@ -337,7 +331,7 @@ pub enum FleetRuntime<W: LiveWorker> {
 ///
 /// `metrics`, when given, is updated *while the run executes* — counters
 /// for offers/completions/drops/displacements, per-replica dispatch
-/// counters, queue-depth gauges journaled as a time series, sojourn/wait
+/// counters, queue-depth gauges set after every arrival, sojourn/wait
 /// histograms, and per-replica utilization gauges at the end of the run.
 /// Metrics are observation only: a run with `metrics` attached produces
 /// the same report, bit for bit, as one without.
@@ -412,8 +406,8 @@ impl BoundServeMetrics {
 }
 
 /// Final metrics pass shared by both runtimes: completion counters,
-/// sojourn/wait histograms over completed records, end-of-run
-/// utilization gauges, and one last gauge sample at the makespan.
+/// sojourn/wait histograms over completed records, and end-of-run
+/// utilization gauges.
 fn observe_summary<D: TimeDomain>(
     metrics: &ServeMetrics,
     bound: &BoundServeMetrics,
@@ -429,7 +423,6 @@ fn observe_summary<D: TimeDomain>(
             gauge.set(util);
         }
     }
-    metrics.registry().sample(D::to_ms(report.makespan_cycles));
 }
 
 /// Fluent builder for [`FleetConfig`]; invariants (≥ 1 endpoint, every
@@ -577,9 +570,9 @@ fn endpoint_summaries(
 
 /// The cycle-domain fleet scan behind [`run_fleet`]'s
 /// [`FleetRuntime::Sim`], with optional live metrics: when `metrics` is given, the scan counts
-/// offers/drops/displacements as they happen, journals per-replica queue
-/// depths every [`SIM_SAMPLE_EVERY`] arrivals (timestamped in simulated
-/// milliseconds), and closes with histograms and utilization gauges.
+/// offers/drops/displacements as they happen, sets per-replica queue
+/// depth gauges after every arrival, and closes with histograms and
+/// utilization gauges.
 /// Observation only — the report is bit-identical with or without
 /// `metrics`.
 pub(crate) fn fleet_sim(
@@ -619,7 +612,7 @@ pub(crate) fn fleet_sim(
                 &mut records,
             );
         }
-        let target = dispatcher.route_with_cost(
+        let target = dispatcher.route(
             i,
             replicas,
             |g| pool[g].backlog(arrival),
@@ -670,12 +663,9 @@ pub(crate) fn fleet_sim(
         } else {
             rep.enqueue(i, service);
         }
-        if let (Some(m), Some(b)) = (metrics, bound.as_ref()) {
+        if let Some(b) = bound.as_ref() {
             for (g, gauge) in b.depth.iter().enumerate() {
                 gauge.set(pool[g].waiting().len() as f64);
-            }
-            if i % SIM_SAMPLE_EVERY == 0 {
-                m.registry().sample(CycleDomain::to_ms(arrival));
             }
         }
     }
@@ -709,9 +699,8 @@ pub(crate) fn fleet_sim(
 /// request recorded dropped at its own arrival stamp.
 ///
 /// With `metrics`, the load generator counts offers/drops/displacements
-/// and journals shard queue depths as it paces arrivals (timestamped in
-/// wall milliseconds), and the run closes with histograms and
-/// utilization gauges. Observation only.
+/// and sets the shard queue-depth gauges as it paces arrivals, and the
+/// run closes with histograms and utilization gauges. Observation only.
 pub(crate) fn fleet_live<W: LiveWorker>(
     workers: Vec<W>,
     costs: &[Vec<Cycle>],
@@ -787,7 +776,7 @@ pub(crate) fn fleet_live<W: LiveWorker>(
         for (i, offset) in schedule.iter().enumerate() {
             super::live::pace_until(t0, *offset);
             let arrival = super::live::elapsed_ns(t0);
-            let target = dispatcher.route_with_cost(
+            let target = dispatcher.route(
                 i,
                 replicas,
                 |g| shards[g].backlog(),
@@ -831,12 +820,9 @@ pub(crate) fn fleet_live<W: LiveWorker>(
                     }
                 }
             }
-            if let (Some(m), Some(b)) = (metrics, bound.as_ref()) {
+            if let Some(b) = bound.as_ref() {
                 for (g, gauge) in b.depth.iter().enumerate() {
                     gauge.set(shards[g].backlog() as f64);
-                }
-                if i % SIM_SAMPLE_EVERY == 0 {
-                    m.registry().sample(WallDomain::to_ms(arrival));
                 }
             }
         }
@@ -1262,11 +1248,6 @@ mod tests {
         assert_eq!(metrics.dropped.get(), observed.dropped as u64);
         assert!(metrics.displaced.get() > 0, "priority overload displaces");
         assert_eq!(metrics.sojourn_ms.count(), observed.completed as u64);
-        // Queue depths were journaled as a time series.
-        let series = registry
-            .gauge_series("flowgnn_queue_depth", &[("queue", "0")])
-            .expect("depth gauge journaled");
-        assert!(!series.is_empty());
     }
 
     /// Golden pin of the full Prometheus text exposition for one seeded

@@ -35,31 +35,10 @@ pub struct LatencyStats {
 pub struct StreamReport {
     /// Number of graphs processed.
     pub graphs: usize,
-    /// One-time weight-loading cycles (amortised across the stream).
-    pub weight_load_cycles: Cycle,
     /// Total cycles across all graphs (excluding weight load).
     pub total_cycles: Cycle,
     /// Per-graph latency statistics.
     pub latency: LatencyStats,
-}
-
-impl StreamReport {
-    /// Mean per-graph latency including the amortised weight load.
-    pub fn amortized_latency_ms(&self) -> f64 {
-        if self.graphs == 0 {
-            return 0.0;
-        }
-        cycles_to_ms(self.total_cycles + self.weight_load_cycles) / self.graphs as f64
-    }
-
-    /// Throughput in graphs per second (without weight-load amortisation).
-    pub fn graphs_per_second(&self) -> f64 {
-        let elapsed_ms = cycles_to_ms(self.total_cycles);
-        if elapsed_ms <= 0.0 {
-            return 0.0;
-        }
-        self.graphs as f64 / (elapsed_ms / 1e3)
-    }
 }
 
 impl Accelerator {
@@ -156,7 +135,6 @@ impl Accelerator {
         }
         StreamReport {
             graphs: report.completed,
-            weight_load_cycles: self.weight_load_cycles(),
             total_cycles: report.makespan_cycles,
             latency: LatencyStats {
                 mean_ms: cycles_to_ms(report.makespan_cycles) / report.completed as f64,
@@ -245,7 +223,6 @@ mod tests {
         assert_eq!(report.graphs, 5);
         assert!(report.latency.min_ms <= report.latency.mean_ms);
         assert!(report.latency.mean_ms <= report.latency.max_ms);
-        assert!(report.graphs_per_second() > 0.0);
     }
 
     #[test]
@@ -256,34 +233,9 @@ mod tests {
     }
 
     #[test]
-    fn amortized_latency_exceeds_raw_mean() {
-        let stream = MoleculeLike::new(12.0, 4).stream(4);
-        let report = acc().run_stream(stream, 4);
-        assert!(report.amortized_latency_ms() >= report.latency.mean_ms);
-    }
-
-    #[test]
     #[should_panic(expected = "empty graph stream")]
     fn empty_stream_panics() {
         acc().run_stream(GraphStream::from_graphs(vec![]), 10);
-    }
-
-    #[test]
-    fn zero_graph_report_has_zero_throughput() {
-        // Guard on elapsed time, not cycle count: a report whose cycles
-        // round to zero milliseconds must not divide by zero.
-        let report = StreamReport {
-            graphs: 0,
-            weight_load_cycles: 0,
-            total_cycles: 0,
-            latency: LatencyStats {
-                mean_ms: 0.0,
-                min_ms: 0.0,
-                max_ms: 0.0,
-            },
-        };
-        assert_eq!(report.graphs_per_second(), 0.0);
-        assert_eq!(report.amortized_latency_ms(), 0.0);
     }
 
     #[test]
@@ -362,6 +314,7 @@ mod tests {
 
     #[test]
     fn engine_metrics_count_graphs_cycles_and_cache_traffic() {
+        use crate::engine::{NT_PIPELINE_DEPTH, REGION_OVERHEAD};
         use crate::metrics::{EngineMetrics, Registry};
 
         let registry = Registry::new();
@@ -405,7 +358,7 @@ mod tests {
             (bare.mp_busy_cycles, bare.mp_stall_cycles),
             (observed.mp_busy_cycles, observed.mp_stall_cycles)
         );
-        let overhead = a.config().region_overhead + a.config().nt_pipeline_depth;
+        let overhead = REGION_OVERHEAD + NT_PIPELINE_DEPTH;
         let twins = a.twin_map(a.regions());
         let simulated: Cycle = observed
             .region_cycles

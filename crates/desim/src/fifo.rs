@@ -1,4 +1,4 @@
-//! Bounded registered FIFOs and a pool for routing between units.
+//! Bounded registered FIFOs.
 //!
 //! The FIFO is the single hottest structure in the cycle engine: every
 //! simulated cycle pushes, pops, and commits through the NT→MP queue
@@ -163,96 +163,6 @@ impl<T> Fifo<T> {
     }
 }
 
-/// Handle to a FIFO inside a [`FifoPool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FifoId(usize);
-
-/// An arena of same-typed FIFOs.
-///
-/// Simulated units hold [`FifoId`]s rather than owning queues, so a unit
-/// can push into another unit's input queue while the simulator retains a
-/// single point of mutation (and can commit every queue at each cycle
-/// boundary).
-///
-/// # Example
-///
-/// ```
-/// use flowgnn_desim::FifoPool;
-///
-/// let mut pool = FifoPool::new();
-/// let q = pool.alloc(4);
-/// pool[q].push(1u32);
-/// pool.commit_all();
-/// assert_eq!(pool[q].pop(), Some(1));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct FifoPool<T> {
-    fifos: Vec<Fifo<T>>,
-}
-
-impl<T: Default> FifoPool<T> {
-    /// Allocates a new FIFO of the given capacity and returns its id.
-    pub fn alloc(&mut self, capacity: usize) -> FifoId {
-        self.fifos.push(Fifo::new(capacity));
-        FifoId(self.fifos.len() - 1)
-    }
-
-    /// Resets every FIFO.
-    pub fn reset_all(&mut self) {
-        for f in &mut self.fifos {
-            f.reset();
-        }
-    }
-}
-
-impl<T> FifoPool<T> {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self { fifos: Vec::new() }
-    }
-
-    /// Number of FIFOs in the pool.
-    pub fn len(&self) -> usize {
-        self.fifos.len()
-    }
-
-    /// Whether the pool has no FIFOs.
-    pub fn is_empty(&self) -> bool {
-        self.fifos.is_empty()
-    }
-
-    /// Commits every FIFO (cycle boundary).
-    pub fn commit_all(&mut self) {
-        for f in &mut self.fifos {
-            f.commit();
-        }
-    }
-
-    /// Whether every FIFO is completely empty (quiescence check).
-    pub fn all_empty(&self) -> bool {
-        self.fifos.iter().all(Fifo::is_empty)
-    }
-
-    /// Iterates over `(id, fifo)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (FifoId, &Fifo<T>)> {
-        self.fifos.iter().enumerate().map(|(i, f)| (FifoId(i), f))
-    }
-}
-
-impl<T> std::ops::Index<FifoId> for FifoPool<T> {
-    type Output = Fifo<T>;
-
-    fn index(&self, id: FifoId) -> &Fifo<T> {
-        &self.fifos[id.0]
-    }
-}
-
-impl<T> std::ops::IndexMut<FifoId> for FifoPool<T> {
-    fn index_mut(&mut self, id: FifoId) -> &mut Fifo<T> {
-        &mut self.fifos[id.0]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,26 +292,5 @@ mod tests {
         q.commit();
         assert_eq!(q.peek(), Some(&5));
         assert_eq!(q.pop(), Some(5));
-    }
-
-    #[test]
-    fn pool_routes_by_id() {
-        let mut pool = FifoPool::new();
-        let a = pool.alloc(2);
-        let b = pool.alloc(2);
-        pool[a].push(1);
-        pool[b].push(2);
-        pool.commit_all();
-        assert_eq!(pool[a].pop(), Some(1));
-        assert_eq!(pool[b].pop(), Some(2));
-        assert!(pool.all_empty());
-    }
-
-    #[test]
-    fn pool_quiescence_detects_staged_items() {
-        let mut pool = FifoPool::new();
-        let a = pool.alloc(2);
-        pool[a].push(1);
-        assert!(!pool.all_empty());
     }
 }

@@ -3,18 +3,12 @@
 //! The FlowGNN paper's performance claims are architectural: bounded FIFO
 //! queues decouple the Node Transformation and Message Passing units, and
 //! backpressure plus multicasting determine how well the pipeline overlaps.
-//! This crate provides the hardware-like building blocks those simulations
-//! are written against:
-//!
-//! - [`Fifo`] — a bounded, *registered* FIFO: pushes performed during a
-//!   cycle become visible to pops only after [`Fifo::commit`], mirroring a
-//!   synchronous hardware FIFO (1-cycle forwarding latency, no
-//!   combinational pass-through).
-//! - [`FifoPool`] — an arena of FIFOs addressed by [`FifoId`], so multiple
-//!   simulated units can route into each other's queues without shared
-//!   mutable ownership.
-//! - [`Meter`] — per-unit busy/stall accounting, from which utilisation
-//!   reports (and the paper's idle-cycle arguments, Fig. 4) are derived.
+//! This crate provides the queue those simulations are written against:
+//! [`Fifo`], a bounded, *registered* FIFO. Pushes performed during a cycle
+//! become visible to pops only after [`Fifo::commit`], mirroring a
+//! synchronous hardware FIFO (1-cycle forwarding latency, no combinational
+//! pass-through). Busy/stall accounting lives with the engine that owns
+//! the units (`flowgnn-core`'s `RegionStats`).
 //!
 //! A cycle is a `u64` count of 300 MHz clock ticks (the paper's target
 //! frequency); conversion to wall-clock time happens at the reporting layer.
@@ -35,10 +29,8 @@
 #![warn(missing_docs)]
 
 mod fifo;
-mod meter;
 
-pub use fifo::{Fifo, FifoId, FifoPool};
-pub use meter::{Meter, Utilization};
+pub use fifo::Fifo;
 
 /// A clock cycle index at the simulated 300 MHz.
 pub type Cycle = u64;

@@ -3,7 +3,7 @@
 //! deterministic pseudo-random operation schedules (seeded in-tree PRNG,
 //! so every run exercises the same cases).
 
-use flowgnn_desim::{Fifo, FifoPool};
+use flowgnn_desim::Fifo;
 use flowgnn_rng::Rng;
 
 /// A random schedule of FIFO operations.
@@ -196,32 +196,5 @@ fn ring_buffer_matches_deque_reference_model() {
                 break;
             }
         }
-    }
-}
-
-/// Pool-wide commit preserves per-queue independence.
-#[test]
-fn pool_queues_are_independent() {
-    let mut rng = Rng::seed_from_u64(0xF1F0_0005);
-    for _ in 0..64 {
-        let pushes: Vec<(usize, u32)> = (0..rng.gen_range(1usize..50))
-            .map(|_| (rng.gen_range(0usize..4), rng.gen_range(0u32..100)))
-            .collect();
-        let mut pool = FifoPool::new();
-        let ids: Vec<_> = (0..4).map(|_| pool.alloc(64)).collect();
-        let mut expected: Vec<Vec<u32>> = vec![Vec::new(); 4];
-        for (q, v) in pushes {
-            pool[ids[q]].push(v);
-            expected[q].push(v);
-        }
-        pool.commit_all();
-        for (q, id) in ids.iter().enumerate() {
-            let mut got = Vec::new();
-            while let Some(v) = pool[*id].pop() {
-                got.push(v);
-            }
-            assert_eq!(&got, &expected[q]);
-        }
-        assert!(pool.all_empty());
     }
 }

@@ -11,7 +11,7 @@
 use flowgnn_graph::{Adjacency, FeatureArena, Graph, NodeId};
 use flowgnn_tensor::Matrix;
 
-use crate::{Dataflow, GnnModel, GraphContext, MessageCtx, NodeCtx, NtScratch};
+use crate::{GnnModel, GraphContext, MessageCtx, NodeCtx, NtScratch};
 
 /// The result of running a model on one graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -173,14 +173,6 @@ where
             })
         })
         .collect()
-}
-
-/// Which adjacency orientation the simulator should iterate for a model,
-/// mirroring this executor's semantics: both dataflows aggregate along
-/// in-edges; NT→MP *scatters* over out-edges into destination banks while
-/// MP→NT *gathers* over in-edges from source banks.
-pub fn gather_orientation(_dataflow: Dataflow) -> &'static str {
-    "in-edges"
 }
 
 #[cfg(test)]

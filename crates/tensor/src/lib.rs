@@ -8,10 +8,10 @@
 //! ([`flowgnn-models`]) and the *simulated* accelerator ([`flowgnn-core`])
 //! share one executable definition of the arithmetic.
 //!
-//! Everything is `f32` (the paper's kernels use 32-bit fixed/float types on
-//! the FPGA) and deterministic: weights are initialised from a seeded RNG so
-//! that cross-checks between the reference models and the cycle-level
-//! simulator are exact.
+//! Everything is `f32` and deterministic: weights are initialised from a
+//! seeded RNG so that cross-checks between the reference models and the
+//! cycle-level simulator are exact. The FPGA's fixed-point datapath is not
+//! modelled bit for bit; the simulator charges its cycles, not its rounding.
 //!
 //! # Example
 //!
@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 mod activation;
-pub mod fixed;
 mod init;
 mod linear;
 mod matrix;

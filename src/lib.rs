@@ -8,7 +8,7 @@
 //!
 //! - [`graph`] — COO graph streams, on-the-fly CSR/CSC, dataset generators;
 //! - [`tensor`] — dense linear algebra (matrices, linear layers, MLPs);
-//! - [`desim`] — cycle-level simulation substrate (FIFOs, meters);
+//! - [`desim`] — cycle-level simulation substrate (registered FIFOs, clock);
 //! - [`models`] — the message-passing programming model and the six paper
 //!   models (GCN, GIN, GIN+VN, GAT, PNA, DGN);
 //! - [`core`] — the dataflow architecture itself: NT/MP units, the
