@@ -41,12 +41,6 @@ impl PeArrayModel {
         memory_s > compute_s
     }
 
-    /// Latency normalised by DSP count (the Table VIII metric: smaller is
-    /// better; units µs, normalised to a 4096-DSP budget).
-    pub fn dsp_normalized_us(&self, latency_us: f64) -> f64 {
-        latency_us * self.dsps as f64 / 4096.0
-    }
-
     /// Energy efficiency in graphs/kJ at the given latency.
     ///
     /// # Panics
@@ -90,13 +84,6 @@ mod tests {
         let l = a.latency_us(5_970_000_000, 14_675_000_000);
         assert!((30_000.0..=35_000.0).contains(&l), "{l} µs");
         assert!(a.memory_bound(5_970_000_000, 14_675_000_000));
-    }
-
-    #[test]
-    fn dsp_normalisation_is_proportional() {
-        let mut a = array();
-        a.dsps = 1024;
-        assert!((a.dsp_normalized_us(8.0) - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //!
 //! ```text
 //! repro [experiment ...] [--quick|--full] [--csv DIR] [--jobs N] [--filter S]
-//!       [--no-trace-cache] [--scalar-kernels] [--list]
-//!       [--resume] [--checkpoint-dir DIR] [--abort-after-points N] [--metrics]
+//!       [--no-trace-cache] [--list] [--metrics]
 //!
-//! experiments: see `repro --list` (default: all)
+//! experiments: see `repro --list` (default: all; `table2` is an alias of
+//!              `table1`)
 //! --quick      tiny samples (seconds, for smoke tests)
 //! --full       paper-scale samples (all graphs; slow)
 //! --csv DIR    additionally write each table as DIR/<name>.csv
@@ -17,28 +17,18 @@
 //! --no-trace-cache   disable the service-trace cache in the serve/scale
 //!                    sweeps (output is byte-identical either way; CI
 //!                    `cmp`s the two to pin that)
-//! --scalar-kernels   run `dot` left to right and `Linear` as a column
-//!                    walk (the reference kernel bodies) instead of the
-//!                    default ones (timing tables are byte-identical
-//!                    either way; functional values agree within the
-//!                    differential-test tolerance; `throughput` sets each
-//!                    row's kernel path itself and ignores it)
-//! --resume             read checkpoint sidecars back and skip grid points a
-//!                      previous interrupted run already computed; resumed
-//!                      output is byte-identical to an uninterrupted run
-//! --checkpoint-dir DIR where sweeps journal completed grid points
-//!                      (default: .flowgnn-checkpoints; implies checkpointing)
-//! --abort-after-points N  exit with code 3 after N freshly computed grid
-//!                      points (CI uses this to kill a sweep mid-flight and
-//!                      exercise --resume deterministically)
-//! --metrics            attach a metrics registry to the serving runs and
-//!                      print the Prometheus text exposition after the run
-//!                      (observation-only: tables and CSVs are unchanged)
+//! --metrics    attach a metrics registry to the live serving runs and
+//!              print the Prometheus text exposition (serving and engine
+//!              families) after the run (observation-only: tables and
+//!              CSVs are unchanged)
 //! ```
+//!
+//! An unknown flag or experiment name is a usage error: `repro` prints one
+//! line to stderr and exits 2 before any experiment runs.
 
 use std::path::PathBuf;
 
-use flowgnn_core::{render_prometheus, Registry, ServeMetrics};
+use flowgnn_core::{render_prometheus, Registry};
 
 use flowgnn_bench::{experiments, throughput, SampleSize, TextTable};
 use flowgnn_graph::datasets::DatasetKind;
@@ -67,6 +57,12 @@ const ALL_EXPERIMENTS: &[&str] = &[
     "throughput",
 ];
 
+/// Reports a bad command line on one stderr line and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("repro: {msg} (see --help)");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut sample = SampleSize::Standard;
@@ -74,9 +70,6 @@ fn main() {
     let mut csv_dir: Option<PathBuf> = None;
     let mut filter: Option<String> = None;
     let mut trace_cache = true;
-    let mut checkpoint_dir: Option<PathBuf> = None;
-    let mut resume = false;
-    let mut abort_after: Option<usize> = None;
     let mut metrics = false;
     let mut wanted: Vec<String> = Vec::new();
     let mut iter = args.iter();
@@ -89,42 +82,17 @@ fn main() {
             }
             "--csv" => match iter.next() {
                 Some(dir) => csv_dir = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("--csv needs a directory argument");
-                    std::process::exit(2);
-                }
+                None => usage_error("--csv needs a directory argument"),
             },
             "--jobs" => match iter.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(n) if n > 0 => flowgnn_bench::par::set_jobs(n),
-                _ => {
-                    eprintln!("--jobs needs a positive integer argument");
-                    std::process::exit(2);
-                }
+                _ => usage_error("--jobs needs a positive integer argument"),
             },
             "--filter" => match iter.next() {
                 Some(s) => filter = Some(s.clone()),
-                None => {
-                    eprintln!("--filter needs a substring argument");
-                    std::process::exit(2);
-                }
+                None => usage_error("--filter needs a substring argument"),
             },
             "--no-trace-cache" => trace_cache = false,
-            "--scalar-kernels" => flowgnn_tensor::simd::set_scalar_kernels(true),
-            "--resume" => resume = true,
-            "--checkpoint-dir" => match iter.next() {
-                Some(dir) => checkpoint_dir = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("--checkpoint-dir needs a directory argument");
-                    std::process::exit(2);
-                }
-            },
-            "--abort-after-points" => match iter.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => abort_after = Some(n),
-                _ => {
-                    eprintln!("--abort-after-points needs a positive integer argument");
-                    std::process::exit(2);
-                }
-            },
             "--metrics" => metrics = true,
             "--list" => {
                 for name in ALL_EXPERIMENTS {
@@ -135,11 +103,9 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: repro [experiment|all ...] [--quick|--full] [--csv DIR] [--jobs N]\n\
-                     \x20            [--filter S] [--no-trace-cache] [--scalar-kernels] [--list]\n\
-                     \x20            [--resume] [--checkpoint-dir DIR] [--abort-after-points N]\n\
-                     \x20            [--metrics]\n\
+                     \x20            [--filter S] [--no-trace-cache] [--list] [--metrics]\n\
                      \n\
-                     experiments (default: all):"
+                     experiments (default: all; table2 is an alias of table1):"
                 );
                 for chunk in ALL_EXPERIMENTS.chunks(7) {
                     eprintln!("  {}", chunk.join(" "));
@@ -152,37 +118,31 @@ fn main() {
                      --filter S              run only experiments containing the substring S\n\
                      --list                  print the experiment names, one per line, and exit\n\
                      --no-trace-cache        disable the service-trace cache (output identical)\n\
-                     --scalar-kernels        reference dot and Linear loops (tables identical)\n\
-                     --resume                skip grid points an interrupted run checkpointed\n\
-                     --checkpoint-dir DIR    sidecar directory (default .flowgnn-checkpoints)\n\
-                     --abort-after-points N  exit(3) after N fresh grid points (for CI)\n\
-                     --metrics               print Prometheus exposition after serving runs"
+                     --metrics               print Prometheus exposition after live serving"
                 );
                 return;
             }
-            other => wanted.push(other.to_string()),
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag}")),
+            name => wanted.push(name.to_string()),
         }
     }
-    if resume || checkpoint_dir.is_some() || abort_after.is_some() {
-        let dir = checkpoint_dir.unwrap_or_else(|| PathBuf::from(".flowgnn-checkpoints"));
-        flowgnn_bench::checkpoint::configure(dir, resume);
-        if let Some(n) = abort_after {
-            flowgnn_bench::checkpoint::abort_after_points(n);
-        }
+    if let Some(name) = wanted
+        .iter()
+        .find(|w| !matches!(w.as_str(), "all" | "table2") && !ALL_EXPERIMENTS.contains(&w.as_str()))
+    {
+        usage_error(&format!("unknown experiment {name}"));
     }
-    // The registry outlives every experiment; serving runs observe into
-    // it and the exposition prints once at the end. Observation-only: no
-    // table or CSV byte depends on it.
-    let registry = Registry::new();
-    let serve_metrics = metrics.then(|| ServeMetrics::new(&registry));
+    // The registry outlives every experiment; the live serving runs
+    // observe into it and the exposition prints once at the end.
+    // Observation-only: no table or CSV byte depends on it.
+    let registry = metrics.then(Registry::new);
     if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
         wanted = ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
     if let Some(f) = &filter {
         wanted.retain(|w| w.contains(f.as_str()));
         if wanted.is_empty() {
-            eprintln!("--filter {f} matches no experiments (see --help)");
-            std::process::exit(2);
+            usage_error(&format!("--filter {f} matches no experiments"));
         }
     }
 
@@ -192,13 +152,6 @@ fn main() {
             std::process::exit(1);
         }
     }
-    // Run header: every table/CSV row below is produced on this kernel
-    // path. Timing tables are value-independent, so the CSVs themselves
-    // stay byte-identical across paths.
-    println!(
-        "repro: compute kernels = {}\n",
-        flowgnn_tensor::simd::kernel_path()
-    );
     let emit = |name: &str, table: &TextTable, note: Option<String>| {
         println!("{table}");
         if let Some(note) = note {
@@ -347,7 +300,7 @@ fn main() {
                 // prints, the structural gate runs, and the JSON perf
                 // artifact (never byte-compared) lands next to the other
                 // BENCH files when --csv is given.
-                let study = experiments::live_serving_with(sample, serve_metrics.as_ref());
+                let study = experiments::live_serving_with(sample, registry.as_ref());
                 println!("{}", study.table());
                 println!("{}\n", study.summary_note());
                 if let Err(e) = study.validate() {
@@ -376,12 +329,12 @@ fn main() {
                     }
                 }
             }
-            other => eprintln!("unknown experiment: {other} (see --help)"),
+            other => unreachable!("experiment {other} was checked before the runs"),
         }
     }
 
-    if metrics {
+    if let Some(registry) = &registry {
         println!("# repro metrics (Prometheus text exposition)");
-        print!("{}", render_prometheus(&registry));
+        print!("{}", render_prometheus(registry));
     }
 }

@@ -138,34 +138,6 @@ pub struct DsePoint {
     pub speedup: f64,
 }
 
-impl crate::checkpoint::Checkpointable for DsePoint {
-    fn save(&self) -> String {
-        use crate::checkpoint::fmt_f64 as f;
-        format!(
-            "{}\t{}\t{}\t{}\t{}\t{}",
-            self.p_node,
-            self.p_edge,
-            self.p_apply,
-            self.p_scatter,
-            f(self.latency_ms),
-            f(self.speedup)
-        )
-    }
-
-    fn load(line: &str) -> Option<Self> {
-        use crate::checkpoint::parse_f64 as p;
-        let mut it = line.split('\t');
-        Some(DsePoint {
-            p_node: it.next()?.parse().ok()?,
-            p_edge: it.next()?.parse().ok()?,
-            p_apply: it.next()?.parse().ok()?,
-            p_scatter: it.next()?.parse().ok()?,
-            latency_ms: p(it.next()?)?,
-            speedup: p(it.next()?)?,
-        })
-    }
-}
-
 /// The Fig. 10 design-space exploration: 108 configurations of GCN on
 /// MolHIV.
 #[derive(Debug, Clone)]
@@ -239,26 +211,19 @@ pub fn fig10(sample: SampleSize) -> Fig10 {
     }
     // The DSE grid is the repro's hottest loop: 108 independent sweeps of
     // the same sample. `par_map` keeps the output in grid order, so the
-    // table and CSV are identical to a sequential run — and the grid is
-    // resumable via the checkpoint sidecar (sample size in the name).
-    let name = format!("fig10_dse.g{graphs}");
-    let points = crate::checkpoint::par_map_checkpointed(
-        &name,
-        grid,
-        None,
-        |(p_node, p_edge, p_apply, p_scatter)| {
-            let cfg = ArchConfig::default().with_parallelism(p_node, p_edge, p_apply, p_scatter);
-            let ms = mean_gcn_latency_ms(cfg, &spec, graphs);
-            DsePoint {
-                p_node,
-                p_edge,
-                p_apply,
-                p_scatter,
-                latency_ms: ms,
-                speedup: base / ms,
-            }
-        },
-    );
+    // table and CSV are identical to a sequential run.
+    let points = crate::par_map(grid, None, |(p_node, p_edge, p_apply, p_scatter)| {
+        let cfg = ArchConfig::default().with_parallelism(p_node, p_edge, p_apply, p_scatter);
+        let ms = mean_gcn_latency_ms(cfg, &spec, graphs);
+        DsePoint {
+            p_node,
+            p_edge,
+            p_apply,
+            p_scatter,
+            latency_ms: ms,
+            speedup: base / ms,
+        }
+    });
     Fig10 { points }
 }
 

@@ -142,71 +142,6 @@ impl FleetClassPoint {
             self.dropped as f64 / self.requests as f64
         }
     }
-
-    fn save(&self) -> String {
-        use crate::checkpoint::fmt_f64 as f;
-        format!(
-            "{}\t{}\t{}\t{}",
-            self.requests,
-            self.dropped,
-            f(self.p99_ms),
-            f(self.slo_attainment)
-        )
-    }
-
-    fn load(it: &mut std::str::Split<'_, char>) -> Option<Self> {
-        use crate::checkpoint::parse_f64 as p;
-        Some(FleetClassPoint {
-            requests: it.next()?.parse().ok()?,
-            dropped: it.next()?.parse().ok()?,
-            p99_ms: p(it.next()?)?,
-            slo_attainment: p(it.next()?)?,
-        })
-    }
-}
-
-impl crate::checkpoint::Checkpointable for FleetPoint {
-    fn save(&self) -> String {
-        use crate::checkpoint::{fmt_f64 as f, fmt_opt_f64};
-        [
-            self.shape.to_string(),
-            f(self.interactive_share),
-            self.admission.to_string(),
-            self.routing.to_string(),
-            f(self.offered_load),
-            f(self.rate_per_s),
-            self.completed.to_string(),
-            self.dropped.to_string(),
-            f(self.drop_rate),
-            f(self.p99_ms),
-            self.interactive.save(),
-            self.analytics.save(),
-            fmt_opt_f64(self.accel_utilization),
-            fmt_opt_f64(self.edge_utilization),
-        ]
-        .join("\t")
-    }
-
-    fn load(line: &str) -> Option<Self> {
-        use crate::checkpoint::{intern, parse_f64 as p, parse_opt_f64};
-        let mut it = line.split('\t');
-        Some(FleetPoint {
-            shape: intern(&FLEET_SHAPES, it.next()?)?,
-            interactive_share: p(it.next()?)?,
-            admission: intern(&FLEET_ADMISSIONS, it.next()?)?,
-            routing: intern(&FLEET_ROUTINGS, it.next()?)?,
-            offered_load: p(it.next()?)?,
-            rate_per_s: p(it.next()?)?,
-            completed: it.next()?.parse().ok()?,
-            dropped: it.next()?.parse().ok()?,
-            drop_rate: p(it.next()?)?,
-            p99_ms: p(it.next()?)?,
-            interactive: FleetClassPoint::load(&mut it)?,
-            analytics: FleetClassPoint::load(&mut it)?,
-            accel_utilization: parse_opt_f64(it.next()?)?,
-            edge_utilization: parse_opt_f64(it.next()?)?,
-        })
-    }
 }
 
 /// The full fleet-serving sweep.
@@ -682,10 +617,7 @@ pub fn fleet_serving(sample: SampleSize) -> FleetStudy {
         })
         .collect();
 
-    // Resumable grid: the request count is part of the sweep name so a
-    // checkpoint from one sample size can never leak into another.
-    let name = format!("fleet_serving.r{requests}");
-    let points = crate::checkpoint::par_map_checkpointed(&name, grid, None, |(s, m, a, d, l)| {
+    let points = crate::par_map(grid, None, |(s, m, a, d, l)| {
         let shape = FLEET_SHAPES[s];
         let mix = &mixes[m];
         let load = FLEET_LOADS[l];
@@ -849,14 +781,6 @@ mod tests {
             "edge_utilization",
         ] {
             assert!(j.contains(key), "missing {key}");
-        }
-    }
-
-    #[test]
-    fn points_round_trip_through_the_checkpoint_format_bit_exactly() {
-        use crate::checkpoint::Checkpointable;
-        for p in fleet_serving(SampleSize::Quick).points {
-            assert_eq!(FleetPoint::load(&p.save()), Some(p.clone()), "{p:?}");
         }
     }
 

@@ -145,17 +145,6 @@ pub struct BatchSweep {
     pub flowgnn_ms: f64,
 }
 
-impl BatchSweep {
-    /// Largest batch size at which FlowGNN still beats the GPU.
-    pub fn gpu_crossover_batch(&self) -> Option<usize> {
-        self.gpu_ms_by_batch
-            .iter()
-            .rev()
-            .find(|&&(_, gpu)| gpu > self.flowgnn_ms)
-            .map(|&(b, _)| b)
-    }
-}
-
 /// Fig. 7: latency-vs-batch-size curves for one molecular dataset.
 #[derive(Debug, Clone)]
 pub struct Fig7 {

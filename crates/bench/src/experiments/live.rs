@@ -331,16 +331,24 @@ pub fn live_serving(sample: SampleSize) -> LiveStudy {
     live_serving_with(sample, None)
 }
 
-/// [`live_serving`] with an optional [`ServeMetrics`] handle observed by
-/// every live run in the sweep (the `repro live --metrics` path).
-/// Metrics are observation-only: the study is unchanged by them.
-pub fn live_serving_with(sample: SampleSize, metrics: Option<&ServeMetrics>) -> LiveStudy {
+/// [`live_serving`] observed by an optional [`Registry`] (the `repro live
+/// --metrics` path): every live run in the sweep counts into a
+/// [`ServeMetrics`] bound there, and the accelerator carries an
+/// [`EngineMetrics`] bound there too, so the registry exports the serving
+/// and engine families side by side. Metrics are observation-only: the
+/// study is unchanged by them.
+pub fn live_serving_with(sample: SampleSize, registry: Option<&Registry>) -> LiveStudy {
     let spec = DatasetSpec::standard(DatasetKind::MolHiv);
     let requests = sample.resolve(spec.paper_stats().graphs);
-    let acc = Accelerator::new(
+    let mut acc = Accelerator::new(
         GnnModel::gcn(spec.node_feat_dim(), 11),
         ArchConfig::default().with_execution(ExecutionMode::TimingOnly),
     );
+    if let Some(registry) = registry {
+        acc = acc.with_metrics(EngineMetrics::new(registry));
+    }
+    let serve_metrics = registry.map(ServeMetrics::new);
+    let metrics = serve_metrics.as_ref();
 
     // One engine pass anchors both domains: the cycle trace is the sim
     // domain's service process, and the median wall time the host spends
@@ -490,9 +498,11 @@ mod tests {
 
     #[test]
     fn sim_rows_are_deterministic_across_runs() {
-        // The wall-clock half varies; the simulated half must not.
+        // The wall-clock half varies; the simulated half must not, and
+        // observing the second run through a registry changes nothing.
+        let registry = Registry::new();
         let a = live_serving(SampleSize::Quick);
-        let b = live_serving(SampleSize::Quick);
+        let b = live_serving_with(SampleSize::Quick, Some(&registry));
         let sims = |s: &LiveStudy| -> Vec<LivePoint> {
             s.points
                 .iter()
@@ -502,6 +512,19 @@ mod tests {
         };
         assert_eq!(sims(&a), sims(&b));
         assert_eq!(a.sim_service_ms, b.sim_service_ms);
+        // The registry holds both the serving and the engine families.
+        let text = render_prometheus(&registry);
+        for series in [
+            "flowgnn_serve_requests_total ",
+            "flowgnn_engine_graphs_total ",
+            "flowgnn_engine_stepped_cycles_total ",
+        ] {
+            let line = text
+                .lines()
+                .find(|l| l.starts_with(series))
+                .unwrap_or_else(|| panic!("no {series}in\n{text}"));
+            assert_ne!(line, format!("{series}0"), "{series}never moved");
+        }
     }
 
     #[test]

@@ -81,48 +81,6 @@ impl ScalePoint {
     }
 }
 
-impl crate::checkpoint::Checkpointable for ScalePoint {
-    fn save(&self) -> String {
-        use crate::checkpoint::fmt_f64 as f;
-        [
-            self.replicas.to_string(),
-            self.policy.to_string(),
-            self.process.to_string(),
-            f(self.offered_load),
-            f(self.rate_per_s),
-            f(self.p50_ms),
-            f(self.p95_ms),
-            f(self.p99_ms),
-            f(self.max_ms),
-            f(self.mean_wait_ms),
-            f(self.drop_rate),
-            f(self.mean_utilization),
-            f(self.imbalance_pct),
-        ]
-        .join("\t")
-    }
-
-    fn load(line: &str) -> Option<Self> {
-        use crate::checkpoint::{intern, parse_f64 as p};
-        let mut it = line.split('\t');
-        Some(ScalePoint {
-            replicas: it.next()?.parse().ok()?,
-            policy: intern(&SCALE_POLICIES, it.next()?)?,
-            process: intern(&SCALE_PROCESSES, it.next()?)?,
-            offered_load: p(it.next()?)?,
-            rate_per_s: p(it.next()?)?,
-            p50_ms: p(it.next()?)?,
-            p95_ms: p(it.next()?)?,
-            p99_ms: p(it.next()?)?,
-            max_ms: p(it.next()?)?,
-            mean_wait_ms: p(it.next()?)?,
-            drop_rate: p(it.next()?)?,
-            mean_utilization: p(it.next()?)?,
-            imbalance_pct: p(it.next()?)?,
-        })
-    }
-}
-
 /// The highest SLO-meeting swept rate for one `(process, policy,
 /// replicas)` pool configuration (`None` if even the lowest swept load
 /// missed the SLO).
@@ -343,12 +301,7 @@ pub fn scale_out_with(sample: SampleSize, trace_cache: bool) -> ScaleStudy {
             })
         })
         .collect();
-    // The grid is resumable: each completed point journals to the
-    // checkpoint sidecar (when `repro --resume`/`--checkpoint-dir` is
-    // active), and the request count is folded into the sweep name so a
-    // `--quick` checkpoint can never leak into a standard-size run.
-    let name = format!("scale_out.r{requests}");
-    let points = crate::checkpoint::par_map_checkpointed(&name, grid, None, |(p, d, r, l)| {
+    let points = crate::par_map(grid, None, |(p, d, r, l)| {
         let replicas = REPLICA_COUNTS[r];
         let load = SCALE_LOADS[l];
         let rate = load * replicas as f64 * service_rate_per_s;
@@ -573,13 +526,5 @@ mod tests {
         assert_eq!(on.points, off.points);
         assert_eq!(on.table().to_csv(), off.table().to_csv());
         assert_eq!(on.to_json(), off.to_json());
-    }
-
-    #[test]
-    fn points_round_trip_through_the_checkpoint_format_bit_exactly() {
-        use crate::checkpoint::Checkpointable;
-        for p in scale_out(SampleSize::Quick).points {
-            assert_eq!(ScalePoint::load(&p.save()), Some(p.clone()), "{p:?}");
-        }
     }
 }

@@ -63,46 +63,6 @@ pub struct ServePoint {
     pub drop_rate: f64,
 }
 
-impl crate::checkpoint::Checkpointable for ServePoint {
-    fn save(&self) -> String {
-        use crate::checkpoint::fmt_f64 as f;
-        [
-            self.backend.clone(),
-            self.process.to_string(),
-            f(self.offered_load),
-            f(self.rate_per_s),
-            self.requests.to_string(),
-            f(self.p50_ms),
-            f(self.p95_ms),
-            f(self.p99_ms),
-            f(self.max_ms),
-            f(self.mean_wait_ms),
-            f(self.mean_service_ms),
-            f(self.drop_rate),
-        ]
-        .join("\t")
-    }
-
-    fn load(line: &str) -> Option<Self> {
-        use crate::checkpoint::{intern, parse_f64 as p};
-        let mut it = line.split('\t');
-        Some(ServePoint {
-            backend: it.next()?.to_string(),
-            process: intern(&PROCESSES, it.next()?)?,
-            offered_load: p(it.next()?)?,
-            rate_per_s: p(it.next()?)?,
-            requests: it.next()?.parse().ok()?,
-            p50_ms: p(it.next()?)?,
-            p95_ms: p(it.next()?)?,
-            p99_ms: p(it.next()?)?,
-            max_ms: p(it.next()?)?,
-            mean_wait_ms: p(it.next()?)?,
-            mean_service_ms: p(it.next()?)?,
-            drop_rate: p(it.next()?)?,
-        })
-    }
-}
-
 /// One platform's sustainable rate: the highest swept Poisson arrival
 /// rate that met the p99 SLO with zero drops (`None` if even the lowest
 /// swept load missed it).
@@ -313,27 +273,19 @@ pub fn serve_tail_latency_with(sample: SampleSize, trace_cache: bool) -> ServeSt
     // doubles as the cold path: it runs under `par_map` alongside the
     // other platforms' passes and simulates every distinct graph once,
     // filling the shared trace cache the grid points then hit.
-    let service_rates: Vec<f64> = crate::checkpoint::par_map_checkpointed(
-        &format!("serve_tail_latency_rates.r{requests}"),
-        (0..NUM_BACKENDS).collect(),
-        None,
-        |b| {
-            let mean_ms = make_backend(b, &spec, cache.as_ref())
-                .run_stream(spec.stream(), requests)
-                .latency_ms;
-            1e3 / mean_ms // requests per second at full utilisation
-        },
-    );
+    let service_rates: Vec<f64> = crate::par_map((0..NUM_BACKENDS).collect(), None, |b| {
+        let mean_ms = make_backend(b, &spec, cache.as_ref())
+            .run_stream(spec.stream(), requests)
+            .latency_ms;
+        1e3 / mean_ms // requests per second at full utilisation
+    });
 
     let grid: Vec<(usize, usize, usize)> = (0..NUM_BACKENDS)
         .flat_map(|b| {
             (0..PROCESSES.len()).flat_map(move |p| (0..OFFERED_LOADS.len()).map(move |l| (b, p, l)))
         })
         .collect();
-    // Resumable grid: the request count is part of the sweep name so a
-    // checkpoint from one sample size can never leak into another.
-    let name = format!("serve_tail_latency.r{requests}");
-    let points = crate::checkpoint::par_map_checkpointed(&name, grid, None, |(b, p, l)| {
+    let points = crate::par_map(grid, None, |(b, p, l)| {
         let backend = make_backend(b, &spec, cache.as_ref());
         let load = OFFERED_LOADS[l];
         let rate = load * service_rates[b];
@@ -512,14 +464,6 @@ mod tests {
         assert_eq!(on.points, off.points);
         assert_eq!(on.table().to_csv(), off.table().to_csv());
         assert_eq!(on.to_json(), off.to_json());
-    }
-
-    #[test]
-    fn points_round_trip_through_the_checkpoint_format_bit_exactly() {
-        use crate::checkpoint::Checkpointable;
-        for p in serve_tail_latency(SampleSize::Quick).points {
-            assert_eq!(ServePoint::load(&p.save()), Some(p.clone()), "{p:?}");
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! serialized as `BENCH_sim_throughput.json`.
 //!
 //! Each row sets its own kernel path, and the study restores the path
-//! the process started with, so `--scalar-kernels` does not change it.
+//! the process started with.
 
 use crate::timing::{self, Timing};
 use crate::SampleSize;

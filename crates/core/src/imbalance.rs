@@ -4,10 +4,11 @@
 //! P_edge`), with no preprocessing — so skewed degree distributions can
 //! load banks unevenly. The paper quantifies this as "the largest
 //! difference in workloads between any two MP units as a percentage of the
-//! total workload"; these functions reproduce that measurement per graph
-//! and across whole dataset streams.
+//! total workload"; these functions reproduce that measurement. Summing
+//! [`bank_workloads`] over a dataset stream before applying
+//! [`imbalance_percent`] gives the stream-wide figure Table VII reports.
 
-use flowgnn_graph::{Graph, GraphStream};
+use flowgnn_graph::Graph;
 
 /// Per-bank edge counts for a graph under `p_edge` destination banks.
 ///
@@ -33,19 +34,6 @@ pub fn imbalance_percent(workloads: &[u64]) -> f64 {
     let max = *workloads.iter().max().expect("non-empty");
     let min = *workloads.iter().min().expect("non-empty");
     (max - min) as f64 / total as f64 * 100.0
-}
-
-/// Imbalance across an entire dataset stream: bank workloads are summed
-/// over every graph (the accelerator processes them back-to-back with the
-/// same bank assignment rule), then the metric is applied once.
-pub fn stream_imbalance_percent(stream: GraphStream, p_edge: usize) -> f64 {
-    let mut totals = vec![0u64; p_edge];
-    for g in stream {
-        for (t, w) in totals.iter_mut().zip(bank_workloads(&g, p_edge)) {
-            *t += w;
-        }
-    }
-    imbalance_percent(&totals)
 }
 
 #[cfg(test)]
@@ -105,14 +93,6 @@ mod tests {
         let tiny_pct = imbalance_percent(&bank_workloads(&tiny, 4));
         assert!(big_pct < tiny_pct, "big {big_pct} vs tiny {tiny_pct}");
         assert!(big_pct < 5.0, "big graph imbalance {big_pct}%");
-    }
-
-    #[test]
-    fn stream_imbalance_aggregates_across_graphs() {
-        let stream = MoleculeLike::new(20.0, 7).stream(50);
-        let pct = stream_imbalance_percent(stream, 4);
-        // Table VII reports < 9% for molecular datasets at P_edge = 4.
-        assert!((0.0..=15.0).contains(&pct), "{pct}");
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use config::{ArchConfig, EngineMode, ExecutionMode, GatherBanking, PipelineS
 pub use energy::{graphs_per_kj, EnergyModel, FPGA_STATIC_WATTS};
 pub use engine::{Accelerator, PreparedGraph, RunReport};
 pub use exec::SimScratch;
-pub use imbalance::{bank_workloads, imbalance_percent, stream_imbalance_percent};
+pub use imbalance::{bank_workloads, imbalance_percent};
 pub use metrics::{render_prometheus, EngineMetrics, Registry, ServeMetrics, LATENCY_BUCKETS_MS};
 pub use resource::{ResourceEstimate, U50_AVAILABLE};
 pub use serve::{

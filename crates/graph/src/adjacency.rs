@@ -123,14 +123,6 @@ impl Adjacency {
     pub fn degree(&self, u: NodeId) -> usize {
         self.neighbors(u).len()
     }
-
-    /// Iterates `(node, neighbors, edge_ids)` over all nodes.
-    pub fn iter_groups(&self) -> impl Iterator<Item = (NodeId, &[NodeId], &[u32])> {
-        (0..self.num_nodes()).map(move |u| {
-            let u = u as NodeId;
-            (u, self.neighbors(u), self.edge_ids(u))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -192,16 +184,6 @@ mod tests {
         let csr = Adjacency::out_edges(&graph);
         assert_eq!(csr.num_nodes(), 0);
         assert_eq!(csr.num_edges(), 0);
-    }
-
-    #[test]
-    fn iter_groups_covers_all_nodes() {
-        let graph = g(3, vec![(0, 1), (2, 1)]);
-        let csr = Adjacency::out_edges(&graph);
-        let groups: Vec<_> = csr.iter_groups().collect();
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[0].1, &[1]);
-        assert_eq!(groups[2].1, &[1]);
     }
 
     #[test]

@@ -199,15 +199,6 @@ impl Graph {
         self.edges.iter().filter(|&&(_, d)| d == node).count()
     }
 
-    /// Average degree `E / N` (directed edges per node).
-    pub fn avg_degree(&self) -> f64 {
-        if self.num_nodes == 0 {
-            0.0
-        } else {
-            self.edges.len() as f64 / self.num_nodes as f64
-        }
-    }
-
     /// In-degrees of every node in one O(N + E) pass.
     pub fn in_degrees(&self) -> Vec<u32> {
         let mut deg = vec![0u32; self.num_nodes];
@@ -305,7 +296,6 @@ mod tests {
         assert_eq!(g.out_degree(0), 1);
         assert_eq!(g.in_degrees(), vec![1, 2, 1]);
         assert_eq!(g.out_degrees(), vec![1, 2, 1]);
-        assert!((g.avg_degree() - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -408,6 +398,6 @@ mod tests {
     #[test]
     fn empty_graph_is_valid() {
         let g = Graph::new(0, vec![], FeatureSource::dense(Matrix::zeros(0, 3)), None).unwrap();
-        assert_eq!(g.avg_degree(), 0.0);
+        assert_eq!((g.num_nodes(), g.num_edges()), (0, 0));
     }
 }

@@ -148,7 +148,7 @@ impl Linear {
     /// accumulates the outputs in register tiles of 64, 32, 16, 8, 4, 2
     /// and 1 columns: a tile stays in registers while it takes every
     /// compacted input's product from one contiguous slice of the
-    /// transposed weights. The `--scalar-kernels` switch
+    /// transposed weights. The scalar-kernel switch
     /// ([`crate::simd::set_scalar_kernels`]) selects the reference walk
     /// down the columns of the `out × in` matrix instead. Both add the
     /// same products to each output element in the same order, so they

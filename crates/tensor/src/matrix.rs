@@ -155,31 +155,6 @@ impl Matrix {
         }
     }
 
-    /// Transposed matrix–vector product `selfᵀ * x`, i.e. accumulating
-    /// `x[r] * row(r)` over rows — the *input-stationary* order used by the
-    /// accelerator's NT unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.rows()`.
-    pub fn matvec_transposed(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(
-            x.len(),
-            self.rows,
-            "transposed matvec input length {} does not match {} rows",
-            x.len(),
-            self.rows
-        );
-        let mut out = vec![0.0; self.cols];
-        for (r, xi) in x.iter().enumerate() {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (o, w) in out.iter_mut().zip(row) {
-                *o += xi * w;
-            }
-        }
-        out
-    }
-
     /// Returns the transpose as a new matrix.
     pub fn transposed(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -266,13 +241,6 @@ mod tests {
     fn matvec_matches_manual_computation() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         assert_eq!(m.matvec(&[1.0, -1.0]), vec![-1.0, -1.0, -1.0]);
-    }
-
-    #[test]
-    fn transposed_matvec_matches_explicit_transpose() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let x = [2.0, -1.0];
-        assert_eq!(m.matvec_transposed(&x), m.transposed().matvec(&x));
     }
 
     #[test]

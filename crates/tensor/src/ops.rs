@@ -15,7 +15,7 @@
 use crate::simd::{scalar_kernels, LANES};
 
 /// The sequential dot product, kept as the reference [`dot`] is compared
-/// against and the body the `--scalar-kernels` switch selects.
+/// against and the body the scalar-kernel switch selects.
 pub mod scalar {
     /// Left-to-right dot product. See [`super::dot`].
     ///
@@ -103,7 +103,7 @@ fn accumulate(acc: &mut [f32; LANES], x: &[f32], y: &[f32]) {
 ///
 /// The result depends only on the inputs, never on the target CPU, but it
 /// differs from the left-to-right [`scalar::dot`] by rounding; the
-/// property tests pin the two within 1e-6. Under the `--scalar-kernels`
+/// property tests pin the two within 1e-6. Under the scalar-kernel
 /// switch ([`crate::simd::set_scalar_kernels`]) this calls
 /// [`scalar::dot`] instead.
 ///
@@ -204,24 +204,6 @@ pub fn concat(parts: &[&[f32]]) -> Vec<f32> {
         out.extend_from_slice(p);
     }
     out
-}
-
-/// Mean of the rows in `rows` (each of length `dim`); zeros if `rows` is
-/// empty.
-pub fn mean_of_rows<'a, I>(rows: I, dim: usize) -> Vec<f32>
-where
-    I: IntoIterator<Item = &'a [f32]>,
-{
-    let mut acc = vec![0.0; dim];
-    let mut n = 0usize;
-    for row in rows {
-        add_assign(&mut acc, row);
-        n += 1;
-    }
-    if n > 0 {
-        scale(&mut acc, 1.0 / n as f32);
-    }
-    acc
 }
 
 /// L2 norm.
@@ -351,18 +333,6 @@ mod tests {
         assert_eq!(with_nan[0], 1.0);
         assert!(with_nan[1].is_nan());
         assert_eq!(with_nan[2], 2.0);
-    }
-
-    #[test]
-    fn mean_of_rows_averages() {
-        let rows: Vec<&[f32]> = vec![&[1.0, 2.0], &[3.0, 4.0]];
-        assert_eq!(mean_of_rows(rows, 2), vec![2.0, 3.0]);
-    }
-
-    #[test]
-    fn mean_of_no_rows_is_zero() {
-        let rows: Vec<&[f32]> = vec![];
-        assert_eq!(mean_of_rows(rows, 3), vec![0.0; 3]);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //!
 //! * [`LANES`], the chunk width of [`crate::ops::dot`]'s accumulators and
 //!   the row-stride quantum of `flowgnn_graph::FeatureArena`;
-//! * one run-time switch, [`set_scalar_kernels`] (surfaced as
-//!   `repro --scalar-kernels`), that selects the reference body of the
-//!   two kernels that have one: [`crate::ops::dot`] falls back to the
-//!   left-to-right [`crate::ops::scalar::dot`], and
+//! * one run-time switch, [`set_scalar_kernels`] (flipped by the scalar
+//!   rows of `repro throughput` and by the differential tests), that
+//!   selects the reference body of the two kernels that have one:
+//!   [`crate::ops::dot`] falls back to the left-to-right
+//!   [`crate::ops::scalar::dot`], and
 //!   [`crate::Linear::forward_input_stationary`] walks the weight columns
 //!   instead of the transposed rows.
 //!
