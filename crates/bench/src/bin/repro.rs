@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! repro [experiment ...] [--quick|--full] [--csv DIR] [--jobs N] [--filter S]
-//!       [--no-trace-cache] [--list] [--metrics]
+//!       [--list] [--metrics]
 //!
 //! experiments: see `repro --list` (default: all; `table2` is an alias of
 //!              `table1`)
@@ -14,9 +14,6 @@
 //! --jobs N     worker threads for the parallel sweeps (default: all cores)
 //! --filter S   run only experiments whose name contains the substring S
 //! --list       print the experiment names, one per line, and exit
-//! --no-trace-cache   disable the service-trace cache in the serve/scale
-//!                    sweeps (output is byte-identical either way; CI
-//!                    `cmp`s the two to pin that)
 //! --metrics    attach a metrics registry to the live serving runs and
 //!              print the Prometheus text exposition (serving and engine
 //!              families) after the run (observation-only: tables and
@@ -69,7 +66,6 @@ fn main() {
     let mut full = false;
     let mut csv_dir: Option<PathBuf> = None;
     let mut filter: Option<String> = None;
-    let mut trace_cache = true;
     let mut metrics = false;
     let mut wanted: Vec<String> = Vec::new();
     let mut iter = args.iter();
@@ -92,7 +88,6 @@ fn main() {
                 Some(s) => filter = Some(s.clone()),
                 None => usage_error("--filter needs a substring argument"),
             },
-            "--no-trace-cache" => trace_cache = false,
             "--metrics" => metrics = true,
             "--list" => {
                 for name in ALL_EXPERIMENTS {
@@ -103,7 +98,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: repro [experiment|all ...] [--quick|--full] [--csv DIR] [--jobs N]\n\
-                     \x20            [--filter S] [--no-trace-cache] [--list] [--metrics]\n\
+                     \x20            [--filter S] [--list] [--metrics]\n\
                      \n\
                      experiments (default: all; table2 is an alias of table1):"
                 );
@@ -117,7 +112,6 @@ fn main() {
                      --jobs N                worker threads for the parallel sweeps\n\
                      --filter S              run only experiments containing the substring S\n\
                      --list                  print the experiment names, one per line, and exit\n\
-                     --no-trace-cache        disable the service-trace cache (output identical)\n\
                      --metrics               print Prometheus exposition after live serving"
                 );
                 return;
@@ -258,7 +252,7 @@ fn main() {
             ),
             "scorecard" => emit("scorecard", &experiments::scorecard(sample).table(), None),
             "serve" => {
-                let study = experiments::serve_tail_latency_with(sample, trace_cache);
+                let study = experiments::serve_tail_latency(sample);
                 emit(
                     "serve_tail_latency",
                     &study.table(),
@@ -272,7 +266,7 @@ fn main() {
                 }
             }
             "scale" => {
-                let study = experiments::scale_out_with(sample, trace_cache);
+                let study = experiments::scale_out(sample);
                 emit("scale_out", &study.table(), Some(study.sustainable_note()));
                 if let Some(dir) = &csv_dir {
                     let path = dir.join("BENCH_scale_out.json");

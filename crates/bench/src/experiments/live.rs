@@ -2,7 +2,8 @@
 //! measured twice — once in the simulated cycle domain (`run_fleet`
 //! replaying a cycle-exact service trace) and once live, with real OS
 //! replica threads running the engine behind the same dispatch policies
-//! (`InferenceBackend::serve_on` with `Runtime::Live`).
+//! (`run_fleet` over a pool of `EngineWorker`s, which is what
+//! `InferenceBackend::serve_on` runs under `Runtime::Live`).
 //!
 //! The point of the experiment is *structural* parity: both domains share
 //! one arrival-schedule generator, one dispatch abstraction, and one
@@ -30,6 +31,7 @@
 use flowgnn_core::prelude::*;
 use flowgnn_desim::cycles_to_ms;
 use flowgnn_graph::datasets::{DatasetKind, DatasetSpec};
+use flowgnn_graph::Graph;
 use flowgnn_models::GnnModel;
 
 use super::serve::QUEUE_CAPACITY;
@@ -333,20 +335,19 @@ pub fn live_serving(sample: SampleSize) -> LiveStudy {
 
 /// [`live_serving`] observed by an optional [`Registry`] (the `repro live
 /// --metrics` path): every live run in the sweep counts into a
-/// [`ServeMetrics`] bound there, and the accelerator carries an
+/// [`ServeMetrics`] bound there, and the replicas' accelerator carries an
 /// [`EngineMetrics`] bound there too, so the registry exports the serving
-/// and engine families side by side. Metrics are observation-only: the
-/// study is unchanged by them.
+/// and engine families side by side. The calibration pass runs on an
+/// unobserved accelerator, so the engine counts exactly the runs the
+/// served requests cause. Metrics are observation-only: the study is
+/// unchanged by them.
 pub fn live_serving_with(sample: SampleSize, registry: Option<&Registry>) -> LiveStudy {
     let spec = DatasetSpec::standard(DatasetKind::MolHiv);
     let requests = sample.resolve(spec.paper_stats().graphs);
-    let mut acc = Accelerator::new(
+    let acc = Accelerator::new(
         GnnModel::gcn(spec.node_feat_dim(), 11),
         ArchConfig::default().with_execution(ExecutionMode::TimingOnly),
     );
-    if let Some(registry) = registry {
-        acc = acc.with_metrics(EngineMetrics::new(registry));
-    }
     let serve_metrics = registry.map(ServeMetrics::new);
     let metrics = serve_metrics.as_ref();
 
@@ -360,6 +361,26 @@ pub fn live_serving_with(sample: SampleSize, registry: Option<&Registry>) -> Liv
     let sim_service_ms = cycles_to_ms(service.iter().sum::<u64>()) / service.len() as f64;
     let class_of = vec![0; service.len()];
     let costs = [service];
+
+    // Only the replicas' accelerator carries the engine metrics, so the
+    // calibration pass above goes uncounted. Each live run hands the cost
+    // row to `run_fleet` with a fresh pool of engine workers, as
+    // `serve_on` would after simulating the row again.
+    let replica = match registry {
+        Some(registry) => acc.with_metrics(EngineMetrics::new(registry)),
+        None => acc,
+    };
+    let graphs: Vec<Graph> = spec.stream().take_prefix(requests).collect();
+    let serve_live = |config: &FleetConfig| {
+        let workers = (0..config.total_replicas())
+            .map(|_| EngineWorker::new(replica.clone(), graphs.iter().cloned()))
+            .collect();
+        let live = FleetRuntime::Live(workers);
+        run_fleet(&costs, &class_of, config, live, metrics)
+            .expect("valid live config")
+            .live()
+            .expect("live runtime yields a wall-domain report")
+    };
 
     let replica_counts: Vec<usize> = live_replica_counts(sample).to_vec();
     let mut points = Vec::new();
@@ -402,17 +423,7 @@ pub fn live_serving_with(sample: SampleSize, registry: Option<&Registry>) -> Liv
                 points.push(point(replicas, policy_name, load, "sim", sim_rate, &sim));
 
                 let live_rate = load * replicas as f64 * 1e3 / wall_service_ms;
-                let live = acc
-                    .serve_on(
-                        spec.stream(),
-                        requests,
-                        &config_for(live_rate),
-                        Runtime::Live,
-                        metrics,
-                    )
-                    .expect("valid live config")
-                    .live()
-                    .expect("live runtime yields a wall-domain report");
+                let live = serve_live(&config_for(live_rate));
                 points.push(point(replicas, policy_name, load, "live", live_rate, &live));
             }
         }
@@ -427,11 +438,7 @@ pub fn live_serving_with(sample: SampleSize, registry: Option<&Registry>) -> Liv
             let config = FleetConfig::pool(replicas)
                 .build()
                 .expect("valid saturation config");
-            let report = acc
-                .serve_on(spec.stream(), requests, &config, Runtime::Live, metrics)
-                .expect("valid live config")
-                .live()
-                .expect("live runtime yields a wall-domain report");
+            let report = serve_live(&config);
             LiveSaturation {
                 replicas,
                 throughput_per_s: report.throughput_per_s(),
@@ -514,17 +521,26 @@ mod tests {
         assert_eq!(a.sim_service_ms, b.sim_service_ms);
         // The registry holds both the serving and the engine families.
         let text = render_prometheus(&registry);
+        let value = |series: &str| -> u64 {
+            text.lines()
+                .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+                .unwrap_or_else(|| panic!("no {series} in\n{text}"))
+                .parse()
+                .expect("integer counter")
+        };
         for series in [
-            "flowgnn_serve_requests_total ",
-            "flowgnn_engine_graphs_total ",
-            "flowgnn_engine_stepped_cycles_total ",
+            "flowgnn_serve_requests_total",
+            "flowgnn_engine_graphs_total",
+            "flowgnn_engine_stepped_cycles_total",
         ] {
-            let line = text
-                .lines()
-                .find(|l| l.starts_with(series))
-                .unwrap_or_else(|| panic!("no {series}in\n{text}"));
-            assert_ne!(line, format!("{series}0"), "{series}never moved");
+            assert_ne!(value(series), 0, "{series} never moved");
         }
+        // The engine runs once per served request: neither the
+        // calibration pass nor a second cost-row pass counts.
+        assert_eq!(
+            value("flowgnn_engine_graphs_total"),
+            value("flowgnn_serve_completed_total")
+        );
     }
 
     #[test]

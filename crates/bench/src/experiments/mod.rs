@@ -39,13 +39,13 @@ pub use live::{
 };
 pub use resources::{table3, Table3, Table3Row, PAPER_TABLE3};
 pub use scale::{
-    scale_out, scale_out_with, ScalePoint, ScaleStudy, ScaleSustainable, REPLICA_COUNTS,
-    SCALE_LOADS, SCALE_POLICIES, SCALE_PROCESSES,
+    scale_out, ScalePoint, ScaleStudy, ScaleSustainable, REPLICA_COUNTS, SCALE_LOADS,
+    SCALE_POLICIES, SCALE_PROCESSES,
 };
 pub use scorecard::{scorecard, Claim, Scorecard};
 pub use serve::{
-    serve_tail_latency, serve_tail_latency_with, ServePoint, ServeStudy, SustainableRate,
-    OFFERED_LOADS, PROCESSES, QUEUE_CAPACITY, SLO_FACTOR,
+    serve_tail_latency, ServePoint, ServeStudy, SustainableRate, OFFERED_LOADS, PROCESSES,
+    QUEUE_CAPACITY, SLO_FACTOR,
 };
 pub use virtual_node::{fig6, Fig6, Fig6Row};
 

@@ -268,25 +268,16 @@ impl ScaleStudy {
 /// [`crate::par_map`] and the output is byte-identical for any `--jobs`
 /// setting.
 pub fn scale_out(sample: SampleSize) -> ScaleStudy {
-    scale_out_with(sample, true)
-}
-
-/// [`scale_out`] with the service-trace cache explicitly on or off.
-/// Identical output either way (the CI smoke job `cmp`s the CSVs);
-/// cache-off exists for that comparison.
-pub fn scale_out_with(sample: SampleSize, trace_cache: bool) -> ScaleStudy {
     let spec = DatasetSpec::standard(DatasetKind::MolHiv);
     let requests = sample.resolve(spec.paper_stats().graphs);
     // The trace cache makes the one engine pass answer any duplicate
     // graphs in the stream from memory; cached cycles are exactly the
     // simulated ones, so the sweep output is unchanged by the cache.
-    let mut acc = Accelerator::new(
+    let acc = Accelerator::new(
         GnnModel::gcn(spec.node_feat_dim(), 11),
         ArchConfig::default().with_execution(ExecutionMode::TimingOnly),
-    );
-    if trace_cache {
-        acc = acc.with_trace_cache(ServiceTraceCache::new(requests.max(1)));
-    }
+    )
+    .with_trace_cache(ServiceTraceCache::new(requests.max(1)));
     let service = acc.service_trace(spec.stream(), requests);
     let mean_service_ms = cycles_to_ms(service.iter().sum::<u64>()) / service.len() as f64;
     let service_rate_per_s = 1e3 / mean_service_ms;
@@ -517,14 +508,5 @@ mod tests {
         assert_eq!(a.points, b.points);
         assert_eq!(a.table().to_csv(), b.table().to_csv());
         assert_eq!(a.to_json(), b.to_json());
-    }
-
-    #[test]
-    fn trace_cache_does_not_change_the_sweep() {
-        let on = scale_out_with(SampleSize::Quick, true);
-        let off = scale_out_with(SampleSize::Quick, false);
-        assert_eq!(on.points, off.points);
-        assert_eq!(on.table().to_csv(), off.table().to_csv());
-        assert_eq!(on.to_json(), off.to_json());
     }
 }

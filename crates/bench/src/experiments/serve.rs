@@ -216,12 +216,13 @@ impl ServeStudy {
 /// Every FlowGNN instance shares `cache`, so the engine simulates each
 /// distinct MolHIV graph once across the whole sweep — the service-rate
 /// pass warms the cache and all grid points replay it. Cached cycles are
-/// exactly the simulated ones, so the sweep output is byte-identical
-/// with or without the cache (pinned by the CI smoke comparison).
+/// exactly the simulated ones (`crates/core/tests/differential.rs` pins
+/// cached against uncached `service_trace`, `serve_on` and `run_stream`),
+/// so the cache changes no byte of the sweep.
 fn make_backend(
     index: usize,
     spec: &DatasetSpec,
-    cache: Option<&ServiceTraceCache>,
+    cache: &ServiceTraceCache,
 ) -> Box<dyn InferenceBackend> {
     let model = GnnModel::gcn(spec.node_feat_dim(), 11);
     match index {
@@ -230,10 +231,7 @@ fn make_backend(
                 model,
                 ArchConfig::default().with_execution(ExecutionMode::TimingOnly),
             );
-            Box::new(match cache {
-                Some(c) => acc.with_trace_cache(c.clone()),
-                None => acc,
-            })
+            Box::new(acc.with_trace_cache(cache.clone()))
         }
         1 => Box::new(CpuBackend::new(model)),
         2 => Box::new(GpuBackend::new(model, 1)),
@@ -253,20 +251,11 @@ const NUM_BACKENDS: usize = 5;
 /// [`crate::par_map`] and the output is byte-identical for any `--jobs`
 /// setting.
 pub fn serve_tail_latency(sample: SampleSize) -> ServeStudy {
-    serve_tail_latency_with(sample, true)
-}
-
-/// [`serve_tail_latency`] with the service-trace cache explicitly on or
-/// off. Both settings produce byte-identical studies (cached cycles are
-/// exactly the simulated ones); the CI smoke job pins that by `cmp`-ing
-/// the two CSVs. Cache-off exists for that comparison and for timing the
-/// uncached sweep.
-pub fn serve_tail_latency_with(sample: SampleSize, trace_cache: bool) -> ServeStudy {
     let spec = DatasetSpec::standard(DatasetKind::MolHiv);
     let requests = sample.resolve(spec.paper_stats().graphs);
     // Sized to hold every distinct graph in the stream, so after the
     // warm-up pass below the grid never re-enters the engine.
-    let cache = trace_cache.then(|| ServiceTraceCache::new(requests.max(1)));
+    let cache = ServiceTraceCache::new(requests.max(1));
 
     // One pass per platform to learn its mean service time, which anchors
     // the offered-load → arrival-rate conversion. For FlowGNN this pass
@@ -274,7 +263,7 @@ pub fn serve_tail_latency_with(sample: SampleSize, trace_cache: bool) -> ServeSt
     // other platforms' passes and simulates every distinct graph once,
     // filling the shared trace cache the grid points then hit.
     let service_rates: Vec<f64> = crate::par_map((0..NUM_BACKENDS).collect(), None, |b| {
-        let mean_ms = make_backend(b, &spec, cache.as_ref())
+        let mean_ms = make_backend(b, &spec, &cache)
             .run_stream(spec.stream(), requests)
             .latency_ms;
         1e3 / mean_ms // requests per second at full utilisation
@@ -286,7 +275,7 @@ pub fn serve_tail_latency_with(sample: SampleSize, trace_cache: bool) -> ServeSt
         })
         .collect();
     let points = crate::par_map(grid, None, |(b, p, l)| {
-        let backend = make_backend(b, &spec, cache.as_ref());
+        let backend = make_backend(b, &spec, &cache);
         let load = OFFERED_LOADS[l];
         let rate = load * service_rates[b];
         let seed = 0x5E27E + (b * 100 + p * 10 + l) as u64;
@@ -452,18 +441,6 @@ mod tests {
         let b = serve_tail_latency(SampleSize::Quick);
         assert_eq!(a.points, b.points);
         assert_eq!(a.table().to_csv(), b.table().to_csv());
-    }
-
-    #[test]
-    fn trace_cache_does_not_change_the_sweep() {
-        // Cached service cycles are exactly the simulated ones, so the
-        // study — points, CSV, and JSON — is identical with the cache
-        // disabled.
-        let on = serve_tail_latency_with(SampleSize::Quick, true);
-        let off = serve_tail_latency_with(SampleSize::Quick, false);
-        assert_eq!(on.points, off.points);
-        assert_eq!(on.table().to_csv(), off.table().to_csv());
-        assert_eq!(on.to_json(), off.to_json());
     }
 
     #[test]

@@ -176,8 +176,8 @@ fn kernel_timings() -> Vec<KernelTiming> {
 
 /// Runs the study at the given sample size. Graphs are generated
 /// outside the timed passes so the numbers isolate the simulator;
-/// `prepare` (region lowering, edge banking, arena packing) sits inside
-/// them, as it does for a served request.
+/// `prepare` (graph context, edge banking, the CSC of gather models)
+/// sits inside them, as it does for a served request.
 pub fn measure(sample: SampleSize) -> ThroughputReport {
     let was_scalar = simd::scalar_kernels();
     let mut rows = Vec::new();

@@ -19,6 +19,7 @@ fn unknown_flags_and_experiments_exit_2_before_any_run() {
         &["--resume"],
         &["--checkpoint-dir", "x"],
         &["--scalar-kernels"],
+        &["--no-trace-cache"],
     ] {
         let out = repro(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

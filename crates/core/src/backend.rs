@@ -108,9 +108,10 @@ pub trait InferenceBackend {
     /// Platforms that model a GNN's arithmetic (the cycle engine, the
     /// CPU/GPU frameworks, the restructured-GCN accelerators) return
     /// `Some`; pure cost models return `None` (the default). Every
-    /// implementor computes on the same packed [`flowgnn_graph::FeatureArena`]
-    /// storage as the accelerator, so cross-platform functional parity is
-    /// testable.
+    /// implementor keeps its embeddings in the same row-major
+    /// [`flowgnn_tensor::Matrix`] rows and reads raw features the same way
+    /// ([`flowgnn_graph::FeatureSource::row_ref`]), so cross-platform
+    /// functional parity is testable.
     fn run_functional(&self, graph: &Graph) -> Option<flowgnn_models::reference::ReferenceOutput> {
         let _ = graph;
         None

@@ -18,7 +18,7 @@
 //! way.
 
 use flowgnn_desim::{cycles_to_ms, cycles_to_us, Cycle};
-use flowgnn_graph::{Adjacency, FeatureArena, Graph};
+use flowgnn_graph::{Adjacency, Graph};
 use flowgnn_models::reference::ReferenceOutput;
 use flowgnn_models::{Dataflow, GnnModel, GraphContext};
 
@@ -34,7 +34,9 @@ use std::borrow::Cow;
 /// A graph pre-processed for one [`Accelerator`]: the virtual node added
 /// (if the model needs one) and the per-graph index structures — graph
 /// context, destination-banked edges, and the CSC adjacency for gather
-/// models — built exactly once.
+/// models — built exactly once. Node features are not copied: a
+/// functional run's Encode region reads each raw row from the graph
+/// itself, in place for a dense source.
 ///
 /// [`Accelerator::run`] builds one of these internally per call; callers
 /// that run the *same* graph repeatedly (DSE sweeps, batch experiments)
@@ -49,10 +51,6 @@ pub struct PreparedGraph<'g> {
     ctx: GraphContext,
     banked: BankedEdges,
     csc: Option<Adjacency>,
-    /// Raw node features packed into one lane-padded slab, materialised
-    /// only for functional ([`ExecutionMode::Full`]) accelerators so
-    /// timing-only sweeps over huge graphs never pay the memory.
-    features: Option<FeatureArena>,
 }
 
 impl PreparedGraph<'_> {
@@ -271,15 +269,12 @@ impl Accelerator {
         } else {
             None
         };
-        let features = (self.config.execution == ExecutionMode::Full)
-            .then(|| FeatureArena::from_source(g.node_features()));
         PreparedGraph {
             g,
             pool_nodes,
             ctx,
             banked,
             csc,
-            features,
         }
     }
 
@@ -312,13 +307,7 @@ impl Accelerator {
         }
         let n = g.num_nodes();
 
-        let mut exec = ExecState::new(
-            g,
-            &prepared.ctx,
-            prepared.features.as_ref(),
-            functional,
-            scratch,
-        );
+        let mut exec = ExecState::new(g, &prepared.ctx, functional, scratch);
         let mut region_cycles = Vec::with_capacity(self.regions.len());
         let mut region_stats = Vec::with_capacity(self.regions.len());
         let mut totals = RegionStats::default();
@@ -362,20 +351,17 @@ impl Accelerator {
         let total_cycles: Cycle =
             load_cycles + region_cycles.iter().sum::<Cycle>() + readout_cycles;
 
-        let output = if functional {
-            let emb = exec.x_cur.to_matrix();
+        let output = functional.then(|| {
+            let node_embeddings = exec.into_embeddings();
             let graph_output = self
                 .model
                 .readout()
-                .map(|r| r.apply(&emb, pool_nodes.min(n)));
-            Some(ReferenceOutput {
-                node_embeddings: emb,
+                .map(|r| r.apply(&node_embeddings, pool_nodes.min(n)));
+            ReferenceOutput {
+                node_embeddings,
                 graph_output,
-            })
-        } else {
-            None
-        };
-        exec.finish(scratch);
+            }
+        });
 
         if let Some(m) = &self.metrics {
             m.graphs.inc();

@@ -16,29 +16,39 @@
 //! only the timing and the recorded fold order differ.
 
 use flowgnn_desim::Fifo;
-use flowgnn_graph::{Adjacency, FeatureArena, Graph, NodeId};
+use flowgnn_graph::{Adjacency, Graph, NodeId};
 use flowgnn_models::{
     AggState, AggregatorKind, GnnLayer, GnnModel, GraphContext, MessageCtx, NodeCtx, NtScratch,
 };
+use flowgnn_tensor::Matrix;
 
 use crate::regions::{NtOp, Region};
 use crate::units::adapter::Flit;
 
-/// Reusable simulation buffers, carried across regions and across graphs
-/// in a stream so the per-run allocation cost is amortised away.
+/// Every buffer a run needs, carried across regions and across graphs in
+/// a stream so the per-run allocation cost is amortised away. A run
+/// borrows it whole for its duration, and a functional run moves its
+/// final embeddings out into its output.
 ///
 /// A fresh default `SimScratch` is always valid; reusing one across runs
 /// (of any graph, any accelerator) is equally valid — every run fully
 /// re-initialises the state it reads.
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    x_cur: FeatureArena,
-    x_next: FeatureArena,
+    /// Embeddings at region start.
+    x_cur: Matrix,
+    /// Embeddings produced by this region's NT.
+    x_next: Matrix,
+    /// Aggregation states written by the previous region's MP (read by
+    /// this region's γ).
     prev_states: Vec<Option<AggState>>,
+    /// Aggregation states being written by this region's MP.
     next_states: Vec<Option<AggState>>,
     msg_buf: Vec<f32>,
     out_buf: Vec<f32>,
     m_buf: Vec<f32>,
+    /// A procedural source's raw feature row, generated for Encode (a
+    /// dense source's rows are read in place).
     raw_buf: Vec<f32>,
     phi_scratch: Vec<f32>,
     nt_scratch: NtScratch,
@@ -50,7 +60,8 @@ pub struct SimScratch {
     /// Retired aggregation states, reused via `AggregatorKind::reinit`
     /// so the per-node hot path never allocates fresh accumulators.
     state_pool: Vec<AggState>,
-    /// Per region, the fold order its schedule recorded (functional runs).
+    /// Per region, the edge ids in the order its MP units completed them
+    /// (functional runs only); a copied twin folds over its source's.
     orders: Vec<Vec<u32>>,
 }
 
@@ -68,41 +79,14 @@ fn prepare_queue_grid<T: Default>(queues: &mut Vec<Fifo<T>>, count: usize, capac
     queues.resize_with(count, || Fifo::new(capacity));
 }
 
-/// The functional execution state of one run: embeddings, aggregation
-/// states, and scratch buffers, advanced region by region.
+/// The functional execution state of one run: the graph, its context,
+/// and the borrowed [`SimScratch`] whose embeddings, aggregation states
+/// and scratch buffers it advances region by region.
 pub(crate) struct ExecState<'a> {
     graph: &'a Graph,
     ctx: &'a GraphContext,
-    /// Raw input features packed into a lane-padded arena by
-    /// [`crate::Accelerator::prepare`] (functional runs only); when absent,
-    /// γ materialises rows on demand via `raw_buf`.
-    feats: Option<&'a FeatureArena>,
     functional: bool,
-    /// Embeddings at region start.
-    pub(crate) x_cur: FeatureArena,
-    /// Embeddings produced by this region's NT.
-    x_next: FeatureArena,
-    /// Aggregation states written by the previous region's MP (read by
-    /// this region's γ).
-    prev_states: Vec<Option<AggState>>,
-    /// Aggregation states being written by this region's MP.
-    next_states: Vec<Option<AggState>>,
-    /// Scratch buffers.
-    msg_buf: Vec<f32>,
-    out_buf: Vec<f32>,
-    m_buf: Vec<f32>,
-    raw_buf: Vec<f32>,
-    phi_scratch: Vec<f32>,
-    nt_scratch: NtScratch,
-    /// Queue grids parked here between regions (the region scheduler
-    /// borrows them for the duration of one dataflow region).
-    scatter_queues: Vec<Fifo<Flit>>,
-    gather_queues: Vec<Fifo<NodeId>>,
-    /// Retired aggregation states awaiting reuse (see `fresh_state`).
-    state_pool: Vec<AggState>,
-    /// Per region, the edge ids in the order its MP units completed them
-    /// (functional runs only); a copied twin folds over its source's.
-    orders: Vec<Vec<u32>>,
+    scratch: &'a mut SimScratch,
     /// The region whose schedule is recording into `orders`.
     region: usize,
 }
@@ -111,62 +95,27 @@ impl<'a> ExecState<'a> {
     pub(crate) fn new(
         graph: &'a Graph,
         ctx: &'a GraphContext,
-        feats: Option<&'a FeatureArena>,
         functional: bool,
-        scratch: &mut SimScratch,
+        scratch: &'a mut SimScratch,
     ) -> Self {
         let n = graph.num_nodes();
-        let mut x_cur = std::mem::take(&mut scratch.x_cur);
-        let mut x_next = std::mem::take(&mut scratch.x_next);
-        // Region dims are installed by `begin_region`; starting at dim 0
-        // keeps timing-only runs free of feature-slab traffic.
-        x_cur.reset(n, 0);
-        x_next.reset(n, 0);
-        let mut prev_states = std::mem::take(&mut scratch.prev_states);
-        let mut next_states = std::mem::take(&mut scratch.next_states);
-        for buf in [&mut prev_states, &mut next_states] {
+        for buf in [&mut scratch.prev_states, &mut scratch.next_states] {
             buf.clear();
             buf.resize(n, None);
         }
         Self {
             graph,
             ctx,
-            feats,
             functional,
-            x_cur,
-            x_next,
-            prev_states,
-            next_states,
-            msg_buf: std::mem::take(&mut scratch.msg_buf),
-            out_buf: std::mem::take(&mut scratch.out_buf),
-            m_buf: std::mem::take(&mut scratch.m_buf),
-            raw_buf: std::mem::take(&mut scratch.raw_buf),
-            phi_scratch: std::mem::take(&mut scratch.phi_scratch),
-            nt_scratch: std::mem::take(&mut scratch.nt_scratch),
-            scatter_queues: std::mem::take(&mut scratch.scatter_queues),
-            gather_queues: std::mem::take(&mut scratch.gather_queues),
-            state_pool: std::mem::take(&mut scratch.state_pool),
-            orders: std::mem::take(&mut scratch.orders),
+            scratch,
             region: 0,
         }
     }
 
-    /// Hands the buffers back to `scratch` so the next run reuses them.
-    pub(crate) fn finish(self, scratch: &mut SimScratch) {
-        scratch.x_cur = self.x_cur;
-        scratch.x_next = self.x_next;
-        scratch.prev_states = self.prev_states;
-        scratch.next_states = self.next_states;
-        scratch.msg_buf = self.msg_buf;
-        scratch.out_buf = self.out_buf;
-        scratch.m_buf = self.m_buf;
-        scratch.raw_buf = self.raw_buf;
-        scratch.phi_scratch = self.phi_scratch;
-        scratch.nt_scratch = self.nt_scratch;
-        scratch.scatter_queues = self.scatter_queues;
-        scratch.gather_queues = self.gather_queues;
-        scratch.state_pool = self.state_pool;
-        scratch.orders = self.orders;
+    /// Ends a functional run, moving its final embeddings out of the
+    /// scratch.
+    pub(crate) fn into_embeddings(self) -> Matrix {
+        std::mem::take(&mut self.scratch.x_cur)
     }
 
     /// An aggregation state for `agg` at `msg_dim`: a pooled one,
@@ -182,23 +131,23 @@ impl<'a> ExecState<'a> {
         }
     }
 
-    /// Starts region `index`: sizes its output arena to `payload_dim`
-    /// columns and empties its fold order.
+    /// Starts region `index`: sizes its output embeddings to
+    /// `payload_dim` columns and empties its fold order.
     ///
-    /// A no-op in timing-only runs, so large graphs never pay for zeroed
-    /// feature slabs they would not read.
+    /// A no-op in timing-only runs, so large graphs never pay for
+    /// embeddings they would not read.
     pub(crate) fn begin_region(&mut self, index: usize, payload_dim: usize) {
         if !self.functional {
             return;
         }
+        let s = &mut *self.scratch;
         // Every row is fully written by γ (`set_row`) before anything
-        // reads it, so the reset skips the slab memset.
-        self.x_next
-            .reset_for_overwrite(self.graph.num_nodes(), payload_dim);
-        if self.orders.len() <= index {
-            self.orders.resize_with(index + 1, Vec::new);
+        // reads it, so the reshape fills nothing it keeps.
+        s.x_next.reshape(self.graph.num_nodes(), payload_dim);
+        if s.orders.len() <= index {
+            s.orders.resize_with(index + 1, Vec::new);
         }
-        self.orders[index].clear();
+        s.orders[index].clear();
         self.region = index;
     }
 
@@ -207,21 +156,21 @@ impl<'a> ExecState<'a> {
     #[inline]
     pub(crate) fn record_edges(&mut self, eids: &[u32]) {
         if self.functional {
-            self.orders[self.region].extend_from_slice(eids);
+            self.scratch.orders[self.region].extend_from_slice(eids);
         }
     }
 
     /// Borrows the scatter adapter's queue grid for one region, reshaped
     /// to `count` queues of `capacity` (backing stores are reused).
     pub(crate) fn take_scatter_queues(&mut self, count: usize, capacity: usize) -> Vec<Fifo<Flit>> {
-        let mut queues = std::mem::take(&mut self.scatter_queues);
+        let mut queues = std::mem::take(&mut self.scratch.scatter_queues);
         prepare_queue_grid(&mut queues, count, capacity);
         queues
     }
 
     /// Returns the scatter queue grid after the region completes.
     pub(crate) fn put_scatter_queues(&mut self, queues: Vec<Fifo<Flit>>) {
-        self.scatter_queues = queues;
+        self.scratch.scatter_queues = queues;
     }
 
     /// Borrows the gather path's queue grid for one region (see
@@ -231,14 +180,14 @@ impl<'a> ExecState<'a> {
         count: usize,
         capacity: usize,
     ) -> Vec<Fifo<NodeId>> {
-        let mut queues = std::mem::take(&mut self.gather_queues);
+        let mut queues = std::mem::take(&mut self.scratch.gather_queues);
         prepare_queue_grid(&mut queues, count, capacity);
         queues
     }
 
     /// Returns the gather queue grid after the region completes.
     pub(crate) fn put_gather_queues(&mut self, queues: Vec<Fifo<NodeId>>) {
-        self.gather_queues = queues;
+        self.scratch.gather_queues = queues;
     }
 
     fn node_ctx(&self, v: NodeId) -> NodeCtx {
@@ -282,9 +231,9 @@ impl<'a> ExecState<'a> {
         }
         if let Some(l) = region.scatter_layer {
             let source = twin.unwrap_or(self.region);
-            let order = std::mem::take(&mut self.orders[source]);
+            let order = std::mem::take(&mut self.scratch.orders[source]);
             self.fold(&model.layers()[l], &order);
-            self.orders[source] = order;
+            self.scratch.orders[source] = order;
         }
     }
 
@@ -292,58 +241,46 @@ impl<'a> ExecState<'a> {
     fn gamma(&mut self, model: &GnnModel, region: &Region, v: NodeId) {
         let vi = v as usize;
         let node = self.node_ctx(v);
+        let s = &mut *self.scratch;
         match region.nt_op {
             NtOp::Encode => {
-                let raw: &[f32] = match self.feats {
-                    Some(feats) => feats.row(vi),
-                    None => {
-                        self.raw_buf.resize(self.graph.node_feature_dim(), 0.0);
-                        self.graph.node_features().row_into(vi, &mut self.raw_buf);
-                        &self.raw_buf
-                    }
-                };
+                let raw = self.graph.node_features().row_ref(vi, &mut s.raw_buf);
                 match model.encoder() {
                     Some(enc) => {
-                        enc.forward_into(raw, &mut self.out_buf);
-                        self.x_next.set_row(vi, &self.out_buf);
+                        enc.forward_into(raw, &mut s.out_buf);
+                        s.x_next.set_row(vi, &s.out_buf);
                     }
-                    None => self.x_next.set_row(vi, raw),
+                    None => s.x_next.set_row(vi, raw),
                 }
             }
             NtOp::Gamma(l) | NtOp::Normalize(l) => {
                 let layer = &model.layers()[l];
-                match self.prev_states[vi].take() {
+                match s.prev_states[vi].take() {
                     Some(state) => {
-                        layer.agg().finish_into(&state, &node, &mut self.m_buf);
-                        self.state_pool.push(state);
+                        layer.agg().finish_into(&state, &node, &mut s.m_buf);
+                        s.state_pool.push(state);
                     }
                     None => {
-                        self.m_buf.clear();
-                        self.m_buf.resize(layer.agg_dim(), 0.0);
+                        s.m_buf.clear();
+                        s.m_buf.resize(layer.agg_dim(), 0.0);
                     }
                 }
                 layer.gamma().apply_with_scratch(
-                    self.x_cur.row(vi),
-                    &self.m_buf,
+                    s.x_cur.row(vi),
+                    &s.m_buf,
                     &node,
-                    &mut self.out_buf,
-                    &mut self.nt_scratch,
+                    &mut s.out_buf,
+                    &mut s.nt_scratch,
                 );
-                self.x_next.set_row(vi, &self.out_buf);
+                s.x_next.set_row(vi, &s.out_buf);
             }
-            NtOp::Project(l) => {
-                let layer = &model.layers()[l];
-                match layer.pre() {
-                    Some(pre) => {
-                        pre.forward_into(self.x_cur.row(vi), &mut self.out_buf);
-                        self.x_next.set_row(vi, &self.out_buf);
-                    }
-                    None => {
-                        let (cur, next) = (&self.x_cur, &mut self.x_next);
-                        next.set_row(vi, cur.row(vi));
-                    }
+            NtOp::Project(l) => match model.layers()[l].pre() {
+                Some(pre) => {
+                    pre.forward_into(s.x_cur.row(vi), &mut s.out_buf);
+                    s.x_next.set_row(vi, &s.out_buf);
                 }
-            }
+                None => s.x_next.set_row(vi, s.x_cur.row(vi)),
+            },
         }
     }
 
@@ -353,49 +290,52 @@ impl<'a> ExecState<'a> {
     fn fold(&mut self, layer: &GnnLayer, order: &[u32]) {
         let (weighting, phi, agg) = (layer.weighting(), layer.phi(), layer.agg());
         let edges = self.graph.edges();
+        let s = &mut *self.scratch;
         for &eid in order {
             let (src, dst) = edges[eid as usize];
             let mctx = MessageCtx {
-                x_src: self.x_next.row(src as usize),
+                x_src: s.x_next.row(src as usize),
                 x_dst: None,
                 edge_feat: self.graph.edge_feature(eid as usize),
                 edge_weight: weighting.weight(self.ctx, src, dst),
             };
-            phi.apply_with_scratch(&mctx, &mut self.msg_buf, &mut self.phi_scratch);
-            let state = self.next_states[dst as usize].get_or_insert_with(|| {
-                Self::fresh_state(&mut self.state_pool, agg, layer.message_dim())
+            phi.apply_with_scratch(&mctx, &mut s.msg_buf, &mut s.phi_scratch);
+            let state = s.next_states[dst as usize].get_or_insert_with(|| {
+                Self::fresh_state(&mut s.state_pool, agg, layer.message_dim())
             });
-            agg.push(state, &self.msg_buf);
+            agg.push(state, &s.msg_buf);
         }
     }
 
     /// Full gather for destination `v` in a gather region (GAT): folds all
     /// in-edges, in CSC order, into `prev_states[v]`, which γ consumes.
     fn gather_node(&mut self, layer: &GnnLayer, v: NodeId, csc: &Adjacency) {
-        let mut state = Self::fresh_state(&mut self.state_pool, layer.agg(), layer.message_dim());
+        let s = &mut *self.scratch;
+        let mut state = Self::fresh_state(&mut s.state_pool, layer.agg(), layer.message_dim());
         for (&u, &eid) in csc.neighbors(v).iter().zip(csc.edge_ids(v)) {
             let mctx = MessageCtx {
-                x_src: self.x_cur.row(u as usize),
-                x_dst: Some(self.x_cur.row(v as usize)),
+                x_src: s.x_cur.row(u as usize),
+                x_dst: Some(s.x_cur.row(v as usize)),
                 edge_feat: self.graph.edge_feature(eid as usize),
                 edge_weight: layer.weighting().weight(self.ctx, u, v),
             };
             layer
                 .phi()
-                .apply_with_scratch(&mctx, &mut self.msg_buf, &mut self.phi_scratch);
-            layer.agg().push(&mut state, &self.msg_buf);
+                .apply_with_scratch(&mctx, &mut s.msg_buf, &mut s.phi_scratch);
+            layer.agg().push(&mut state, &s.msg_buf);
         }
-        self.prev_states[v as usize] = Some(state);
+        s.prev_states[v as usize] = Some(state);
     }
 
     /// Region boundary: new embeddings become current; this region's
     /// aggregates become the next region's inputs.
     pub(crate) fn advance_region(&mut self) {
-        std::mem::swap(&mut self.x_cur, &mut self.x_next);
-        std::mem::swap(&mut self.prev_states, &mut self.next_states);
-        for s in &mut self.next_states {
-            if let Some(state) = s.take() {
-                self.state_pool.push(state);
+        let s = &mut *self.scratch;
+        std::mem::swap(&mut s.x_cur, &mut s.x_next);
+        std::mem::swap(&mut s.prev_states, &mut s.next_states);
+        for slot in &mut s.next_states {
+            if let Some(state) = slot.take() {
+                s.state_pool.push(state);
             }
         }
     }

@@ -113,8 +113,8 @@ impl FeatureSource {
     /// Writes feature row `i` into `out` without allocating.
     ///
     /// Values are identical to [`FeatureSource::row`] (same per-row RNG
-    /// stream for procedural sources). Hot paths — arena materialisation
-    /// and the simulator's encode stage — use this form.
+    /// stream for procedural sources). [`FeatureSource::row_ref`] builds
+    /// on it for the encode stages, which read a dense row in place.
     ///
     /// # Panics
     ///
@@ -149,6 +149,27 @@ impl FeatureSource {
                 for v in out {
                     *v = if rng.gen_bool(*density) { 1.0 } else { 0.0 };
                 }
+            }
+        }
+    }
+
+    /// Feature row `i` without a copy where the source stores one: a
+    /// dense source lends its matrix's own row; a procedural source
+    /// writes the row into `buf` (resized to [`FeatureSource::dim`]) and
+    /// lends that. Values are identical to [`FeatureSource::row`]. The
+    /// simulator's and the reference executor's encode stages read raw
+    /// features this way, so no run copies a dense feature matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.rows()`.
+    pub fn row_ref<'a>(&'a self, i: usize, buf: &'a mut Vec<f32>) -> &'a [f32] {
+        match self {
+            FeatureSource::Dense(m) => m.row(i),
+            FeatureSource::Procedural { dim, .. } | FeatureSource::SparseProcedural { dim, .. } => {
+                buf.resize(*dim, 0.0);
+                self.row_into(i, buf);
+                buf
             }
         }
     }
@@ -303,6 +324,29 @@ mod tests {
     fn dense_row_nnz_counts_nonzeros() {
         let f = FeatureSource::dense(Matrix::from_rows(&[&[0.0, 1.0, 2.0]]));
         assert_eq!(f.row_nnz(0), 2);
+    }
+
+    #[test]
+    fn row_into_and_row_ref_read_what_row_returns() {
+        let mut buf = vec![7.0; 2];
+        for src in [
+            FeatureSource::procedural(17, 9, 3),
+            FeatureSource::sparse_procedural(11, 30, 0.2, 5),
+        ] {
+            let mut out = vec![0.0; src.dim()];
+            for i in 0..src.rows() {
+                src.row_into(i, &mut out);
+                assert_eq!(out, src.row(i));
+                assert_eq!(src.row_ref(i, &mut buf), &src.row(i)[..]);
+            }
+        }
+        // A dense source lends its own row: no copy.
+        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let dense = FeatureSource::dense(m);
+        let FeatureSource::Dense(own) = &dense else {
+            unreachable!()
+        };
+        assert!(std::ptr::eq(dense.row_ref(1, &mut buf), own.row(1)));
     }
 
     #[test]

@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 mod adjacency;
-mod arena;
 pub mod datasets;
 mod features;
 pub mod generators;
@@ -42,7 +41,6 @@ mod stats;
 mod stream;
 
 pub use adjacency::Adjacency;
-pub use arena::FeatureArena;
 pub use features::FeatureSource;
 pub use graph::{Graph, GraphError, NodeId};
 pub use stats::GraphStats;

@@ -8,7 +8,7 @@
 //! `flowgnn-core`. Tests assert that the simulator's functional output
 //! matches this executor within floating-point-reordering tolerance.
 
-use flowgnn_graph::{Adjacency, FeatureArena, Graph, NodeId};
+use flowgnn_graph::{Adjacency, Graph, NodeId};
 use flowgnn_tensor::Matrix;
 
 use crate::{GnnModel, GraphContext, MessageCtx, NodeCtx, NtScratch};
@@ -49,11 +49,7 @@ pub fn run(model: &GnnModel, graph: &Graph) -> ReferenceOutput {
 /// Runs `model` on an already-prepared graph (virtual node, if any,
 /// already added). `pool_nodes` is how many leading nodes participate in
 /// readout pooling.
-///
-/// # Panics
-///
-/// Panics on feature-dimension mismatches.
-pub fn run_prepared(model: &GnnModel, g: &Graph, pool_nodes: usize) -> ReferenceOutput {
+fn run_prepared(model: &GnnModel, g: &Graph, pool_nodes: usize) -> ReferenceOutput {
     assert_eq!(
         g.node_feature_dim(),
         model.input_dim(),
@@ -70,30 +66,29 @@ pub fn run_prepared(model: &GnnModel, g: &Graph, pool_nodes: usize) -> Reference
     let csc = Adjacency::in_edges(g);
 
     // Region 0: encode raw features into the hidden dimension. All layer
-    // activations live in lane-padded `FeatureArena` slabs so the vectorized
-    // kernels stream contiguous rows instead of chasing per-node `Vec`s.
-    let hidden = model.hidden_dim();
-    let mut x = FeatureArena::new(n, hidden);
+    // activations live in row-major `Matrix` buffers, so the kernels
+    // stream contiguous rows instead of chasing per-node `Vec`s.
+    let mut x = Matrix::zeros(n, model.hidden_dim());
     {
         let feats = g.node_features();
-        let mut raw = vec![0.0; g.node_feature_dim()];
+        let mut raw_buf = Vec::new();
         let mut buf = Vec::new();
         for v in 0..n {
-            feats.row_into(v, &mut raw);
+            let raw = feats.row_ref(v, &mut raw_buf);
             match model.encoder() {
                 Some(enc) => {
-                    enc.forward_into(&raw, &mut buf);
+                    enc.forward_into(raw, &mut buf);
                     x.set_row(v, &buf);
                 }
-                None => x.set_row(v, &raw),
+                None => x.set_row(v, raw),
             }
         }
     }
 
     // Message-passing layers: gather along in-edges, then transform. All
     // per-message/per-node buffers are hoisted out of the loops.
-    let mut z = FeatureArena::default();
-    let mut next = FeatureArena::default();
+    let mut z = Matrix::default();
+    let mut next = Matrix::default();
     let mut msg = Vec::new();
     let mut msg_scratch = Vec::new();
     let mut m = Vec::new();
@@ -103,7 +98,7 @@ pub fn run_prepared(model: &GnnModel, g: &Graph, pool_nodes: usize) -> Reference
         // Optional pre-projection (GAT's shared head projection).
         let z_ref = match layer.pre() {
             Some(pre) => {
-                z.reset_for_overwrite(n, pre.out_dim());
+                z.reshape(n, pre.out_dim());
                 for v in 0..n {
                     pre.forward_into(x.row(v), &mut out);
                     z.set_row(v, &out);
@@ -114,7 +109,7 @@ pub fn run_prepared(model: &GnnModel, g: &Graph, pool_nodes: usize) -> Reference
         };
 
         let msg_dim = layer.message_dim();
-        next.reset_for_overwrite(n, layer.out_dim());
+        next.reshape(n, layer.out_dim());
         let mut state = layer.agg().init(msg_dim);
         for v in 0..n as NodeId {
             layer.agg().reinit(&mut state, msg_dim);
@@ -147,32 +142,11 @@ pub fn run_prepared(model: &GnnModel, g: &Graph, pool_nodes: usize) -> Reference
         std::mem::swap(&mut x, &mut next);
     }
 
-    let node_embeddings = x.to_matrix();
-    let graph_output = model
-        .readout()
-        .map(|r| r.apply(&node_embeddings, pool_nodes.min(n)));
+    let graph_output = model.readout().map(|r| r.apply(&x, pool_nodes.min(n)));
     ReferenceOutput {
-        node_embeddings,
+        node_embeddings: x,
         graph_output,
     }
-}
-
-/// Convenience: runs the model over every graph in an iterator, returning
-/// each graph-level output (or the mean node embedding when the model has
-/// no readout).
-pub fn run_stream<I>(model: &GnnModel, graphs: I) -> Vec<Vec<f32>>
-where
-    I: IntoIterator<Item = Graph>,
-{
-    graphs
-        .into_iter()
-        .map(|g| {
-            let out = run(model, &g);
-            out.graph_output.unwrap_or_else(|| {
-                crate::Pooling::Mean.apply(&out.node_embeddings, out.node_embeddings.rows())
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -250,14 +224,6 @@ mod tests {
         let model = GnnModel::gat(9, 2);
         let out = run(&model, &g);
         assert!(out.node_embeddings.as_slice().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn run_stream_yields_one_output_per_graph() {
-        let gen = MoleculeLike::new(10.0, 1);
-        let graphs: Vec<Graph> = (0..4).map(|i| gen.generate(i)).collect();
-        let model = GnnModel::gcn(9, 0);
-        assert_eq!(run_stream(&model, graphs).len(), 4);
     }
 
     #[test]

@@ -6,9 +6,12 @@ use std::ops::{Index, IndexMut};
 /// A row-major dense `f32` matrix.
 ///
 /// `Matrix` is the weight container for [`crate::Linear`] layers and the
-/// node-feature container used by reference models. It is deliberately
-/// minimal: FlowGNN's kernels only need matrix–vector products, row access,
-/// and transposition.
+/// row store of every functional run: dense node features, and the
+/// per-layer embeddings of the simulator and the reference executor.
+/// Rows are packed back to back with no padding: every kernel takes a
+/// `cols`-length row slice, so a pad would only cost memory. It is
+/// deliberately minimal: FlowGNN's kernels only need matrix–vector
+/// products, row access, and transposition.
 ///
 /// # Example
 ///
@@ -19,7 +22,7 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(m[(1, 0)], 3.0);
 /// assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(Clone, PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -110,6 +113,28 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Copies `src` into row `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= self.rows()` or `src.len() != self.cols()`.
+    pub fn set_row(&mut self, r: usize, src: &[f32]) {
+        self.row_mut(r).copy_from_slice(src);
+    }
+
+    /// Re-dimensions the matrix to `rows × cols` in place, keeping the
+    /// buffer's capacity: a ping-pong buffer reshaped per layer allocates
+    /// only when it grows.
+    ///
+    /// The flat buffer is truncated or zero-extended to `rows × cols`, so
+    /// a row not written since the reshape holds whatever the old shape
+    /// left there. Callers write every row before reading it.
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// The flat row-major backing buffer.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
@@ -166,9 +191,10 @@ impl Matrix {
         t
     }
 
-    /// Iterates over rows as slices.
+    /// Iterates over rows as slices: `rows` of them at every width,
+    /// empty ones when `cols` is 0.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
+        (0..self.rows).map(move |r| &self.data[r * self.cols..(r + 1) * self.cols])
     }
 }
 
@@ -267,6 +293,33 @@ mod tests {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let rows: Vec<&[f32]> = m.iter_rows().collect();
         assert_eq!(rows, vec![&[1.0, 2.0][..], &[3.0, 4.0][..]]);
+    }
+
+    #[test]
+    fn zero_width_rows_are_empty() {
+        let m = Matrix::zeros(3, 0);
+        assert_eq!(m.iter_rows().count(), 3);
+        assert!(m.iter_rows().all(<[f32]>::is_empty));
+    }
+
+    #[test]
+    fn reshape_keeps_capacity_and_written_rows_read_back() {
+        let mut m = Matrix::zeros(4, 10);
+        let cap = m.data.capacity();
+        m.reshape(6, 3);
+        assert_eq!((m.rows(), m.cols()), (6, 3));
+        assert_eq!(m.data.capacity(), cap);
+        for r in 0..6 {
+            m.set_row(r, &[r as f32; 3]);
+        }
+        assert_eq!(m.row(5), &[5.0; 3]);
+        assert_eq!(m.as_slice().len(), 18);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn row_bounds_checked() {
+        Matrix::zeros(1, 2).row(1);
     }
 
     #[test]

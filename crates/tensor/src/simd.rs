@@ -4,8 +4,7 @@
 //! the workspace's pinned `target-cpu`; there is no lane type. What
 //! remains here is:
 //!
-//! * [`LANES`], the chunk width of [`crate::ops::dot`]'s accumulators and
-//!   the row-stride quantum of `flowgnn_graph::FeatureArena`;
+//! * [`LANES`], the chunk width of [`crate::ops::dot`]'s accumulators;
 //! * one run-time switch, [`set_scalar_kernels`] (flipped by the scalar
 //!   rows of `repro throughput` and by the differential tests), that
 //!   selects the reference body of the two kernels that have one:
@@ -19,10 +18,9 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Chunk width of [`crate::ops::dot`]'s two accumulators; also the
-/// [`FeatureArena`] stride quantum.
-///
-/// [`FeatureArena`]: ../../flowgnn_graph/struct.FeatureArena.html
+/// Chunk width of [`crate::ops::dot`]'s two accumulators. It constrains
+/// no storage: `dot` chunks each slice from its start, so feature rows
+/// are packed back to back in [`crate::Matrix`] with no padding.
 pub const LANES: usize = 8;
 
 /// Process-wide runtime override selecting the scalar kernel path.
@@ -32,7 +30,7 @@ static RUNTIME_SCALAR: AtomicBool = AtomicBool::new(false);
 /// (`false`, the default). See the module docs for what it switches.
 ///
 /// The switch is process-wide; flip it before spawning worker threads
-/// (the `repro` binary sets it once while parsing arguments).
+/// (`repro throughput` sets it before each row's timed passes).
 pub fn set_scalar_kernels(scalar: bool) {
     RUNTIME_SCALAR.store(scalar, Ordering::Relaxed);
 }

@@ -157,3 +157,45 @@ fn identity_matrix_is_matvec_neutral() {
     let x = [1.0, 2.0, 3.0, 4.0, 5.0];
     assert_eq!(m.matvec(&x), x.to_vec());
 }
+
+#[test]
+fn rows_written_after_a_reshape_read_back_exactly() {
+    // One matrix reshaped through random shapes, including zero rows and
+    // zero columns, as the functional path's ping-pong buffers are,
+    // against a `Vec<Vec<f32>>` model of per-node rows.
+    let mut rng = Rng::seed_from_u64(0xA2E7A);
+    let mut m = Matrix::default();
+    for trial in 0..32 {
+        let rows = rng.gen_range(0..20usize);
+        let cols = rng.gen_range(0..40usize);
+        m.reshape(rows, cols);
+        let mut model: Vec<Vec<f32>> = (0..rows).map(|_| vec_f32(&mut rng, cols)).collect();
+        for (r, row) in model.iter().enumerate() {
+            m.set_row(r, row);
+        }
+        // Interleaved whole-row and single-element writes.
+        for _ in 0..64 {
+            if rows == 0 {
+                break;
+            }
+            let r = rng.gen_range(0..rows);
+            if cols > 0 && rng.gen_bool(0.5) {
+                let c = rng.gen_range(0..cols);
+                let v = rng.gen_range(-5.0f32..=5.0);
+                m.row_mut(r)[c] = v;
+                model[r][c] = v;
+            } else {
+                let vals = vec_f32(&mut rng, cols);
+                m.set_row(r, &vals);
+                model[r] = vals;
+            }
+        }
+        assert_eq!((m.rows(), m.cols()), (rows, cols), "trial {trial}");
+        for (r, want) in model.iter().enumerate() {
+            assert_eq!(m.row(r), &want[..], "trial {trial} row {r}");
+        }
+        let collected: Vec<Vec<f32>> = m.iter_rows().map(<[f32]>::to_vec).collect();
+        assert_eq!(collected, model, "trial {trial} iter_rows");
+        assert_eq!(m.as_slice(), &model.concat()[..], "trial {trial}");
+    }
+}
