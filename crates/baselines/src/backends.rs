@@ -7,7 +7,6 @@
 
 use flowgnn_core::{graphs_per_kj, BackendReport, InferenceBackend};
 use flowgnn_graph::Graph;
-use flowgnn_models::reference::{self, ReferenceOutput};
 use flowgnn_models::GnnModel;
 
 use crate::awbgcn::AwbGcnModel;
@@ -44,12 +43,6 @@ impl InferenceBackend for CpuBackend {
             ms,
             CpuModel::graphs_per_kj(&self.model, nodes, edges),
         ))
-    }
-
-    /// The framework's functional output: the deployed model evaluated by
-    /// the reference executor (the PyTorch stand-in).
-    fn run_functional(&self, graph: &Graph) -> Option<ReferenceOutput> {
-        Some(reference::run(&self.model, graph))
     }
 }
 
@@ -89,12 +82,6 @@ impl InferenceBackend for GpuBackend {
             ms,
             GpuModel::graphs_per_kj(&self.model, nodes, edges, self.batch),
         ))
-    }
-
-    /// The framework's functional output: batching changes throughput, not
-    /// values, so this is the same reference evaluation as the CPU's.
-    fn run_functional(&self, graph: &Graph) -> Option<ReferenceOutput> {
-        Some(reference::run(&self.model, graph))
     }
 }
 
@@ -141,23 +128,6 @@ impl InferenceBackend for IGcnBackend {
         BackendReport::from_us(us, self.model.array().graphs_per_kj(us))
             .with_dsps(self.model.array().dsps)
     }
-
-    /// I-GCN computes a plain GCN of its deployed shape; islandization
-    /// reorders the schedule, not the arithmetic.
-    fn run_functional(&self, graph: &Graph) -> Option<ReferenceOutput> {
-        Some(reference::run(
-            &deployed_gcn(graph, self.hidden, self.layers),
-            graph,
-        ))
-    }
-}
-
-/// The GCN workload the restructured-GCN accelerators (I-GCN, AWB-GCN)
-/// execute: `layers` layers of `hidden` dimension over the graph's raw
-/// features, no readout head. Weight seed 0 keeps the deployment
-/// deterministic across backends so cross-platform parity is testable.
-fn deployed_gcn(graph: &Graph, hidden: usize, layers: usize) -> GnnModel {
-    GnnModel::gcn_with(graph.node_feature_dim(), hidden, layers, false, 0)
 }
 
 /// The AWB-GCN accelerator running a 2-layer-GCN-class workload.
@@ -189,15 +159,6 @@ impl InferenceBackend for AwbGcnBackend {
         let us = self.model.latency_us(&workload);
         BackendReport::from_us(us, self.model.array().graphs_per_kj(us))
             .with_dsps(self.model.array().dsps)
-    }
-
-    /// AWB-GCN's workload balancing is a scheduling optimisation; the
-    /// arithmetic is the same plain GCN as I-GCN's.
-    fn run_functional(&self, graph: &Graph) -> Option<ReferenceOutput> {
-        Some(reference::run(
-            &deployed_gcn(graph, self.hidden, self.layers),
-            graph,
-        ))
     }
 }
 
@@ -245,55 +206,6 @@ mod tests {
             assert!(r.normalized_us.unwrap() > 0.0);
             assert!(r.latency_us > 0.0);
         }
-    }
-
-    #[test]
-    fn every_backend_computes_finite_embeddings() {
-        let g = graph();
-        let backends: Vec<Box<dyn InferenceBackend>> = vec![
-            Box::new(CpuBackend::new(GnnModel::gcn(9, 0))),
-            Box::new(GpuBackend::new(GnnModel::gcn(9, 0), 8)),
-            Box::new(IGcnBackend::new(16, 2)),
-            Box::new(AwbGcnBackend::new(16, 2)),
-        ];
-        for b in &backends {
-            let out = b.run_functional(&g).expect("functional output");
-            assert!(
-                out.node_embeddings.as_slice().iter().all(|v| v.is_finite()),
-                "{} produced non-finite embeddings",
-                b.name()
-            );
-            assert_eq!(out.node_embeddings.rows(), g.num_nodes());
-        }
-    }
-
-    #[test]
-    fn cpu_functional_matches_the_cycle_engine() {
-        use flowgnn_core::{Accelerator, ArchConfig};
-        let g = graph();
-        let model = GnnModel::gcn(9, 3);
-        let cpu = CpuBackend::new(model.clone())
-            .run_functional(&g)
-            .expect("cpu functional");
-        let acc = Accelerator::new(model, ArchConfig::default())
-            .run_functional(&g)
-            .expect("accelerator functional");
-        let (a, b) = (
-            cpu.graph_output.as_ref().unwrap(),
-            acc.graph_output.as_ref().unwrap(),
-        );
-        for (x, y) in a.iter().zip(b) {
-            let scale = x.abs().max(y.abs()).max(1.0);
-            assert!((x - y).abs() / scale < 1e-3, "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn restructured_gcn_accelerators_compute_the_same_function() {
-        let g = graph();
-        let igcn = IGcnBackend::new(16, 2).run_functional(&g).unwrap();
-        let awb = AwbGcnBackend::new(16, 2).run_functional(&g).unwrap();
-        assert_eq!(igcn, awb, "same deployed GCN, same embeddings");
     }
 
     #[test]

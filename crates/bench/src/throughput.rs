@@ -1,17 +1,12 @@
 //! Simulator-throughput study: the wall-clock perf artifact of `repro`.
 //!
 //! Runs fixed workloads (dataset × model × configuration) through the
-//! cycle engine in four rows each: the per-cycle reference and the
+//! cycle engine in three rows each: the per-cycle reference and the
 //! fast-forward engine timing-only, then fast-forward with full
-//! (functional) execution on the default and on the scalar kernel bodies.
-//! It also times the two kernels that have a second body behind
-//! [`simd::set_scalar_kernels`] — `ops::dot` and `Linear`'s
-//! input-stationary loop — on each body. Every figure comes from
-//! [`timing::measure`], so each is a median with p10 and p90;
-//! serialized as `BENCH_sim_throughput.json`.
-//!
-//! Each row sets its own kernel path, and the study restores the path
-//! the process started with.
+//! (functional) execution. It also times the two kernels with their own
+//! accumulation order, `ops::dot` and `Linear`'s input-stationary loop.
+//! Every figure comes from [`timing::measure`], so each is a median with
+//! p10 and p90; serialized as `BENCH_sim_throughput.json`.
 
 use crate::timing::{self, Timing};
 use crate::SampleSize;
@@ -20,10 +15,9 @@ use flowgnn_core::{
 };
 use flowgnn_graph::datasets::{DatasetKind, DatasetSpec};
 use flowgnn_models::GnnModel;
-use flowgnn_tensor::{ops, simd, Activation, Linear, WeightInit};
+use flowgnn_tensor::{ops, Activation, Linear, WeightInit};
 
-/// Throughput of one workload under one engine, execution mode and
-/// kernel path.
+/// Throughput of one workload under one engine and execution mode.
 #[derive(Debug, Clone)]
 pub struct WorkloadThroughput {
     /// Workload id, e.g. `molhiv_gcn`.
@@ -32,8 +26,6 @@ pub struct WorkloadThroughput {
     pub engine: EngineMode,
     /// Execution mode: timing-only or full functional.
     pub execution: ExecutionMode,
-    /// Kernel path (`simd`/`scalar`) active during the measurement.
-    pub kernels: &'static str,
     /// Graphs simulated per pass.
     pub graphs: usize,
     /// Total simulated cycles across all graphs of a pass.
@@ -54,47 +46,36 @@ impl WorkloadThroughput {
         self.graphs as f64 / self.pass.median.max(1e-12)
     }
 
-    /// The row's name within its workload, e.g. `scalar fast-forward full`.
+    /// The row's name within its workload, e.g. `fast-forward full`.
     fn label(&self) -> String {
-        format!(
-            "{} {} {}",
-            self.kernels,
-            self.engine.name(),
-            self.execution.name()
-        )
+        format!("{} {}", self.engine.name(), self.execution.name())
     }
 }
 
-/// One kernel body, timed per call.
+/// One kernel, timed per call.
 #[derive(Debug, Clone)]
 pub struct KernelTiming {
     /// Kernel id, e.g. `dot_100`.
     pub kernel: String,
-    /// Body timed: `simd` (the default) or `scalar` (the reference).
-    pub kernels: &'static str,
     /// Wall time per call.
     pub call: Timing,
 }
 
-/// The full study: every fixed workload's four rows, and both kernels on
-/// both bodies.
+/// The full study: every fixed workload's three rows, and both kernels.
 #[derive(Debug, Clone)]
 pub struct ThroughputReport {
     /// Workload rows: per workload, reference then fast-forward
-    /// timing-only, then fast-forward full on the default and on the
-    /// scalar kernels.
+    /// timing-only, then fast-forward full.
     pub rows: Vec<WorkloadThroughput>,
-    /// Kernel bodies.
+    /// Kernel timings.
     pub kernels: Vec<KernelTiming>,
 }
 
-/// Each workload's rows: engine, execution, and whether the scalar
-/// kernel bodies run.
-const ROWS: [(EngineMode, ExecutionMode, bool); 4] = [
-    (EngineMode::Reference, ExecutionMode::TimingOnly, false),
-    (EngineMode::FastForward, ExecutionMode::TimingOnly, false),
-    (EngineMode::FastForward, ExecutionMode::Full, false),
-    (EngineMode::FastForward, ExecutionMode::Full, true),
+/// Each workload's rows: engine and execution mode.
+const ROWS: [(EngineMode, ExecutionMode); 3] = [
+    (EngineMode::Reference, ExecutionMode::TimingOnly),
+    (EngineMode::FastForward, ExecutionMode::TimingOnly),
+    (EngineMode::FastForward, ExecutionMode::Full),
 ];
 
 /// Hidden dimension of the paper's OGB models — the dominant kernel length.
@@ -149,29 +130,22 @@ fn fixed_workloads() -> Vec<(String, DatasetKind, GnnModel, ArchConfig)> {
 }
 
 /// Times `dot` and `Linear::forward` at the paper models' hidden
-/// dimension, on the default body and then the scalar one.
+/// dimension.
 fn kernel_timings() -> Vec<KernelTiming> {
     let xs: Vec<f32> = (0..HIDDEN).map(|i| (i as f32 * 0.37).sin()).collect();
     let ys: Vec<f32> = (0..HIDDEN).map(|i| (i as f32 * 0.61).cos()).collect();
     let linear = Linear::from_init(HIDDEN, HIDDEN, Activation::Relu, &mut WeightInit::new(7));
     let mut out = Vec::new();
-    let mut entries = Vec::new();
-    for scalar in [false, true] {
-        simd::set_scalar_kernels(scalar);
-        let dot = timing::measure(|| ops::dot(std::hint::black_box(&xs), &ys));
-        let forward = timing::measure(|| linear.forward_into(std::hint::black_box(&xs), &mut out));
-        for (kernel, call) in [
-            (format!("dot_{HIDDEN}"), dot),
-            (format!("linear_forward_{HIDDEN}x{HIDDEN}"), forward),
-        ] {
-            entries.push(KernelTiming {
-                kernel,
-                kernels: simd::kernel_path(),
-                call,
-            });
-        }
-    }
-    entries
+    vec![
+        KernelTiming {
+            kernel: format!("dot_{HIDDEN}"),
+            call: timing::measure(|| ops::dot(std::hint::black_box(&xs), &ys)),
+        },
+        KernelTiming {
+            kernel: format!("linear_forward_{HIDDEN}x{HIDDEN}"),
+            call: timing::measure(|| linear.forward_into(std::hint::black_box(&xs), &mut out)),
+        },
+    ]
 }
 
 /// Runs the study at the given sample size. Graphs are generated
@@ -179,14 +153,12 @@ fn kernel_timings() -> Vec<KernelTiming> {
 /// `prepare` (graph context, edge banking, the CSC of gather models)
 /// sits inside them, as it does for a served request.
 pub fn measure(sample: SampleSize) -> ThroughputReport {
-    let was_scalar = simd::scalar_kernels();
     let mut rows = Vec::new();
     for (name, kind, model, config) in fixed_workloads() {
         let stream = DatasetSpec::standard(kind).stream();
         let count = sample.resolve(stream.len());
         let graphs: Vec<_> = stream.take_prefix(count).collect();
-        for (engine, execution, scalar) in ROWS {
-            simd::set_scalar_kernels(scalar);
+        for (engine, execution) in ROWS {
             let acc = Accelerator::new(
                 model.clone(),
                 config.with_execution(execution).with_engine(engine),
@@ -203,16 +175,16 @@ pub fn measure(sample: SampleSize) -> ThroughputReport {
                 name: name.clone(),
                 engine,
                 execution,
-                kernels: simd::kernel_path(),
                 graphs: graphs.len(),
                 sim_cycles,
                 pass,
             });
         }
     }
-    let kernels = kernel_timings();
-    simd::set_scalar_kernels(was_scalar);
-    ThroughputReport { rows, kernels }
+    ThroughputReport {
+        rows,
+        kernels: kernel_timings(),
+    }
 }
 
 use crate::json::json_escape;
@@ -226,9 +198,9 @@ fn timing_json(t: &Timing) -> String {
 }
 
 impl ThroughputReport {
-    /// The gate `repro throughput` enforces: engine mode, execution mode
-    /// and kernel path never change simulated time, so every row of a
-    /// workload must report the same `sim_cycles`.
+    /// The gate `repro throughput` enforces: neither engine mode nor
+    /// execution mode changes simulated time, so every row of a workload
+    /// must report the same `sim_cycles`.
     pub fn validate(&self) -> Result<(), String> {
         for r in &self.rows {
             let first = self
@@ -272,12 +244,11 @@ impl ThroughputReport {
         for (i, r) in self.rows.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"workload\": \"{}\", \"engine\": \"{}\", \"execution\": \"{}\", \
-                 \"kernels\": \"{}\", \"graphs\": {}, \"sim_cycles\": {}, {}, \
+                 \"graphs\": {}, \"sim_cycles\": {}, {}, \
                  \"cycles_per_second\": {:.1}, \"graphs_per_second\": {:.2}}}{}\n",
                 json_escape(&r.name),
                 r.engine.name(),
                 r.execution.name(),
-                r.kernels,
                 r.graphs,
                 r.sim_cycles,
                 timing_json(&r.pass),
@@ -289,9 +260,8 @@ impl ThroughputReport {
         out.push_str("  ],\n  \"kernels\": [\n");
         for (i, k) in self.kernels.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"kernel\": \"{}\", \"kernels\": \"{}\", {}}}{}\n",
+                "    {{\"kernel\": \"{}\", {}}}{}\n",
                 json_escape(&k.kernel),
-                k.kernels,
                 timing_json(&k.call),
                 if i + 1 == self.kernels.len() { "" } else { "," },
             ));
@@ -309,16 +279,15 @@ impl ThroughputReport {
     pub fn table(&self) -> String {
         let mut t = format!(
             "sim throughput (fixed workloads; median pass of {} trials, graphs/s p10–p90)\n\
-             workload          engine       execution   kernels  graphs   Mcycles/s    graphs/s    p10–p90\n",
+             workload          engine       execution    graphs   Mcycles/s    graphs/s    p10–p90\n",
             timing::TRIALS,
         );
         for r in &self.rows {
             t.push_str(&format!(
-                "{:<17} {:<12} {:<11} {:<7} {:>7} {:>11.2} {:>11.2}    {:.0}–{:.0}\n",
+                "{:<17} {:<12} {:<11} {:>7} {:>11.2} {:>11.2}    {:.0}–{:.0}\n",
                 r.name,
                 r.engine.name(),
                 r.execution.name(),
-                r.kernels,
                 r.graphs,
                 r.cycles_per_second() / 1e6,
                 r.graphs_per_second(),
@@ -326,21 +295,8 @@ impl ThroughputReport {
                 r.graphs as f64 / r.pass.p10,
             ));
         }
-        for s in self.rows.iter().filter(|r| r.kernels == "scalar") {
-            let default = self
-                .rows
-                .iter()
-                .find(|r| r.name == s.name && r.execution == s.execution && r.kernels != "scalar");
-            if let Some(d) = default {
-                t.push_str(&format!(
-                    "{}: default-kernel speedup over scalar {:.2}x\n",
-                    s.name,
-                    s.pass.median / d.pass.median,
-                ));
-            }
-        }
         for k in &self.kernels {
-            t.push_str(&format!("{:<24} {:<7} {}\n", k.kernel, k.kernels, k.call));
+            t.push_str(&format!("{:<24} {}\n", k.kernel, k.call));
         }
         if let Some(s) = self.aggregate_speedup() {
             t.push_str(&format!("fast-forward speedup vs reference: {s:.2}x\n"));
@@ -373,17 +329,9 @@ mod tests {
             name: "w".into(),
             engine,
             execution,
-            kernels: "simd",
             graphs: 10,
             sim_cycles,
             pass: spread(median),
-        }
-    }
-
-    fn scalar(r: WorkloadThroughput) -> WorkloadThroughput {
-        WorkloadThroughput {
-            kernels: "scalar",
-            ..r
         }
     }
 
@@ -400,16 +348,9 @@ mod tests {
                 ),
                 // Functional rows must not skew the engine-mode speedup.
                 row(EngineMode::FastForward, ExecutionMode::Full, 1000, 100.0),
-                scalar(row(
-                    EngineMode::FastForward,
-                    ExecutionMode::Full,
-                    1000,
-                    250.0,
-                )),
             ],
             kernels: vec![KernelTiming {
                 kernel: "dot_100".into(),
-                kernels: "scalar",
                 call: spread(8e-8),
             }],
         };
@@ -419,20 +360,20 @@ mod tests {
         assert!(j.contains("\"engine\": \"reference\""));
         assert!(j.contains("\"execution\": \"timing-only\""));
         assert!(j.contains("\"execution\": \"full\""));
-        assert!(j.contains("\"kernels\": \"simd\""));
-        assert!(j.contains("\"kernels\": \"scalar\""));
+        assert!(j.contains("\"kernels\": [\n"));
         assert!(j.contains("\"fast_forward_speedup\": 4.00"));
         assert!(j.contains("\"cycles_per_second\": 500.0"));
         assert!(j.contains(
             "\"median_s\": 2.0000e0, \"p10_s\": 1.0000e0, \"p90_s\": 4.0000e0, \"trials\": 11"
         ));
         assert!(j.contains(
-            "{\"kernel\": \"dot_100\", \"kernels\": \"scalar\", \"median_s\": 8.0000e-8, \
+            "{\"kernel\": \"dot_100\", \"median_s\": 8.0000e-8, \
              \"p10_s\": 4.0000e-8, \"p90_s\": 1.6000e-7, \"trials\": 11}"
         ));
+        // `kernels` keys only the array: no row or kernel entry names a body.
+        assert_eq!(j.matches("\"kernels\"").count(), 1);
         let rendered = report.table();
-        assert!(rendered.contains("w: default-kernel speedup over scalar 2.50x\n"));
-        assert!(rendered.contains("dot_100                  scalar  median    80.0 ns"));
+        assert!(rendered.contains("dot_100                  median    80.0 ns"));
         // graphs/s p10–p90 comes from the slow and fast passes.
         assert!(rendered.contains("5.00    2–10\n"));
     }
@@ -449,7 +390,6 @@ mod tests {
                     0.5,
                 ),
                 row(EngineMode::FastForward, ExecutionMode::Full, 1000, 1.0),
-                scalar(row(EngineMode::FastForward, ExecutionMode::Full, 1000, 3.0)),
             ],
             kernels: Vec::new(),
         };
@@ -461,14 +401,11 @@ mod tests {
             "{err}"
         );
         report.rows[1].sim_cycles = 1000;
-        report.rows[3].sim_cycles = 998;
+        report.rows[2].sim_cycles = 998;
         let err = report.validate().unwrap_err();
-        assert!(
-            err.contains("scalar fast-forward full simulated 998"),
-            "{err}"
-        );
+        assert!(err.contains("fast-forward full simulated 998"), "{err}");
         // Another workload's rows are never compared against these.
-        report.rows[3].sim_cycles = 1000;
+        report.rows[2].sim_cycles = 1000;
         report.rows.push(WorkloadThroughput {
             name: "v".into(),
             sim_cycles: 7,
@@ -480,36 +417,20 @@ mod tests {
     #[test]
     fn measures_fixed_workloads_quickly() {
         let _serial = crate::wall_clock_lock();
-        let was_scalar = simd::scalar_kernels();
         let report = measure(SampleSize::Quick);
-        assert_eq!(simd::scalar_kernels(), was_scalar);
-        // 6 workloads x (2 timing-only engine modes + 2 functional kernel
-        // paths), each with a spread over the trials.
-        assert_eq!(report.rows.len(), 24);
-        for (r, (engine, execution, scalar)) in report.rows.iter().zip(ROWS.iter().cycle()) {
-            assert_eq!((r.engine, r.execution), (*engine, *execution));
-            assert_eq!(r.kernels == "scalar", *scalar);
+        // 6 workloads x (2 timing-only engine modes + 1 functional row),
+        // each with a spread over the trials.
+        assert_eq!(report.rows.len(), 18);
+        for (r, row) in report.rows.iter().zip(ROWS.iter().cycle()) {
+            assert_eq!((r.engine, r.execution), *row);
             assert!(r.graphs > 0 && r.sim_cycles > 0);
             assert!(r.pass.p10 <= r.pass.median && r.pass.median <= r.pass.p90);
             assert!(r.pass.trials >= 10);
         }
-        let bodies: Vec<_> = report
-            .kernels
-            .iter()
-            .map(|k| (k.kernel.as_str(), k.kernels))
-            .collect();
-        assert_eq!(
-            bodies,
-            [
-                ("dot_100", "simd"),
-                ("linear_forward_100x100", "simd"),
-                ("dot_100", "scalar"),
-                ("linear_forward_100x100", "scalar"),
-            ]
-        );
+        let kernels: Vec<_> = report.kernels.iter().map(|k| k.kernel.as_str()).collect();
+        assert_eq!(kernels, ["dot_100", "linear_forward_100x100"]);
         assert!(report.kernels.iter().all(|k| k.call.trials >= 10));
-        // Neither engine, execution mode nor kernel path changes
-        // simulated cycles.
+        // Neither engine nor execution mode changes simulated cycles.
         assert_eq!(report.validate(), Ok(()));
         assert!(report.aggregate_speedup().is_some());
     }

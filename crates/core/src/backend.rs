@@ -101,22 +101,6 @@ pub trait InferenceBackend {
         None
     }
 
-    /// Computes this platform's *functional* output for one graph — the
-    /// per-node embeddings and graph prediction the platform would return
-    /// to the application, independent of its timing model.
-    ///
-    /// Platforms that model a GNN's arithmetic (the cycle engine, the
-    /// CPU/GPU frameworks, the restructured-GCN accelerators) return
-    /// `Some`; pure cost models return `None` (the default). Every
-    /// implementor keeps its embeddings in the same row-major
-    /// [`flowgnn_tensor::Matrix`] rows and reads raw features the same way
-    /// ([`flowgnn_graph::FeatureSource::row_ref`]), so cross-platform
-    /// functional parity is testable.
-    fn run_functional(&self, graph: &Graph) -> Option<flowgnn_models::reference::ReferenceOutput> {
-        let _ = graph;
-        None
-    }
-
     /// Streams up to `limit` graphs through the platform and averages.
     ///
     /// The default runs each graph independently through
@@ -279,23 +263,6 @@ impl InferenceBackend for Accelerator {
             dsps: Some(resources.dsp),
             normalized_us: Some(us * resources.dsp as f64 / 4096.0),
         }
-    }
-
-    /// The engine's functional output: a full-execution run of the cycle
-    /// simulator. Timing-only instances re-run under
-    /// [`ExecutionMode::Full`](crate::ExecutionMode::Full) with the same
-    /// model and parallelism, so the embeddings are exactly what this
-    /// configuration would compute.
-    fn run_functional(&self, graph: &Graph) -> Option<flowgnn_models::reference::ReferenceOutput> {
-        use crate::config::ExecutionMode;
-        if self.config().execution == ExecutionMode::Full {
-            return self.run(graph).output;
-        }
-        let full = Accelerator::new(
-            self.model().clone(),
-            self.config().with_execution(ExecutionMode::Full),
-        );
-        full.run(graph).output
     }
 
     /// Overrides the default with the engine's native cycle-exact service

@@ -38,11 +38,9 @@ mod matrix;
 mod mlp;
 pub mod ops;
 pub mod simd;
-mod stats;
 
 pub use activation::Activation;
 pub use init::WeightInit;
 pub use linear::Linear;
 pub use matrix::Matrix;
 pub use mlp::Mlp;
-pub use stats::RunningMoments;

@@ -1,17 +1,18 @@
 //! Fully-connected (linear) layer.
 
-use crate::{simd, Activation, Matrix, WeightInit};
+use crate::{Activation, Matrix, WeightInit};
 
 /// A fully-connected layer `y = act(W·x + b)`.
 ///
 /// This is the workhorse of every node transformation in the paper's models
 /// (GCN's linear transform, GIN's MLP layers, GAT's per-head projections,
-/// PNA's towers, output heads). The weight matrix is stored `out × in`
-/// row-major; [`Linear::forward_input_stationary`] mirrors the accelerator's
-/// NT-unit schedule, in which each fetched *input* element updates the whole
-/// output vector — the two orders produce different floating-point rounding,
-/// so the simulator and the reference both use the input-stationary order to
-/// keep cross-checks exact.
+/// PNA's towers, output heads). [`Linear::forward_input_stationary`]
+/// mirrors the accelerator's NT-unit schedule, in which each fetched
+/// *input* element updates the whole output vector; the weights are stored
+/// once, transposed (`in × out`), so each input's products come from one
+/// contiguous row. The input- and output-stationary orders round
+/// differently, so the simulator and the reference both use the
+/// input-stationary order to keep cross-checks exact.
 ///
 /// # Example
 ///
@@ -25,18 +26,15 @@ use crate::{simd, Activation, Matrix, WeightInit};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
-    weight: Matrix,
-    // Transposed copy (`in × out`) kept alongside the canonical `out × in`
-    // matrix: the input-stationary loop reads one *contiguous* slice of a
-    // transposed row per nonzero input and tile instead of a strided
-    // column walk.
+    /// `W` transposed (`in × out`): row `i` holds input `i`'s weight for
+    /// every output.
     wt: Matrix,
     bias: Vec<f32>,
     activation: Activation,
 }
 
 impl Linear {
-    /// Creates a layer from explicit parameters.
+    /// Creates a layer from explicit parameters; `weight` is `out × in`.
     ///
     /// # Panics
     ///
@@ -49,10 +47,8 @@ impl Linear {
             bias.len(),
             weight.rows()
         );
-        let wt = weight.transposed();
         Self {
-            weight,
-            wt,
+            wt: weight.transposed(),
             bias,
             activation,
         }
@@ -80,12 +76,12 @@ impl Linear {
 
     /// Input dimension.
     pub fn in_dim(&self) -> usize {
-        self.weight.cols()
+        self.wt.rows()
     }
 
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
-        self.weight.rows()
+        self.wt.cols()
     }
 
     /// The layer's activation function.
@@ -93,9 +89,10 @@ impl Linear {
         self.activation
     }
 
-    /// The weight matrix (`out × in`).
-    pub fn weight(&self) -> &Matrix {
-        &self.weight
+    /// The weight matrix (`out × in`), as a copy transposed back from the
+    /// stored layout.
+    pub fn weight(&self) -> Matrix {
+        self.wt.transposed()
     }
 
     /// The bias vector.
@@ -143,16 +140,14 @@ impl Linear {
     /// Inputs equal to `0.0` (either sign) are skipped, and every output
     /// element starts from its bias and receives the products of the
     /// remaining inputs in ascending input order, each multiply and add
-    /// rounded separately. The default body first compacts the nonzero
-    /// inputs of each block of 32 into a stack buffer, branch-free, then
-    /// accumulates the outputs in register tiles of 64, 32, 16, 8, 4, 2
-    /// and 1 columns: a tile stays in registers while it takes every
-    /// compacted input's product from one contiguous slice of the
-    /// transposed weights. The scalar-kernel switch
-    /// ([`crate::simd::set_scalar_kernels`]) selects the reference walk
-    /// down the columns of the `out × in` matrix instead. Both add the
-    /// same products to each output element in the same order, so they
-    /// are **bit-identical**, zero-skipping included.
+    /// rounded separately. The loop first compacts the nonzero inputs of
+    /// each block of 32 into a stack buffer, branch-free, then accumulates
+    /// the outputs in register tiles of 64, 32, 16, 8, 4, 2 and 1 columns:
+    /// a tile stays in registers while it takes every compacted input's
+    /// product from one contiguous slice of the transposed weights. Each
+    /// output element receives the same products in the same order as a
+    /// walk down the columns of `W`, so the two are **bit-identical**,
+    /// zero-skipping included.
     ///
     /// # Panics
     ///
@@ -167,17 +162,6 @@ impl Linear {
         );
         out.clear();
         out.extend_from_slice(&self.bias);
-        if simd::scalar_kernels() {
-            for (i, xi) in x.iter().enumerate() {
-                if *xi == 0.0 {
-                    continue; // skip zero inputs; result identical, cheaper in sim
-                }
-                for (o, row) in out.iter_mut().zip(self.weight.iter_rows()) {
-                    *o += xi * row[i];
-                }
-            }
-            return;
-        }
         let mut nonzero = [(0u32, 0.0f32); COMPACT_BLOCK];
         for (b, block) in x.chunks(COMPACT_BLOCK).enumerate() {
             // Every input is written; only a nonzero one advances the
@@ -280,6 +264,16 @@ mod tests {
         let layer = tiny();
         let dense = layer.forward(&[0.0, 2.0]);
         assert_eq!(dense, vec![4.5, 7.5]);
+    }
+
+    #[test]
+    fn weight_round_trips_through_the_stored_layout() {
+        // Non-square, so a `weight()` that forgot to transpose back would
+        // come out 5 × 3.
+        let w = Matrix::from_vec(3, 5, (0..15).map(|v| v as f32 - 7.0).collect());
+        let layer = Linear::new(w.clone(), vec![0.0; 3], Activation::Identity);
+        assert_eq!(layer.weight(), w);
+        assert_eq!((layer.in_dim(), layer.out_dim()), (5, 3));
     }
 
     #[test]

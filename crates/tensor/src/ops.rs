@@ -12,21 +12,7 @@
 //! reduction; its summation order is spelled out in its docs and pinned
 //! bit for bit by a golden test.
 
-use crate::simd::{scalar_kernels, LANES};
-
-/// The sequential dot product, kept as the reference [`dot`] is compared
-/// against and the body the scalar-kernel switch selects.
-pub mod scalar {
-    /// Left-to-right dot product. See [`super::dot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-        assert_eq!(a.len(), b.len(), "dot length mismatch");
-        a.iter().zip(b).map(|(x, y)| x * y).sum()
-    }
-}
+use crate::simd::LANES;
 
 /// Adds `src` into `dst` element-wise (`dst += src`).
 ///
@@ -102,18 +88,13 @@ fn accumulate(acc: &mut [f32; LANES], x: &[f32], y: &[f32]) {
 ///    `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`.
 ///
 /// The result depends only on the inputs, never on the target CPU, but it
-/// differs from the left-to-right [`scalar::dot`] by rounding; the
-/// property tests pin the two within 1e-6. Under the scalar-kernel
-/// switch ([`crate::simd::set_scalar_kernels`]) this calls
-/// [`scalar::dot`] instead.
+/// differs from a left-to-right sum by rounding; the property tests pin
+/// the two within 1e-6.
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    if scalar_kernels() {
-        return scalar::dot(a, b);
-    }
     assert_eq!(a.len(), b.len(), "dot length mismatch");
     let mut even = [0.0f32; LANES];
     let mut odd = [0.0f32; LANES];
@@ -144,18 +125,6 @@ pub fn relu(xs: &mut [f32]) {
     for x in xs {
         *x = x.max(0.0);
     }
-}
-
-/// Element-wise sum of two slices into a fresh vector.
-///
-/// Allocates; hot paths should use [`add_assign`] into a scratch slice.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn add(a: &[f32], b: &[f32]) -> Vec<f32> {
-    assert_eq!(a.len(), b.len(), "add length mismatch");
-    a.iter().zip(b).map(|(x, y)| x + y).collect()
 }
 
 /// In-place numerically-stable softmax.
@@ -193,17 +162,6 @@ pub fn softmax(xs: &mut [f32]) {
     for x in xs.iter_mut() {
         *x /= sum;
     }
-}
-
-/// Concatenates slices into one vector.
-///
-/// Allocates; hot paths should write segments into a scratch slice.
-pub fn concat(parts: &[&[f32]]) -> Vec<f32> {
-    let mut out = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-    for p in parts {
-        out.extend_from_slice(p);
-    }
-    out
 }
 
 /// L2 norm.
@@ -333,11 +291,6 @@ mod tests {
         assert_eq!(with_nan[0], 1.0);
         assert!(with_nan[1].is_nan());
         assert_eq!(with_nan[2], 2.0);
-    }
-
-    #[test]
-    fn concat_preserves_order() {
-        assert_eq!(concat(&[&[1.0], &[2.0, 3.0]]), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Property tests pinning each kernel to its reference.
 //!
-//! `dot` (the one reduction with its own summation order) is pinned to
-//! the left-to-right `ops::scalar::dot` within 1e-6 over lengths 0..64,
-//! which cover every tail length; `Linear` and `Mlp` are pinned bit for
-//! bit to an input-stationary loop written out independently of the
-//! library, on either side of the run-time kernel switch. Inputs come
+//! Each kernel has one body; its reference lives here, written out
+//! independently of the library. `dot` (the one reduction with its own
+//! summation order) is pinned to a left-to-right sum within 1e-6 over
+//! lengths 0..64, which cover every tail length; `Linear` and `Mlp` are
+//! pinned bit for bit to the plain input-stationary loop. Inputs come
 //! from the in-tree xoshiro PRNG.
 
 use flowgnn_rng::Rng;
-use flowgnn_tensor::ops::{self, scalar};
-use flowgnn_tensor::simd::{kernel_path, set_scalar_kernels};
+use flowgnn_tensor::ops;
 use flowgnn_tensor::{Activation, Linear, Matrix, Mlp};
 
 fn random_vec(rng: &mut Rng, len: usize) -> Vec<f32> {
@@ -33,6 +32,12 @@ fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
+/// The left-to-right dot product `ops::dot` is pinned to.
+fn scalar_dot(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "dot length mismatch");
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
 #[test]
 fn dot_is_pinned_to_scalar_within_1e6() {
     let mut rng = Rng::seed_from_u64(0xD07);
@@ -41,7 +46,7 @@ fn dot_is_pinned_to_scalar_within_1e6() {
             let a = random_vec(&mut rng, len);
             let b = random_vec(&mut rng, len);
             let fast = ops::dot(&a, &b);
-            let slow = scalar::dot(&a, &b);
+            let slow = scalar_dot(&a, &b);
             let tol = 1e-6 * slow.abs().max(1.0) * (len as f32).max(1.0);
             assert!(
                 (fast - slow).abs() <= tol,
@@ -59,7 +64,7 @@ fn matvec_is_pinned_to_scalar_within_1e6() {
         let x = random_vec(&mut rng, cols);
         let got = m.matvec(&x);
         for (r, o) in got.iter().enumerate() {
-            let slow = scalar::dot(m.row(r), &x);
+            let slow = scalar_dot(m.row(r), &x);
             let tol = 1e-6 * slow.abs().max(1.0) * (cols as f32);
             assert!(
                 (o - slow).abs() <= tol,
@@ -72,13 +77,14 @@ fn matvec_is_pinned_to_scalar_within_1e6() {
 /// The scalar input-stationary loop, written out independently of the
 /// library (`out = b; for each nonzero x[i]: out[o] += x[i] * W[o][i]`).
 fn reference_input_stationary(layer: &Linear, x: &[f32]) -> Vec<f32> {
+    let weight = layer.weight();
     let mut out = layer.bias().to_vec();
     for (i, xi) in x.iter().enumerate() {
         if *xi == 0.0 {
             continue;
         }
         for (o, v) in out.iter_mut().enumerate() {
-            *v += xi * layer.weight()[(o, i)];
+            *v += xi * weight[(o, i)];
         }
     }
     layer.activation().apply_slice(&mut out);
@@ -130,7 +136,7 @@ fn tiled_linear_forward_is_bit_identical_to_the_scalar_schedule() {
         for act in [Activation::Identity, Activation::Relu] {
             let layer = Linear::seeded(in_dim, out_dim, act, 7 + in_dim as u64);
             // A −0.0 bias keeps its sign only if −0.0 inputs are skipped.
-            let signed = Linear::new(layer.weight().clone(), vec![-0.0; out_dim], act);
+            let signed = Linear::new(layer.weight(), vec![-0.0; out_dim], act);
             for (trial, x) in linear_inputs(&mut rng, in_dim).iter().enumerate() {
                 for layer in [&layer, &signed] {
                     let got = layer.forward(x);
@@ -162,29 +168,4 @@ fn mlp_forward_into_matches_forward_and_scalar_chain() {
         }
         assert_eq!(bits(&out), bits(&want), "mlp vs scalar chain");
     }
-}
-
-#[test]
-fn runtime_scalar_toggle_selects_the_reference_path() {
-    // The only test in this binary that flips the process-wide switch.
-    // Every comparison in this file holds under either path, so a
-    // concurrent test observing the scalar window still passes.
-    let layer = Linear::seeded(23, 11, Activation::Relu, 99);
-    let mut rng = Rng::seed_from_u64(0x7066);
-    let x = sparse_vec(&mut rng, 23);
-    let simd_y = layer.forward(&x);
-
-    set_scalar_kernels(true);
-    assert_eq!(kernel_path(), "scalar");
-    let scalar_y = layer.forward(&x);
-    set_scalar_kernels(false);
-    assert_eq!(kernel_path(), "simd");
-
-    // Both loops add the same products in the same per-element order,
-    // so even across the toggle the layer output is bit-identical.
-    assert_eq!(bits(&simd_y), bits(&scalar_y));
-    assert_eq!(
-        bits(&scalar_y),
-        bits(&reference_input_stationary(&layer, &x))
-    );
 }

@@ -108,17 +108,8 @@ fn assert_reports_identical(fast: &RunReport, reference: &RunReport, what: &str)
     );
 }
 
-/// Serializes the tests that are sensitive to the process-wide kernel-path
-/// toggle: `scalar_and_simd_kernel_paths_agree` flips it mid-test, and the
-/// bitwise fast-forward-vs-reference comparison must not see the flip
-/// between the two runs of a pair (GAT's `dot` is path-dependent at 1 ULP).
-static KERNEL_TOGGLE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[test]
 fn fast_forward_is_cycle_exact_everywhere() {
-    let _guard = KERNEL_TOGGLE_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let graphs = zoo();
     // Timing-only fast-forward runs also copy twin regions' stats instead
     // of stepping them; the reference engine steps every region.
@@ -156,9 +147,6 @@ fn fast_forward_is_cycle_exact_everywhere() {
 
 #[test]
 fn fast_forward_is_exact_across_parallelism_corners() {
-    let _guard = KERNEL_TOGGLE_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     // Queue pressure is where horizon bugs hide: tiny queues force the
     // StallFull paths, wide units force multi-unit interleavings. The
     // dense HEP-shaped point cloud (36 nodes, 576 edges) keeps the
@@ -352,84 +340,6 @@ fn single_replica_pool_is_bit_identical_to_the_pre_pool_scan() {
                 assert_eq!(rec.finish, finish, "{what}[{i}]: finish");
                 assert_eq!(rec.dropped, dropped, "{what}[{i}]: dropped");
                 assert_eq!(rec.replica, 0, "{what}[{i}]: replica");
-            }
-        }
-    }
-}
-
-#[test]
-fn scalar_and_simd_kernel_paths_agree() {
-    // The SIMD kernels claim: timing observables are byte-identical across
-    // kernel paths (cycle counts are structural, never value-dependent —
-    // this is what pins every results/*.csv timing table), and functional
-    // outputs are bit-identical except where `dot` reassociates (GAT),
-    // which is pinned at 1e-6 relative. Guarded by the toggle lock: the
-    // runtime kernel switch is process-wide.
-    use flowgnn::tensor::simd;
-
-    let _guard = KERNEL_TOGGLE_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let graphs = zoo();
-    for model in models() {
-        // GAT is the only preset whose arithmetic meets a reassociated
-        // kernel (`dot` in the attention scores); everything else runs
-        // exclusively order-preserving kernels.
-        let dot_sensitive = model.name().contains("GAT");
-        for (family, g) in &graphs {
-            let acc = Accelerator::new(model.clone(), ArchConfig::default());
-            simd::set_scalar_kernels(true);
-            let scalar = acc.run(g);
-            simd::set_scalar_kernels(false);
-            let simd_run = acc.run(g);
-            let what = format!("{} / {family}", model.name());
-
-            // Timing: byte-identical across kernel paths.
-            assert_eq!(
-                scalar.total_cycles, simd_run.total_cycles,
-                "{what}: total_cycles"
-            );
-            assert_eq!(
-                scalar.region_cycles, simd_run.region_cycles,
-                "{what}: region_cycles"
-            );
-            assert_eq!(
-                (scalar.nt_busy_cycles, scalar.mp_busy_cycles),
-                (simd_run.nt_busy_cycles, simd_run.mp_busy_cycles),
-                "{what}: busy meters"
-            );
-            assert_eq!(
-                (scalar.nt_stall_cycles, scalar.mp_stall_cycles),
-                (simd_run.nt_stall_cycles, simd_run.mp_stall_cycles),
-                "{what}: stall meters"
-            );
-
-            // Functional: bitwise where evaluation order is preserved,
-            // 1e-6-relative where `dot` reassociates.
-            let (a, b) = (
-                scalar.output.as_ref().unwrap(),
-                simd_run.output.as_ref().unwrap(),
-            );
-            if dot_sensitive {
-                for (x, y) in a
-                    .node_embeddings
-                    .as_slice()
-                    .iter()
-                    .zip(b.node_embeddings.as_slice())
-                {
-                    let scale = x.abs().max(y.abs()).max(1.0);
-                    assert!(
-                        (x - y).abs() / scale <= 1e-6,
-                        "{what}: embeddings diverge beyond the dot pin: {x} vs {y}"
-                    );
-                }
-            } else {
-                assert_eq!(
-                    a.node_embeddings.as_slice(),
-                    b.node_embeddings.as_slice(),
-                    "{what}: order-preserving kernels must be bit-identical"
-                );
-                assert_eq!(a.graph_output, b.graph_output, "{what}: graph output");
             }
         }
     }
