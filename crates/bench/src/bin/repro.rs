@@ -21,9 +21,10 @@
 //! ```
 //!
 //! An unknown flag or experiment name is a usage error: `repro` prints one
-//! line to stderr and exits 2 before any experiment runs.
+//! line to stderr and exits 2 before any experiment runs. A `--csv`
+//! directory it cannot create or an artifact it cannot write there exits 1.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use flowgnn_core::{render_prometheus, Registry};
 
@@ -53,6 +54,16 @@ const ALL_EXPERIMENTS: &[&str] = &[
     "live",
     "throughput",
 ];
+
+/// Writes `contents` to `dir/file`, or reports the failure on stderr and
+/// exits 1: a run that could not save an artifact did not produce it.
+fn write_artifact(dir: &Path, file: &str, contents: String) {
+    let path = dir.join(file);
+    if let Err(e) = std::fs::write(&path, contents) {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+}
 
 /// Reports a bad command line on one stderr line and exits 2.
 fn usage_error(msg: &str) -> ! {
@@ -152,10 +163,7 @@ fn main() {
             println!("{note}\n");
         }
         if let Some(dir) = &csv_dir {
-            let path = dir.join(format!("{name}.csv"));
-            if let Err(e) = std::fs::write(&path, table.to_csv()) {
-                eprintln!("cannot write {}: {e}", path.display());
-            }
+            write_artifact(dir, &format!("{name}.csv"), table.to_csv());
         }
     };
 
@@ -259,20 +267,14 @@ fn main() {
                     Some(study.sustainable_note()),
                 );
                 if let Some(dir) = &csv_dir {
-                    let path = dir.join("BENCH_serve_tail_latency.json");
-                    if let Err(e) = std::fs::write(&path, study.to_json()) {
-                        eprintln!("cannot write {}: {e}", path.display());
-                    }
+                    write_artifact(dir, "BENCH_serve_tail_latency.json", study.to_json());
                 }
             }
             "scale" => {
                 let study = experiments::scale_out(sample);
                 emit("scale_out", &study.table(), Some(study.sustainable_note()));
                 if let Some(dir) = &csv_dir {
-                    let path = dir.join("BENCH_scale_out.json");
-                    if let Err(e) = std::fs::write(&path, study.to_json()) {
-                        eprintln!("cannot write {}: {e}", path.display());
-                    }
+                    write_artifact(dir, "BENCH_scale_out.json", study.to_json());
                 }
             }
             "fleet" => {
@@ -283,10 +285,7 @@ fn main() {
                     std::process::exit(1);
                 }
                 if let Some(dir) = &csv_dir {
-                    let path = dir.join("BENCH_fleet_serving.json");
-                    if let Err(e) = std::fs::write(&path, study.to_json()) {
-                        eprintln!("cannot write {}: {e}", path.display());
-                    }
+                    write_artifact(dir, "BENCH_fleet_serving.json", study.to_json());
                 }
             }
             "live" => {
@@ -302,10 +301,7 @@ fn main() {
                     std::process::exit(1);
                 }
                 if let Some(dir) = &csv_dir {
-                    let path = dir.join("BENCH_live_serving.json");
-                    if let Err(e) = std::fs::write(&path, study.to_json()) {
-                        eprintln!("cannot write {}: {e}", path.display());
-                    }
+                    write_artifact(dir, "BENCH_live_serving.json", study.to_json());
                 }
             }
             "throughput" => {
@@ -317,10 +313,7 @@ fn main() {
                     std::process::exit(1);
                 }
                 if let Some(dir) = &csv_dir {
-                    let path = dir.join("BENCH_sim_throughput.json");
-                    if let Err(e) = std::fs::write(&path, report.to_json()) {
-                        eprintln!("cannot write {}: {e}", path.display());
-                    }
+                    write_artifact(dir, "BENCH_sim_throughput.json", report.to_json());
                 }
             }
             other => unreachable!("experiment {other} was checked before the runs"),

@@ -1,7 +1,7 @@
 //! Fig. 9 (pipeline ablation) and Fig. 10 (design-space exploration).
 
 use flowgnn_baselines::GpuModel;
-use flowgnn_core::{Accelerator, ArchConfig, ExecutionMode, PipelineStrategy};
+use flowgnn_core::{Accelerator, ArchConfig, ExecutionMode, InferenceBackend, PipelineStrategy};
 use flowgnn_graph::datasets::{DatasetKind, DatasetSpec};
 use flowgnn_models::GnnModel;
 
@@ -12,7 +12,7 @@ use crate::{SampleSize, TextTable};
 fn mean_gcn_latency_ms(config: ArchConfig, spec: &DatasetSpec, graphs: usize) -> f64 {
     let model = GnnModel::gcn(spec.node_feat_dim(), 11);
     let acc = Accelerator::new(model, config.with_execution(ExecutionMode::TimingOnly));
-    acc.run_stream(spec.stream(), graphs).latency.mean_ms
+    acc.run_stream(spec.stream(), graphs).latency_ms
 }
 
 // ----- Fig. 9 ---------------------------------------------------------------

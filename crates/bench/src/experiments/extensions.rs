@@ -2,7 +2,9 @@
 //! calls out: adapter queue sizing, and the idle-cycle accounting behind
 //! the Fig. 4 pipelining argument.
 
-use flowgnn_core::{Accelerator, ArchConfig, ExecutionMode, GatherBanking, PipelineStrategy};
+use flowgnn_core::{
+    Accelerator, ArchConfig, ExecutionMode, GatherBanking, InferenceBackend, PipelineStrategy,
+};
 use flowgnn_graph::datasets::{DatasetKind, DatasetSpec};
 use flowgnn_models::GnnModel;
 
@@ -81,7 +83,7 @@ pub fn queue_sweep(sample: SampleSize) -> QueueSweep {
             .with_queue_capacity(capacity)
             .with_execution(ExecutionMode::TimingOnly);
         let acc = Accelerator::new(model.clone(), config);
-        acc.run_stream(spec.stream(), graphs).latency.mean_ms
+        acc.run_stream(spec.stream(), graphs).latency_ms
     };
     let points = crate::par_map(vec![1usize, 2, 4, 8, 16, 32, 64], None, |capacity| {
         QueuePoint {
@@ -233,8 +235,7 @@ pub fn gather_banking(sample: SampleSize) -> BankingStudy {
             .with_execution(ExecutionMode::TimingOnly);
         Accelerator::new(model.clone(), config)
             .run_stream(spec.stream(), graphs)
-            .latency
-            .mean_ms
+            .latency_ms
     };
     let points = [2usize, 4, 8]
         .iter()

@@ -25,19 +25,6 @@ fn batch1_backends(model: &GnnModel) -> Vec<Box<dyn InferenceBackend>> {
     ]
 }
 
-/// Mean per-graph latency of one platform over a dataset sample, measured
-/// through [`InferenceBackend::run_graph`] so every platform sees the same
-/// graphs under the same batch-1 protocol.
-fn stream_mean_ms(backend: &dyn InferenceBackend, spec: &DatasetSpec, graphs: usize) -> f64 {
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    for g in spec.stream().take_prefix(graphs) {
-        sum += backend.run_graph(&g).latency_ms;
-        count += 1;
-    }
-    sum / count as f64
-}
-
 // ----- Table V ------------------------------------------------------------
 
 /// Published Table V (HEP, batch 1): `(model, cpu_ms, gpu_ms, flowgnn_ms)`.
@@ -118,7 +105,7 @@ pub fn table5(sample: SampleSize) -> Table5 {
     let rows = crate::par_map(paper_models(&spec, 7), None, |model| {
         let ms: Vec<f64> = batch1_backends(&model)
             .iter()
-            .map(|b| stream_mean_ms(b.as_ref(), &spec, graphs))
+            .map(|b| b.run_stream(spec.stream(), graphs).latency_ms)
             .collect();
         Table5Row {
             kind: model.kind(),
@@ -195,8 +182,8 @@ pub fn fig7(dataset: DatasetKind, sample: SampleSize) -> Fig7 {
     let (n, e) = (stats.mean_nodes as usize, stats.mean_edges as usize);
     let series = crate::par_map(paper_models(&spec, 13), None, |model| {
         let backends = batch1_backends(&model);
-        let fg = stream_mean_ms(backends[0].as_ref(), &spec, graphs);
-        let cpu = stream_mean_ms(backends[1].as_ref(), &spec, graphs);
+        let fg = backends[0].run_stream(spec.stream(), graphs).latency_ms;
+        let cpu = backends[1].run_stream(spec.stream(), graphs).latency_ms;
         // GPU batching amortises the launch overhead over the dataset's
         // mean shape: one shape-based backend per batch size.
         let gpu_ms_by_batch = GpuModel::BATCH_SIZES

@@ -2,8 +2,9 @@
 //! measured twice — once in the simulated cycle domain (`run_fleet`
 //! replaying a cycle-exact service trace) and once live, with real OS
 //! replica threads running the engine behind the same dispatch policies
-//! (`run_fleet` over a pool of `EngineWorker`s, which is what
-//! `InferenceBackend::serve_on` runs under `Runtime::Live`).
+//! (`run_fleet` over a pool of the workers `InferenceBackend::live_worker`
+//! builds, which is what `InferenceBackend::serve_on` runs under
+//! `Runtime::Live`).
 //!
 //! The point of the experiment is *structural* parity: both domains share
 //! one arrival-schedule generator, one dispatch abstraction, and one
@@ -31,7 +32,7 @@
 use flowgnn_core::prelude::*;
 use flowgnn_desim::cycles_to_ms;
 use flowgnn_graph::datasets::{DatasetKind, DatasetSpec};
-use flowgnn_graph::Graph;
+use flowgnn_graph::GraphStream;
 use flowgnn_models::GnnModel;
 
 use super::serve::QUEUE_CAPACITY;
@@ -364,16 +365,16 @@ pub fn live_serving_with(sample: SampleSize, registry: Option<&Registry>) -> Liv
 
     // Only the replicas' accelerator carries the engine metrics, so the
     // calibration pass above goes uncounted. Each live run hands the cost
-    // row to `run_fleet` with a fresh pool of engine workers, as
-    // `serve_on` would after simulating the row again.
+    // row to `run_fleet` with a fresh pool of the accelerator's live
+    // workers, as `serve_on` would after simulating the row again.
     let replica = match registry {
         Some(registry) => acc.with_metrics(EngineMetrics::new(registry)),
         None => acc,
     };
-    let graphs: Vec<Graph> = spec.stream().take_prefix(requests).collect();
+    let graphs = GraphStream::from_graphs(spec.stream().take_prefix(requests).collect());
     let serve_live = |config: &FleetConfig| {
         let workers = (0..config.total_replicas())
-            .map(|_| EngineWorker::new(replica.clone(), graphs.iter().cloned()))
+            .map(|_| replica.live_worker(&graphs))
             .collect();
         let live = FleetRuntime::Live(workers);
         run_fleet(&costs, &class_of, config, live, metrics)

@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use flowgnn_desim::Cycle;
+use flowgnn_desim::{cycles_to_ms, Cycle};
 use flowgnn_graph::{Graph, GraphStream};
 
 use crate::energy::EnergyModel;
@@ -17,8 +17,9 @@ use crate::engine::Accelerator;
 use crate::metrics::ServeMetrics;
 use crate::resource::ResourceEstimate;
 use crate::serve::fleet::{run_fleet, FleetConfig, FleetError, FleetRuntime};
-use crate::serve::live::ModelWorker;
+use crate::serve::live::{LiveWorker, ModelWorker};
 use crate::serve::{ms_to_cycles, Runtime, RuntimeReport};
+use crate::stream::EngineWorker;
 
 /// One platform's result for one workload (a graph, a shape, or a stream).
 ///
@@ -105,10 +106,10 @@ pub trait InferenceBackend {
     ///
     /// The default runs each graph independently through
     /// [`Self::run_graph`] and takes arithmetic means — the paper's
-    /// batch-1 protocol for platforms with no inter-graph state.
-    /// Platforms with a native stream runner override this; the
-    /// accelerator's runs graphs back to back on weights already on chip,
-    /// so its mean excludes weight load.
+    /// batch-1 protocol for platforms with no inter-graph state. The
+    /// accelerator overrides this: it runs graphs back to back on weights
+    /// already on chip, so its mean is its [`Self::service_trace`]'s total
+    /// over the graph count and excludes weight load.
     ///
     /// # Panics
     ///
@@ -159,6 +160,27 @@ pub trait InferenceBackend {
             .collect()
     }
 
+    /// One live replica's request processor for serving the graphs of
+    /// `stream` under [`Runtime::Live`]: [`Self::serve_on`] asks for one
+    /// per replica, and request `i` is graph `i` of the stream.
+    ///
+    /// The default is a [`ModelWorker`] that occupies its replica thread
+    /// for each graph's modeled [`Self::run_graph`] latency — right for
+    /// every analytic platform model. The cycle engine overrides this
+    /// with a worker that runs real engine inference per request on its
+    /// own prepared copy of the graphs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stream` is empty.
+    fn live_worker(&self, stream: &GraphStream) -> Box<dyn LiveWorker> {
+        let durations = stream
+            .clone()
+            .map(|g| Duration::from_secs_f64(self.run_graph(&g).latency_ms / 1e3))
+            .collect();
+        Box::new(ModelWorker::new(durations))
+    }
+
     /// The serving entry: one method, either [`Runtime`], fleet-shaped
     /// configuration, optional live [`ServeMetrics`]. Serves up to
     /// `limit` graphs of `stream` as an *open-loop* request trace:
@@ -172,14 +194,14 @@ pub trait InferenceBackend {
     /// [`FleetConfig::pool`]`(R)`.
     ///
     /// Every request is stamped class 0, and each endpoint's cost row is
-    /// this backend's own service trace (the endpoints model replicas *of
-    /// this backend* — drive [`crate::serve::fleet::run_fleet`] directly
-    /// for genuinely heterogeneous fleets with per-endpoint cost rows).
-    /// [`Runtime::Sim`] runs the deterministic cycle scan over
-    /// [`Self::service_trace`], which reads the graphs from `stream`
-    /// itself; [`Runtime::Live`] spins up one [`ModelWorker`] thread per
-    /// replica occupying its thread for the modeled per-graph latency (the
-    /// cycle engine overrides this to run real inference per request).
+    /// this backend's own [`Self::service_trace`] (the endpoints model
+    /// replicas *of this backend* — drive
+    /// [`crate::serve::fleet::run_fleet`] directly for genuinely
+    /// heterogeneous fleets with per-endpoint cost rows).
+    /// [`Runtime::Sim`] runs the deterministic cycle scan over those rows,
+    /// reading the graphs from `stream` itself once. [`Runtime::Live`]
+    /// materialises the graphs once, then runs one thread per replica,
+    /// each driving the worker [`Self::live_worker`] builds from them.
     /// `metrics`, when given, is updated while the run executes; it never
     /// changes the report.
     ///
@@ -196,54 +218,27 @@ pub trait InferenceBackend {
         runtime: Runtime,
         metrics: Option<&ServeMetrics>,
     ) -> Result<RuntimeReport, FleetError> {
-        let stream = served_prefix(stream, limit)?;
-        match runtime {
-            Runtime::Sim => {
-                let service = self.service_trace(stream, limit);
-                let costs: Vec<Vec<Cycle>> =
-                    config.endpoints.iter().map(|_| service.clone()).collect();
-                let class_of = vec![0usize; service.len()];
-                run_fleet::<ModelWorker>(&costs, &class_of, config, FleetRuntime::Sim, metrics)
-            }
-            Runtime::Live => {
-                let durations: Vec<Duration> = stream
-                    .map(|g| Duration::from_secs_f64(self.run_graph(&g).latency_ms / 1e3))
-                    .collect();
-                let requests = durations.len();
-                let costs: Vec<Vec<Cycle>> = config
-                    .endpoints
-                    .iter()
-                    .map(|_| {
-                        durations
-                            .iter()
-                            .map(|d| ms_to_cycles(d.as_secs_f64() * 1e3))
-                            .collect()
-                    })
-                    .collect();
-                let class_of = vec![0usize; requests];
-                let workers: Vec<ModelWorker> = (0..config.total_replicas())
-                    .map(|_| ModelWorker::new(durations.clone()))
-                    .collect();
-                run_fleet(
-                    &costs,
-                    &class_of,
-                    config,
-                    FleetRuntime::Live(workers),
-                    metrics,
-                )
-            }
+        let stream = stream.take_prefix(limit);
+        if stream.is_empty() {
+            return Err(FleetError::EmptyTrace);
         }
+        let stream = match runtime {
+            Runtime::Sim => stream,
+            Runtime::Live => GraphStream::from_graphs(stream.collect()),
+        };
+        let service = self.service_trace(stream.clone(), limit);
+        let costs: Vec<Vec<Cycle>> = config.endpoints.iter().map(|_| service.clone()).collect();
+        let class_of = vec![0usize; service.len()];
+        let runtime = match runtime {
+            Runtime::Sim => FleetRuntime::Sim,
+            Runtime::Live => FleetRuntime::Live(
+                (0..config.total_replicas())
+                    .map(|_| self.live_worker(&stream))
+                    .collect(),
+            ),
+        };
+        run_fleet(&costs, &class_of, config, runtime, metrics)
     }
-}
-
-/// The first `limit` graphs of `stream`, or [`FleetError::EmptyTrace`]
-/// when that leaves nothing to serve.
-fn served_prefix(stream: GraphStream, limit: usize) -> Result<GraphStream, FleetError> {
-    let stream = stream.take_prefix(limit);
-    if stream.is_empty() {
-        return Err(FleetError::EmptyTrace);
-    }
-    Ok(stream)
 }
 
 impl InferenceBackend for Accelerator {
@@ -273,82 +268,22 @@ impl InferenceBackend for Accelerator {
         Accelerator::service_trace(self, stream, limit)
     }
 
-    /// Overrides the default with cycle-exact cost rows
-    /// ([`Accelerator::service_trace`], consulting the attached trace
-    /// cache) and, for [`Runtime::Live`], replica threads that run real
-    /// engine inference per request ([`crate::EngineWorker`]).
-    ///
-    /// [`Runtime::Sim`] hands `stream` straight to the service trace, which
-    /// takes each graph once from the stream (generating it, or cloning it
-    /// from a stored stream), fingerprints it and, only on a cache miss,
-    /// simulates it; no other copy is made. Sim reports carry the trace
-    /// cache's counters on every endpoint entry. [`Runtime::Live`]
-    /// materialises the graphs once; the service trace reads them from
-    /// there, and each replica worker prepares its own copy.
-    ///
-    /// # Errors
-    ///
-    /// As the default: [`FleetError::EmptyTrace`] for an empty stream or
-    /// `limit == 0`, else what [`crate::serve::fleet::run_fleet`] returns.
-    fn serve_on(
-        &self,
-        stream: GraphStream,
-        limit: usize,
-        config: &FleetConfig,
-        runtime: Runtime,
-        metrics: Option<&ServeMetrics>,
-    ) -> Result<RuntimeReport, FleetError> {
-        use crate::stream::EngineWorker;
-
-        let stream = served_prefix(stream, limit)?;
-        let stream = match runtime {
-            Runtime::Sim => stream,
-            Runtime::Live => GraphStream::from_graphs(stream.collect()),
-        };
-        let service = Accelerator::service_trace(self, stream.clone(), limit);
-        let costs: Vec<Vec<Cycle>> = config.endpoints.iter().map(|_| service.clone()).collect();
-        let class_of = vec![0usize; service.len()];
-        match runtime {
-            Runtime::Sim => {
-                let mut report = run_fleet::<ModelWorker>(
-                    &costs,
-                    &class_of,
-                    config,
-                    FleetRuntime::Sim,
-                    metrics,
-                )?
-                .sim()
-                .expect("sim runtime yields a sim report");
-                if let Some(stats) = self.trace_cache().map(crate::ServiceTraceCache::stats) {
-                    for endpoint in &mut report.per_endpoint {
-                        endpoint.cache = Some(stats);
-                    }
-                }
-                Ok(RuntimeReport::Sim(report))
-            }
-            Runtime::Live => {
-                let workers: Vec<EngineWorker> = (0..config.total_replicas())
-                    .map(|_| EngineWorker::new(self.clone(), stream.clone()))
-                    .collect();
-                run_fleet(
-                    &costs,
-                    &class_of,
-                    config,
-                    FleetRuntime::Live(workers),
-                    metrics,
-                )
-            }
-        }
+    /// Overrides the default with a replica that runs real engine
+    /// inference per request: a clone of this accelerator with its own
+    /// prepared copy of every graph of `stream` and its own scratch.
+    fn live_worker(&self, stream: &GraphStream) -> Box<dyn LiveWorker> {
+        Box::new(EngineWorker::new(self.clone(), stream.clone()))
     }
 
-    /// Overrides the default with the accelerator's native stream runner
-    /// ([`Accelerator::run_stream`]): back-to-back graphs on one set of
-    /// loaded weights, mean latency taken over total cycles.
+    /// Overrides the default with the closed loop the paper measures:
+    /// graphs back to back on one set of loaded weights, so the mean
+    /// latency is the [`Accelerator::service_trace`] total over the graph
+    /// count.
     fn run_stream(&self, stream: GraphStream, limit: usize) -> BackendReport {
-        let report = Accelerator::run_stream(self, stream, limit);
+        let trace = Accelerator::service_trace(self, stream, limit);
+        let mean_ms = cycles_to_ms(trace.iter().sum()) / trace.len() as f64;
         let resources = ResourceEstimate::for_model(self.model(), self.config());
         let energy = EnergyModel::new(resources);
-        let mean_ms = report.latency.mean_ms;
         BackendReport {
             latency_ms: mean_ms,
             latency_us: mean_ms * 1e3,
@@ -415,9 +350,10 @@ mod tests {
     fn accelerator_stream_override_uses_native_runner() {
         let a = acc();
         let stream = || MoleculeLike::new(12.0, 4).stream(4);
-        let native = Accelerator::run_stream(&a, stream(), 4);
-        let via_trait = InferenceBackend::run_stream(&a, stream(), 4);
-        assert_eq!(via_trait.latency_ms, native.latency.mean_ms);
+        let trace = a.service_trace(stream(), 4);
+        let report = a.run_stream(stream(), 4);
+        assert_eq!(report.latency_ms, cycles_to_ms(trace.iter().sum()) / 4.0);
+        assert_eq!(report.latency_us, report.latency_ms * 1e3);
     }
 
     #[test]
@@ -466,8 +402,7 @@ mod tests {
         let trace = a.service_trace(MoleculeLike::new(12.0, 4).stream(4), 4);
         let service: Vec<Cycle> = report.records.iter().map(|r| r.service_cycles()).collect();
         assert_eq!(service, trace);
-        let closed = Accelerator::run_stream(&a, MoleculeLike::new(12.0, 4).stream(4), 4);
-        assert_eq!(report.makespan_cycles, closed.total_cycles);
+        assert_eq!(report.makespan_cycles, trace.iter().sum::<Cycle>());
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::borrow::Cow;
 ///
 /// [`Accelerator::run`] builds one of these internally per call; callers
 /// that run the *same* graph repeatedly (DSE sweeps, batch experiments)
-/// or stream many graphs (via [`Accelerator::run_stream`]) use
+/// or stream many graphs (as [`Accelerator::service_trace`] does) use
 /// [`Accelerator::prepare`] / [`Accelerator::prepare_owned`] +
 /// [`Accelerator::run_prepared`] so nothing is cloned or re-indexed per
 /// run.
@@ -164,12 +164,11 @@ impl Accelerator {
 
     /// Attaches a [`ServiceTraceCache`]: subsequent
     /// [`Accelerator::service_trace`] calls (and everything built on them
-    /// — [`Accelerator::run_stream`], the simulated
-    /// [`crate::InferenceBackend::serve_on`]) answer repeated graphs from
-    /// the cache instead of re-simulating, and the simulated `serve_on`
-    /// reports the cache counters in the per-endpoint
-    /// [`crate::serve::EndpointStats::cache`] view. Cached
-    /// cycles are the exact values a fresh simulation produces, so
+    /// — the accelerator's [`crate::InferenceBackend::run_stream`] and
+    /// its simulated [`crate::InferenceBackend::serve_on`]) answer
+    /// repeated graphs from the cache instead of re-simulating, and the
+    /// cache's [`ServiceTraceCache::stats`] count the hits and misses.
+    /// Cached cycles are the exact values a fresh simulation produces, so
     /// results are bit-identical either way.
     ///
     /// The handle is shared: cloning a cache and attaching it to several

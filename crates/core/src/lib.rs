@@ -79,7 +79,6 @@ pub use serve::{
     LiveWorker, ModelEndpoint, ModelWorker, QueuePolicy, ReplicaStats, RequestClass, RequestRecord,
     Runtime, RuntimeReport, ServeReport, TimeDomain, WallDomain,
 };
-pub use stream::{EngineWorker, LatencyStats, StreamReport};
 pub use trace::{LaneSymbol, RegionTrace, Trace};
 
 pub mod prelude {
@@ -106,5 +105,4 @@ pub mod prelude {
         LiveWorker, ModelEndpoint, ModelWorker, QueuePolicy, ReplicaStats, RequestClass,
         RequestRecord, Runtime, RuntimeReport, ServeReport, TimeDomain, WallDomain,
     };
-    pub use crate::stream::{EngineWorker, LatencyStats, StreamReport};
 }

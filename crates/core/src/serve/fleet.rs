@@ -539,8 +539,7 @@ fn validate_fleet(
 }
 
 /// Aggregates per-replica stats into per-endpoint entries in registry
-/// order (cache counters stay `None` — the queueing loops never touch a
-/// backend's trace cache).
+/// order.
 fn endpoint_summaries(
     per_replica: &[ReplicaStats],
     endpoints: &[ModelEndpoint],
@@ -562,7 +561,6 @@ fn endpoint_summaries(
                 replicas: ep.replicas,
                 completed,
                 busy_cycles: busy,
-                cache: None,
             }
         })
         .collect()

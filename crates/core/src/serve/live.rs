@@ -60,8 +60,8 @@ impl<W: LiveWorker + ?Sized> LiveWorker for Box<W> {
 /// rather than an executable engine: it occupies its replica thread for
 /// the modeled per-request latency (busy-spinning, so short latencies
 /// are honoured more precisely than a sleep could). This is what the
-/// default [`InferenceBackend::serve_on`](crate::InferenceBackend::serve_on)
-/// builds from per-graph `latency_ms` under
+/// default [`InferenceBackend::live_worker`](crate::InferenceBackend::live_worker)
+/// builds from per-graph `latency_ms` for
 /// [`Runtime::Live`](super::Runtime::Live).
 pub struct ModelWorker {
     durations: Vec<Duration>,

@@ -51,10 +51,11 @@
 //!
 //! The closed-loop streaming evaluation is the degenerate point of this
 //! model — one replica, round-robin, every request arriving at cycle 0
-//! ([`ArrivalProcess::closed_loop`]) with an unbounded queue — and
-//! `Accelerator::run_stream` is implemented as exactly that special
-//! case, so the paper-reproduction path and the serving path cannot
-//! drift apart (`tests/differential.rs` pins both equivalences).
+//! ([`ArrivalProcess::closed_loop`]) with an unbounded queue — whose
+//! makespan is the sum of the service trace. The closed-loop mean
+//! ([`crate::InferenceBackend::run_stream`]) is computed as that sum
+//! directly, and `tests/differential.rs` pins the served closed loop
+//! against an independent per-graph loop, record by record.
 //!
 //! Configurations are built fluently and validated once, at `build()`:
 //!

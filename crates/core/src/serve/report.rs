@@ -154,12 +154,6 @@ pub struct EndpointStats {
     /// Raw timeline units this endpoint's replicas spent in service
     /// events, summed across its replicas.
     pub busy_cycles: u64,
-    /// Service-trace cache counters for this endpoint's backend, when it
-    /// carries a [`crate::ServiceTraceCache`]. Always `None` from the
-    /// queueing loops themselves — only trace-producing callers (the
-    /// accelerator's [`crate::InferenceBackend::serve_on`] under
-    /// [`super::Runtime::Sim`]) observe cache activity.
-    pub cache: Option<crate::CacheStats>,
 }
 
 impl EndpointStats {
@@ -218,7 +212,7 @@ pub struct ServeReport<D: TimeDomain = CycleDomain> {
     /// Per-class tails and SLO attainment, one entry per
     /// [`super::fleet::RequestClass`] in registry order.
     pub per_class: Vec<ClassStats>,
-    /// Per-endpoint aggregates (utilization inputs and cache counters),
+    /// Per-endpoint aggregates (completions and utilization inputs),
     /// one entry per [`super::fleet::ModelEndpoint`] in registry order.
     pub per_endpoint: Vec<EndpointStats>,
     _domain: PhantomData<D>,
@@ -273,10 +267,12 @@ impl<D: TimeDomain> ServeReport<D> {
     }
 
     /// Load imbalance across replicas in percent: `(max − mean) / mean`
-    /// over per-replica busy time (the Table VII convention applied to
-    /// the pool). Zero for a single replica or an all-idle pool (mean
-    /// busy time of zero — the ratio is undefined, and a pool that did no
-    /// work is perfectly balanced by convention).
+    /// over per-replica busy time, the busiest replica's excess over a
+    /// perfectly even split. This is not Table VII's metric, which is
+    /// `(max − min) / total` ([`crate::imbalance_percent`]). Zero for a
+    /// single replica or an all-idle pool (mean busy time of zero — the
+    /// ratio is undefined, and a pool that did no work is perfectly
+    /// balanced by convention).
     ///
     /// # Errors
     ///

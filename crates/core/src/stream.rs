@@ -1,57 +1,32 @@
 //! Streaming evaluation: graphs processed back-to-back at batch size 1.
 //!
-//! Since the serving-layer refactor this is a thin wrapper over
-//! [`crate::serve`]: closed-loop streaming is exactly the open-loop
-//! serving loop at its degenerate point (every request pending at cycle
-//! 0, unbounded admission queue), so [`Accelerator::run_stream`] builds a
-//! per-graph service trace and pushes it through
-//! [`run_fleet`](crate::serve::run_fleet) under the closed-loop
-//! one-replica [`FleetConfig::pool`]. The reports it returns are
-//! cycle-exact identical to the pre-refactor direct loop (pinned by
-//! `tests/differential.rs`).
+//! The paper streams graphs into the accelerator one after another, so a
+//! closed-loop run is the sum of the per-graph service cycles.
+//! [`Accelerator::service_trace`] produces those cycles; the
+//! [`InferenceBackend`](crate::InferenceBackend) methods consume them,
+//! [`run_stream`](crate::InferenceBackend::run_stream) as a mean and
+//! [`serve_on`](crate::InferenceBackend::serve_on) as the cost rows of
+//! an open-loop fleet. [`EngineWorker`] is the live runtime's per-replica
+//! engine state.
 
-use flowgnn_desim::{cycles_to_ms, Cycle};
-use flowgnn_graph::GraphStream;
+use flowgnn_desim::Cycle;
+use flowgnn_graph::{Graph, GraphStream};
 
 use crate::cache::graph_fingerprint;
 use crate::engine::{Accelerator, PreparedGraph};
 use crate::exec::SimScratch;
-use crate::serve::live::{LiveWorker, ModelWorker};
-use crate::serve::{run_fleet, FleetConfig, FleetRuntime};
-
-/// Latency statistics over a stream of graphs (all in milliseconds).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyStats {
-    /// Mean per-graph latency.
-    pub mean_ms: f64,
-    /// Fastest graph.
-    pub min_ms: f64,
-    /// Slowest graph.
-    pub max_ms: f64,
-}
-
-/// Results of streaming a dataset through an accelerator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamReport {
-    /// Number of graphs processed.
-    pub graphs: usize,
-    /// Total cycles across all graphs (excluding weight load).
-    pub total_cycles: Cycle,
-    /// Per-graph latency statistics.
-    pub latency: LatencyStats,
-}
+use crate::serve::live::LiveWorker;
 
 impl Accelerator {
     /// Cycle-exact per-graph service times for up to `limit` graphs of
     /// `stream`: each graph run end-to-end through the engine at batch
     /// size 1, reusing one scratch allocation across the stream. This is
-    /// the service trace both the closed-loop wrapper
-    /// ([`Accelerator::run_stream`]) and the open-loop server
-    /// ([`crate::InferenceBackend::serve_on`]) feed into the queueing
-    /// model. Public so
-    /// sweep drivers can compute the trace once and replay it across
-    /// many serving configurations (replica counts, dispatch policies,
-    /// offered loads) without re-simulating the engine.
+    /// the service trace the closed-loop mean
+    /// ([`crate::InferenceBackend::run_stream`]) sums and the open-loop
+    /// server ([`crate::InferenceBackend::serve_on`]) feeds into the
+    /// queueing model. Public so sweep drivers can compute the trace once
+    /// and replay it across many serving configurations (replica counts,
+    /// dispatch policies, offered loads) without re-simulating the engine.
     ///
     /// When a [`crate::ServiceTraceCache`] is attached
     /// ([`Accelerator::with_trace_cache`]), each graph is first looked up
@@ -96,66 +71,15 @@ impl Accelerator {
             })
             .collect()
     }
-
-    /// Streams up to `limit` graphs through the accelerator, batch size 1,
-    /// exactly as the paper's on-board evaluation does ("graphs are
-    /// consecutively streamed into the accelerator ... with zero CPU
-    /// intervention").
-    ///
-    /// Implemented as the closed-loop special case of the serving layer:
-    /// every graph is pending at cycle 0 and the server never idles, so
-    /// per-request service times are the per-graph latencies and the
-    /// makespan is their sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream (after the limit) is empty.
-    pub fn run_stream(&self, stream: GraphStream, limit: usize) -> StreamReport {
-        let service = self.service_trace(stream, limit);
-        let class_of = vec![0; service.len()];
-        let config = FleetConfig::pool(1)
-            .build()
-            .expect("valid closed-loop pool");
-        let report = run_fleet::<ModelWorker>(
-            std::slice::from_ref(&service),
-            &class_of,
-            &config,
-            FleetRuntime::Sim,
-            None,
-        )
-        .expect("non-empty service trace")
-        .sim()
-        .expect("sim runtime yields a sim report");
-        let mut min_ms = f64::INFINITY;
-        let mut max_ms: f64 = 0.0;
-        for r in &report.records {
-            let ms = cycles_to_ms(r.service_cycles());
-            min_ms = min_ms.min(ms);
-            max_ms = max_ms.max(ms);
-        }
-        StreamReport {
-            graphs: report.completed,
-            total_cycles: report.makespan_cycles,
-            latency: LatencyStats {
-                mean_ms: cycles_to_ms(report.makespan_cycles) / report.completed as f64,
-                min_ms,
-                max_ms,
-            },
-        }
-    }
 }
 
 /// One live replica's engine state: a clone of the accelerator (cloning
 /// shares the handle to any attached [`crate::ServiceTraceCache`]), the
 /// replica's own prepared copies of the request graphs, and its own
 /// [`SimScratch`] — everything a replica thread needs to simulate
-/// requests without touching another thread's state.
-///
-/// Built by the accelerator's [`crate::InferenceBackend::serve_on`] under
-/// [`Runtime::Live`](crate::Runtime::Live); public so custom live-serving
-/// drivers can assemble their own worker pools and hand them to
-/// [`run_fleet`] as [`FleetRuntime::Live`].
-pub struct EngineWorker {
+/// requests without touching another thread's state. The accelerator's
+/// [`crate::InferenceBackend::live_worker`] builds one per live replica.
+pub(crate) struct EngineWorker {
     acc: Accelerator,
     prepared: Vec<PreparedGraph<'static>>,
     scratch: SimScratch,
@@ -168,7 +92,7 @@ impl EngineWorker {
     /// # Panics
     ///
     /// Panics if `graphs` is empty.
-    pub fn new(acc: Accelerator, graphs: impl IntoIterator<Item = flowgnn_graph::Graph>) -> Self {
+    pub(crate) fn new(acc: Accelerator, graphs: impl IntoIterator<Item = Graph>) -> Self {
         let prepared: Vec<PreparedGraph<'static>> =
             graphs.into_iter().map(|g| acc.prepare_owned(g)).collect();
         assert!(
@@ -193,8 +117,11 @@ impl LiveWorker for EngineWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::{ArrivalProcess, FleetConfigBuilder, QueuePolicy, Runtime, ServeReport};
+    use crate::serve::{
+        ArrivalProcess, FleetConfig, FleetConfigBuilder, QueuePolicy, Runtime, ServeReport,
+    };
     use crate::{ArchConfig, ExecutionMode, InferenceBackend, ServiceTraceCache};
+    use flowgnn_desim::cycles_to_ms;
     use flowgnn_graph::generators::{GraphGenerator, KnnPointCloud, MoleculeLike};
     use flowgnn_models::GnnModel;
 
@@ -217,19 +144,9 @@ mod tests {
     }
 
     #[test]
-    fn stream_report_aggregates() {
-        let stream = MoleculeLike::new(12.0, 4).stream(5);
-        let report = acc().run_stream(stream, 5);
-        assert_eq!(report.graphs, 5);
-        assert!(report.latency.min_ms <= report.latency.mean_ms);
-        assert!(report.latency.mean_ms <= report.latency.max_ms);
-    }
-
-    #[test]
     fn limit_truncates() {
         let stream = MoleculeLike::new(12.0, 4).stream(100);
-        let report = acc().run_stream(stream, 3);
-        assert_eq!(report.graphs, 3);
+        assert_eq!(acc().service_trace(stream, 3).len(), 3);
     }
 
     #[test]
@@ -244,20 +161,21 @@ mod tests {
         // the bare per-graph latency, so p-max equals the stream max.
         let stream = || MoleculeLike::new(12.0, 4).stream(6);
         let a = acc();
-        let closed = a.run_stream(stream(), 6);
+        let trace = a.service_trace(stream(), 6);
         let served = serve(
             &a,
             stream(),
             6,
             FleetConfig::pool(1)
                 .arrivals(ArrivalProcess::Fixed {
-                    gap: closed.total_cycles, // one full stream per gap
+                    gap: trace.iter().sum(), // one full stream per gap
                 })
                 .queue_capacity(4),
         );
         assert_eq!(served.dropped, 0);
         assert_eq!(served.mean_wait_ms, 0.0);
-        assert!((served.max_ms - closed.latency.max_ms).abs() < 1e-12);
+        let slowest = cycles_to_ms(*trace.iter().max().unwrap());
+        assert!((served.max_ms - slowest).abs() < 1e-12);
     }
 
     #[test]
@@ -265,7 +183,7 @@ mod tests {
         let stream = || MoleculeLike::new(12.0, 4).stream(12);
         let a = acc();
         // Arrivals 4x faster than the mean service rate: waits accumulate.
-        let mean_service = a.run_stream(stream(), 12).total_cycles / 12;
+        let mean_service = a.service_trace(stream(), 12).iter().sum::<Cycle>() / 12;
         let served = serve(
             &a,
             stream(),
@@ -299,10 +217,6 @@ mod tests {
         assert_eq!(report.completed, 8);
         assert_eq!(report.dropped, 0);
         assert_eq!(report.per_replica.len(), 2);
-        assert_eq!(
-            report.per_endpoint[0].cache, None,
-            "live replicas bypass the trace cache"
-        );
         for r in &report.records {
             assert!(r.finish >= r.start && r.start >= r.arrival);
         }
@@ -328,9 +242,9 @@ mod tests {
             let graphs: Vec<_> = MoleculeLike::new(12.0, 4).stream(3).collect();
             GraphStream::from_graphs([graphs.clone(), graphs].concat())
         };
-        let bare = Accelerator::new(a.model().clone(), *a.config()).run_stream(stream(), 6);
-        let observed = a.run_stream(stream(), 6);
-        // Observation only: the report is bit-identical with metrics on.
+        let bare = Accelerator::new(a.model().clone(), *a.config()).service_trace(stream(), 6);
+        let observed = a.service_trace(stream(), 6);
+        // Observation only: the trace is bit-identical with metrics on.
         assert_eq!(bare, observed);
         assert_eq!(metrics.cache_misses.get(), 3);
         assert_eq!(metrics.cache_hits.get(), 3);

@@ -62,38 +62,30 @@ fn cached_serve_report_is_identical_and_carries_counters() {
             .expect("sim runtime yields a sim report")
     };
     let plain = serve(&acc(), repeated_stream(3, 3));
-    let mut cached = serve(
-        &acc().with_trace_cache(ServiceTraceCache::new(16)),
+    let cache = ServiceTraceCache::new(16);
+    let cached = serve(
+        &acc().with_trace_cache(cache.clone()),
         repeated_stream(3, 3),
     );
 
     assert_eq!(plain.per_endpoint.len(), 1, "one endpoint entry per serve");
-    assert_eq!(
-        plain.per_endpoint[0].cache, None,
-        "no cache attached, no counters"
-    );
-    let stats = cached.per_endpoint[0]
-        .cache
-        .take()
-        .expect("cache counters attached");
+    let stats = cache.stats();
     assert_eq!(stats.misses, 3);
     assert_eq!(stats.hits, 6);
-    // With the counters cleared the reports must be bit-identical.
     assert_eq!(plain, cached);
 
     // The same graphs generated on demand, and a longer stored stream cut
-    // to `n` by the limit, serve the same report, cached or not.
+    // to `n` by the limit, serve the same report, cached or not; a fresh
+    // cache counts one miss per distinct graph and hits for the rest.
     let generated = GraphStream::generated(n, |i| MoleculeLike::new(12.0, 4).generate(i % 3));
     let longer = repeated_stream(3, 4);
     for (what, stream) in [("generated", generated), ("limit < len", longer)] {
         for a in [acc(), acc().with_trace_cache(ServiceTraceCache::new(16))] {
-            let mut report = serve(&a, stream.clone());
-            let stats = report.per_endpoint[0].cache.take();
-            assert_eq!(
-                stats.map(|s| (s.misses, s.hits)),
-                a.trace_cache().map(|_| (3, 6)),
-                "{what}"
-            );
+            let report = serve(&a, stream.clone());
+            if let Some(cache) = a.trace_cache() {
+                let stats = cache.stats();
+                assert_eq!((stats.misses, stats.hits), (3, 6), "{what}");
+            }
             assert_eq!(plain, report, "{what}");
         }
     }

@@ -190,12 +190,6 @@ impl Matrix {
         }
         t
     }
-
-    /// Iterates over rows as slices: `rows` of them at every width,
-    /// empty ones when `cols` is 0.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
-        (0..self.rows).map(move |r| &self.data[r * self.cols..(r + 1) * self.cols])
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -289,17 +283,10 @@ mod tests {
     }
 
     #[test]
-    fn iter_rows_yields_all_rows() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let rows: Vec<&[f32]> = m.iter_rows().collect();
-        assert_eq!(rows, vec![&[1.0, 2.0][..], &[3.0, 4.0][..]]);
-    }
-
-    #[test]
     fn zero_width_rows_are_empty() {
         let m = Matrix::zeros(3, 0);
-        assert_eq!(m.iter_rows().count(), 3);
-        assert!(m.iter_rows().all(<[f32]>::is_empty));
+        assert_eq!(m.rows(), 3);
+        assert!((0..3).all(|r| m.row(r).is_empty()));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! cargo run --release --example dse_explore [dsp_budget]
 //! ```
 
-use flowgnn::core::{ResourceEstimate, U50_AVAILABLE};
+use flowgnn::core::{InferenceBackend, ResourceEstimate, U50_AVAILABLE};
 use flowgnn::graph::datasets::{DatasetKind, DatasetSpec};
 use flowgnn::{Accelerator, ArchConfig, ExecutionMode, GnnModel};
 
@@ -30,8 +30,7 @@ fn main() {
         .with_execution(ExecutionMode::TimingOnly);
     let base = Accelerator::new(model.clone(), base_cfg)
         .run_stream(spec.stream(), graphs)
-        .latency
-        .mean_ms;
+        .latency_ms;
 
     let mut best: Option<(f64, ArchConfig, u64)> = None;
     for &p_node in &[1usize, 2, 4] {
@@ -47,8 +46,7 @@ fn main() {
                     }
                     let ms = Accelerator::new(model.clone(), cfg)
                         .run_stream(spec.stream(), graphs)
-                        .latency
-                        .mean_ms;
+                        .latency_ms;
                     let speedup = base / ms;
                     println!(
                         "{:>6} {:>6} {:>7} {:>9} {:>12.4} {:>8} {:>8.2}x",

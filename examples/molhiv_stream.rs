@@ -7,7 +7,7 @@
 //! ```
 
 use flowgnn::baselines::{CpuModel, GpuModel};
-use flowgnn::core::{EnergyModel, ResourceEstimate};
+use flowgnn::core::{EnergyModel, InferenceBackend, ResourceEstimate};
 use flowgnn::graph::datasets::{DatasetKind, DatasetSpec};
 use flowgnn::models::ModelKind;
 use flowgnn::{Accelerator, ArchConfig, ExecutionMode, GnnModel};
@@ -33,19 +33,17 @@ fn main() {
         let acc = Accelerator::new(model.clone(), config);
         let report = acc.run_stream(spec.stream(), graphs);
         let resources = ResourceEstimate::for_model(&model, &config);
-        let energy = EnergyModel::new(resources);
-        let mean_s = report.latency.mean_ms / 1e3;
 
         println!(
             "{:<8} {:>10.4} {:>10.2} {:>10.2} {:>8} {:>8} {:>10.1} {:>12.2e}",
             kind.name(),
-            report.latency.mean_ms,
+            report.latency_ms,
             CpuModel::latency_ms_for_shape(&model, n, e),
             GpuModel::latency_per_graph_ms(&model, n, e, 1),
             resources.dsp,
             resources.bram,
-            energy.board_watts(),
-            energy.graphs_per_kj(mean_s),
+            EnergyModel::new(resources).board_watts(),
+            report.graphs_per_kj,
         );
     }
 

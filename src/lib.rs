@@ -22,8 +22,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use flowgnn::{Accelerator, ArchConfig, GnnModel};
-//! use flowgnn::graph::datasets::{DatasetKind, DatasetSpec};
+//! use flowgnn::prelude::*;
 //!
 //! // Deploy the paper's GIN (5 layers, dim 100, edge embeddings)...
 //! let spec = DatasetSpec::standard(DatasetKind::MolHiv);
@@ -32,7 +31,7 @@
 //!
 //! // ...and stream graphs through at batch size 1, zero preprocessing.
 //! let report = acc.run_stream(spec.stream(), 10);
-//! assert!(report.latency.mean_ms > 0.0);
+//! assert!(report.latency_ms > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,9 +46,9 @@ pub use flowgnn_tensor as tensor;
 
 pub use flowgnn_core::{
     run_fleet, Accelerator, ArchConfig, ArrivalProcess, CycleDomain, DispatchPolicy, Dispatcher,
-    EngineMode, EngineWorker, ExecutionMode, FleetConfig, FleetError, FleetRuntime, LiveWorker,
-    ModelWorker, PipelineStrategy, QueuePolicy, ReplicaStats, RunReport, Runtime, RuntimeReport,
-    ServeReport, TimeDomain, WallDomain,
+    EngineMode, ExecutionMode, FleetConfig, FleetError, FleetRuntime, LiveWorker, ModelWorker,
+    PipelineStrategy, QueuePolicy, ReplicaStats, RunReport, Runtime, RuntimeReport, ServeReport,
+    TimeDomain, WallDomain,
 };
 pub use flowgnn_graph::{Graph, GraphStream};
 pub use flowgnn_models::{Dataflow, GnnModel, ModelKind};
