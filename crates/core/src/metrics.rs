@@ -542,7 +542,8 @@ impl ServeMetrics {
     }
 
     /// One queue-depth gauge per admission queue, set after every
-    /// arrival in both runtimes.
+    /// arrival in both runtimes to the queue's waiting requests (not
+    /// counting one in service).
     pub fn queue_depth_gauges_for(&self, queues: usize) -> Vec<Arc<Gauge>> {
         (0..queues)
             .map(|q| {

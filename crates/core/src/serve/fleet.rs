@@ -34,31 +34,31 @@
 //!
 //! [`run_fleet`] is the one entry point for both runtimes:
 //! [`FleetRuntime::Sim`] drives the simulator's `ReplicaSim` state
-//! machine per replica and routes through the shared
-//! [`Dispatcher::route`]; [`FleetRuntime::Live`] runs the live
-//! runtime's thread-per-replica loop over admission shards with the same
-//! displacement rule. With one endpoint, one class, and FIFO admission
-//! the scan is *bit-identical* to the pre-fleet replica-pool scan
+//! machine per replica; [`FleetRuntime::Live`] runs the live runtime's
+//! thread-per-replica loop over admission shards. Both route through the
+//! shared [`Dispatcher::route`], admit through the shared waiting room
+//! ([`super::queue`]), and book every offer and close the run through
+//! one private step, so the two runtimes count, drop and summarise
+//! requests alike. With one endpoint, one class, and FIFO admission the
+//! scan is *bit-identical* to the pre-fleet replica-pool scan
 //! (`tests/differential.rs` pins this against independent inline copies
 //! of that scan over the `repro scale` recipe).
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 use flowgnn_desim::Cycle;
 
-use crate::metrics::ServeMetrics;
+use crate::metrics::{Counter, Gauge, ServeMetrics};
 
 use super::arrivals::ArrivalProcess;
 use super::dispatch::{DispatchPolicy, Dispatcher};
 use super::live::LiveWorker;
-use super::queue::{
-    displacement_victim, AdmissionPolicy, AdmissionShard, OfferOutcome, QueuePolicy,
-};
-use super::report::RequestRecord;
+use super::queue::{AdmissionPolicy, AdmissionShard, OfferOutcome, QueuePolicy, Waiting};
 use super::report::{
-    class_summaries, summarize, CycleDomain, EndpointStats, ReplicaStats, ServeReport, TimeDomain,
-    WallDomain,
+    class_summaries, summarize, EndpointStats, ReplicaStats, RequestRecord, ServeReport,
+    TimeDomain, WallDomain,
 };
 use super::sim::ReplicaSim;
 use super::RuntimeReport;
@@ -331,8 +331,9 @@ pub enum FleetRuntime<W: LiveWorker> {
 ///
 /// `metrics`, when given, is updated *while the run executes* — counters
 /// for offers/completions/drops/displacements, per-replica dispatch
-/// counters, queue-depth gauges set after every arrival, sojourn/wait
-/// histograms, and per-replica utilization gauges at the end of the run.
+/// counters, queue-depth gauges (waiting requests) set after every
+/// arrival, sojourn/wait histograms, and per-replica utilization gauges
+/// at the end of the run.
 /// Metrics are observation only: a run with `metrics` attached produces
 /// the same report, bit for bit, as one without.
 ///
@@ -383,45 +384,6 @@ pub fn run_fleet<W: LiveWorker>(
         FleetRuntime::Live(workers) => Ok(RuntimeReport::Live(fleet_live(
             workers, costs, class_of, config, metrics,
         )?)),
-    }
-}
-
-/// Pre-bound per-run instrument handles: every series the serving loops
-/// touch is registered once, before the hot loop, so the loops only do
-/// atomic stores.
-struct BoundServeMetrics {
-    dispatch: Vec<std::sync::Arc<crate::metrics::Counter>>,
-    depth: Vec<std::sync::Arc<crate::metrics::Gauge>>,
-    utilization: Vec<std::sync::Arc<crate::metrics::Gauge>>,
-}
-
-impl BoundServeMetrics {
-    fn bind(metrics: &ServeMetrics, replicas: usize) -> Self {
-        Self {
-            dispatch: metrics.dispatch_counters_for(replicas),
-            depth: metrics.queue_depth_gauges_for(replicas),
-            utilization: metrics.utilization_gauges_for(replicas),
-        }
-    }
-}
-
-/// Final metrics pass shared by both runtimes: completion counters,
-/// sojourn/wait histograms over completed records, and end-of-run
-/// utilization gauges.
-fn observe_summary<D: TimeDomain>(
-    metrics: &ServeMetrics,
-    bound: &BoundServeMetrics,
-    report: &ServeReport<D>,
-) {
-    metrics.completed.add(report.completed as u64);
-    for r in report.records.iter().filter(|r| !r.dropped) {
-        metrics.sojourn_ms.observe(D::to_ms(r.sojourn_cycles()));
-        metrics.wait_ms.observe(D::to_ms(r.wait_cycles()));
-    }
-    if let Ok(utils) = report.replica_utilization() {
-        for (gauge, util) in bound.utilization.iter().zip(utils) {
-            gauge.set(util);
-        }
     }
 }
 
@@ -490,215 +452,274 @@ impl FleetConfigBuilder {
     }
 }
 
-/// Maps global replica indices to their endpoint: `endpoint_of[g]` is the
-/// registry index of the endpoint owning global replica `g`.
-fn endpoint_index(endpoints: &[ModelEndpoint]) -> Vec<usize> {
-    let mut endpoint_of = Vec::with_capacity(endpoints.iter().map(|e| e.replicas).sum());
-    for (e, ep) in endpoints.iter().enumerate() {
-        endpoint_of.extend(std::iter::repeat_n(e, ep.replicas));
+/// The record of a request dropped at `arrival` by `replica`'s full
+/// admission queue: it never starts, so every stamp is its arrival.
+fn dropped(arrival: u64, replica: usize) -> RequestRecord {
+    RequestRecord {
+        arrival,
+        start: arrival,
+        finish: arrival,
+        dropped: true,
+        replica,
     }
-    endpoint_of
 }
 
-/// Validates the shared preconditions of both fleet runtimes and returns
-/// the request count.
-fn validate_fleet(
-    costs: &[Vec<Cycle>],
-    class_of: &[usize],
-    config: &FleetConfig,
-) -> Result<usize, FleetError> {
-    let requests = class_of.len();
-    if requests == 0 {
-        return Err(FleetError::EmptyTrace);
-    }
-    config.validate()?;
-    if costs.len() != config.endpoints.len() {
-        return Err(FleetError::EndpointCountMismatch {
-            cost_rows: costs.len(),
-            endpoints: config.endpoints.len(),
-        });
-    }
-    if let Some((e, row)) = costs.iter().enumerate().find(|(_, r)| r.len() != requests) {
-        return Err(FleetError::CostShapeMismatch {
-            endpoint: e,
-            rows: row.len(),
-            requests,
-        });
-    }
-    if let Some((i, &c)) = class_of
-        .iter()
-        .enumerate()
-        .find(|&(_, &c)| c >= config.classes.len())
-    {
-        return Err(FleetError::ClassOutOfRange {
-            request: i,
-            class: c,
-        });
-    }
-    Ok(requests)
+/// Per-run instrument handles: every series the serving loops touch is
+/// registered once, before the hot loop, so the loops only do atomic
+/// stores.
+struct BoundServeMetrics<'a> {
+    metrics: &'a ServeMetrics,
+    dispatch: Vec<Arc<Counter>>,
+    depth: Vec<Arc<Gauge>>,
+    utilization: Vec<Arc<Gauge>>,
 }
 
-/// Aggregates per-replica stats into per-endpoint entries in registry
-/// order.
-fn endpoint_summaries(
-    per_replica: &[ReplicaStats],
-    endpoints: &[ModelEndpoint],
-    endpoint_of: &[usize],
-) -> Vec<EndpointStats> {
-    endpoints
-        .iter()
-        .enumerate()
-        .map(|(e, ep)| {
-            let (completed, busy) = per_replica
-                .iter()
-                .zip(endpoint_of)
-                .filter(|&(_, &ee)| ee == e)
-                .fold((0usize, 0u64), |(c, b), (r, _)| {
-                    (c + r.completed, b + r.busy_cycles)
-                });
-            EndpointStats {
-                name: ep.name.clone(),
-                replicas: ep.replicas,
-                completed,
-                busy_cycles: busy,
-            }
+/// What both runtimes share of one fleet run: its validated inputs, the
+/// replica-to-endpoint map, the dispatcher, and the bookkeeping — the
+/// records and the metrics. Each arrival is routed by
+/// [`FleetRun::route`], offered to its replica's waiting room by the
+/// runtime, and booked by [`FleetRun::book`]; the run ends in
+/// [`FleetRun::close`].
+struct FleetRun<'a> {
+    costs: &'a [Vec<Cycle>],
+    class_of: &'a [usize],
+    config: &'a FleetConfig,
+    /// `endpoint_of[g]` is the registry index of global replica `g`'s
+    /// endpoint.
+    endpoint_of: Vec<usize>,
+    dispatcher: Dispatcher,
+    records: Vec<RequestRecord>,
+    metrics: Option<BoundServeMetrics<'a>>,
+}
+
+impl<'a> FleetRun<'a> {
+    /// Validates the run (see [`run_fleet`]'s errors), given the live
+    /// worker pool's size if there is one, and then binds its metrics.
+    fn new(
+        costs: &'a [Vec<Cycle>],
+        class_of: &'a [usize],
+        config: &'a FleetConfig,
+        workers: Option<usize>,
+        metrics: Option<&'a ServeMetrics>,
+    ) -> Result<Self, FleetError> {
+        let requests = class_of.len();
+        if requests == 0 {
+            return Err(FleetError::EmptyTrace);
+        }
+        config.validate()?;
+        if costs.len() != config.endpoints.len() {
+            return Err(FleetError::EndpointCountMismatch {
+                cost_rows: costs.len(),
+                endpoints: config.endpoints.len(),
+            });
+        }
+        if let Some((e, row)) = costs.iter().enumerate().find(|(_, r)| r.len() != requests) {
+            return Err(FleetError::CostShapeMismatch {
+                endpoint: e,
+                rows: row.len(),
+                requests,
+            });
+        }
+        if let Some((i, &c)) = class_of
+            .iter()
+            .enumerate()
+            .find(|&(_, &c)| c >= config.classes.len())
+        {
+            return Err(FleetError::ClassOutOfRange {
+                request: i,
+                class: c,
+            });
+        }
+        let endpoint_of: Vec<usize> = config
+            .endpoints
+            .iter()
+            .enumerate()
+            .flat_map(|(e, ep)| std::iter::repeat_n(e, ep.replicas))
+            .collect();
+        let replicas = endpoint_of.len();
+        if let Some(workers) = workers.filter(|&w| w != replicas) {
+            return Err(FleetError::WorkerMismatch { workers, replicas });
+        }
+        let metrics = metrics.map(|m| BoundServeMetrics {
+            metrics: m,
+            dispatch: m.dispatch_counters_for(replicas),
+            depth: m.queue_depth_gauges_for(replicas),
+            utilization: m.utilization_gauges_for(replicas),
+        });
+        Ok(Self {
+            costs,
+            class_of,
+            config,
+            endpoint_of,
+            dispatcher: Dispatcher::new(config.policy),
+            // Every record is overwritten: served, or dropped by `book`.
+            records: vec![dropped(0, 0); requests],
+            metrics,
         })
-        .collect()
+    }
+
+    fn replicas(&self) -> usize {
+        self.endpoint_of.len()
+    }
+
+    /// Routes request `i`, arriving at `arrival`, given each replica's
+    /// backlog and outstanding cost. Returns the target replica and the
+    /// request's waiting-room entry there (its class priority, and its
+    /// cost on the target's endpoint).
+    fn route(
+        &mut self,
+        i: usize,
+        arrival: u64,
+        backlog: impl FnMut(usize) -> usize,
+        mut pending: impl FnMut(usize) -> u64,
+    ) -> (usize, Waiting) {
+        let (costs, endpoint_of) = (self.costs, &self.endpoint_of);
+        let cost = |g: usize| costs[endpoint_of[g]][i];
+        let target = self
+            .dispatcher
+            .route(i, endpoint_of.len(), backlog, |g| pending(g) + cost(g));
+        let entry = Waiting {
+            request: i,
+            arrival,
+            priority: self.config.classes[self.class_of[i]].priority,
+            cost: cost(target),
+        };
+        (target, entry)
+    }
+
+    /// Books request `i`'s offer to `target`: records a rejected arrival
+    /// or a displaced waiter dropped at its own arrival, sets every
+    /// queue's depth gauge to `waiting(g)`, replica `g`'s waiting
+    /// requests, and counts the offer, its dispatch and its drop. The
+    /// counters move last, so whoever sees the offer counted sees its
+    /// gauges set.
+    fn book(
+        &mut self,
+        i: usize,
+        arrival: u64,
+        target: usize,
+        outcome: OfferOutcome,
+        waiting: impl Fn(usize) -> usize,
+    ) {
+        let drop_at = match outcome {
+            OfferOutcome::Admitted => None,
+            OfferOutcome::Rejected => Some((i, arrival)),
+            OfferOutcome::Displaced { request, arrival } => Some((request, arrival)),
+        };
+        if let Some((j, at)) = drop_at {
+            self.records[j] = dropped(at, target);
+        }
+        if let Some(b) = &self.metrics {
+            for (g, gauge) in b.depth.iter().enumerate() {
+                gauge.set(waiting(g) as f64);
+            }
+            if drop_at.is_some() {
+                b.metrics.dropped.inc();
+            }
+            if matches!(outcome, OfferOutcome::Displaced { .. }) {
+                b.metrics.displaced.inc();
+            }
+            b.dispatch[target].inc();
+            b.metrics.requests.inc();
+        }
+    }
+
+    /// Closes the run: the summary, the per-class and per-endpoint
+    /// views, and the end-of-run metrics (completions, sojourn and wait
+    /// histograms over completed records, utilization gauges).
+    fn close<D: TimeDomain>(self, per_replica: Vec<ReplicaStats>) -> ServeReport<D> {
+        let mut report = summarize::<D>(self.records, per_replica);
+        report.per_class =
+            class_summaries::<D>(&report.records, self.class_of, &self.config.classes);
+        // Each endpoint's replicas are the next block in registry order.
+        let mut replicas = report.per_replica.iter();
+        report.per_endpoint = self
+            .config
+            .endpoints
+            .iter()
+            .map(|ep| {
+                let block = replicas.by_ref().take(ep.replicas);
+                let (completed, busy_cycles) =
+                    block.fold((0, 0), |(c, b), r| (c + r.completed, b + r.busy_cycles));
+                EndpointStats {
+                    name: ep.name.clone(),
+                    replicas: ep.replicas,
+                    completed,
+                    busy_cycles,
+                }
+            })
+            .collect();
+        if let Some(b) = &self.metrics {
+            b.metrics.completed.add(report.completed as u64);
+            for r in report.records.iter().filter(|r| !r.dropped) {
+                b.metrics.sojourn_ms.observe(D::to_ms(r.sojourn_cycles()));
+                b.metrics.wait_ms.observe(D::to_ms(r.wait_cycles()));
+            }
+            if let Ok(utils) = report.replica_utilization() {
+                for (gauge, util) in b.utilization.iter().zip(utils) {
+                    gauge.set(util);
+                }
+            }
+        }
+        report
+    }
 }
 
 /// The cycle-domain fleet scan behind [`run_fleet`]'s
-/// [`FleetRuntime::Sim`], with optional live metrics: when `metrics` is given, the scan counts
-/// offers/drops/displacements as they happen, sets per-replica queue
-/// depth gauges after every arrival, and closes with histograms and
-/// utilization gauges.
-/// Observation only — the report is bit-identical with or without
-/// `metrics`.
+/// [`FleetRuntime::Sim`], with optional live metrics (see
+/// [`FleetRun::book`] and [`FleetRun::close`]). Observation only — the
+/// report is bit-identical with or without `metrics`.
 pub(crate) fn fleet_sim(
     costs: &[Vec<Cycle>],
     class_of: &[usize],
     config: &FleetConfig,
     metrics: Option<&ServeMetrics>,
 ) -> Result<ServeReport, FleetError> {
-    let requests = validate_fleet(costs, class_of, config)?;
-    let endpoint_of = endpoint_index(&config.endpoints);
-    let replicas = endpoint_of.len();
-    let arrivals = config.arrivals.arrivals(requests);
+    let mut run = FleetRun::new(costs, class_of, config, None, metrics)?;
+    let arrivals = config.arrivals.arrivals(class_of.len());
     let capacity = config.queue.capacity();
-
-    let mut pool: Vec<ReplicaSim> = (0..replicas).map(|_| ReplicaSim::new()).collect();
-    let mut dispatcher = Dispatcher::new(config.policy);
-    let placeholder = RequestRecord {
-        arrival: 0,
-        start: 0,
-        finish: 0,
-        dropped: true,
-        replica: 0,
-    };
-    let mut records = vec![placeholder; requests];
-    let bound = metrics.map(|m| BoundServeMetrics::bind(m, replicas));
+    let mut pool: Vec<ReplicaSim> = (0..run.replicas()).map(|_| ReplicaSim::default()).collect();
 
     for (i, &arrival) in arrivals.iter().enumerate() {
         // Bring every replica up to date first, so the load-aware
-        // policies observe fresh backlogs at this arrival cycle. Each
-        // replica serves at its own endpoint's costs.
+        // policies observe fresh backlogs at this arrival cycle.
         for (g, rep) in pool.iter_mut().enumerate() {
-            rep.advance(
-                Some(arrival),
-                g,
-                &arrivals,
-                &costs[endpoint_of[g]],
-                &mut records,
-            );
+            rep.advance(Some(arrival), g, &mut run.records);
         }
-        let target = dispatcher.route(
+        let (target, entry) = run.route(
             i,
-            replicas,
+            arrival,
             |g| pool[g].backlog(arrival),
-            |g| pool[g].pending_work(arrival, &costs[endpoint_of[g]]) + costs[endpoint_of[g]][i],
+            |g| pool[g].pending_work(arrival),
         );
-        if let (Some(m), Some(b)) = (metrics, bound.as_ref()) {
-            m.requests.inc();
-            b.dispatch[target].inc();
-        }
-        let service = &costs[endpoint_of[target]];
         let rep = &mut pool[target];
-        if rep.free_at <= arrival {
-            // Idle replica (advance drained its queue): serve on arrival.
-            rep.serve_now(i, arrival, target, service, &mut records);
-        } else if rep.waiting().len() >= capacity {
-            // Full queue: resolve per the admission policy.
-            let priority = |j: usize| config.classes[class_of[j]].priority;
-            let waiting = rep.waiting().iter().map(|&j| priority(j));
-            match displacement_victim(config.admission, waiting, priority(i)) {
-                Some(pos) => {
-                    let v = rep.displace(pos, service);
-                    records[v] = RequestRecord {
-                        arrival: arrivals[v],
-                        start: arrivals[v],
-                        finish: arrivals[v],
-                        dropped: true,
-                        replica: target,
-                    };
-                    rep.enqueue(i, service);
-                    if let Some(m) = metrics {
-                        m.dropped.inc();
-                        m.displaced.inc();
-                    }
-                }
-                None => {
-                    records[i] = RequestRecord {
-                        arrival,
-                        start: arrival,
-                        finish: arrival,
-                        dropped: true,
-                        replica: target,
-                    };
-                    if let Some(m) = metrics {
-                        m.dropped.inc();
-                    }
-                }
-            }
-        } else {
-            rep.enqueue(i, service);
-        }
-        if let Some(b) = bound.as_ref() {
-            for (g, gauge) in b.depth.iter().enumerate() {
-                gauge.set(pool[g].waiting().len() as f64);
-            }
-        }
+        let outcome = rep
+            .room
+            .offer(entry, rep.free_at > arrival, capacity, config.admission);
+        // A request admitted to an idle replica starts on arrival.
+        rep.advance(Some(arrival), target, &mut run.records);
+        run.book(i, arrival, target, outcome, |g| pool[g].room.len());
     }
     // No more arrivals: run every queue dry.
     for (g, rep) in pool.iter_mut().enumerate() {
-        rep.advance(None, g, &arrivals, &costs[endpoint_of[g]], &mut records);
+        rep.advance(None, g, &mut run.records);
     }
-
-    let per_replica: Vec<ReplicaStats> = pool
+    let per_replica = pool
         .iter()
         .map(|rep| ReplicaStats {
             completed: rep.completed,
             busy_cycles: rep.busy_cycles,
         })
         .collect();
-    let mut report: ServeReport<CycleDomain> = summarize(records, per_replica);
-    report.per_class = class_summaries::<CycleDomain>(&report.records, class_of, &config.classes);
-    report.per_endpoint = endpoint_summaries(&report.per_replica, &config.endpoints, &endpoint_of);
-    if let (Some(m), Some(b)) = (metrics, bound.as_ref()) {
-        observe_summary::<CycleDomain>(m, b, &report);
-    }
-    Ok(report)
+    Ok(run.close(per_replica))
 }
 
 /// The wall-clock fleet runtime behind [`run_fleet`]'s
 /// [`FleetRuntime::Live`]: one OS thread per replica, endpoint blocks in
-/// registry order, `workers[g]` serving global replica `g`. Cost-based
-/// routing reads each shard's outstanding estimated cost through a
-/// lock-free atomic, mirroring the simulator's work-left rule; priority
-/// admission applies the scan's displacement rule, with the displaced
-/// request recorded dropped at its own arrival stamp.
-///
-/// With `metrics`, the load generator counts offers/drops/displacements
-/// and sets the shard queue-depth gauges as it paces arrivals, and the
-/// run closes with histograms and utilization gauges. Observation only.
+/// registry order, `workers[g]` serving global replica `g`. The load
+/// generator routes, offers and books each arrival as the scan does;
+/// cost-based routing reads each shard's outstanding estimated cost
+/// through a lock-free atomic. With `metrics`, observation only.
 pub(crate) fn fleet_live<W: LiveWorker>(
     workers: Vec<W>,
     costs: &[Vec<Cycle>],
@@ -706,30 +727,11 @@ pub(crate) fn fleet_live<W: LiveWorker>(
     config: &FleetConfig,
     metrics: Option<&ServeMetrics>,
 ) -> Result<ServeReport<WallDomain>, FleetError> {
-    let requests = validate_fleet(costs, class_of, config)?;
-    let endpoint_of = endpoint_index(&config.endpoints);
-    let replicas = endpoint_of.len();
-    if workers.len() != replicas {
-        return Err(FleetError::WorkerMismatch {
-            workers: workers.len(),
-            replicas,
-        });
-    }
+    let mut run = FleetRun::new(costs, class_of, config, Some(workers.len()), metrics)?;
+    let replicas = run.replicas();
     let capacity = config.queue.capacity();
-    let admission = config.admission;
-    let schedule = config.arrivals.wall_schedule(requests);
+    let schedule = config.arrivals.wall_schedule(class_of.len());
     let shards: Vec<AdmissionShard> = (0..replicas).map(|_| AdmissionShard::new()).collect();
-    let mut dispatcher = Dispatcher::new(config.policy);
-
-    let placeholder = RequestRecord {
-        arrival: 0,
-        start: 0,
-        finish: 0,
-        dropped: true,
-        replica: 0,
-    };
-    let mut records = vec![placeholder; requests];
-    let bound = metrics.map(|m| BoundServeMetrics::bind(m, replicas));
 
     let t0 = Instant::now();
     let (per_replica, served) = std::thread::scope(|scope| {
@@ -774,55 +776,14 @@ pub(crate) fn fleet_live<W: LiveWorker>(
         for (i, offset) in schedule.iter().enumerate() {
             super::live::pace_until(t0, *offset);
             let arrival = super::live::elapsed_ns(t0);
-            let target = dispatcher.route(
+            let (target, entry) = run.route(
                 i,
-                replicas,
+                arrival,
                 |g| shards[g].backlog(),
-                |g| shards[g].pending_cost() + costs[endpoint_of[g]][i],
+                |g| shards[g].pending_cost(),
             );
-            let priority = config.classes[class_of[i]].priority;
-            let cost = costs[endpoint_of[target]][i];
-            if let (Some(m), Some(b)) = (metrics, bound.as_ref()) {
-                m.requests.inc();
-                b.dispatch[target].inc();
-            }
-            match shards[target].offer_prioritized(i, arrival, priority, cost, capacity, admission)
-            {
-                OfferOutcome::Admitted => {}
-                OfferOutcome::Rejected => {
-                    records[i] = RequestRecord {
-                        arrival,
-                        start: arrival,
-                        finish: arrival,
-                        dropped: true,
-                        replica: target,
-                    };
-                    if let Some(m) = metrics {
-                        m.dropped.inc();
-                    }
-                }
-                OfferOutcome::Displaced {
-                    request,
-                    arrival_ns,
-                } => {
-                    records[request] = RequestRecord {
-                        arrival: arrival_ns,
-                        start: arrival_ns,
-                        finish: arrival_ns,
-                        dropped: true,
-                        replica: target,
-                    };
-                    if let Some(m) = metrics {
-                        m.dropped.inc();
-                        m.displaced.inc();
-                    }
-                }
-            }
-            if let Some(b) = bound.as_ref() {
-                for (g, gauge) in b.depth.iter().enumerate() {
-                    gauge.set(shards[g].backlog() as f64);
-                }
-            }
+            let outcome = shards[target].offer(entry, capacity, config.admission);
+            run.book(i, arrival, target, outcome, |g| shards[g].waiting());
         }
         for shard in &shards {
             shard.close();
@@ -837,15 +798,9 @@ pub(crate) fn fleet_live<W: LiveWorker>(
         (per_replica, served)
     });
     for (i, rec) in served {
-        records[i] = rec;
+        run.records[i] = rec;
     }
-    let mut report = summarize::<WallDomain>(records, per_replica);
-    report.per_class = class_summaries::<WallDomain>(&report.records, class_of, &config.classes);
-    report.per_endpoint = endpoint_summaries(&report.per_replica, &config.endpoints, &endpoint_of);
-    if let (Some(m), Some(b)) = (metrics, bound.as_ref()) {
-        observe_summary::<WallDomain>(m, b, &report);
-    }
-    Ok(report)
+    Ok(run.close(per_replica))
 }
 
 #[cfg(test)]
@@ -1246,6 +1201,48 @@ mod tests {
         assert_eq!(metrics.dropped.get(), observed.dropped as u64);
         assert!(metrics.displaced.get() > 0, "priority overload displaces");
         assert_eq!(metrics.sojourn_ms.count(), observed.completed as u64);
+    }
+
+    #[test]
+    fn live_queue_depth_counts_waiting_requests_only() {
+        use crate::metrics::{Registry, ServeMetrics};
+
+        /// Holds request 0 in service until the run has counted the
+        /// offer of request 1 (booking counts an offer after setting its
+        /// gauges), then 10 ms more, so the test does not lean on that
+        /// order.
+        struct Holder(Arc<Counter>);
+        impl LiveWorker for Holder {
+            fn process(&mut self, request: usize) {
+                if request == 0 {
+                    while self.0.get() < 2 {
+                        std::hint::spin_loop();
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                }
+            }
+        }
+
+        let registry = Registry::new();
+        let metrics = ServeMetrics::new(&registry);
+        // 20 ms apart: the worker takes request 0 long before request 1.
+        let config = FleetConfig::pool(1)
+            .arrivals(ArrivalProcess::Fixed { gap: 6_000_000 })
+            .build()
+            .unwrap();
+        let live = FleetRuntime::Live(vec![Holder(Arc::clone(&metrics.requests))]);
+        let report = run_fleet(&[vec![1, 1]], &[0, 0], &config, live, Some(&metrics))
+            .unwrap()
+            .live()
+            .expect("live runtime yields a wall report");
+        let [first, second] = [report.records[0], report.records[1]];
+        assert!(
+            first.start < second.arrival,
+            "request 1 must arrive while request 0 is in service: {first:?} {second:?}"
+        );
+        // One request in service and one waiting: the depth is 1.
+        let depth = metrics.queue_depth_gauges_for(1)[0].get();
+        assert_eq!(depth, 1.0, "queue depth counts waiting requests only");
     }
 
     /// Golden pin of the full Prometheus text exposition for one seeded

@@ -6,10 +6,11 @@
 //! queue is full is handled by the [`AdmissionPolicy`] — dropped outright
 //! under [`AdmissionPolicy::Fifo`], or traded against the lowest-priority
 //! waiting request under [`AdmissionPolicy::Priority`]. [`QueuePolicy`]
-//! states the bound; the simulator applies both inline in its scan, and
-//! the live runtime applies them at the mouth of each replica's
-//! `AdmissionShard` (crate-private), the mutex-sharded MPSC queue the
-//! load-generator thread feeds and the replica's OS thread drains.
+//! states the bound. Both apply through one crate-private `WaitingRoom`
+//! per replica: the simulator's `ReplicaSim` holds one, and so does each
+//! replica's `AdmissionShard` in the live runtime, the mutex-sharded MPSC
+//! queue the load-generator thread feeds and the replica's OS thread
+//! drains.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -92,7 +93,7 @@ pub(crate) fn displacement_victim(
         .map(|(pos, _)| pos)
 }
 
-/// How one full-queue offer was resolved under an [`AdmissionPolicy`].
+/// How one offer was resolved under an [`AdmissionPolicy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum OfferOutcome {
     /// The request was admitted (room available, or the idle fast path).
@@ -105,44 +106,110 @@ pub(crate) enum OfferOutcome {
     Displaced {
         /// The displaced request's index.
         request: usize,
-        /// The displaced request's arrival stamp (ns in the live domain).
-        arrival_ns: u64,
+        /// The displaced request's arrival stamp.
+        arrival: u64,
     },
 }
 
-/// One waiting request in a live admission shard.
+/// One waiting request: its index, its arrival stamp on the run's
+/// timeline, its class priority, and its estimated cost on the replica
+/// (in the cycle domain, its exact service time).
 #[derive(Debug, Clone, Copy)]
-struct WaitingEntry {
-    request: usize,
-    arrival_ns: u64,
-    priority: u8,
+pub(crate) struct Waiting {
+    pub(crate) request: usize,
+    pub(crate) arrival: u64,
+    pub(crate) priority: u8,
+    pub(crate) cost: u64,
+}
+
+/// One replica's waiting room in either runtime: the FIFO of dispatched
+/// requests that have not started service, the running sum of their
+/// costs, and [`WaitingRoom::offer`], the one implementation of the
+/// admission rule.
+#[derive(Debug, Default)]
+pub(crate) struct WaitingRoom {
+    queue: VecDeque<Waiting>,
     cost: u64,
+}
+
+impl WaitingRoom {
+    /// Offers `entry` to a replica that is `busy` (a service event in
+    /// flight) or not. Capacity bounds *waiting* requests, so an idle
+    /// replica — nothing waiting, nothing in service — admits even at
+    /// capacity zero: the request will start at once. A full room is
+    /// resolved per `policy` through [`displacement_victim`].
+    pub(crate) fn offer(
+        &mut self,
+        entry: Waiting,
+        busy: bool,
+        capacity: usize,
+        policy: AdmissionPolicy,
+    ) -> OfferOutcome {
+        let mut outcome = OfferOutcome::Admitted;
+        if self.queue.len() >= capacity && (busy || !self.queue.is_empty()) {
+            let priorities = self.queue.iter().map(|w| w.priority);
+            let Some(pos) = displacement_victim(policy, priorities, entry.priority) else {
+                return OfferOutcome::Rejected;
+            };
+            let victim = self.queue.remove(pos).expect("victim position in range");
+            self.cost -= victim.cost;
+            outcome = OfferOutcome::Displaced {
+                request: victim.request,
+                arrival: victim.arrival,
+            };
+        }
+        self.cost += entry.cost;
+        self.queue.push_back(entry);
+        outcome
+    }
+
+    /// Takes the oldest waiting request out of the room.
+    pub(crate) fn pop(&mut self) -> Option<Waiting> {
+        let w = self.queue.pop_front()?;
+        self.cost -= w.cost;
+        Some(w)
+    }
+
+    /// Requests waiting.
+    pub(crate) fn len(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// The waiting requests' summed cost, kept in step with every offer,
+    /// displacement and pop, so reading it is O(1).
+    pub(crate) fn cost(&self) -> u64 {
+        debug_assert_eq!(
+            self.cost,
+            self.queue.iter().map(|w| w.cost).sum::<u64>(),
+            "running cost sum out of step with the waiting room"
+        );
+        self.cost
+    }
 }
 
 /// One replica's admission queue in the live runtime: a bounded MPSC
 /// channel from the load-generator thread to the replica's worker thread.
 ///
-/// The shard is a `Mutex<VecDeque>` plus a `Condvar` the worker parks on,
-/// with the replica's *backlog* — waiting requests plus one if a service
-/// event is in flight, the same quantity [`super::sim`]'s load-aware
-/// policies observe — mirrored into an atomic so the dispatcher can read
-/// every shard's depth without taking any lock. For cost-based routing a
-/// second atomic mirrors the *pending cost*: the sum of waiting requests'
-/// estimated costs plus the in-flight event's.
+/// The shard is a [`WaitingRoom`] behind a `Mutex`, plus a `Condvar` the
+/// worker parks on. Three atomics mirror it so the dispatcher and the
+/// depth gauges read every shard without taking a lock: the *backlog* —
+/// waiting requests plus one if a service event is in flight, the same
+/// quantity [`super::sim`]'s load-aware policies observe — the waiting
+/// count alone, and, for cost-based routing, the *pending cost*: the
+/// waiting requests' estimated costs plus the in-flight event's.
 pub(crate) struct AdmissionShard {
     state: Mutex<ShardState>,
     available: Condvar,
     backlog: AtomicUsize,
+    waiting: AtomicUsize,
     pending_cost: AtomicU64,
 }
 
 struct ShardState {
     /// Dispatched requests not yet in service.
-    waiting: VecDeque<WaitingEntry>,
-    /// Whether the worker is inside a service event right now.
-    in_service: bool,
-    /// Estimated cost of the in-flight service event (zero when idle).
-    in_service_cost: u64,
+    room: WaitingRoom,
+    /// The estimated cost of the in-flight service event, if one is.
+    in_service: Option<u64>,
     /// Set once the generator has offered its last request.
     closed: bool,
 }
@@ -151,13 +218,13 @@ impl AdmissionShard {
     pub(crate) fn new() -> Self {
         Self {
             state: Mutex::new(ShardState {
-                waiting: VecDeque::new(),
-                in_service: false,
-                in_service_cost: 0,
+                room: WaitingRoom::default(),
+                in_service: None,
                 closed: false,
             }),
             available: Condvar::new(),
             backlog: AtomicUsize::new(0),
+            waiting: AtomicUsize::new(0),
             pending_cost: AtomicU64::new(0),
         }
     }
@@ -167,6 +234,12 @@ impl AdmissionShard {
         self.backlog.load(Ordering::Acquire)
     }
 
+    /// Requests waiting, not counting one in service, read without
+    /// locking.
+    pub(crate) fn waiting(&self) -> usize {
+        self.waiting.load(Ordering::Acquire)
+    }
+
     /// The estimated outstanding cost cost-based routing observes:
     /// waiting requests' costs plus the in-flight event's, read without
     /// locking.
@@ -174,58 +247,24 @@ impl AdmissionShard {
         self.pending_cost.load(Ordering::Acquire)
     }
 
-    /// Offers one request to the shard under FIFO admission. Returns
-    /// `false` (drop) when the waiting room is full. Mirroring the
-    /// simulator's idle-replica fast path (`serve_now`), an idle replica
-    /// — nothing waiting, no event in flight — admits even at capacity
-    /// zero: capacity bounds *waiting* requests, and this one will start
-    /// immediately. (The runtimes go through
-    /// [`AdmissionShard::offer_prioritized`]; this shorthand keeps the
-    /// shard tests readable.)
-    #[cfg(test)]
-    pub(crate) fn offer(&self, request: usize, arrival_ns: u64, capacity: usize) -> bool {
-        matches!(
-            self.offer_prioritized(request, arrival_ns, 0, 0, capacity, AdmissionPolicy::Fifo),
-            OfferOutcome::Admitted
-        )
-    }
-
-    /// Offers one request carrying a priority and an estimated cost,
-    /// resolving a full waiting room per `policy` (see
-    /// [`displacement_victim`]).
-    pub(crate) fn offer_prioritized(
+    /// Offers one request to the shard's waiting room (see
+    /// [`WaitingRoom::offer`]).
+    pub(crate) fn offer(
         &self,
-        request: usize,
-        arrival_ns: u64,
-        priority: u8,
-        cost: u64,
+        entry: Waiting,
         capacity: usize,
         policy: AdmissionPolicy,
     ) -> OfferOutcome {
         let mut s = self.state.lock().expect("admission shard poisoned");
-        let idle = s.waiting.is_empty() && !s.in_service;
-        let mut displaced = None;
-        if s.waiting.len() >= capacity && !idle {
-            let waiting = s.waiting.iter().map(|e| e.priority);
-            let Some(pos) = displacement_victim(policy, waiting, priority) else {
-                return OfferOutcome::Rejected;
-            };
-            let e = s.waiting.remove(pos).expect("victim position in range");
-            displaced = Some(OfferOutcome::Displaced {
-                request: e.request,
-                arrival_ns: e.arrival_ns,
-            });
+        let busy = s.in_service.is_some();
+        let outcome = s.room.offer(entry, busy, capacity, policy);
+        if outcome == OfferOutcome::Rejected {
+            return outcome;
         }
-        s.waiting.push_back(WaitingEntry {
-            request,
-            arrival_ns,
-            priority,
-            cost,
-        });
         self.publish(&s);
         drop(s);
         self.available.notify_one();
-        displaced.unwrap_or(OfferOutcome::Admitted)
+        outcome
     }
 
     /// Parks until work arrives or the shard closes, then takes the
@@ -236,11 +275,10 @@ impl AdmissionShard {
     pub(crate) fn take(&self) -> Option<(usize, u64)> {
         let mut s = self.state.lock().expect("admission shard poisoned");
         loop {
-            if let Some(e) = s.waiting.pop_front() {
-                s.in_service = true;
-                s.in_service_cost = e.cost;
+            if let Some(w) = s.room.pop() {
+                s.in_service = Some(w.cost);
                 self.publish(&s);
-                return Some((e.request, e.arrival_ns));
+                return Some((w.request, w.arrival));
             }
             if s.closed {
                 return None;
@@ -252,8 +290,7 @@ impl AdmissionShard {
     /// Marks the current service event finished (backlog drops by one).
     pub(crate) fn finish_service(&self) {
         let mut s = self.state.lock().expect("admission shard poisoned");
-        s.in_service = false;
-        s.in_service_cost = 0;
+        s.in_service = None;
         self.publish(&s);
     }
 
@@ -267,19 +304,47 @@ impl AdmissionShard {
     }
 
     fn publish(&self, s: &ShardState) {
+        let waiting = s.room.len();
+        self.waiting.store(waiting, Ordering::Release);
         self.backlog.store(
-            s.waiting.len() + usize::from(s.in_service),
+            waiting + usize::from(s.in_service.is_some()),
             Ordering::Release,
         );
-        let waiting_cost: u64 = s.waiting.iter().map(|e| e.cost).sum();
         self.pending_cost
-            .store(waiting_cost + s.in_service_cost, Ordering::Release);
+            .store(s.room.cost() + s.in_service.unwrap_or(0), Ordering::Release);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A priority-0, cost-0 request.
+    fn plain(request: usize, arrival: u64) -> Waiting {
+        Waiting {
+            request,
+            arrival,
+            priority: 0,
+            cost: 0,
+        }
+    }
+
+    /// Whether the shard admits `request`, arriving at `arrival`, under
+    /// FIFO admission.
+    fn fifo(shard: &AdmissionShard, request: usize, arrival: u64, capacity: usize) -> bool {
+        let outcome = shard.offer(plain(request, arrival), capacity, AdmissionPolicy::Fifo);
+        outcome == OfferOutcome::Admitted
+    }
+
+    /// Offers `request`, arriving at cycle `request`, with `priority` to
+    /// a capacity-2 room under priority admission.
+    fn prioritized(shard: &AdmissionShard, request: usize, priority: u8) -> OfferOutcome {
+        let entry = Waiting {
+            priority,
+            ..plain(request, request as u64)
+        };
+        shard.offer(entry, 2, AdmissionPolicy::Priority)
+    }
 
     #[test]
     fn capacity_maps_policies() {
@@ -291,26 +356,27 @@ mod tests {
     #[test]
     fn shard_bounds_waiting_but_admits_to_an_idle_replica() {
         let shard = AdmissionShard::new();
-        // Idle replica, capacity 0: the serve-now fast path admits.
-        assert!(shard.offer(0, 10, 0));
-        assert_eq!(shard.backlog(), 1);
+        // Idle replica, capacity 0: the idle fast path admits.
+        assert!(fifo(&shard, 0, 10, 0));
+        assert_eq!((shard.backlog(), shard.waiting()), (1, 1));
         // Someone is now waiting: capacity 0 has no room.
-        assert!(!shard.offer(1, 20, 0));
+        assert!(!fifo(&shard, 1, 20, 0));
 
         assert_eq!(shard.take(), Some((0, 10)));
         assert_eq!(shard.backlog(), 1, "in-flight event counts");
+        assert_eq!(shard.waiting(), 0, "but does not wait");
         // In service with an empty queue: still not idle, still full.
-        assert!(!shard.offer(2, 30, 0));
+        assert!(!fifo(&shard, 2, 30, 0));
         shard.finish_service();
         assert_eq!(shard.backlog(), 0);
-        assert!(shard.offer(3, 40, 0));
+        assert!(fifo(&shard, 3, 40, 0));
     }
 
     #[test]
     fn take_drains_fifo_one_at_a_time() {
         let shard = AdmissionShard::new();
         for i in 0..5 {
-            assert!(shard.offer(i, i as u64, 64));
+            assert!(fifo(&shard, i, i as u64, 64));
         }
         assert_eq!(shard.backlog(), 5);
         for i in 0..5 {
@@ -324,7 +390,7 @@ mod tests {
     #[test]
     fn closed_and_drained_shard_releases_the_worker() {
         let shard = AdmissionShard::new();
-        assert!(shard.offer(0, 0, 64));
+        assert!(fifo(&shard, 0, 0, 64));
         shard.close();
         // Queued work is still served after close...
         assert_eq!(shard.take(), Some((0, 0)));
@@ -338,42 +404,33 @@ mod tests {
         let shard = AdmissionShard::new();
         // Fill the idle fast-path slot, then a capacity-2 waiting room
         // with priorities [1, 0].
-        assert!(shard.offer(0, 0, 2));
+        assert!(fifo(&shard, 0, 0, 2));
         assert_eq!(shard.take(), Some((0, 0))); // 0 in service
         for (req, prio) in [(1usize, 1u8), (2, 0)] {
-            assert_eq!(
-                shard.offer_prioritized(req, req as u64, prio, 5, 2, AdmissionPolicy::Priority),
-                OfferOutcome::Admitted
-            );
+            assert_eq!(prioritized(&shard, req, prio), OfferOutcome::Admitted);
         }
         // Equal priority to the minimum: the incumbent wins.
-        assert_eq!(
-            shard.offer_prioritized(3, 3, 0, 5, 2, AdmissionPolicy::Priority),
-            OfferOutcome::Rejected
-        );
+        assert_eq!(prioritized(&shard, 3, 0), OfferOutcome::Rejected);
         // Strictly higher: the priority-0 entry (request 2) is displaced.
         assert_eq!(
-            shard.offer_prioritized(4, 4, 2, 5, 2, AdmissionPolicy::Priority),
+            prioritized(&shard, 4, 2),
             OfferOutcome::Displaced {
                 request: 2,
-                arrival_ns: 2
+                arrival: 2
             }
         );
         // Queue is now [1 (prio 1), 4 (prio 2)]; another priority-2
         // arrival displaces the rightmost minimum — request 1.
         assert_eq!(
-            shard.offer_prioritized(5, 5, 2, 5, 2, AdmissionPolicy::Priority),
+            prioritized(&shard, 5, 2),
             OfferOutcome::Displaced {
                 request: 1,
-                arrival_ns: 1
+                arrival: 1
             }
         );
         // All-priority-2 queue: a priority-2 arrival is rejected (never
         // displaces its peers), so high classes cannot starve each other.
-        assert_eq!(
-            shard.offer_prioritized(6, 6, 2, 5, 2, AdmissionPolicy::Priority),
-            OfferOutcome::Rejected
-        );
+        assert_eq!(prioritized(&shard, 6, 2), OfferOutcome::Rejected);
         shard.finish_service();
         // Service order of the survivors is still FIFO by admission.
         assert_eq!(shard.take(), Some((4, 4)));
@@ -386,7 +443,11 @@ mod tests {
         let shard = AdmissionShard::new();
         assert_eq!(shard.pending_cost(), 0);
         for (req, cost) in [(0usize, 100u64), (1, 40), (2, 60)] {
-            shard.offer_prioritized(req, 0, 0, cost, 64, AdmissionPolicy::Fifo);
+            let entry = Waiting {
+                cost,
+                ..plain(req, 0)
+            };
+            shard.offer(entry, 64, AdmissionPolicy::Fifo);
         }
         assert_eq!(shard.pending_cost(), 200);
         assert_eq!(shard.take(), Some((0, 0)));

@@ -1,77 +1,62 @@
 //! The cycle-domain replica state machine: one accelerator replica's
-//! service timeline, waiting queue, and accounting.
+//! service timeline, waiting room, and accounting.
 //!
 //! `ReplicaSim` is what the fleet scan ([`super::fleet`], reached
 //! through [`super::run_fleet`] with [`super::FleetRuntime::Sim`])
 //! advances per replica between arrivals. Routing goes through the shared
-//! [`Dispatcher`](super::Dispatcher) — the same code the live wall-clock
+//! [`Dispatcher`](super::Dispatcher) and admission through the shared
+//! waiting room ([`super::queue`]) — the same code the live wall-clock
 //! runtime schedules real OS threads with — and `tests/differential.rs`
 //! pins the whole scan bit-identical to independent inline copies of the
 //! pre-refactor pool scans.
 
-use std::collections::VecDeque;
-
 use flowgnn_desim::Cycle;
 
+use super::queue::WaitingRoom;
 use super::report::RequestRecord;
 
 /// One replica's simulation state: when its current service event ends,
 /// which requests are waiting, and its running accounting. The
-/// [`super::fleet`] cycle-domain scan drives one per replica, each at its
-/// endpoint's service costs.
+/// [`super::fleet`] cycle-domain scan drives one per replica; each
+/// waiting request carries its service time on this replica's endpoint.
+#[derive(Default)]
 pub(crate) struct ReplicaSim {
     /// Cycle the replica's in-flight service event finishes (busy until
-    /// then; idle if `free_at <= now` and the queue is empty).
+    /// then; idle if `free_at <= now` and the room is empty).
     pub(crate) free_at: Cycle,
-    /// Indices of dispatched requests that have not started service.
-    waiting: VecDeque<usize>,
-    /// The sum of `waiting`'s service costs, kept in step with every
-    /// enqueue, start and displacement so `pending_work` is O(1).
-    waiting_work: Cycle,
+    /// Dispatched requests that have not started service.
+    pub(crate) room: WaitingRoom,
     pub(crate) busy_cycles: Cycle,
     pub(crate) completed: usize,
 }
 
 impl ReplicaSim {
-    pub(crate) fn new() -> Self {
-        Self {
-            free_at: 0,
-            waiting: VecDeque::new(),
-            waiting_work: 0,
-            busy_cycles: 0,
-            completed: 0,
-        }
-    }
-
     /// Starts every service event due by `now` (all remaining events when
     /// `None`): whenever the replica comes free with requests waiting, it
-    /// serves the oldest one to completion. Queued requests always arrived
-    /// before the replica's current `free_at`, so starts are never earlier
-    /// than arrivals.
+    /// serves the oldest one to completion, starting at `max(free_at,
+    /// arrival)` — so a request offered to an idle replica starts on
+    /// arrival, and a queued one the moment the replica frees.
     pub(crate) fn advance(
         &mut self,
         now: Option<Cycle>,
         replica: usize,
-        arrivals: &[Cycle],
-        service: &[Cycle],
         records: &mut [RequestRecord],
     ) {
         while now.is_none_or(|t| self.free_at <= t) {
-            let Some(i) = self.waiting.pop_front() else {
+            let Some(w) = self.room.pop() else {
                 break;
             };
-            let start = self.free_at;
-            let finish = start + service[i];
-            self.waiting_work -= service[i];
-            records[i] = RequestRecord {
-                arrival: arrivals[i],
+            let start = self.free_at.max(w.arrival);
+            let finish = start + w.cost;
+            records[w.request] = RequestRecord {
+                arrival: w.arrival,
                 start,
                 finish,
                 dropped: false,
                 replica,
             };
             self.free_at = finish;
-            self.busy_cycles += service[i];
+            self.busy_cycles += w.cost;
             self.completed += 1;
         }
     }
@@ -79,66 +64,15 @@ impl ReplicaSim {
     /// The backlog the load-aware dispatch policies observe at `now`:
     /// waiting requests plus one if a service event is in flight.
     pub(crate) fn backlog(&self, now: Cycle) -> usize {
-        self.waiting.len() + usize::from(self.free_at > now)
-    }
-
-    /// Requests dispatched here that have not started service, in FIFO
-    /// order.
-    pub(crate) fn waiting(&self) -> &VecDeque<usize> {
-        &self.waiting
-    }
-
-    /// Queues request `i`, which costs `service[i]` on this replica.
-    pub(crate) fn enqueue(&mut self, i: usize, service: &[Cycle]) {
-        self.waiting.push_back(i);
-        self.waiting_work += service[i];
-    }
-
-    /// Removes and returns the waiting request at queue position `pos`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` is out of range.
-    pub(crate) fn displace(&mut self, pos: usize, service: &[Cycle]) -> usize {
-        let v = self.waiting.remove(pos).expect("victim position in range");
-        self.waiting_work -= service[v];
-        v
+        self.room.len() + usize::from(self.free_at > now)
     }
 
     /// The work outstanding on this replica at `now`, in cycles: the
     /// remainder of the in-flight service event plus every waiting
     /// request's service time. Cost-based routing adds the candidate
     /// request's own cost to this to estimate its completion time.
-    pub(crate) fn pending_work(&self, now: Cycle, service: &[Cycle]) -> Cycle {
-        debug_assert_eq!(
-            self.waiting_work,
-            self.waiting.iter().map(|&j| service[j]).sum::<Cycle>(),
-            "running work sum out of step with the waiting queue"
-        );
-        self.free_at.saturating_sub(now) + self.waiting_work
-    }
-
-    /// Serves `i` immediately at `now` (the replica is idle: `free_at <= now`
-    /// with nothing waiting).
-    pub(crate) fn serve_now(
-        &mut self,
-        i: usize,
-        now: Cycle,
-        replica: usize,
-        service: &[Cycle],
-        records: &mut [RequestRecord],
-    ) {
-        let finish = now + service[i];
-        records[i] = RequestRecord {
-            arrival: now,
-            start: now,
-            finish,
-            dropped: false,
-            replica,
-        };
-        self.free_at = finish;
-        self.busy_cycles += service[i];
-        self.completed += 1;
+    pub(crate) fn pending_work(&self, now: Cycle) -> Cycle {
+        self.free_at.saturating_sub(now) + self.room.cost()
     }
 }
 

@@ -37,11 +37,9 @@ pub mod datasets;
 mod features;
 pub mod generators;
 mod graph;
-mod stats;
 mod stream;
 
 pub use adjacency::Adjacency;
 pub use features::FeatureSource;
 pub use graph::{Graph, GraphError, NodeId};
-pub use stats::GraphStats;
 pub use stream::GraphStream;

@@ -614,3 +614,194 @@ fn degenerate_fleet_equals_the_replica_pool_scan() {
         assert_matches(&fleet, &reference, &stats, &what);
     }
 }
+
+/// One replica of [`priority_pool_scan`]: when it frees, who waits (in
+/// arrival order), and what it served.
+#[derive(Clone, Default)]
+struct PriorityRep {
+    free_at: u64,
+    waiting: Vec<usize>,
+    completed: usize,
+    busy: u64,
+}
+
+impl PriorityRep {
+    /// Serves a request that arrived at `arrival` from `start` for
+    /// `cost` cycles; `replica` is this replica's index.
+    fn serve(&mut self, replica: usize, arrival: u64, start: u64, cost: u64) -> common::OldRecord {
+        self.free_at = start + cost;
+        self.completed += 1;
+        self.busy += cost;
+        (arrival, start, start + cost, false, replica)
+    }
+}
+
+/// An independent reference for the fleet scan with request classes:
+/// replica `g` serves at `costs[endpoint_of[g]]`, and a full waiting room
+/// is resolved by priority. Written in the pre-fleet pool scan's style
+/// (an idle replica serves on arrival; a queued request starts when its
+/// replica frees), plus displacement: with `displace` set, a full-queue
+/// arrival evicts the rightmost lowest-priority waiter, recorded dropped
+/// at its own arrival, only when the arrival's priority is strictly
+/// higher; otherwise the arrival drops. Routing is the four dispatch
+/// policies spelled out: cost-based picks the least outstanding work plus
+/// the request's own cost there. Returns the records and per-replica
+/// `(completed, busy)`.
+fn priority_pool_scan(
+    costs: &[Vec<u64>],
+    endpoint_of: &[usize],
+    arrivals: &[u64],
+    priority: &[u8],
+    capacity: usize,
+    displace: bool,
+    policy: DispatchPolicy,
+) -> (Vec<common::OldRecord>, Vec<(usize, u64)>) {
+    let replicas = endpoint_of.len();
+    let cost = |g: usize, i: usize| costs[endpoint_of[g]][i];
+    let mut pool = vec![PriorityRep::default(); replicas];
+    let mut records = vec![(0, 0, 0, true, 0); arrivals.len()];
+    let mut rng = match policy {
+        DispatchPolicy::PowerOfTwoChoices { seed } => Some(Rng::seed_from_u64(seed)),
+        _ => None,
+    };
+    let start_due = |pool: &mut [PriorityRep], records: &mut [_], now: Option<u64>| {
+        for (g, rep) in pool.iter_mut().enumerate() {
+            while !rep.waiting.is_empty() && now.is_none_or(|t| rep.free_at <= t) {
+                let j = rep.waiting.remove(0);
+                records[j] = rep.serve(g, arrivals[j], rep.free_at, cost(g, j));
+            }
+        }
+    };
+    for (i, &t) in arrivals.iter().enumerate() {
+        start_due(&mut pool, &mut records, Some(t));
+        let backlog = |g: usize| pool[g].waiting.len() + usize::from(pool[g].free_at > t);
+        let work = |g: usize| {
+            let queued: u64 = pool[g].waiting.iter().map(|&j| cost(g, j)).sum();
+            pool[g].free_at.saturating_sub(t) + queued
+        };
+        let target = match policy {
+            DispatchPolicy::RoundRobin => i % replicas,
+            DispatchPolicy::JoinShortestQueue => (0..replicas).min_by_key(|&g| backlog(g)).unwrap(),
+            DispatchPolicy::CostBased => {
+                (0..replicas).min_by_key(|&g| work(g) + cost(g, i)).unwrap()
+            }
+            DispatchPolicy::PowerOfTwoChoices { .. } => {
+                let rng = rng.as_mut().unwrap();
+                let a = rng.bounded_u64(replicas as u64) as usize;
+                let b = rng.bounded_u64(replicas as u64) as usize;
+                let (lo, hi) = (a.min(b), a.max(b));
+                if backlog(hi) < backlog(lo) {
+                    hi
+                } else {
+                    lo
+                }
+            }
+        };
+        let rep = &mut pool[target];
+        if rep.free_at <= t {
+            // Idle: serve on arrival.
+            records[i] = rep.serve(target, t, t, cost(target, i));
+        } else if rep.waiting.len() < capacity {
+            rep.waiting.push(i);
+        } else {
+            // Full. Scanning from the back, the first lowest priority met
+            // is the rightmost one.
+            let victim = (0..rep.waiting.len())
+                .rev()
+                .min_by_key(|&p| priority[rep.waiting[p]])
+                .filter(|&p| displace && priority[rep.waiting[p]] < priority[i]);
+            match victim {
+                Some(p) => {
+                    let v = rep.waiting.remove(p);
+                    records[v] = (arrivals[v], arrivals[v], arrivals[v], true, target);
+                    rep.waiting.push(i);
+                }
+                None => records[i] = (t, t, t, true, target),
+            }
+        }
+    }
+    start_due(&mut pool, &mut records, None);
+    let stats = pool.iter().map(|r| (r.completed, r.busy)).collect();
+    (records, stats)
+}
+
+/// The fleet scan with request classes reproduces the independent
+/// priority reference bit for bit — records and per-replica accounting —
+/// under both admission policies, all four dispatch policies, queue
+/// bounds 0–5, and random class mixes (priorities drawn with ties, so
+/// the incumbent-wins rule is exercised), over one- and two-endpoint
+/// fleets at loads from light to several times overload.
+#[test]
+fn priority_fleet_equals_the_priority_reference_scan() {
+    let mut rng = Rng::seed_from_u64(0x000F_1EE7_0004);
+    for _ in 0..24 {
+        let endpoints = rng.gen_range(1usize..3);
+        let classes = rng.gen_range(1usize..4);
+        let n = rng.gen_range(1usize..120);
+        let seed = rng.gen_range(0u64..10_000);
+        let (costs, class_of) = random_fleet_workload(&mut rng, endpoints, classes, n);
+        let priorities: Vec<u8> = (0..classes).map(|_| rng.gen_range(0u32..3) as u8).collect();
+        let priority: Vec<u8> = class_of.iter().map(|&c| priorities[c]).collect();
+        let mut endpoint_of = Vec::new();
+        let mut builder = FleetConfig::builder();
+        for e in 0..endpoints {
+            let replicas = rng.gen_range(1usize..4);
+            endpoint_of.extend(std::iter::repeat_n(e, replicas));
+            builder = builder.endpoint(ModelEndpoint::new(format!("e{e}"), replicas));
+        }
+        for (c, &p) in priorities.iter().enumerate() {
+            builder = builder.class(RequestClass::new(format!("c{c}"), p));
+        }
+        // Service costs average about 2,100 cycles; mean gaps from 30 to
+        // 3,000 spread the offered load from light to heavy overload.
+        let mean_gap = rng.gen_range(30u64..3000);
+        let arrivals = match rng.gen_range(0usize..3) {
+            0 => ArrivalProcess::Fixed { gap: mean_gap },
+            1 => ArrivalProcess::Poisson {
+                mean_gap: mean_gap as f64,
+                seed,
+            },
+            _ => ArrivalProcess::OnOff {
+                mean_burst: rng.gen_range(1u64..8) as f64,
+                burst_gap: mean_gap / 4,
+                mean_idle_gap: (mean_gap * 4) as f64,
+                seed,
+            },
+        };
+        let stamps = arrivals.arrivals(n);
+        for admission in [AdmissionPolicy::Fifo, AdmissionPolicy::Priority] {
+            for policy in [
+                DispatchPolicy::RoundRobin,
+                DispatchPolicy::JoinShortestQueue,
+                DispatchPolicy::CostBased,
+                DispatchPolicy::PowerOfTwoChoices { seed },
+            ] {
+                for capacity in 0..=5 {
+                    let config = builder
+                        .clone()
+                        .arrivals(arrivals)
+                        .queue_capacity(capacity)
+                        .admission(admission)
+                        .policy(policy)
+                        .build()
+                        .unwrap();
+                    let report = run_sim(&costs, &class_of, &config);
+                    let (reference, stats) = priority_pool_scan(
+                        &costs,
+                        &endpoint_of,
+                        &stamps,
+                        &priority,
+                        capacity,
+                        admission == AdmissionPolicy::Priority,
+                        policy,
+                    );
+                    let what = format!(
+                        "{arrivals:?} / {admission:?} / {policy:?} / cap={capacity} / \
+                         endpoints={endpoint_of:?} / priorities={priorities:?}"
+                    );
+                    assert_matches(&report, &reference, &stats, &what);
+                }
+            }
+        }
+    }
+}
