@@ -336,12 +336,7 @@ impl Accelerator {
             exec.run_region(&self.model, region, csc.as_ref(), copied);
             region_stats.push(stats);
             region_cycles.push(stats.cycles + REGION_OVERHEAD + NT_PIPELINE_DEPTH);
-            totals.nt_busy += stats.nt_busy;
-            totals.mp_busy += stats.mp_busy;
-            totals.nt_stall += stats.nt_stall;
-            totals.mp_stall += stats.mp_stall;
-            totals.stepped += stats.stepped;
-            totals.skipped += stats.skipped;
+            totals += stats;
             exec.advance_region();
         }
 

@@ -1,9 +1,12 @@
 //! Region scheduler: the single per-cycle loop (with event-horizon
-//! fast-forward) that drives every dataflow region, plus the analytic
-//! sequential/lockstep schedules.
+//! fast-forward) that drives every dataflow region, plus the one analytic
+//! Fig. 4(a)/(b) schedule (non-pipelined and lockstep) that every region
+//! shape runs under the two baseline strategies.
 //!
 //! All four pipeline strategies and both engine modes funnel through this
-//! module. The cycle-stepped strategies build the unit vectors from
+//! module, and [`Accelerator::simulate_region`] picks a region's schedule
+//! in one place from the strategy and the region's [`Shape`]. The
+//! cycle-stepped strategies build the unit vectors from
 //! `crate::units` and hand them to [`run_dataflow`], which owns the
 //! per-cycle loop, the fast-forward scan, and the trace emission — so the
 //! reference mode, the fast-forward mode, and the tracer all execute the
@@ -26,8 +29,8 @@
 //!
 //! No schedule here runs arithmetic: a scatter region's schedule records
 //! the order in which edges complete (the MP units in the dataflows, the
-//! source-major walk in the sequential schedules), and the engine runs the
-//! region's arithmetic afterwards (`ExecState::run_region`).
+//! source-major walk under the baseline strategies), and the engine runs
+//! the region's arithmetic afterwards (`ExecState::run_region`).
 
 use flowgnn_desim::Cycle;
 use flowgnn_graph::{Adjacency, Graph, NodeId};
@@ -41,29 +44,31 @@ use crate::units::adapter::ScatterCtx;
 use crate::units::gather::{GatherCtx, GatherMp, GatherNt};
 use crate::units::mp::MpUnit;
 use crate::units::nt::NtUnit;
-use crate::units::{
-    AccCost, CoupledJump, PureClass, RegionStats, UnitStep, FF_BACKOFF_MAX, HORIZON_INF,
-};
+use crate::units::{AccCost, CoupledJump, RegionStats, UnitStep, FF_BACKOFF_MAX, HORIZON_INF};
 
-/// Which kind of dataflow region the scheduler is driving; fixes the
-/// trace-lane order and the runaway diagnostics.
-#[derive(Clone, Copy)]
-enum RegionKind {
-    /// NT feeds MP through the multicast adapter (front = MP, back = NT).
-    Scatter,
-    /// MP feeds NT with aggregate tokens (front = NT, back = MP).
-    Gather,
-}
-
-/// Which units a region deploys, as its [`TimingSignature`] records it.
+/// Which units a region deploys. It picks the region's schedule, orders
+/// its trace lanes (NT lanes first), chooses its runaway diagnostics and
+/// is the kind in its [`TimingSignature`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Shape {
-    /// NT units feeding MP units through the adapter.
+    /// NT units feeding MP units through the adapter (the dataflow steps
+    /// MP units in front of NT units).
     Scatter,
     /// NT units only.
     NtOnly,
-    /// MP units feeding NT units with aggregate tokens.
+    /// MP units feeding NT units with aggregate tokens (the dataflow
+    /// steps NT units in front of MP units).
     Gather,
+}
+
+impl Shape {
+    fn of(region: &Region) -> Self {
+        match (region.scatter_layer, region.gather_layer) {
+            (Some(_), _) => Shape::Scatter,
+            (None, Some(_)) => Shape::Gather,
+            (None, None) => Shape::NtOnly,
+        }
+    }
 }
 
 /// Every per-region value a region's timing simulation reads besides the
@@ -97,7 +102,7 @@ fn run_dataflow<C, F, B>(
     mut trace: Option<&mut RegionTrace>,
     max_cycles: Cycle,
     fast_forward: bool,
-    kind: RegionKind,
+    shape: Shape,
 ) -> RegionStats
 where
     C: CoupledJump<F, B>,
@@ -108,8 +113,8 @@ where
     let mut stats = RegionStats::default();
     let mut front_syms: Vec<LaneSymbol> = Vec::new();
     let mut back_syms: Vec<LaneSymbol> = Vec::new();
-    let mut front_hz: Vec<(u64, PureClass)> = Vec::with_capacity(front.len());
-    let mut back_hz: Vec<(u64, PureClass)> = Vec::with_capacity(back.len());
+    let mut front_hz: Vec<(u64, LaneSymbol)> = Vec::with_capacity(front.len());
+    let mut back_hz: Vec<(u64, LaneSymbol)> = Vec::with_capacity(back.len());
     let (mut ff_skip, mut ff_penalty) = (0u64, 0u64);
     loop {
         // Event-horizon fast-forward: when every unit's next event (queue
@@ -166,11 +171,11 @@ where
                 }
             } else {
                 ff_penalty = 0;
-                for (u, &(_, class)) in front.iter_mut().zip(&front_hz) {
-                    u.fast_forward(delta, class, ctx, exec, &mut stats);
+                for (u, &(_, activity)) in front.iter_mut().zip(&front_hz) {
+                    u.fast_forward(delta, activity, ctx, exec, &mut stats);
                 }
-                for (u, &(_, class)) in back.iter_mut().zip(&back_hz) {
-                    u.fast_forward(delta, class, ctx, exec, &mut stats);
+                for (u, &(_, activity)) in back.iter_mut().zip(&back_hz) {
+                    u.fast_forward(delta, activity, ctx, exec, &mut stats);
                 }
                 cycle += delta;
                 stats.skipped += delta;
@@ -202,18 +207,15 @@ where
             }
         }
         if let Some(rt) = trace.as_deref_mut() {
-            // NT lanes render first in both kinds: scatter NTs are the
-            // back units, gather NTs are the front units.
-            match kind {
-                RegionKind::Scatter => {
-                    back_syms.extend_from_slice(&front_syms);
-                    rt.push_cycle(&back_syms);
-                }
-                RegionKind::Gather => {
-                    front_syms.extend_from_slice(&back_syms);
-                    rt.push_cycle(&front_syms);
-                }
-            }
+            // NT lanes render first: gather NTs are the front units, the
+            // others the back units.
+            let (nt_syms, mp_syms) = if shape == Shape::Gather {
+                (&mut front_syms, &back_syms)
+            } else {
+                (&mut back_syms, &front_syms)
+            };
+            nt_syms.extend_from_slice(mp_syms);
+            rt.push_cycle(nt_syms);
         }
 
         ctx.commit_queues();
@@ -225,8 +227,8 @@ where
             break;
         }
         if cycle >= max_cycles {
-            match kind {
-                RegionKind::Scatter => {
+            match shape {
+                Shape::Scatter | Shape::NtOnly => {
                     for (i, u) in back.iter().enumerate() {
                         eprintln!("NT{i}: {u:?}");
                     }
@@ -236,7 +238,7 @@ where
                     ctx.dump_queues();
                     panic!("simulation exceeded {max_cycles} cycles — deadlock? (idle={all_idle})");
                 }
-                RegionKind::Gather => {
+                Shape::Gather => {
                     panic!("gather simulation exceeded {max_cycles} cycles");
                 }
             }
@@ -244,6 +246,66 @@ where
     }
     stats.cycles = cycle;
     stats.stepped = cycle - stats.skipped;
+    stats
+}
+
+/// Fig. 4(a)/(b): the non-pipelined and lockstep schedules of a region of
+/// `n` nodes, for every region shape. Node `v` takes `first(v)` cycles on
+/// one unit and then `second(v)` on the other: NT then MP in scatter
+/// regions (an NT-only region's second phase is empty), MP then NT in
+/// gather regions. The non-pipelined schedule runs every first phase,
+/// then every second phase. The lockstep schedule runs
+/// `first(v) ∥ second(v − 1)` in step `v`, each step lasting the longer
+/// of the two, and then the last second phase. Returns the cycles and the
+/// busy meters; the schedule is analytic, so a traced run's lanes are
+/// synthesised from it.
+fn baseline_schedule(
+    n: usize,
+    first: impl Fn(NodeId) -> u64,
+    second: impl Fn(NodeId) -> u64,
+    lockstep: bool,
+    shape: Shape,
+    mut trace: Option<&mut RegionTrace>,
+) -> RegionStats {
+    let mut stats = RegionStats::default();
+    // NT lane first; an NT-only region has no MP lane.
+    let width = if shape == Shape::NtOnly { 1 } else { 2 };
+    let symbol = |busy| {
+        if busy {
+            LaneSymbol::Busy
+        } else {
+            LaneSymbol::Idle
+        }
+    };
+    // One step: the first phase's unit busy for `a` cycles beside the
+    // second phase's unit busy for `b`.
+    let mut step = |a: u64, b: u64| {
+        let (nt, mp) = if shape == Shape::Gather {
+            (b, a)
+        } else {
+            (a, b)
+        };
+        stats.cycles += nt.max(mp);
+        stats.charge_nt(LaneSymbol::Busy, nt);
+        stats.charge_mp(LaneSymbol::Busy, mp);
+        if let Some(rt) = trace.as_deref_mut() {
+            for c in 0..nt.max(mp) {
+                rt.push_cycle(&[symbol(c < nt), symbol(c < mp)][..width]);
+            }
+        }
+    };
+    let nodes = 0..n as NodeId;
+    if lockstep {
+        let mut carried = 0;
+        for v in nodes {
+            step(first(v), carried);
+            carried = second(v);
+        }
+        step(0, carried);
+    } else {
+        nodes.clone().for_each(|v| step(first(v), 0));
+        nodes.for_each(|v| step(0, second(v)));
+    }
     stats
 }
 
@@ -352,13 +414,9 @@ impl Accelerator {
     /// The region's [`TimingSignature`]; `None` for Encode, whose
     /// accumulate cost is per node and depends on the graph.
     fn timing_signature(&self, region: &Region) -> Option<TimingSignature> {
-        let (shape, layer) = match (region.scatter_layer, region.gather_layer) {
-            (Some(l), _) => (Shape::Scatter, Some(l)),
-            (None, Some(l)) => (Shape::Gather, Some(l)),
-            (None, None) => (Shape::NtOnly, None),
-        };
+        let layer = region.scatter_layer.or(region.gather_layer);
         Some(TimingSignature {
-            shape,
+            shape: Shape::of(region),
             acc_cycles: self.uniform_acc_cycles(region)?,
             payload_dim: region.payload_dim,
             chunks_per_edge: layer.map(|l| self.chunks_per_edge(l)),
@@ -378,7 +436,12 @@ impl Accelerator {
     }
 
     /// Simulates one region of a run on `g`, appending its lanes to
-    /// `trace` when the run is traced.
+    /// `trace` when the run is traced. The one place a region's schedule
+    /// is chosen: the baseline strategies run [`baseline_schedule`] on
+    /// every shape; the dataflow strategies step scatter and NT-only
+    /// regions through [`Accelerator::scatter_dataflow`] and gather
+    /// regions through [`Accelerator::gather_dataflow`], or the analytic
+    /// source-banked gather.
     pub(crate) fn simulate_region(
         &self,
         region: &Region,
@@ -388,20 +451,35 @@ impl Accelerator {
         exec: &mut ExecState<'_>,
         trace: Option<&mut Trace>,
     ) -> RegionStats {
+        use PipelineStrategy::{FixedPipeline, NonPipelined};
+        let shape = Shape::of(region);
         let mut region_trace = trace.as_ref().map(|_| {
             let p_node = self.config().effective_p_node();
             let p_edge = self.config().effective_p_edge();
             let mut names: Vec<String> = (0..p_node).map(|i| format!("NT{i}")).collect();
-            if region.scatter_layer.is_some() || region.gather_layer.is_some() {
+            if shape != Shape::NtOnly {
                 names.extend((0..p_edge).map(|k| format!("MP{k}")));
             }
             RegionTrace::new(region_label(region), names)
         });
-        let stats = if region.gather_layer.is_some() {
-            let csc = csc.expect("gather models build a CSC");
-            self.simulate_gather_region(region, g, csc, exec, region_trace.as_mut())
-        } else {
-            self.simulate_scatter_region(region, g, banked, exec, region_trace.as_mut())
+        let rt = region_trace.as_mut();
+        let csc = || csc.expect("gather models build a CSC");
+        let strategy = self.config().strategy;
+        let lockstep = strategy == FixedPipeline;
+        let stats = match (strategy, shape, self.config().gather_banking) {
+            (NonPipelined | FixedPipeline, Shape::Gather, _) => {
+                self.gather_sequential(region, g, csc(), lockstep, rt)
+            }
+            (NonPipelined | FixedPipeline, _, _) => {
+                self.scatter_sequential(region, g, banked, exec, lockstep, rt)
+            }
+            (_, Shape::Gather, GatherBanking::Destination) => {
+                self.gather_dataflow(region, g, csc(), exec, rt)
+            }
+            (_, Shape::Gather, GatherBanking::Source) => self.gather_source_banked(region, g),
+            (_, Shape::Scatter | Shape::NtOnly, _) => {
+                self.scatter_dataflow(region, g, banked, exec, rt)
+            }
         };
         if let (Some(trace), Some(rt)) = (trace, region_trace) {
             trace.regions.push(rt);
@@ -411,29 +489,9 @@ impl Accelerator {
 
     // ----- scatter-style regions (NT→MP and NT-only) --------------------
 
-    fn simulate_scatter_region(
-        &self,
-        region: &Region,
-        g: &Graph,
-        banked: &BankedEdges,
-        exec: &mut ExecState<'_>,
-        trace: Option<&mut RegionTrace>,
-    ) -> RegionStats {
-        match self.config().strategy {
-            PipelineStrategy::NonPipelined => {
-                self.scatter_sequential(region, g, banked, exec, false, trace)
-            }
-            PipelineStrategy::FixedPipeline => {
-                self.scatter_sequential(region, g, banked, exec, true, trace)
-            }
-            PipelineStrategy::BaselineDataflow | PipelineStrategy::FlowGnn => {
-                self.scatter_dataflow(region, g, banked, exec, trace)
-            }
-        }
-    }
-
-    /// Fig. 4(a)/(b): exact sequential or lockstep schedules. They differ
-    /// only in the timing formula; both record the same fold order.
+    /// Fig. 4(a)/(b) on a scatter or NT-only region: node `v`'s NT phase,
+    /// then its MP phase over its out-edges in every bank. Both schedules
+    /// record the same fold order.
     fn scatter_sequential(
         &self,
         region: &Region,
@@ -443,106 +501,34 @@ impl Accelerator {
         lockstep: bool,
         trace: Option<&mut RegionTrace>,
     ) -> RegionStats {
-        let n = g.num_nodes();
         let acc = self.acc_cycles(region, g);
         let out = self.out_cycles(region);
-        let nt_time = |v: NodeId| acc.get(v) + out;
         let chunks = region.scatter_layer.map(|l| self.chunks_per_edge(l));
 
-        // Fold order: MP runs after every NT, source by source, bank by
-        // bank.
-        if region.scatter_layer.is_some() {
-            for v in 0..n as NodeId {
+        // Fold order: source by source, bank by bank.
+        if chunks.is_some() {
+            for v in 0..g.num_nodes() as NodeId {
                 for k in 0..banked.p_edge() {
                     exec.record_edges(banked.edges(k, v));
                 }
             }
         }
 
-        // Timing.
-        let mp_time = |v: NodeId| -> u64 {
+        let mp_time = |v: NodeId| {
+            let edges: usize = (0..banked.p_edge()).map(|k| banked.edges(k, v).len()).sum();
             match chunks {
-                Some(c) => {
-                    let e: usize = (0..banked.p_edge()).map(|k| banked.edges(k, v).len()).sum();
-                    if e == 0 {
-                        0
-                    } else {
-                        e as u64 * c + 1
-                    }
-                }
-                None => 0,
+                Some(c) if edges > 0 => edges as u64 * c + 1,
+                _ => 0,
             }
         };
-        let nt_total: u64 = (0..n as NodeId).map(nt_time).sum();
-        let mp_total: u64 = (0..n as NodeId).map(mp_time).sum();
-        let cycles = if lockstep {
-            // Step i: NT(node i) ∥ MP(node i−1); each step is the max.
-            let mut t = 0u64;
-            let mut prev_mp = 0u64;
-            for v in 0..n as NodeId {
-                t += nt_time(v).max(prev_mp);
-                prev_mp = mp_time(v);
-            }
-            t + prev_mp
-        } else {
-            nt_total + mp_total
-        };
-
-        // Synthesised trace: these schedules are analytic, so the lanes
-        // are reconstructed rather than recorded.
-        if let Some(rt) = trace {
-            let has_mp = chunks.is_some();
-            if lockstep {
-                let mut prev_mp = 0u64;
-                for v in 0..n as NodeId {
-                    let step = nt_time(v).max(prev_mp);
-                    for c in 0..step {
-                        let nt_sym = if c < nt_time(v) {
-                            LaneSymbol::Busy
-                        } else {
-                            LaneSymbol::Idle
-                        };
-                        if has_mp {
-                            let mp_sym = if c < prev_mp {
-                                LaneSymbol::Busy
-                            } else {
-                                LaneSymbol::Idle
-                            };
-                            rt.push_cycle(&[nt_sym, mp_sym]);
-                        } else {
-                            rt.push_cycle(&[nt_sym]);
-                        }
-                    }
-                    prev_mp = mp_time(v);
-                }
-                for _ in 0..prev_mp {
-                    if has_mp {
-                        rt.push_cycle(&[LaneSymbol::Idle, LaneSymbol::Busy]);
-                    } else {
-                        rt.push_cycle(&[LaneSymbol::Idle]);
-                    }
-                }
-            } else {
-                for _ in 0..nt_total {
-                    if has_mp {
-                        rt.push_cycle(&[LaneSymbol::Busy, LaneSymbol::Idle]);
-                    } else {
-                        rt.push_cycle(&[LaneSymbol::Busy]);
-                    }
-                }
-                if has_mp {
-                    for _ in 0..mp_total {
-                        rt.push_cycle(&[LaneSymbol::Idle, LaneSymbol::Busy]);
-                    }
-                }
-            }
-        }
-        RegionStats {
-            cycles,
-            nt_busy: nt_total,
-            mp_busy: mp_total,
-            ..Default::default()
-        }
+        baseline_schedule(
+            g.num_nodes(),
+            |v| acc.get(v) + out,
+            mp_time,
+            lockstep,
+            Shape::of(region),
+            trace,
+        )
     }
 
     /// Fig. 4(c)/(d): the queue-decoupled dataflow, cycle-stepped through
@@ -599,40 +585,13 @@ impl Accelerator {
             trace,
             self.runaway_limit(g),
             fast_forward,
-            RegionKind::Scatter,
+            Shape::of(region),
         );
         exec.put_scatter_queues(ctx.queues);
         stats
     }
 
     // ----- gather-style regions (MP→NT models) ---------------------------
-
-    fn simulate_gather_region(
-        &self,
-        region: &Region,
-        g: &Graph,
-        csc: &Adjacency,
-        exec: &mut ExecState<'_>,
-        trace: Option<&mut RegionTrace>,
-    ) -> RegionStats {
-        let layer = region.gather_layer.expect("gather region");
-        match self.config().strategy {
-            PipelineStrategy::NonPipelined => {
-                self.gather_sequential(region, g, csc, layer, false, trace)
-            }
-            PipelineStrategy::FixedPipeline => {
-                self.gather_sequential(region, g, csc, layer, true, trace)
-            }
-            PipelineStrategy::BaselineDataflow | PipelineStrategy::FlowGnn => {
-                match self.config().gather_banking {
-                    GatherBanking::Destination => {
-                        self.gather_dataflow(region, g, csc, exec, layer, trace)
-                    }
-                    GatherBanking::Source => self.gather_source_banked(region, g, layer),
-                }
-            }
-        }
-    }
 
     /// The paper's source-banked gather (Sec. III-D2): MP unit *k* owns
     /// sources `s ≡ k (mod P_edge)` and accumulates *partial* aggregates
@@ -641,11 +600,11 @@ impl Accelerator {
     /// barrier. Timing: `max_k(unit k edge work) + NT phase`. The
     /// arithmetic is destination banking's: every gather region folds each
     /// destination's in-edges in CSC order (`ExecState::run_region`).
-    fn gather_source_banked(&self, region: &Region, g: &Graph, layer: usize) -> RegionStats {
+    fn gather_source_banked(&self, region: &Region, g: &Graph) -> RegionStats {
         let n = g.num_nodes();
         let p_edge = self.config().effective_p_edge();
         let p_node = self.config().effective_p_node();
-        let chunks = self.chunks_per_edge(layer);
+        let chunks = self.chunks_per_edge(region.gather_layer.expect("gather region"));
         let acc = self
             .uniform_acc_cycles(region)
             .expect("gather regions are never Encode");
@@ -675,77 +634,29 @@ impl Accelerator {
         }
     }
 
+    /// Fig. 4(a)/(b) on a gather region: node `v`'s MP phase over its
+    /// in-edges, then its NT phase.
     fn gather_sequential(
         &self,
         region: &Region,
         g: &Graph,
         csc: &Adjacency,
-        layer: usize,
         lockstep: bool,
         trace: Option<&mut RegionTrace>,
     ) -> RegionStats {
-        let n = g.num_nodes();
-        let chunks = self.chunks_per_edge(layer);
-        let acc = self
+        let chunks = self.chunks_per_edge(region.gather_layer.expect("gather region"));
+        let nt_time = self
             .uniform_acc_cycles(region)
-            .expect("gather regions are never Encode");
-        let out = self.out_cycles(region);
-        let nt_time = acc + out;
-
-        let mp_time = |v: NodeId| -> u64 { csc.degree(v) as u64 * chunks + 1 };
-        let mp_total: u64 = (0..n as NodeId).map(mp_time).sum();
-        let nt_total = n as u64 * nt_time;
-        let cycles = if lockstep {
-            // Gather order: step v runs MP(node v) ∥ NT(node v−1).
-            let mut t = 0u64;
-            for v in 0..n as NodeId {
-                t += mp_time(v).max(if v == 0 { 0 } else { nt_time });
-            }
-            t + nt_time
-        } else {
-            mp_total + nt_total
-        };
-
-        // Synthesised lanes (analytic schedule; gather runs MP before NT).
-        if let Some(rt) = trace {
-            if lockstep {
-                let mut carried_nt = 0u64;
-                for v in 0..n as NodeId {
-                    let step = mp_time(v).max(carried_nt);
-                    for c in 0..step {
-                        rt.push_cycle(&[
-                            if c < carried_nt {
-                                LaneSymbol::Busy
-                            } else {
-                                LaneSymbol::Idle
-                            },
-                            if c < mp_time(v) {
-                                LaneSymbol::Busy
-                            } else {
-                                LaneSymbol::Idle
-                            },
-                        ]);
-                    }
-                    carried_nt = nt_time;
-                }
-                for _ in 0..nt_time {
-                    rt.push_cycle(&[LaneSymbol::Busy, LaneSymbol::Idle]);
-                }
-            } else {
-                for _ in 0..mp_total {
-                    rt.push_cycle(&[LaneSymbol::Idle, LaneSymbol::Busy]);
-                }
-                for _ in 0..nt_total {
-                    rt.push_cycle(&[LaneSymbol::Busy, LaneSymbol::Idle]);
-                }
-            }
-        }
-        RegionStats {
-            cycles,
-            nt_busy: nt_total,
-            mp_busy: mp_total,
-            ..Default::default()
-        }
+            .expect("gather regions are never Encode")
+            + self.out_cycles(region);
+        baseline_schedule(
+            g.num_nodes(),
+            |v| csc.degree(v) as u64 * chunks + 1,
+            |_| nt_time,
+            lockstep,
+            Shape::Gather,
+            trace,
+        )
     }
 
     /// Gather dataflow: MP units (destination-banked) produce whole-node
@@ -758,7 +669,6 @@ impl Accelerator {
         g: &Graph,
         csc: &Adjacency,
         exec: &mut ExecState<'_>,
-        layer: usize,
         trace: Option<&mut RegionTrace>,
     ) -> RegionStats {
         let n = g.num_nodes();
@@ -773,7 +683,7 @@ impl Accelerator {
             queues: exec.take_gather_queues(p_edge * p_node, self.config().queue_capacity),
             p_node,
             p_edge,
-            chunks: self.chunks_per_edge(layer),
+            chunks: self.chunks_per_edge(region.gather_layer.expect("gather region")),
             nt_time: acc + out,
             csc,
         };
@@ -788,7 +698,7 @@ impl Accelerator {
             trace,
             self.runaway_limit(g),
             fast_forward,
-            RegionKind::Gather,
+            Shape::Gather,
         );
         exec.put_gather_queues(ctx.queues);
         stats

@@ -1203,25 +1203,29 @@ mod tests {
         assert_eq!(metrics.sojourn_ms.count(), observed.completed as u64);
     }
 
+    /// A live worker that holds request 0 in service until the run's
+    /// `requests` counter reads `offers`, then 10 ms more (booking counts
+    /// an offer after setting its gauges, so a test does not lean on that
+    /// order).
+    struct HoldFirst {
+        requests: Arc<Counter>,
+        offers: u64,
+    }
+
+    impl LiveWorker for HoldFirst {
+        fn process(&mut self, request: usize) {
+            if request == 0 {
+                while self.requests.get() < self.offers {
+                    std::hint::spin_loop();
+                }
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+        }
+    }
+
     #[test]
     fn live_queue_depth_counts_waiting_requests_only() {
         use crate::metrics::{Registry, ServeMetrics};
-
-        /// Holds request 0 in service until the run has counted the
-        /// offer of request 1 (booking counts an offer after setting its
-        /// gauges), then 10 ms more, so the test does not lean on that
-        /// order.
-        struct Holder(Arc<Counter>);
-        impl LiveWorker for Holder {
-            fn process(&mut self, request: usize) {
-                if request == 0 {
-                    while self.0.get() < 2 {
-                        std::hint::spin_loop();
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                }
-            }
-        }
 
         let registry = Registry::new();
         let metrics = ServeMetrics::new(&registry);
@@ -1230,7 +1234,11 @@ mod tests {
             .arrivals(ArrivalProcess::Fixed { gap: 6_000_000 })
             .build()
             .unwrap();
-        let live = FleetRuntime::Live(vec![Holder(Arc::clone(&metrics.requests))]);
+        // Request 0 stays in service until request 1 is offered.
+        let live = FleetRuntime::Live(vec![HoldFirst {
+            requests: Arc::clone(&metrics.requests),
+            offers: 2,
+        }]);
         let report = run_fleet(&[vec![1, 1]], &[0, 0], &config, live, Some(&metrics))
             .unwrap()
             .live()
@@ -1243,6 +1251,61 @@ mod tests {
         // One request in service and one waiting: the depth is 1.
         let depth = metrics.queue_depth_gauges_for(1)[0].get();
         assert_eq!(depth, 1.0, "queue depth counts waiting requests only");
+    }
+
+    #[test]
+    fn live_priority_admission_displaces_the_low_priority_waiter() {
+        use crate::metrics::{Registry, ServeMetrics};
+
+        let registry = Registry::new();
+        let metrics = ServeMetrics::new(&registry);
+        // lo, lo, hi, 20 ms apart, into one replica with one waiting slot.
+        let config = FleetConfig::builder()
+            .arrivals(ArrivalProcess::Fixed { gap: 6_000_000 })
+            .queue_capacity(1)
+            .admission(AdmissionPolicy::Priority)
+            .endpoint(ModelEndpoint::new("one", 1))
+            .class(RequestClass::new("hi", 2))
+            .class(RequestClass::new("lo", 0))
+            .build()
+            .unwrap();
+        // Request 0 stays in service until all three are offered, so
+        // request 1 still waits when request 2 finds the queue full.
+        let live = FleetRuntime::Live(vec![HoldFirst {
+            requests: Arc::clone(&metrics.requests),
+            offers: 3,
+        }]);
+        let report = run_fleet(&[vec![1, 1, 1]], &[1, 1, 0], &config, live, Some(&metrics))
+            .unwrap()
+            .live()
+            .expect("live runtime yields a wall report");
+        let [first, displaced, high] = [report.records[0], report.records[1], report.records[2]];
+        assert!(
+            first.arrival < displaced.arrival && displaced.arrival < high.arrival,
+            "each record keeps its own arrival stamp: {first:?} {displaced:?} {high:?}"
+        );
+        assert!(
+            displaced.dropped
+                && displaced.start == displaced.arrival
+                && displaced.finish == displaced.arrival,
+            "request 1 is dropped at its own arrival: {displaced:?}"
+        );
+        assert!(!first.dropped && !high.dropped, "{first:?} {high:?}");
+        assert_eq!(
+            [
+                metrics.requests.get(),
+                metrics.completed.get(),
+                metrics.dropped.get(),
+                metrics.displaced.get(),
+            ],
+            [3, 2, 1, 1]
+        );
+        let drops: Vec<_> = report
+            .per_class
+            .iter()
+            .map(|c| (c.name.as_str(), c.dropped))
+            .collect();
+        assert_eq!(drops, [("hi", 0), ("lo", 1)]);
     }
 
     /// Golden pin of the full Prometheus text exposition for one seeded

@@ -13,9 +13,10 @@ use flowgnn_graph::NodeId;
 
 use crate::exec::ExecState;
 use crate::regions::BankedEdges;
+use crate::trace::LaneSymbol;
 use crate::units::mp::MpUnit;
 use crate::units::nt::NtUnit;
-use crate::units::{AccCost, CoupledJump, DataflowCtx, PureClass, RegionStats, UnitStep};
+use crate::units::{AccCost, CoupledJump, DataflowCtx, RegionStats, UnitStep};
 
 /// A flit through the NT-to-MP adapter: `P_scatter` embedding elements of
 /// one node (values live in the execution state; flits carry timing).
@@ -85,8 +86,8 @@ impl DataflowCtx for ScatterCtx<'_> {
 /// A unit's part in a coupled jump.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ChainRole {
-    /// Runs through the window on its own pure horizon, accruing `class`.
-    Pure(PureClass),
+    /// Runs through the window on its own pure horizon, in this activity.
+    Pure(LaneSymbol),
     /// An MP unit popping this queue once per cycle into its back job
     /// while its front job processes one chunk per cycle.
     Receive(usize),
@@ -145,14 +146,14 @@ impl CoupledJump<MpUnit, NtUnit> for ScatterCtx<'_> {
         // slot a pop freed.
         for (mp, &role) in mps.iter_mut().zip(mp_roles) {
             match role {
-                ChainRole::Pure(class) => mp.fast_forward(window, class, self, exec, stats),
+                ChainRole::Pure(activity) => mp.fast_forward(window, activity, self, exec, stats),
                 ChainRole::Receive(_) => mp.receive_for(window, self, exec, stats),
                 ChainRole::Refill => unreachable!("MP units never refill"),
             }
         }
         for (nt, &role) in nts.iter_mut().zip(nt_roles) {
             match role {
-                ChainRole::Pure(class) => nt.fast_forward(window, class, self, exec, stats),
+                ChainRole::Pure(activity) => nt.fast_forward(window, activity, self, exec, stats),
                 ChainRole::Refill => nt.refill_for(window, mp_roles, self, stats),
                 ChainRole::Receive(_) => unreachable!("NT units never receive"),
             }

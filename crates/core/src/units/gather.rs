@@ -13,7 +13,7 @@ use flowgnn_graph::{Adjacency, NodeId};
 
 use crate::exec::ExecState;
 use crate::trace::LaneSymbol;
-use crate::units::{CoupledJump, DataflowCtx, PureClass, RegionStats, UnitStep, HORIZON_INF};
+use crate::units::{CoupledJump, DataflowCtx, RegionStats, UnitStep, HORIZON_INF};
 
 /// Shared context of one gather region: the aggregate-token queue grid
 /// (one queue per (MP, NT) pair) plus the region's static parameters.
@@ -102,72 +102,64 @@ impl<'a> UnitStep<GatherCtx<'a>> for GatherMp {
         if self.next >= self.count {
             return LaneSymbol::Idle;
         }
-        let mut sym = LaneSymbol::Busy;
+        let mut activity = LaneSymbol::Busy;
         let v = self.dest_at(self.next);
         if self.remaining == 0 {
             // Start this destination's gather.
             self.remaining = ctx.csc.degree(v) as u64 * ctx.chunks + 1;
         }
         self.remaining -= 1;
-        stats.mp_busy += 1;
         if self.remaining == 0 {
             // Finished: produce the aggregate token if there is room,
             // else retry next cycle (backpressure).
             let q_index = ctx.qid(self.index, v as usize % ctx.p_node);
             if ctx.queues[q_index].is_full() {
                 self.remaining = 1; // stall: retry the push
-                stats.mp_busy -= 1;
-                stats.mp_stall += 1;
-                sym = LaneSymbol::StallFull;
+                activity = LaneSymbol::StallFull;
             } else {
                 ctx.queues[q_index].push(v);
                 self.next += 1;
             }
         }
-        sym
+        stats.charge_mp(activity, 1);
+        activity
     }
 
     /// Pure-cycle horizon (see the NT unit's variant): cycles where only
     /// `remaining` counts down, or a frozen stall/idle.
-    fn pure_horizon(&self, ctx: &GatherCtx<'a>) -> (u64, PureClass) {
+    fn pure_horizon(&self, ctx: &GatherCtx<'a>) -> (u64, LaneSymbol) {
         if self.next >= self.count {
-            return (HORIZON_INF, PureClass::Idle);
+            return (HORIZON_INF, LaneSymbol::Idle);
         }
         match self.remaining {
             // Starts (or retries) a destination this cycle.
-            0 => (0, PureClass::Busy),
+            0 => (0, LaneSymbol::Busy),
             1 => {
                 let v = self.dest_at(self.next) as usize;
                 if ctx.queues[ctx.qid(self.index, v % ctx.p_node)].is_full() {
                     // The retry loop leaves `remaining == 1` and
                     // accrues a stall until the queue drains.
-                    (HORIZON_INF, PureClass::StallFull)
+                    (HORIZON_INF, LaneSymbol::StallFull)
                 } else {
-                    (0, PureClass::Busy) // produces the token
+                    (0, LaneSymbol::Busy) // produces the token
                 }
             }
-            rem => (rem - 1, PureClass::Busy),
+            rem => (rem - 1, LaneSymbol::Busy),
         }
     }
 
     fn fast_forward(
         &mut self,
         delta: u64,
-        class: PureClass,
+        activity: LaneSymbol,
         _ctx: &GatherCtx<'a>,
         _exec: &mut ExecState<'_>,
         stats: &mut RegionStats,
     ) {
-        match class {
-            PureClass::Busy => {
-                self.remaining -= delta;
-                stats.mp_busy += delta;
-            }
-            PureClass::StallFull | PureClass::StallEmpty => {
-                stats.mp_stall += delta;
-            }
-            PureClass::Idle => {}
+        if activity == LaneSymbol::Busy {
+            self.remaining -= delta;
         }
+        stats.charge_mp(activity, delta);
     }
 
     fn done(&self, _ctx: &GatherCtx<'a>) -> bool {
@@ -211,16 +203,14 @@ impl<'a> UnitStep<GatherCtx<'a>> for GatherNt {
         _exec: &mut ExecState<'_>,
         stats: &mut RegionStats,
     ) -> LaneSymbol {
-        let sym;
-        match &mut self.job {
+        let activity = match &mut self.job {
             Some(rem) => {
                 *rem -= 1;
-                stats.nt_busy += 1;
-                sym = LaneSymbol::Busy;
                 if *rem == 0 {
                     self.completed += 1;
                     self.job = None;
                 }
+                LaneSymbol::Busy
             }
             None => {
                 // Round-robin over this NT's input queues.
@@ -235,32 +225,32 @@ impl<'a> UnitStep<GatherCtx<'a>> for GatherNt {
                         break;
                     }
                 }
-                if !found && self.completed < self.expected {
-                    stats.nt_stall += 1;
-                    sym = LaneSymbol::StallEmpty;
-                } else if found {
-                    sym = LaneSymbol::Busy;
+                if found {
+                    LaneSymbol::Busy
+                } else if self.completed < self.expected {
+                    LaneSymbol::StallEmpty
                 } else {
-                    sym = LaneSymbol::Idle;
+                    LaneSymbol::Idle
                 }
             }
-        }
-        sym
+        };
+        stats.charge_nt(activity, 1);
+        activity
     }
 
     /// Pure-cycle horizon (see the scatter NT unit's variant).
-    fn pure_horizon(&self, ctx: &GatherCtx<'a>) -> (u64, PureClass) {
+    fn pure_horizon(&self, ctx: &GatherCtx<'a>) -> (u64, LaneSymbol) {
         match self.job {
-            Some(rem) => (rem.saturating_sub(1), PureClass::Busy),
+            Some(rem) => (rem.saturating_sub(1), LaneSymbol::Busy),
             None => {
                 let any_input =
                     (0..ctx.p_edge).any(|k| !ctx.queues[ctx.qid(k, self.index)].is_empty());
                 if any_input {
-                    (0, PureClass::Busy) // pops a token this cycle
+                    (0, LaneSymbol::Busy) // pops a token this cycle
                 } else if self.completed < self.expected {
-                    (HORIZON_INF, PureClass::StallEmpty)
+                    (HORIZON_INF, LaneSymbol::StallEmpty)
                 } else {
-                    (HORIZON_INF, PureClass::Idle)
+                    (HORIZON_INF, LaneSymbol::Idle)
                 }
             }
         }
@@ -269,23 +259,15 @@ impl<'a> UnitStep<GatherCtx<'a>> for GatherNt {
     fn fast_forward(
         &mut self,
         delta: u64,
-        class: PureClass,
+        activity: LaneSymbol,
         _ctx: &GatherCtx<'a>,
         _exec: &mut ExecState<'_>,
         stats: &mut RegionStats,
     ) {
-        match class {
-            PureClass::Busy => {
-                if let Some(rem) = &mut self.job {
-                    *rem -= delta;
-                }
-                stats.nt_busy += delta;
-            }
-            PureClass::StallEmpty | PureClass::StallFull => {
-                stats.nt_stall += delta;
-            }
-            PureClass::Idle => {}
+        if let (LaneSymbol::Busy, Some(rem)) = (activity, &mut self.job) {
+            *rem -= delta;
         }
+        stats.charge_nt(activity, delta);
     }
 
     fn done(&self, _ctx: &GatherCtx<'a>) -> bool {

@@ -15,7 +15,11 @@
 //! Every unit implements one small interface, [`UnitStep`], and a single
 //! region scheduler (`crate::pipeline`) drives all of them: the same unit
 //! code backs the per-cycle reference mode, the event-horizon fast-forward
-//! mode, and the ASCII tracer. Units model timing only. The one functional
+//! mode, and the ASCII tracer. A unit's activity in a cycle is a
+//! [`LaneSymbol`]: the one value a step returns, a pure horizon
+//! classifies and a fast-forward takes, and [`RegionStats`] the one place
+//! that charges it to the NT or MP busy and stall meters. Units model
+//! timing only. The one functional
 //! fact a schedule decides is the order in which MP units complete edges,
 //! and a scatter MP unit appends each completed edge to the region's fold
 //! order through `ExecState`; the region's arithmetic runs after it
@@ -31,19 +35,6 @@ use flowgnn_graph::NodeId;
 
 use crate::exec::ExecState;
 use crate::trace::LaneSymbol;
-
-/// What a unit did in one cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StepOutcome {
-    /// Performed useful work.
-    Busy,
-    /// Blocked on output backpressure (a full queue downstream).
-    StallFull,
-    /// Starved for input (waiting on flits or jobs).
-    StallEmpty,
-    /// Nothing to do (not yet started or already drained).
-    Idle,
-}
 
 /// Sentinel horizon: the unit's state cannot change until *another* unit
 /// moves (a stalled or drained steady state).
@@ -61,22 +52,6 @@ pub(crate) const HORIZON_INF: u64 = u64::MAX;
 /// catching long stall/drain phases quickly.
 pub(crate) const FF_BACKOFF_MAX: u64 = 32;
 
-/// Meter class a unit accrues during a run of *pure* cycles — cycles whose
-/// only effects are one counter decrement and one meter increment (plus,
-/// for an MP unit, appending the edges it completes to the fold order),
-/// with no queue traffic or job transitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PureClass {
-    /// Counting down an accumulate/output/gather counter.
-    Busy,
-    /// Held by a full downstream queue.
-    StallFull,
-    /// Starved for input.
-    StallEmpty,
-    /// Drained (no meter accrues).
-    Idle,
-}
-
 /// Per-region simulation statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RegionStats {
@@ -91,6 +66,43 @@ pub(crate) struct RegionStats {
     /// Cycles the region scheduler advanced in bulk (pure or coupled
     /// jumps); `stepped + skipped == cycles` in cycle-stepped regions.
     pub(crate) skipped: Cycle,
+}
+
+impl RegionStats {
+    /// Charges `cycles` cycles of an NT unit's `activity` to the NT meters.
+    pub(crate) fn charge_nt(&mut self, activity: LaneSymbol, cycles: u64) {
+        charge(&mut self.nt_busy, &mut self.nt_stall, activity, cycles);
+    }
+
+    /// Charges `cycles` cycles of an MP unit's `activity` to the MP meters.
+    pub(crate) fn charge_mp(&mut self, activity: LaneSymbol, cycles: u64) {
+        charge(&mut self.mp_busy, &mut self.mp_stall, activity, cycles);
+    }
+}
+
+/// The one map from a unit's activity onto its busy and stall meters: a
+/// busy cycle counts as busy, a stall of either kind as stalled, and an
+/// idle cycle as neither. Trace lanes show the same activity, so they sum
+/// to the meters.
+fn charge(busy: &mut u64, stall: &mut u64, activity: LaneSymbol, cycles: u64) {
+    match activity {
+        LaneSymbol::Busy => *busy += cycles,
+        LaneSymbol::StallFull | LaneSymbol::StallEmpty => *stall += cycles,
+        LaneSymbol::Idle => {}
+    }
+}
+
+/// A run's totals: every meter and cycle count summed over its regions.
+impl std::ops::AddAssign for RegionStats {
+    fn add_assign(&mut self, region: Self) {
+        self.cycles += region.cycles;
+        self.nt_busy += region.nt_busy;
+        self.mp_busy += region.mp_busy;
+        self.nt_stall += region.nt_stall;
+        self.mp_stall += region.mp_stall;
+        self.stepped += region.stepped;
+        self.skipped += region.skipped;
+    }
 }
 
 /// NT accumulate cost: uniform across nodes, or per node (Encode regions,
@@ -110,16 +122,6 @@ impl AccCost {
     }
 }
 
-/// Maps a unit outcome to its trace symbol.
-pub(crate) fn outcome_symbol(outcome: StepOutcome) -> LaneSymbol {
-    match outcome {
-        StepOutcome::Busy => LaneSymbol::Busy,
-        StepOutcome::StallFull => LaneSymbol::StallFull,
-        StepOutcome::StallEmpty => LaneSymbol::StallEmpty,
-        StepOutcome::Idle => LaneSymbol::Idle,
-    }
-}
-
 /// One architectural block driven by the region scheduler.
 ///
 /// `C` is the region context the block shares with its peers (queues plus
@@ -129,8 +131,8 @@ pub(crate) fn outcome_symbol(outcome: StepOutcome) -> LaneSymbol {
 pub(crate) trait UnitStep<C> {
     /// Executes one cycle: moves flits/tokens, advances counters, appends
     /// the edges a scatter MP unit completes to the region's fold order
-    /// through `exec`, updates the busy/stall meters in `stats`, and
-    /// reports the cycle's trace symbol.
+    /// through `exec`, charges the cycle's activity to `stats`, and
+    /// returns that activity (the cycle's trace symbol).
     fn step(
         &mut self,
         ctx: &mut C,
@@ -140,20 +142,22 @@ pub(crate) trait UnitStep<C> {
 
     /// How many upcoming cycles this unit is guaranteed to spend purely
     /// counting (no queue traffic, no job transition), assuming every
-    /// queue stays frozen — plus the meter class those cycles accrue.
-    /// A horizon of zero means "something can happen this cycle; run
-    /// [`UnitStep::step`] exactly"; [`HORIZON_INF`] means the unit is
-    /// frozen until another unit moves.
-    fn pure_horizon(&self, ctx: &C) -> (u64, PureClass);
+    /// queue stays frozen — plus its activity in those cycles. A *pure*
+    /// cycle's only effects are one counter decrement and one meter
+    /// charge (plus, for an MP unit, appending the edges it completes to
+    /// the fold order). A horizon of zero means "something can happen
+    /// this cycle; run [`UnitStep::step`] exactly"; [`HORIZON_INF`] means
+    /// the unit is frozen until another unit moves.
+    fn pure_horizon(&self, ctx: &C) -> (u64, LaneSymbol);
 
-    /// Advances this unit through `delta` pure cycles at once, recording
-    /// the edges completed on the way in order. `class` must come from
-    /// [`UnitStep::pure_horizon`] and `delta` must not exceed the returned
-    /// horizon.
+    /// Advances this unit through `delta` pure cycles of `activity` at
+    /// once, recording the edges completed on the way in order.
+    /// `activity` must come from [`UnitStep::pure_horizon`] and `delta`
+    /// must not exceed the returned horizon.
     fn fast_forward(
         &mut self,
         delta: u64,
-        class: PureClass,
+        activity: LaneSymbol,
         ctx: &C,
         exec: &mut ExecState<'_>,
         stats: &mut RegionStats,

@@ -10,7 +10,7 @@ use flowgnn_graph::NodeId;
 use crate::exec::ExecState;
 use crate::trace::LaneSymbol;
 use crate::units::adapter::{ChainRole, ScatterCtx};
-use crate::units::{outcome_symbol, PureClass, RegionStats, StepOutcome, UnitStep, HORIZON_INF};
+use crate::units::{RegionStats, UnitStep, HORIZON_INF};
 
 /// One MP unit (edge bank `index`).
 #[derive(Debug)]
@@ -101,7 +101,8 @@ impl MpUnit {
             && (0..ctx.p_node).all(|nt| ctx.queues[nt * ctx.p_edge + self.index].is_empty())
     }
 
-    fn step_outcome(&mut self, ctx: &mut ScatterCtx<'_>, exec: &mut ExecState<'_>) -> StepOutcome {
+    /// Runs one cycle and returns the unit's activity in it.
+    fn advance(&mut self, ctx: &mut ScatterCtx<'_>, exec: &mut ExecState<'_>) -> LaneSymbol {
         let chunks_per_edge = ctx.chunks.expect("MP unit in a region without chunks");
         let flits_total = ctx.flits_total;
         let p_node = ctx.p_node;
@@ -169,12 +170,12 @@ impl MpUnit {
             self.pop_front();
         }
         if active {
-            StepOutcome::Busy
+            LaneSymbol::Busy
         } else if self.jobs[0].is_none() {
-            StepOutcome::Idle
+            LaneSymbol::Idle
         } else {
             // A job exists but no chunk advanced: starved for flits.
-            StepOutcome::StallEmpty
+            LaneSymbol::StallEmpty
         }
     }
 
@@ -209,8 +210,8 @@ impl MpUnit {
                 return Some((bound, ChainRole::Receive(back.queue)));
             }
         }
-        let (horizon, class) = self.pure_horizon(ctx);
-        (horizon > 0).then_some((horizon, ChainRole::Pure(class)))
+        let (horizon, activity) = self.pure_horizon(ctx);
+        (horizon > 0).then_some((horizon, ChainRole::Pure(activity)))
     }
 
     /// Runs `window` receiving cycles of a coupled jump: pops `window`
@@ -233,7 +234,7 @@ impl MpUnit {
             debug_assert_eq!(flit.node, back.node, "interleaved node flits in queue");
         }
         back.flits_recv += window as usize;
-        self.fast_forward(window, PureClass::Busy, ctx, exec, stats);
+        self.fast_forward(window, LaneSymbol::Busy, ctx, exec, stats);
     }
 }
 
@@ -244,46 +245,42 @@ impl<'a> UnitStep<ScatterCtx<'a>> for MpUnit {
         exec: &mut ExecState<'_>,
         stats: &mut RegionStats,
     ) -> LaneSymbol {
-        let outcome = self.step_outcome(ctx, exec);
-        match outcome {
-            StepOutcome::Busy => stats.mp_busy += 1,
-            StepOutcome::StallEmpty | StepOutcome::StallFull => stats.mp_stall += 1,
-            StepOutcome::Idle => {}
-        }
-        outcome_symbol(outcome)
+        let activity = self.advance(ctx, exec);
+        stats.charge_mp(activity, 1);
+        activity
     }
 
     /// Pure-cycle horizon for this unit (see `NtUnit`'s variant): cycles
     /// where neither intake nor edge completion can occur and only the
     /// front job's chunk counter advances — or a frozen stall/idle.
-    fn pure_horizon(&self, ctx: &ScatterCtx<'a>) -> (u64, PureClass) {
+    fn pure_horizon(&self, ctx: &ScatterCtx<'a>) -> (u64, LaneSymbol) {
         let flits_total = ctx.flits_total;
         let chunks_per_edge = ctx.chunks.expect("MP unit in a region without chunks");
         let owned_nonempty =
             (0..ctx.p_node).any(|nt| !ctx.queues[nt * ctx.p_edge + self.index].is_empty());
         let Some(front) = self.jobs[0].as_ref() else {
             return if owned_nonempty {
-                (0, PureClass::Busy) // would open a job this cycle
+                (0, LaneSymbol::Busy) // would open a job this cycle
             } else {
-                (HORIZON_INF, PureClass::Idle)
+                (HORIZON_INF, LaneSymbol::Idle)
             };
         };
         // Intake: any possible pop this cycle pins the horizon at zero.
         let back = self.back().expect("front exists");
         if back.flits_recv < flits_total {
             if !ctx.queues[back.queue].is_empty() {
-                return (0, PureClass::Busy);
+                return (0, LaneSymbol::Busy);
             }
         } else if self.job_count() < Self::MAX_JOBS && owned_nonempty {
-            return (0, PureClass::Busy);
+            return (0, LaneSymbol::Busy);
         }
         // No intake possible (queues are frozen while every unit is pure),
         // so only the front job's chunk counter can move.
         if front.edge_cursor >= front.edges {
             return if front.flits_recv == flits_total {
-                (0, PureClass::Busy) // retires the job this cycle
+                (0, LaneSymbol::Busy) // retires the job this cycle
             } else {
-                (HORIZON_INF, PureClass::StallEmpty)
+                (HORIZON_INF, LaneSymbol::StallEmpty)
             };
         }
         let f = front.flits_recv;
@@ -295,7 +292,7 @@ impl<'a> UnitStep<ScatterCtx<'a>> for MpUnit {
             // disjoint destination set), so `fast_forward` records them in
             // order; only the cycle that completes the *last* edge stays
             // live, because it also retires the job.
-            return (front.chunks_left(chunks_per_edge) - 1, PureClass::Busy);
+            return (front.chunks_left(chunks_per_edge) - 1, LaneSymbol::Busy);
         }
         // Chunk c can advance once `flits_needed[c] <= f`; the table
         // never decreases, so the chunks below `reachable` are exactly
@@ -303,40 +300,36 @@ impl<'a> UnitStep<ScatterCtx<'a>> for MpUnit {
         // flit) has not arrived, so no edge can complete inside this span.
         let reachable = ctx.flits_needed.partition_point(|&need| need <= f) as u64;
         if reachable <= front.chunk {
-            (HORIZON_INF, PureClass::StallEmpty)
+            (HORIZON_INF, LaneSymbol::StallEmpty)
         } else {
-            (reachable - front.chunk, PureClass::Busy)
+            (reachable - front.chunk, LaneSymbol::Busy)
         }
     }
 
     fn fast_forward(
         &mut self,
         delta: u64,
-        class: PureClass,
+        activity: LaneSymbol,
         ctx: &ScatterCtx<'a>,
         exec: &mut ExecState<'_>,
         stats: &mut RegionStats,
     ) {
-        match class {
-            PureClass::Busy => {
-                if let Some(job) = self.jobs[0].as_mut() {
-                    let chunks_per_edge = ctx.chunks.expect("MP unit in a region without chunks");
-                    // Replay the per-cycle recurrence in closed form:
-                    // `delta` chunk advances, one edge completing per
-                    // `chunks_per_edge` of them. The horizon guarantees
-                    // the cursor stays short of the final edge.
-                    let progress = job.chunk + delta;
-                    job.chunk = progress % chunks_per_edge;
-                    let completed = (progress / chunks_per_edge) as usize;
-                    if completed > 0 {
-                        job.complete_edges(completed, self.index, ctx, exec);
-                    }
+        if activity == LaneSymbol::Busy {
+            if let Some(job) = self.jobs[0].as_mut() {
+                let chunks_per_edge = ctx.chunks.expect("MP unit in a region without chunks");
+                // Replay the per-cycle recurrence in closed form: `delta`
+                // chunk advances, one edge completing per
+                // `chunks_per_edge` of them. The horizon guarantees the
+                // cursor stays short of the final edge.
+                let progress = job.chunk + delta;
+                job.chunk = progress % chunks_per_edge;
+                let completed = (progress / chunks_per_edge) as usize;
+                if completed > 0 {
+                    job.complete_edges(completed, self.index, ctx, exec);
                 }
-                stats.mp_busy += delta;
             }
-            PureClass::StallEmpty | PureClass::StallFull => stats.mp_stall += delta,
-            PureClass::Idle => {}
         }
+        stats.charge_mp(activity, delta);
     }
 
     fn done(&self, ctx: &ScatterCtx<'a>) -> bool {

@@ -8,7 +8,7 @@ use flowgnn_graph::NodeId;
 use crate::exec::ExecState;
 use crate::trace::LaneSymbol;
 use crate::units::adapter::{qindex, ChainRole, Flit, ScatterCtx};
-use crate::units::{outcome_symbol, PureClass, RegionStats, StepOutcome, UnitStep, HORIZON_INF};
+use crate::units::{RegionStats, UnitStep, HORIZON_INF};
 
 /// One NT unit: owns nodes `v ≡ index (mod P_node)`, enumerated
 /// arithmetically (`index + j·P_node`) so no per-region node list is ever
@@ -79,7 +79,8 @@ impl NtUnit {
         self.finished_nodes == self.count
     }
 
-    fn step_outcome(&mut self, ctx: &mut ScatterCtx<'_>) -> StepOutcome {
+    /// Runs one cycle and returns the unit's activity in it.
+    fn advance(&mut self, ctx: &mut ScatterCtx<'_>) -> LaneSymbol {
         let mut active = false;
         let mut blocked_output = false;
         let unit = self.index;
@@ -169,11 +170,11 @@ impl NtUnit {
             }
         }
         if active {
-            StepOutcome::Busy
+            LaneSymbol::Busy
         } else if blocked_output {
-            StepOutcome::StallFull
+            LaneSymbol::StallFull
         } else {
-            StepOutcome::Idle
+            LaneSymbol::Idle
         }
     }
 
@@ -193,12 +194,12 @@ impl NtUnit {
         mp_roles: &[ChainRole],
         ctx: &ScatterCtx<'_>,
     ) -> Option<(u64, ChainRole)> {
-        let (horizon, class) = self.pure_horizon(ctx);
+        let (horizon, activity) = self.pure_horizon(ctx);
         if horizon == 0 {
             return None;
         }
         let Some(job) = &self.out else {
-            return Some((horizon, ChainRole::Pure(class)));
+            return Some((horizon, ChainRole::Pure(activity)));
         };
         let (mut refills, mut all_popped, mut most_left) = (false, true, 0);
         for (&pushed, &k) in self.pushed.iter().zip(Self::targets(job, ctx)) {
@@ -213,7 +214,7 @@ impl NtUnit {
             }
         }
         if !refills {
-            return Some((horizon, ChainRole::Pure(class)));
+            return Some((horizon, ChainRole::Pure(activity)));
         }
         if job.elems_produced < ctx.payload {
             return None;
@@ -260,8 +261,8 @@ impl NtUnit {
             counted
         });
         let busy = most_pushed.max(counted);
-        stats.nt_busy += busy;
-        stats.nt_stall += window - busy;
+        stats.charge_nt(LaneSymbol::Busy, busy);
+        stats.charge_nt(LaneSymbol::StallFull, window - busy);
     }
 }
 
@@ -272,28 +273,23 @@ impl<'a> UnitStep<ScatterCtx<'a>> for NtUnit {
         _exec: &mut ExecState<'_>,
         stats: &mut RegionStats,
     ) -> LaneSymbol {
-        let outcome = self.step_outcome(ctx);
-        match outcome {
-            StepOutcome::Busy => stats.nt_busy += 1,
-            StepOutcome::StallEmpty | StepOutcome::StallFull => stats.nt_stall += 1,
-            StepOutcome::Idle => {}
-        }
-        outcome_symbol(outcome)
+        let activity = self.advance(ctx);
+        stats.charge_nt(activity, 1);
+        activity
     }
 
     /// How many upcoming cycles this unit is guaranteed to spend purely
     /// counting (accumulate countdown, backpressured or target-less
     /// element production) or holding a constant stall/idle state,
-    /// assuming no queue changes — plus the meter class those cycles
-    /// accrue. Any cycle that could push a flit, finalise a node, retire
+    /// assuming no queue changes — plus its activity in those cycles. Any cycle that could push a flit, finalise a node, retire
     /// an output job, or fetch the next node pins the horizon at zero so
     /// `step` executes it exactly.
-    fn pure_horizon(&self, ctx: &ScatterCtx<'a>) -> (u64, PureClass) {
+    fn pure_horizon(&self, ctx: &ScatterCtx<'a>) -> (u64, LaneSymbol) {
         let Some(job) = &self.out else {
             return match &self.acc {
-                Some((_, rem)) => (rem.saturating_sub(1), PureClass::Busy),
-                None if self.next < self.count => (0, PureClass::Busy),
-                None => (HORIZON_INF, PureClass::Idle),
+                Some((_, rem)) => (rem.saturating_sub(1), LaneSymbol::Busy),
+                None if self.next < self.count => (0, LaneSymbol::Busy),
+                None => (HORIZON_INF, LaneSymbol::Idle),
             };
         };
         // A push happens whenever some undelivered target queue has room
@@ -303,7 +299,7 @@ impl<'a> UnitStep<ScatterCtx<'a>> for NtUnit {
             pushed >= ctx.flits_total || ctx.queues[qindex(self.index, k, ctx.p_edge)].is_full()
         });
         if !blocked {
-            return (0, PureClass::Busy);
+            return (0, LaneSymbol::Busy);
         }
         if job.elems_produced < ctx.payload {
             // Producing into a backpressured (or target-less) output: pure
@@ -311,49 +307,45 @@ impl<'a> UnitStep<ScatterCtx<'a>> for NtUnit {
             // can retire the job. The accumulate counter runs alongside
             // and sits at zero if it finishes first — no constraint.
             if self.acc.is_none() && self.next < self.count {
-                return (0, PureClass::Busy); // fetches a node this cycle
+                return (0, LaneSymbol::Busy); // fetches a node this cycle
             }
             let remaining_elems = (ctx.payload - job.elems_produced) as u64;
             return (
                 remaining_elems.div_ceil(ctx.p_apply as u64) - 1,
-                PureClass::Busy,
+                LaneSymbol::Busy,
             );
         }
         // Fully produced, all undelivered targets backpressured: only the
         // accumulate counter moves.
         match &self.acc {
-            Some((_, rem)) if *rem >= 1 => (*rem, PureClass::Busy),
-            Some(_) => (HORIZON_INF, PureClass::StallFull),
-            None if self.next < self.count => (0, PureClass::Busy),
-            None => (HORIZON_INF, PureClass::StallFull),
+            Some((_, rem)) if *rem >= 1 => (*rem, LaneSymbol::Busy),
+            Some(_) => (HORIZON_INF, LaneSymbol::StallFull),
+            None if self.next < self.count => (0, LaneSymbol::Busy),
+            None => (HORIZON_INF, LaneSymbol::StallFull),
         }
     }
 
     fn fast_forward(
         &mut self,
         delta: u64,
-        class: PureClass,
+        activity: LaneSymbol,
         ctx: &ScatterCtx<'a>,
         _exec: &mut ExecState<'_>,
         stats: &mut RegionStats,
     ) {
-        match class {
-            PureClass::Busy => {
-                if let Some(job) = &mut self.out {
-                    if job.elems_produced < ctx.payload {
-                        // Horizon guarantees this stays strictly below
-                        // payload, so the retire cycle remains live.
-                        job.elems_produced += delta as usize * ctx.p_apply;
-                    }
+        if activity == LaneSymbol::Busy {
+            if let Some(job) = &mut self.out {
+                if job.elems_produced < ctx.payload {
+                    // Horizon guarantees this stays strictly below
+                    // payload, so the retire cycle remains live.
+                    job.elems_produced += delta as usize * ctx.p_apply;
                 }
-                if let Some((_, rem)) = &mut self.acc {
-                    *rem = rem.saturating_sub(delta);
-                }
-                stats.nt_busy += delta;
             }
-            PureClass::StallFull | PureClass::StallEmpty => stats.nt_stall += delta,
-            PureClass::Idle => {}
+            if let Some((_, rem)) = &mut self.acc {
+                *rem = rem.saturating_sub(delta);
+            }
         }
+        stats.charge_nt(activity, delta);
     }
 
     fn done(&self, _ctx: &ScatterCtx<'a>) -> bool {

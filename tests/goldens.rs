@@ -3,10 +3,14 @@
 //! behavioural change that EXPERIMENTS.md numbers no longer describe —
 //! update the goldens *and* the document together.
 
+use flowgnn::core::GatherBanking;
 use flowgnn::graph::datasets::{DatasetKind, DatasetSpec};
-use flowgnn::graph::generators::{GraphGenerator, KnnPointCloud, MoleculeLike};
+use flowgnn::graph::generators::{ErdosRenyi, GraphGenerator, KnnPointCloud, MoleculeLike};
+use flowgnn::graph::{FeatureSource, Graph};
 use flowgnn::models::reference;
-use flowgnn::{Accelerator, ArchConfig, ExecutionMode, GnnModel};
+use flowgnn::{
+    Accelerator, ArchConfig, EngineMode, ExecutionMode, GnnModel, PipelineStrategy, RunReport,
+};
 
 #[test]
 fn generator_goldens_are_stable() {
@@ -186,5 +190,114 @@ fn cycle_count_golden_is_stable() {
     assert!(
         (1_000..20_000).contains(&a),
         "GIN/MolHIV golden cycle count left its band: {a}"
+    );
+}
+
+/// FNV-1a over a run's load, region and readout cycles, its four busy and
+/// stall meters, its output bits and every glyph of its trace.
+fn fnv1a_run_bits(hash: &mut u64, r: &RunReport) {
+    let mut feed = |bytes: &[u8]| {
+        for &byte in bytes {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let meters = [
+        r.load_cycles,
+        r.readout_cycles,
+        r.nt_busy_cycles,
+        r.nt_stall_cycles,
+        r.mp_busy_cycles,
+        r.mp_stall_cycles,
+        r.region_cycles.len() as u64,
+    ];
+    for word in meters.into_iter().chain(r.region_cycles.iter().copied()) {
+        feed(&word.to_le_bytes());
+    }
+    for region in r.trace.iter().flat_map(|t| &t.regions) {
+        for lane in &region.lanes {
+            feed(&(lane.len() as u64).to_le_bytes());
+            let glyphs: String = lane.iter().map(|s| s.glyph()).collect();
+            feed(glyphs.as_bytes());
+        }
+    }
+    if let Some(out) = &r.output {
+        fnv1a_output_bits(hash, out);
+    }
+}
+
+/// The six presets for graphs with `dim` node features and `edge_dim` edge
+/// features.
+fn presets(dim: usize, edge_dim: Option<usize>) -> [GnnModel; 6] {
+    [
+        GnnModel::gcn(dim, 41),
+        GnnModel::gin(dim, edge_dim, 42),
+        GnnModel::gin_vn(dim, edge_dim, 43),
+        GnnModel::gat(dim, 44),
+        GnnModel::pna(dim, edge_dim, 45),
+        GnnModel::dgn(dim, 46),
+    ]
+}
+
+#[test]
+fn fig4_baseline_schedules_are_pinned() {
+    // The non-pipelined (Fig. 4a) and lockstep (Fig. 4b) schedules, traced
+    // and untraced, on every preset: a molecule and a HEP point cloud
+    // (edge features), an edgeless graph and random graphs with nodes, at
+    // three parallelism corners, both gather bankings, both execution
+    // modes and both engine modes. Any change to either schedule's cycles,
+    // meters, lanes or recorded fold order fails here.
+    let edgeless = Graph::new(6, vec![], FeatureSource::procedural(6, 9, 7), None).unwrap();
+    let mut plain = vec![edgeless];
+    plain.extend((0..4).map(|i| {
+        ErdosRenyi::new(4 + 5 * i, 0.3, 60 + i as u64)
+            .node_feat_dim(9)
+            .generate(0)
+    }));
+    let molecule = MoleculeLike::new(25.3, 2023).generate(1);
+    let hep = KnnPointCloud::new(24.0, 8, 2023).generate(0);
+    let groups = [
+        (presets(9, None), plain),
+        (presets(9, molecule.edge_feature_dim()), vec![molecule]),
+        (presets(7, hep.edge_feature_dim()), vec![hep]),
+    ];
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut runs = 0;
+    for strategy in [
+        PipelineStrategy::NonPipelined,
+        PipelineStrategy::FixedPipeline,
+    ] {
+        for (p_node, p_edge, p_apply, p_scatter) in [(1, 1, 1, 1), (2, 4, 8, 8), (4, 2, 16, 4)] {
+            for banking in [GatherBanking::Destination, GatherBanking::Source] {
+                for execution in [ExecutionMode::Full, ExecutionMode::TimingOnly] {
+                    for engine in [EngineMode::FastForward, EngineMode::Reference] {
+                        for traced in [false, true] {
+                            let mut config = ArchConfig::default()
+                                .with_strategy(strategy)
+                                .with_parallelism(p_node, p_edge, p_apply, p_scatter)
+                                .with_gather_banking(banking)
+                                .with_execution(execution)
+                                .with_engine(engine);
+                            if traced {
+                                config = config.with_trace();
+                            }
+                            for (models, graphs) in &groups {
+                                for model in models {
+                                    let acc = Accelerator::new(model.clone(), config);
+                                    for g in graphs {
+                                        fnv1a_run_bits(&mut hash, &acc.run(g));
+                                        runs += 1;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(runs, 4_032);
+    assert_eq!(
+        hash, 0xdc4b_67c4_e40b_f355,
+        "Fig. 4(a)/(b) baseline schedules drifted"
     );
 }

@@ -170,6 +170,110 @@ fn flowgnn_dominates_baseline_dataflow() {
     }
 }
 
+/// A traced run's lanes account for its timing report: each region's
+/// lanes last its cycles less the fixed region overhead and NT pipeline
+/// fill (8 + 4 cycles), and the busy and stall symbols on the NT (MP)
+/// lanes sum to the NT (MP) busy and stall meters. Checked for every
+/// strategy and preset on molecules, HEP point clouds, and edgeless,
+/// one-node and zero-node graphs at three parallelism corners, with
+/// destination banking (source-banked gather regions record no lanes).
+#[test]
+fn busy_and_stall_meters_equal_the_traced_lanes() {
+    use flowgnn::core::LaneSymbol;
+    use flowgnn::graph::generators::{KnnPointCloud, MoleculeLike};
+    use flowgnn::graph::FeatureSource;
+
+    let plain = |n: usize| Graph::new(n, vec![], FeatureSource::procedural(n, 9, 7), None).unwrap();
+    let molecules: Vec<Graph> = (0..2)
+        .map(|i| MoleculeLike::new(13.0, 2023).generate(i))
+        .collect();
+    let clouds: Vec<Graph> = (0..2)
+        .map(|i| KnnPointCloud::new(20.0, 8, 2023).generate(i))
+        .collect();
+    let presets = |g: &Graph| {
+        let (dim, edge_dim) = (g.node_feature_dim(), g.edge_feature_dim());
+        [
+            GnnModel::gcn(dim, 51),
+            GnnModel::gin(dim, edge_dim, 52),
+            GnnModel::gin_vn(dim, edge_dim, 53),
+            GnnModel::gat(dim, 54),
+            GnnModel::pna(dim, edge_dim, 55),
+            GnnModel::dgn(dim, 56),
+        ]
+    };
+    let groups = [
+        (presets(&molecules[0]), molecules),
+        (presets(&clouds[0]), clouds),
+        (presets(&plain(1)), vec![plain(6), plain(1), plain(0)]),
+    ];
+    let (mut runs, mut failures) = (0, Vec::new());
+    for strategy in PipelineStrategy::ABLATION_ORDER {
+        for (p_node, p_edge, p_apply, p_scatter) in [(1, 1, 1, 1), (2, 4, 8, 8), (4, 2, 16, 4)] {
+            let config = ArchConfig::default()
+                .with_strategy(strategy)
+                .with_parallelism(p_node, p_edge, p_apply, p_scatter)
+                .with_execution(ExecutionMode::TimingOnly)
+                .with_trace();
+            for (models, graphs) in &groups {
+                for model in models {
+                    let acc = Accelerator::new(model.clone(), config);
+                    for g in graphs {
+                        runs += 1;
+                        let r = acc.run(g);
+                        let trace = r.trace.as_ref().expect("traced run");
+                        let lanes: Vec<u64> = trace
+                            .regions
+                            .iter()
+                            .map(|t| t.cycles() as u64 + 12)
+                            .collect();
+                        let (mut nt, mut mp) = ([0u64; 2], [0u64; 2]);
+                        for region in &trace.regions {
+                            for (name, lane) in region.lane_names.iter().zip(&region.lanes) {
+                                let meter = if name.starts_with("NT") {
+                                    &mut nt
+                                } else {
+                                    &mut mp
+                                };
+                                for &s in lane {
+                                    match s {
+                                        LaneSymbol::Busy => meter[0] += 1,
+                                        LaneSymbol::StallFull | LaneSymbol::StallEmpty => {
+                                            meter[1] += 1
+                                        }
+                                        LaneSymbol::Idle => {}
+                                    }
+                                }
+                            }
+                        }
+                        let metered = (
+                            [r.nt_busy_cycles, r.nt_stall_cycles],
+                            [r.mp_busy_cycles, r.mp_stall_cycles],
+                        );
+                        if lanes != r.region_cycles || (nt, mp) != metered {
+                            failures.push(format!(
+                                "{} on {} nodes under {strategy} ({p_node}, {p_edge}, \
+                                 {p_apply}, {p_scatter}): lanes {lanes:?} vs regions {:?}, \
+                                 traced NT/MP {:?} vs metered {metered:?}",
+                                model.name(),
+                                g.num_nodes(),
+                                r.region_cycles,
+                                (nt, mp),
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(runs, 504);
+    assert!(
+        failures.is_empty(),
+        "{} of {runs} runs disagree:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
 /// An `R`-replica round-robin pool is exactly `R` interleaved independent
 /// single servers: replica `r` of a pool fed `Fixed { gap }` arrivals
 /// sees requests `r, r+R, r+2R, …` at cycles `(r + kR)·gap`, which is the
