@@ -108,9 +108,10 @@ pub enum EngineMode {
     /// `P_apply ≤ P_scatter`).
     ///
     /// In runs without a trace it also fast-forwards whole regions: a
-    /// region whose timing signature (kind, NT accumulate cycles, payload
-    /// dimension, MP chunks per edge) equals an earlier region's copies
-    /// that region's stats instead of stepping its cycles again. The
+    /// region whose compiled timing (shape, NT accumulate cycles, payload,
+    /// output cycles, flits, MP chunks per edge) equals an earlier
+    /// region's copies that region's stats instead of stepping its cycles
+    /// again. The
     /// identical hidden layers of every preset model are such twins. In
     /// [`ExecutionMode::Full`] a copied twin's layer folds its messages in
     /// the order the earlier region recorded, which is the order stepping

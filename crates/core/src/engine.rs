@@ -7,9 +7,11 @@
 //! preparation, the region walk, load/readout costing, and the
 //! [`RunReport`] the caller gets back.
 //!
-//! The region walk simulates each region in order, except that an
-//! untraced [`EngineMode::FastForward`] run copies a twin region's stats
-//! from the earlier region with the same timing signature instead of
+//! [`Accelerator::new`] compiles each lowered region once into its timing
+//! (`crate::pipeline::RegionTiming`), the only description of a region any
+//! schedule receives. The region walk simulates each region in order,
+//! except that an untraced [`EngineMode::FastForward`] run copies a twin
+//! region's stats from the earlier region with the same timing instead of
 //! stepping it again (DESIGN.md §3b): every preset model stacks identical
 //! hidden layers, so most regions are twins. After each region's stats
 //! are known, stepped or copied, the region's arithmetic runs in one pass
@@ -25,6 +27,7 @@ use flowgnn_models::{Dataflow, GnnModel, GraphContext};
 use crate::cache::ServiceTraceCache;
 use crate::config::{ArchConfig, EngineMode, ExecutionMode};
 use crate::exec::{ExecState, SimScratch};
+use crate::pipeline::{twin_map, RegionTiming};
 use crate::regions::{lower, BankedEdges, Region};
 use crate::trace::Trace;
 use crate::units::RegionStats;
@@ -49,8 +52,8 @@ pub struct PreparedGraph<'g> {
     g: Cow<'g, Graph>,
     pool_nodes: usize,
     ctx: GraphContext,
-    banked: BankedEdges,
-    csc: Option<Adjacency>,
+    pub(crate) banked: BankedEdges,
+    pub(crate) csc: Option<Adjacency>,
 }
 
 impl PreparedGraph<'_> {
@@ -138,10 +141,11 @@ pub struct Accelerator {
     model: GnnModel,
     config: ArchConfig,
     regions: Vec<Region>,
-    /// Per region, the earlier region with the same timing signature whose
-    /// stats and fold order an untraced fast-forward run copies (see
-    /// `twin_map`).
-    twins: Vec<Option<usize>>,
+    /// Per region, its compiled timing.
+    timings: Vec<RegionTiming>,
+    /// Per region, the earlier region with the same timing whose stats and
+    /// fold order an untraced fast-forward run copies (see `twin_map`).
+    pub(crate) twins: Vec<Option<usize>>,
     trace_cache: Option<ServiceTraceCache>,
     metrics: Option<crate::metrics::EngineMetrics>,
 }
@@ -150,16 +154,19 @@ impl Accelerator {
     /// Compiles `model` onto `config`.
     pub fn new(model: GnnModel, config: ArchConfig) -> Self {
         let regions = lower(&model);
-        let mut acc = Self {
+        let timings: Vec<_> = regions
+            .iter()
+            .map(|r| RegionTiming::new(r, &model, &config))
+            .collect();
+        Self {
             model,
             config,
             regions,
-            twins: Vec::new(),
+            twins: twin_map(&timings),
+            timings,
             trace_cache: None,
             metrics: None,
-        };
-        acc.twins = acc.twin_map(&acc.regions);
-        acc
+        }
     }
 
     /// Attaches a [`ServiceTraceCache`]: subsequent
@@ -292,8 +299,7 @@ impl Accelerator {
     ) -> RunReport {
         let g: &Graph = &prepared.g;
         let pool_nodes = prepared.pool_nodes;
-        let banked = &prepared.banked;
-        let csc = &prepared.csc;
+        let csc = prepared.csc.as_ref();
         let functional = self.config.execution == ExecutionMode::Full;
         if functional {
             assert_eq!(
@@ -306,7 +312,7 @@ impl Accelerator {
         }
         let n = g.num_nodes();
 
-        let mut exec = ExecState::new(g, &prepared.ctx, functional, scratch);
+        let mut exec = ExecState::new(g, &prepared.ctx, functional, self.regions.len(), scratch);
         let mut region_cycles = Vec::with_capacity(self.regions.len());
         let mut region_stats = Vec::with_capacity(self.regions.len());
         let mut totals = RegionStats::default();
@@ -319,9 +325,9 @@ impl Accelerator {
         // recording its own order.
         let copy_twins = trace.is_none() && self.config.engine == EngineMode::FastForward;
 
-        for (i, (region, twin)) in self.regions.iter().zip(&self.twins).enumerate() {
+        for (i, region) in self.regions.iter().enumerate() {
             exec.begin_region(i, region.payload_dim);
-            let copied = twin.filter(|_| copy_twins);
+            let copied = self.twins[i].filter(|_| copy_twins);
             let stats = match copied {
                 // A copied twin steps and skips nothing.
                 Some(j) => RegionStats {
@@ -329,11 +335,15 @@ impl Accelerator {
                     skipped: 0,
                     ..region_stats[j]
                 },
-                None => {
-                    self.simulate_region(region, g, banked, csc.as_ref(), &mut exec, trace.as_mut())
-                }
+                None => self.simulate_region(
+                    region,
+                    &self.timings[i],
+                    prepared,
+                    &mut exec,
+                    trace.as_mut(),
+                ),
             };
-            exec.run_region(&self.model, region, csc.as_ref(), copied);
+            exec.run_region(&self.model, region, csc, copied);
             region_stats.push(stats);
             region_cycles.push(stats.cycles + REGION_OVERHEAD + NT_PIPELINE_DEPTH);
             totals += stats;
@@ -652,6 +662,16 @@ mod tests {
         assert!(report.stalled_fraction() < 1.0);
     }
 
+    /// The twin map of `regions` compiled for `acc`'s model and
+    /// configuration.
+    fn twins_of(acc: &Accelerator, regions: &[Region]) -> Vec<Option<usize>> {
+        let timings: Vec<_> = regions
+            .iter()
+            .map(|r| RegionTiming::new(r, acc.model(), acc.config()))
+            .collect();
+        twin_map(&timings)
+    }
+
     #[test]
     fn gcn_hidden_regions_twin_the_first_one() {
         let acc = Accelerator::new(GnnModel::gcn(9, 0), ArchConfig::default());
@@ -668,6 +688,66 @@ mod tests {
             expected.extend([Some(1), Some(2)]);
         }
         assert_eq!(acc.twins, expected);
+    }
+
+    /// Layers that share their dimensions twin whatever their arithmetic:
+    /// the timing reads dimensions only. In fast-forward runs regions 2 and
+    /// 3 then fold their own weighting, aggregator and γ over region 1's
+    /// recorded order (`tests/differential.rs` runs a model of this shape
+    /// bit for bit against the reference engine).
+    #[test]
+    fn layers_differing_only_in_arithmetic_twin() {
+        use flowgnn_models::{
+            AggregatorKind, Combine, EdgeWeighting, GnnLayer, MessageTransform, NodeTransform,
+        };
+        use flowgnn_tensor::{Activation, Linear};
+
+        let arithmetic = [
+            (
+                EdgeWeighting::GcnNorm,
+                AggregatorKind::Sum,
+                Activation::Relu,
+            ),
+            (EdgeWeighting::One, AggregatorKind::Mean, Activation::Tanh),
+            (
+                EdgeWeighting::One,
+                AggregatorKind::Max,
+                Activation::LeakyRelu,
+            ),
+            (
+                EdgeWeighting::GcnNorm,
+                AggregatorKind::Min,
+                Activation::Sigmoid,
+            ),
+        ];
+        let layers = arithmetic
+            .into_iter()
+            .enumerate()
+            .map(|(i, (weighting, agg, activation))| {
+                let gamma = NodeTransform::Linear {
+                    layer: Linear::seeded(16, 16, activation, i as u64),
+                    combine: Combine::GcnSelfLoop,
+                };
+                GnnLayer::new(
+                    16,
+                    16,
+                    MessageTransform::WeightedCopy,
+                    weighting,
+                    agg,
+                    gamma,
+                )
+            })
+            .collect();
+        let model = GnnModel::custom(
+            "mixed-arithmetic",
+            Dataflow::NtToMp,
+            Some(Linear::seeded(9, 16, Activation::Relu, 9)),
+            layers,
+            None,
+        );
+        let acc = Accelerator::new(model, ArchConfig::default());
+        // Encode, then γ(L0..L2) each scattering, then γ(L3) NT-only.
+        assert_eq!(acc.twins, [None, None, Some(1), Some(1), None]);
     }
 
     #[test]
@@ -687,7 +767,7 @@ mod tests {
             assert!(!acc.twins.contains(&Some(0)), "{}", acc.model().name());
             // Not even an identical Encode region: its cost is per node.
             assert_eq!(
-                acc.twin_map(&[encode.clone(), encode.clone()]),
+                twins_of(&acc, &[encode.clone(), encode.clone()]),
                 [None, None]
             );
         }
@@ -705,7 +785,10 @@ mod tests {
             scatter_layer: None,
             gather_layer: None,
         };
-        assert_eq!(acc.twin_map(&[base.clone(), base.clone()]), [None, Some(0)]);
+        assert_eq!(
+            twins_of(&acc, &[base.clone(), base.clone()]),
+            [None, Some(0)]
+        );
         // 100 and 104 elements both take 13 output cycles and 13 flits at
         // P_apply = P_scatter = 8, but the payload itself is signed.
         assert_eq!(100usize.div_ceil(8), 104usize.div_ceil(8));
@@ -723,7 +806,7 @@ mod tests {
             ..base.clone()
         };
         for other in [wider, slower, scatter] {
-            assert_eq!(acc.twin_map(&[base.clone(), other]), [None, None]);
+            assert_eq!(twins_of(&acc, &[base.clone(), other]), [None, None]);
         }
     }
 

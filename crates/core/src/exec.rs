@@ -5,9 +5,12 @@
 //! model's arithmetic through one [`ExecState`], and none of them does it
 //! while it steps cycles. Functionally, the only thing the dataflow
 //! decides is the order in which each destination's aggregator receives
-//! its messages, so a scatter region's schedule only records the edge ids
-//! in the order its MP units complete them ([`ExecState::record_edges`]).
-//! Once the region's stats are known, stepped or copied from a twin,
+//! its messages, so a scatter region's schedule only appends the edge ids,
+//! in the order its MP units complete them, to the region's fold order
+//! ([`ExecState::fold_order`]; the dataflow's MP units append through the
+//! scatter context, which borrows it with the adapter's queue grid,
+//! [`ExecState::scatter_queues`]). The units themselves never see this
+//! state. Once the region's stats are known, stepped or copied from a twin,
 //! [`ExecState::run_region`] runs its arithmetic in one pass: γ for every
 //! node (after that node's gather, in gather regions), then φ and the fold
 //! over the recorded order. [`ExecState::advance_region`] then swaps the
@@ -32,7 +35,9 @@ use crate::units::adapter::Flit;
 ///
 /// A fresh default `SimScratch` is always valid; reusing one across runs
 /// (of any graph, any accelerator) is equally valid — every run fully
-/// re-initialises the state it reads.
+/// re-initialises the state it reads. A warm run (one that reuses a
+/// scratch on the same accelerator) allocates the same number of times
+/// whatever the graph; only the bytes of its report and output grow.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     /// Embeddings at region start.
@@ -92,16 +97,26 @@ pub(crate) struct ExecState<'a> {
 }
 
 impl<'a> ExecState<'a> {
+    /// Starts a run of `regions` regions on `graph`.
     pub(crate) fn new(
         graph: &'a Graph,
         ctx: &'a GraphContext,
         functional: bool,
+        regions: usize,
         scratch: &'a mut SimScratch,
     ) -> Self {
         let n = graph.num_nodes();
         for buf in [&mut scratch.prev_states, &mut scratch.next_states] {
             buf.clear();
             buf.resize(n, None);
+        }
+        // The final region's embeddings leave with the output, and the
+        // previous output left `x_cur` empty. With an odd region count the
+        // final region writes the buffer the run starts in `x_next`, so
+        // swapping makes it the empty one: the buffer that stays in the
+        // scratch is then written by every run and never grows once warm.
+        if functional && regions % 2 == 1 {
+            std::mem::swap(&mut scratch.x_cur, &mut scratch.x_next);
         }
         Self {
             graph,
@@ -151,43 +166,32 @@ impl<'a> ExecState<'a> {
         self.region = index;
     }
 
-    /// Appends edges an MP unit just completed to the region's fold order
-    /// (functional runs only).
-    #[inline]
-    pub(crate) fn record_edges(&mut self, eids: &[u32]) {
-        if self.functional {
-            self.scratch.orders[self.region].extend_from_slice(eids);
-        }
+    /// The current region's fold order, which its scatter schedule
+    /// appends each completed edge to; `None` in timing-only runs.
+    pub(crate) fn fold_order(&mut self) -> Option<&mut Vec<u32>> {
+        self.functional
+            .then(|| &mut self.scratch.orders[self.region])
     }
 
-    /// Borrows the scatter adapter's queue grid for one region, reshaped
-    /// to `count` queues of `capacity` (backing stores are reused).
-    pub(crate) fn take_scatter_queues(&mut self, count: usize, capacity: usize) -> Vec<Fifo<Flit>> {
-        let mut queues = std::mem::take(&mut self.scratch.scatter_queues);
-        prepare_queue_grid(&mut queues, count, capacity);
-        queues
-    }
-
-    /// Returns the scatter queue grid after the region completes.
-    pub(crate) fn put_scatter_queues(&mut self, queues: Vec<Fifo<Flit>>) {
-        self.scratch.scatter_queues = queues;
-    }
-
-    /// Borrows the gather path's queue grid for one region (see
-    /// [`ExecState::take_scatter_queues`]).
-    pub(crate) fn take_gather_queues(
+    /// Borrows the scatter adapter's queue grid for the current region,
+    /// reshaped to `count` queues of `capacity` (the ring allocations
+    /// persist across regions and runs), beside the region's fold order.
+    pub(crate) fn scatter_queues(
         &mut self,
         count: usize,
         capacity: usize,
-    ) -> Vec<Fifo<NodeId>> {
-        let mut queues = std::mem::take(&mut self.scratch.gather_queues);
-        prepare_queue_grid(&mut queues, count, capacity);
-        queues
+    ) -> (&mut [Fifo<Flit>], Option<&mut Vec<u32>>) {
+        let s = &mut *self.scratch;
+        prepare_queue_grid(&mut s.scatter_queues, count, capacity);
+        let order = self.functional.then(|| &mut s.orders[self.region]);
+        (&mut s.scatter_queues, order)
     }
 
-    /// Returns the gather queue grid after the region completes.
-    pub(crate) fn put_gather_queues(&mut self, queues: Vec<Fifo<NodeId>>) {
-        self.scratch.gather_queues = queues;
+    /// Borrows the gather path's queue grid for the current region (see
+    /// [`ExecState::scatter_queues`]).
+    pub(crate) fn gather_queues(&mut self, count: usize, capacity: usize) -> &mut [Fifo<NodeId>] {
+        prepare_queue_grid(&mut self.scratch.gather_queues, count, capacity);
+        &mut self.scratch.gather_queues
     }
 
     fn node_ctx(&self, v: NodeId) -> NodeCtx {

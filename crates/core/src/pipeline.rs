@@ -11,32 +11,33 @@
 //! per-cycle loop, the fast-forward scan, and the trace emission — so the
 //! reference mode, the fast-forward mode, and the tracer all execute the
 //! same unit code. When the scan finds a unit with an event this cycle,
-//! the loop offers the region's coupled jump (`CoupledJump`), which
-//! scatter regions implement next to their context in
-//! `crate::units::adapter`. The loop counts the cycles it stepped and the
-//! cycles it jumped in the region's `RegionStats`.
+//! the loop offers the region's coupled jump
+//! (`DataflowCtx::coupled_jump`), which scatter regions implement next to
+//! their context in `crate::units::adapter`. The loop counts the cycles it
+//! stepped and the cycles it jumped in the region's `RegionStats`.
 //!
-//! `scatter_dataflow` computes every per-region constant the unit steps
-//! read (unit counts, the NT push budget, the per-chunk flit table) once,
-//! in the `ScatterCtx` it builds.
+//! This module also owns what a region's timing depends on. The
+//! accelerator compiles each region once into a [`RegionTiming`] (shape,
+//! uniform NT accumulate cycles, payload, output cycles, flits, MP chunks
+//! per edge and the per-chunk flit table), and that value is the only
+//! description of a region any schedule receives. The twin map compares
+//! these values: it names for each region the first earlier region that
+//! steps through the same cycles on any graph, and the engine uses it to
+//! fast-forward whole regions in untraced fast-forward runs (DESIGN.md
+//! §3b).
 //!
-//! This module also owns what a region's timing depends on: its
-//! [`TimingSignature`] (kind, uniform NT accumulate cycles, payload
-//! dimension, MP chunks per edge) and the twin map built from it, which
-//! names for each region the first earlier region that steps through the
-//! same cycles on any graph. The engine uses the map to fast-forward
-//! whole regions in untraced fast-forward runs (DESIGN.md §3b).
-//!
-//! No schedule here runs arithmetic: a scatter region's schedule records
-//! the order in which edges complete (the MP units in the dataflows, the
-//! source-major walk under the baseline strategies), and the engine runs
-//! the region's arithmetic afterwards (`ExecState::run_region`).
+//! No schedule here runs arithmetic: a scatter region's schedule appends
+//! the edges it completes to the region's fold order (the MP units in the
+//! dataflows, the source-major walk under the baseline strategies), and
+//! the engine runs the region's arithmetic afterwards
+//! (`ExecState::run_region`).
 
 use flowgnn_desim::Cycle;
 use flowgnn_graph::{Adjacency, Graph, NodeId};
+use flowgnn_models::GnnModel;
 
-use crate::config::{EngineMode, GatherBanking, PipelineStrategy};
-use crate::engine::Accelerator;
+use crate::config::{ArchConfig, EngineMode, GatherBanking, PipelineStrategy};
+use crate::engine::{Accelerator, PreparedGraph};
 use crate::exec::ExecState;
 use crate::regions::{BankedEdges, NtOp, Region};
 use crate::trace::{LaneSymbol, RegionTrace, Trace};
@@ -44,11 +45,11 @@ use crate::units::adapter::ScatterCtx;
 use crate::units::gather::{GatherCtx, GatherMp, GatherNt};
 use crate::units::mp::MpUnit;
 use crate::units::nt::NtUnit;
-use crate::units::{AccCost, CoupledJump, RegionStats, UnitStep, FF_BACKOFF_MAX, HORIZON_INF};
+use crate::units::{AccCost, DataflowCtx, RegionStats, UnitStep, FF_BACKOFF_MAX, HORIZON_INF};
 
 /// Which units a region deploys. It picks the region's schedule, orders
-/// its trace lanes (NT lanes first), chooses its runaway diagnostics and
-/// is the kind in its [`TimingSignature`].
+/// its trace lanes (NT lanes first), names the units in its runaway
+/// diagnostics and is part of its [`RegionTiming`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Shape {
     /// NT units feeding MP units through the adapter (the dataflow steps
@@ -61,28 +62,96 @@ enum Shape {
     Gather,
 }
 
-impl Shape {
-    fn of(region: &Region) -> Self {
-        match (region.scatter_layer, region.gather_layer) {
-            (Some(_), _) => Shape::Scatter,
-            (None, Some(_)) => Shape::Gather,
-            (None, None) => Shape::NtOnly,
+/// One region's timing, compiled once per accelerator: every per-region
+/// value its schedules read besides the graph (the [`ArchConfig`] is
+/// fixed per accelerator). Two regions with equal timings step through
+/// the same cycles on any graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RegionTiming {
+    shape: Shape,
+    /// Uniform NT accumulate cycles per node (the initiation interval; the
+    /// pipeline fill `NT_PIPELINE_DEPTH` is charged once per region by the
+    /// caller, as an II=1 hardware pipeline amortises it). `None` marks
+    /// Encode, whose cost is per node: the input-stationary accumulate
+    /// skips zero inputs, which is what makes sparse bag-of-words features
+    /// (Cora at 1.27% density) cheap — the same property AWB-GCN's
+    /// zero-skipping SpMM exploits.
+    acc: Option<u64>,
+    /// NT output (payload) dimension.
+    payload: usize,
+    /// NT output cycles per node.
+    out: u64,
+    /// Flits per node embedding through the adapter.
+    flits: usize,
+    /// MP cycles per edge (`None` in NT-only regions).
+    chunks: Option<u64>,
+    /// Per chunk `c` of an edge split into `chunks`, the flits that must
+    /// have arrived before it advances: every flit under node granularity
+    /// (BaselineDataflow), else the proportional share
+    /// `⌈(c+1)·flits / chunks⌉`. Empty in NT-only regions.
+    flits_needed: Vec<usize>,
+}
+
+impl RegionTiming {
+    /// Compiles `region` of `model` on `config`.
+    pub(crate) fn new(region: &Region, model: &GnnModel, config: &ArchConfig) -> Self {
+        let (p_apply, p_scatter) = (config.p_apply, config.p_scatter);
+        let acc = (region.nt_op != NtOp::Encode).then(|| {
+            let compute: usize = if region.nt_fc.is_empty() {
+                region.nt_read_dim.div_ceil(p_apply)
+            } else {
+                region.nt_fc.iter().map(|&(i, _)| i.div_ceil(p_apply)).sum()
+            };
+            compute.max(1) as u64
+        });
+        let flits = region.payload_dim.div_ceil(p_scatter);
+        let layer = region.scatter_layer.or(region.gather_layer);
+        let chunks = layer.map_or(0, |l| model.layers()[l].message_dim().div_ceil(p_scatter));
+        let node_granularity = config.strategy == PipelineStrategy::BaselineDataflow;
+        let flits_needed = (1..=chunks)
+            .map(|c| {
+                if node_granularity {
+                    flits
+                } else {
+                    (c * flits).div_ceil(chunks)
+                }
+            })
+            .collect();
+        Self {
+            shape: match (region.scatter_layer, region.gather_layer) {
+                (Some(_), _) => Shape::Scatter,
+                (None, Some(_)) => Shape::Gather,
+                (None, None) => Shape::NtOnly,
+            },
+            acc,
+            payload: region.payload_dim,
+            out: region.payload_dim.div_ceil(p_apply) as u64,
+            flits,
+            chunks: layer.map(|_| chunks as u64),
+            flits_needed,
         }
+    }
+
+    /// A gather region's MP cycles per edge and NT accumulate cycles per
+    /// node.
+    fn gather(&self) -> (u64, u64) {
+        self.chunks
+            .zip(self.acc)
+            .expect("a gather region has MP chunks and is never Encode")
     }
 }
 
-/// Every per-region value a region's timing simulation reads besides the
-/// graph (the [`crate::ArchConfig`] is fixed per accelerator). Two regions
-/// with equal signatures step through the same cycles on any graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TimingSignature {
-    shape: Shape,
-    /// Uniform NT accumulate cycles per node.
-    acc_cycles: u64,
-    /// NT output dimension: output cycles and flits per node derive from it.
-    payload_dim: usize,
-    /// MP cycles per edge (`None` in NT-only regions).
-    chunks_per_edge: Option<u64>,
+/// The twin map of a model's compiled regions: entry `i` names the first
+/// earlier region with the same [`RegionTiming`], or is `None` when
+/// region `i` is the first of its timing or is Encode, whose cost depends
+/// on the graph. The named region is never a twin itself, so a run
+/// always simulates it first.
+pub(crate) fn twin_map(timings: &[RegionTiming]) -> Vec<Option<usize>> {
+    timings
+        .iter()
+        .enumerate()
+        .map(|(i, t)| t.acc.and_then(|_| timings[..i].iter().position(|s| s == t)))
+        .collect()
 }
 
 /// The per-cycle loop shared by every cycle-stepped region.
@@ -93,22 +162,15 @@ struct TimingSignature {
 /// any unit's horizon pins the cycle at zero (see DESIGN.md,
 /// "fast-forward invariant"); the region's coupled jump then gets its
 /// chance.
-#[allow(clippy::too_many_arguments)]
-fn run_dataflow<C, F, B>(
-    front: &mut [F],
-    back: &mut [B],
+fn run_dataflow<C: DataflowCtx>(
+    front: &mut [C::Front],
+    back: &mut [C::Back],
     ctx: &mut C,
-    exec: &mut ExecState<'_>,
     mut trace: Option<&mut RegionTrace>,
     max_cycles: Cycle,
     fast_forward: bool,
     shape: Shape,
-) -> RegionStats
-where
-    C: CoupledJump<F, B>,
-    F: UnitStep<C> + std::fmt::Debug,
-    B: UnitStep<C> + std::fmt::Debug,
-{
+) -> RegionStats {
     let mut cycle: Cycle = 0;
     let mut stats = RegionStats::default();
     let mut front_syms: Vec<LaneSymbol> = Vec::new();
@@ -160,7 +222,7 @@ where
             if delta == 0 {
                 // No unit is pure: try the saturated producer–queue–
                 // consumer chain instead (DESIGN.md §3b, "coupled jump").
-                let jumped = ctx.coupled_jump(front, back, cap, exec, &mut stats);
+                let jumped = ctx.coupled_jump(front, back, cap, &mut stats);
                 if jumped == 0 {
                     ff_penalty = (ff_penalty * 2).clamp(1, FF_BACKOFF_MAX);
                     ff_skip = ff_penalty;
@@ -172,10 +234,10 @@ where
             } else {
                 ff_penalty = 0;
                 for (u, &(_, activity)) in front.iter_mut().zip(&front_hz) {
-                    u.fast_forward(delta, activity, ctx, exec, &mut stats);
+                    u.fast_forward(delta, activity, ctx, &mut stats);
                 }
                 for (u, &(_, activity)) in back.iter_mut().zip(&back_hz) {
-                    u.fast_forward(delta, activity, ctx, exec, &mut stats);
+                    u.fast_forward(delta, activity, ctx, &mut stats);
                 }
                 cycle += delta;
                 stats.skipped += delta;
@@ -189,7 +251,7 @@ where
         back_syms.clear();
         let tracing = trace.is_some();
         for u in front.iter_mut() {
-            let sym = u.step(ctx, exec, &mut stats);
+            let sym = u.step(ctx, &mut stats);
             if !(sym == LaneSymbol::Idle && u.done(ctx)) {
                 all_idle = false;
             }
@@ -198,7 +260,7 @@ where
             }
         }
         for u in back.iter_mut() {
-            let sym = u.step(ctx, exec, &mut stats);
+            let sym = u.step(ctx, &mut stats);
             if !(sym == LaneSymbol::Idle && u.done(ctx)) {
                 all_idle = false;
             }
@@ -227,21 +289,20 @@ where
             break;
         }
         if cycle >= max_cycles {
-            match shape {
-                Shape::Scatter | Shape::NtOnly => {
-                    for (i, u) in back.iter().enumerate() {
-                        eprintln!("NT{i}: {u:?}");
-                    }
-                    for (i, u) in front.iter().enumerate() {
-                        eprintln!("MP{i}: {u:?}");
-                    }
-                    ctx.dump_queues();
-                    panic!("simulation exceeded {max_cycles} cycles — deadlock? (idle={all_idle})");
-                }
-                Shape::Gather => {
-                    panic!("gather simulation exceeded {max_cycles} cycles");
-                }
+            // Gather regions step their NT units in front.
+            let (front_name, back_name) = if shape == Shape::Gather {
+                ("NT", "MP")
+            } else {
+                ("MP", "NT")
+            };
+            for (i, u) in front.iter().enumerate() {
+                eprintln!("{front_name}{i}: {u:?}");
             }
+            for (i, u) in back.iter().enumerate() {
+                eprintln!("{back_name}{i}: {u:?}");
+            }
+            ctx.dump_queues();
+            panic!("simulation exceeded {max_cycles} cycles — deadlock? (idle={all_idle})");
         }
     }
     stats.cycles = cycle;
@@ -325,16 +386,10 @@ fn region_label(region: &Region) -> String {
 }
 
 impl Accelerator {
-    /// NT accumulate cycles per node in a region (initiation interval; the
-    /// pipeline fill latency `NT_PIPELINE_DEPTH` is charged once per region
-    /// by the caller, as an II=1 hardware pipeline amortises it).
-    ///
-    /// The Encode region is costed per node on the *nonzero* feature count:
-    /// the input-stationary accumulate skips zero inputs, which is what
-    /// makes sparse bag-of-words features (Cora at 1.27% density) cheap —
-    /// the same property AWB-GCN's zero-skipping SpMM exploits.
-    fn acc_cycles(&self, region: &Region, g: &Graph) -> AccCost {
-        if let Some(c) = self.uniform_acc_cycles(region) {
+    /// NT accumulate cycles per node in a region on `g`: uniform, or per
+    /// node on the *nonzero* feature count in Encode regions.
+    fn acc_cycles(&self, t: &RegionTiming, g: &Graph) -> AccCost {
+        if let Some(c) = t.acc {
             return AccCost::Uniform(c);
         }
         let pa = self.config().p_apply as u64;
@@ -343,58 +398,6 @@ impl Accelerator {
             .map(|v| (feats.row_nnz(v) as u64).max(1).div_ceil(pa))
             .collect();
         AccCost::PerNode(per_node)
-    }
-
-    /// NT accumulate cycles per node when they are the same for every node:
-    /// every region but Encode, whose cost depends on the graph's features.
-    fn uniform_acc_cycles(&self, region: &Region) -> Option<u64> {
-        if region.nt_op == NtOp::Encode {
-            return None;
-        }
-        let pa = self.config().p_apply as u64;
-        let compute: u64 = if region.nt_fc.is_empty() {
-            (region.nt_read_dim as u64).div_ceil(pa)
-        } else {
-            region
-                .nt_fc
-                .iter()
-                .map(|&(i, _)| (i as u64).div_ceil(pa))
-                .sum()
-        };
-        Some(compute.max(1))
-    }
-
-    /// NT output cycles per node in a region.
-    fn out_cycles(&self, region: &Region) -> u64 {
-        (region.payload_dim as u64).div_ceil(self.config().p_apply as u64)
-    }
-
-    /// Flits per node-embedding through the adapter.
-    fn flits_per_node(&self, region: &Region) -> usize {
-        region.payload_dim.div_ceil(self.config().p_scatter)
-    }
-
-    /// Per chunk `c` of an edge split into `chunks`, the flits that must
-    /// have arrived before it advances: all `flits_total` under node
-    /// granularity (BaselineDataflow), else the proportional share
-    /// `⌈(c+1)·flits_total / chunks⌉`.
-    fn flits_needed(&self, chunks: u64, flits_total: usize) -> Vec<usize> {
-        let node_granularity = self.config().strategy == PipelineStrategy::BaselineDataflow;
-        let chunks = chunks as usize;
-        (0..chunks)
-            .map(|c| {
-                if node_granularity {
-                    flits_total
-                } else {
-                    ((c + 1) * flits_total).div_ceil(chunks)
-                }
-            })
-            .collect()
-    }
-
-    /// MP cycles per edge in a scatter/gather region for `layer`.
-    fn chunks_per_edge(&self, layer: usize) -> u64 {
-        (self.model().layers()[layer].message_dim() as u64).div_ceil(self.config().p_scatter as u64)
     }
 
     /// Generous upper bound on region cycles, used as a deadlock tripwire.
@@ -411,48 +414,26 @@ impl Accelerator {
         1_000 + 64 * (n + e) * dim
     }
 
-    /// The region's [`TimingSignature`]; `None` for Encode, whose
-    /// accumulate cost is per node and depends on the graph.
-    fn timing_signature(&self, region: &Region) -> Option<TimingSignature> {
-        let layer = region.scatter_layer.or(region.gather_layer);
-        Some(TimingSignature {
-            shape: Shape::of(region),
-            acc_cycles: self.uniform_acc_cycles(region)?,
-            payload_dim: region.payload_dim,
-            chunks_per_edge: layer.map(|l| self.chunks_per_edge(l)),
-        })
-    }
-
-    /// The twin map of `regions`: entry `i` names the first earlier region
-    /// with the same [`TimingSignature`], or is `None` when region `i` is
-    /// the first of its signature or has none (Encode). The named region
-    /// is never a twin itself, so a run always simulates it first.
-    pub(crate) fn twin_map(&self, regions: &[Region]) -> Vec<Option<usize>> {
-        let sigs: Vec<_> = regions.iter().map(|r| self.timing_signature(r)).collect();
-        sigs.iter()
-            .enumerate()
-            .map(|(i, sig)| sig.and_then(|sig| sigs[..i].iter().position(|&s| s == Some(sig))))
-            .collect()
-    }
-
-    /// Simulates one region of a run on `g`, appending its lanes to
-    /// `trace` when the run is traced. The one place a region's schedule
-    /// is chosen: the baseline strategies run [`baseline_schedule`] on
-    /// every shape; the dataflow strategies step scatter and NT-only
-    /// regions through [`Accelerator::scatter_dataflow`] and gather
-    /// regions through [`Accelerator::gather_dataflow`], or the analytic
-    /// source-banked gather.
+    /// Simulates one region of a run on `prepared`, appending its lanes to
+    /// `trace` when the run is traced; `region` names the lanes, and
+    /// `timing` is all the schedule reads of the region. The one place a
+    /// region's schedule is chosen: the baseline strategies run
+    /// [`baseline_schedule`] on every shape; the dataflow strategies step
+    /// scatter and NT-only regions through
+    /// [`Accelerator::scatter_dataflow`] and gather regions through
+    /// [`Accelerator::gather_dataflow`], or the analytic source-banked
+    /// gather.
     pub(crate) fn simulate_region(
         &self,
         region: &Region,
-        g: &Graph,
-        banked: &BankedEdges,
-        csc: Option<&Adjacency>,
+        timing: &RegionTiming,
+        prepared: &PreparedGraph<'_>,
         exec: &mut ExecState<'_>,
         trace: Option<&mut Trace>,
     ) -> RegionStats {
         use PipelineStrategy::{FixedPipeline, NonPipelined};
-        let shape = Shape::of(region);
+        let (g, banked) = (prepared.graph(), &prepared.banked);
+        let shape = timing.shape;
         let mut region_trace = trace.as_ref().map(|_| {
             let p_node = self.config().effective_p_node();
             let p_edge = self.config().effective_p_edge();
@@ -463,22 +444,22 @@ impl Accelerator {
             RegionTrace::new(region_label(region), names)
         });
         let rt = region_trace.as_mut();
-        let csc = || csc.expect("gather models build a CSC");
+        let csc = || prepared.csc.as_ref().expect("gather models build a CSC");
         let strategy = self.config().strategy;
         let lockstep = strategy == FixedPipeline;
         let stats = match (strategy, shape, self.config().gather_banking) {
             (NonPipelined | FixedPipeline, Shape::Gather, _) => {
-                self.gather_sequential(region, g, csc(), lockstep, rt)
+                self.gather_sequential(timing, g, csc(), lockstep, rt)
             }
             (NonPipelined | FixedPipeline, _, _) => {
-                self.scatter_sequential(region, g, banked, exec, lockstep, rt)
+                self.scatter_sequential(timing, g, banked, exec, lockstep, rt)
             }
             (_, Shape::Gather, GatherBanking::Destination) => {
-                self.gather_dataflow(region, g, csc(), exec, rt)
+                self.gather_dataflow(timing, g, csc(), exec, rt)
             }
-            (_, Shape::Gather, GatherBanking::Source) => self.gather_source_banked(region, g),
+            (_, Shape::Gather, GatherBanking::Source) => self.gather_source_banked(timing, g),
             (_, Shape::Scatter | Shape::NtOnly, _) => {
-                self.scatter_dataflow(region, g, banked, exec, rt)
+                self.scatter_dataflow(timing, g, banked, exec, rt)
             }
         };
         if let (Some(trace), Some(rt)) = (trace, region_trace) {
@@ -494,39 +475,37 @@ impl Accelerator {
     /// record the same fold order.
     fn scatter_sequential(
         &self,
-        region: &Region,
+        t: &RegionTiming,
         g: &Graph,
         banked: &BankedEdges,
         exec: &mut ExecState<'_>,
         lockstep: bool,
         trace: Option<&mut RegionTrace>,
     ) -> RegionStats {
-        let acc = self.acc_cycles(region, g);
-        let out = self.out_cycles(region);
-        let chunks = region.scatter_layer.map(|l| self.chunks_per_edge(l));
+        let acc = self.acc_cycles(t, g);
 
         // Fold order: source by source, bank by bank.
-        if chunks.is_some() {
+        if let (Some(order), Some(_)) = (exec.fold_order(), t.chunks) {
             for v in 0..g.num_nodes() as NodeId {
                 for k in 0..banked.p_edge() {
-                    exec.record_edges(banked.edges(k, v));
+                    order.extend_from_slice(banked.edges(k, v));
                 }
             }
         }
 
         let mp_time = |v: NodeId| {
             let edges: usize = (0..banked.p_edge()).map(|k| banked.edges(k, v).len()).sum();
-            match chunks {
+            match t.chunks {
                 Some(c) if edges > 0 => edges as u64 * c + 1,
                 _ => 0,
             }
         };
         baseline_schedule(
             g.num_nodes(),
-            |v| acc.get(v) + out,
+            |v| acc.get(v) + t.out,
             mp_time,
             lockstep,
-            Shape::of(region),
+            t.shape,
             trace,
         )
     }
@@ -536,7 +515,7 @@ impl Accelerator {
     /// [`ScatterCtx`].
     fn scatter_dataflow(
         &self,
-        region: &Region,
+        t: &RegionTiming,
         g: &Graph,
         banked: &BankedEdges,
         exec: &mut ExecState<'_>,
@@ -546,49 +525,43 @@ impl Accelerator {
         let p_node = self.config().effective_p_node();
         let p_edge = self.config().effective_p_edge();
         let (p_apply, p_scatter) = (self.config().p_apply, self.config().p_scatter);
-        let scatter = region.scatter_layer;
-        let chunks = scatter.map(|l| self.chunks_per_edge(l));
-        let flits_total = self.flits_per_node(region);
-
+        // One queue per (NT, MP) pair, borrowed from the scratch so the
+        // ring allocations persist across regions and runs.
+        let (queues, order) = exec.scatter_queues(p_node * p_edge, self.config().queue_capacity);
         let mut ctx = ScatterCtx {
-            // One queue per (NT, MP) pair, borrowed from the scratch so
-            // the ring allocations persist across regions and runs.
-            queues: exec.take_scatter_queues(p_node * p_edge, self.config().queue_capacity),
+            queues,
             p_node,
             p_edge,
             intake: (p_apply / p_scatter).max(1),
             push_budget: p_apply.div_ceil(p_scatter),
-            flits_total,
-            chunks,
-            flits_needed: chunks.map_or_else(Vec::new, |c| self.flits_needed(c, flits_total)),
-            scatter,
+            flits_total: t.flits,
+            chunks: t.chunks,
+            flits_needed: &t.flits_needed,
             p_apply,
             p_scatter,
-            payload: region.payload_dim,
-            acc: self.acc_cycles(region, g),
+            payload: t.payload,
+            acc: self.acc_cycles(t, g),
             banked,
+            order,
             roles: Vec::with_capacity(p_node + p_edge),
         };
         let mut nts: Vec<NtUnit> = (0..p_node).map(|i| NtUnit::new(i, n, p_node)).collect();
         // NT-only regions deploy no MP units (nothing ever stepped them).
-        let mut mps: Vec<MpUnit> = if scatter.is_some() {
+        let mut mps: Vec<MpUnit> = if t.chunks.is_some() {
             (0..p_edge).map(MpUnit::new).collect()
         } else {
             Vec::new()
         };
         let fast_forward = self.config().engine == EngineMode::FastForward && trace.is_none();
-        let stats = run_dataflow(
+        run_dataflow(
             &mut mps,
             &mut nts,
             &mut ctx,
-            exec,
             trace,
             self.runaway_limit(g),
             fast_forward,
-            Shape::of(region),
-        );
-        exec.put_scatter_queues(ctx.queues);
-        stats
+            t.shape,
+        )
     }
 
     // ----- gather-style regions (MP→NT models) ---------------------------
@@ -600,15 +573,12 @@ impl Accelerator {
     /// barrier. Timing: `max_k(unit k edge work) + NT phase`. The
     /// arithmetic is destination banking's: every gather region folds each
     /// destination's in-edges in CSC order (`ExecState::run_region`).
-    fn gather_source_banked(&self, region: &Region, g: &Graph) -> RegionStats {
+    fn gather_source_banked(&self, t: &RegionTiming, g: &Graph) -> RegionStats {
         let n = g.num_nodes();
         let p_edge = self.config().effective_p_edge();
         let p_node = self.config().effective_p_node();
-        let chunks = self.chunks_per_edge(region.gather_layer.expect("gather region"));
-        let acc = self
-            .uniform_acc_cycles(region)
-            .expect("gather regions are never Encode");
-        let out = self.out_cycles(region);
+        let (chunks, acc) = t.gather();
+        let out = t.out;
 
         // Timing: per-unit edge work by *source* bank; the slowest unit
         // sets the MP phase (plus one header cycle per owned source).
@@ -638,21 +608,17 @@ impl Accelerator {
     /// in-edges, then its NT phase.
     fn gather_sequential(
         &self,
-        region: &Region,
+        t: &RegionTiming,
         g: &Graph,
         csc: &Adjacency,
         lockstep: bool,
         trace: Option<&mut RegionTrace>,
     ) -> RegionStats {
-        let chunks = self.chunks_per_edge(region.gather_layer.expect("gather region"));
-        let nt_time = self
-            .uniform_acc_cycles(region)
-            .expect("gather regions are never Encode")
-            + self.out_cycles(region);
+        let (chunks, acc) = t.gather();
         baseline_schedule(
             g.num_nodes(),
             |v| csc.degree(v) as u64 * chunks + 1,
-            |_| nt_time,
+            |_| acc + t.out,
             lockstep,
             Shape::Gather,
             trace,
@@ -665,7 +631,7 @@ impl Accelerator {
     /// [`GatherNt`]/[`GatherMp`] sharing a [`GatherCtx`].
     fn gather_dataflow(
         &self,
-        region: &Region,
+        t: &RegionTiming,
         g: &Graph,
         csc: &Adjacency,
         exec: &mut ExecState<'_>,
@@ -674,33 +640,26 @@ impl Accelerator {
         let n = g.num_nodes();
         let p_node = self.config().effective_p_node();
         let p_edge = self.config().effective_p_edge();
-        let acc = self
-            .uniform_acc_cycles(region)
-            .expect("gather regions are never Encode");
-        let out = self.out_cycles(region);
-
+        let (chunks, acc) = t.gather();
         let mut ctx = GatherCtx {
-            queues: exec.take_gather_queues(p_edge * p_node, self.config().queue_capacity),
+            queues: exec.gather_queues(p_edge * p_node, self.config().queue_capacity),
             p_node,
             p_edge,
-            chunks: self.chunks_per_edge(region.gather_layer.expect("gather region")),
-            nt_time: acc + out,
+            chunks,
+            nt_time: acc + t.out,
             csc,
         };
         let mut nts: Vec<GatherNt> = (0..p_node).map(|i| GatherNt::new(i, n, p_node)).collect();
         let mut mps: Vec<GatherMp> = (0..p_edge).map(|k| GatherMp::new(k, n, p_edge)).collect();
         let fast_forward = self.config().engine == EngineMode::FastForward && trace.is_none();
-        let stats = run_dataflow(
+        run_dataflow(
             &mut nts,
             &mut mps,
             &mut ctx,
-            exec,
             trace,
             self.runaway_limit(g),
             fast_forward,
             Shape::Gather,
-        );
-        exec.put_gather_queues(ctx.queues);
-        stats
+        )
     }
 }

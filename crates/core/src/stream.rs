@@ -273,11 +273,10 @@ mod tests {
             (observed.mp_busy_cycles, observed.mp_stall_cycles)
         );
         let overhead = REGION_OVERHEAD + NT_PIPELINE_DEPTH;
-        let twins = a.twin_map(a.regions());
         let simulated: Cycle = observed
             .region_cycles
             .iter()
-            .zip(&twins)
+            .zip(&a.twins)
             .filter(|(_, twin)| twin.is_none())
             .map(|(&c, _)| c - overhead)
             .sum();

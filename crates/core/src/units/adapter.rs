@@ -11,12 +11,11 @@
 use flowgnn_desim::Fifo;
 use flowgnn_graph::NodeId;
 
-use crate::exec::ExecState;
 use crate::regions::BankedEdges;
 use crate::trace::LaneSymbol;
 use crate::units::mp::MpUnit;
 use crate::units::nt::NtUnit;
-use crate::units::{AccCost, CoupledJump, DataflowCtx, RegionStats, UnitStep};
+use crate::units::{AccCost, DataflowCtx, RegionStats, UnitStep};
 
 /// A flit through the NT-to-MP adapter: `P_scatter` embedding elements of
 /// one node (values live in the execution state; flits carry timing).
@@ -31,11 +30,11 @@ pub(crate) fn qindex(nt_unit: usize, k: usize, p_edge: usize) -> usize {
 }
 
 /// Shared context of one scatter-style region (NT→MP or NT-only): the
-/// adapter's queue grid plus the region's static cost parameters, all
-/// computed once per region so no unit step divides.
+/// adapter's queue grid, the region's fold order, and its cost parameters,
+/// copied from the region's compiled timing so no unit step divides.
 pub(crate) struct ScatterCtx<'a> {
     /// The adapter: one queue per (NT, MP) pair, indexed by [`qindex`].
-    pub(crate) queues: Vec<Fifo<Flit>>,
+    pub(crate) queues: &'a mut [Fifo<Flit>],
     pub(crate) p_node: usize,
     pub(crate) p_edge: usize,
     /// Flit pops per MP unit per cycle: `max(P_apply / P_scatter, 1)`.
@@ -51,9 +50,7 @@ pub(crate) struct ScatterCtx<'a> {
     /// chunk can advance: all of them under node-granular forwarding
     /// (BaselineDataflow), else a proportional share (FlowGnn). Empty in
     /// NT-only regions.
-    pub(crate) flits_needed: Vec<usize>,
-    /// `Some(layer)` when the region scatters messages for that layer.
-    pub(crate) scatter: Option<usize>,
+    pub(crate) flits_needed: &'a [usize],
     pub(crate) p_apply: usize,
     pub(crate) p_scatter: usize,
     /// NT payload (output embedding) dimension.
@@ -61,13 +58,19 @@ pub(crate) struct ScatterCtx<'a> {
     /// NT accumulate cost per node.
     pub(crate) acc: AccCost,
     pub(crate) banked: &'a BankedEdges,
+    /// The region's fold order, which MP units append each edge they
+    /// complete to; `None` in timing-only runs.
+    pub(crate) order: Option<&'a mut Vec<u32>>,
     /// Coupled-jump scratch: each MP unit's role, then each NT unit's.
     pub(crate) roles: Vec<ChainRole>,
 }
 
 impl DataflowCtx for ScatterCtx<'_> {
+    type Front = MpUnit;
+    type Back = NtUnit;
+
     fn commit_queues(&mut self) {
-        for q in &mut self.queues {
+        for q in self.queues.iter_mut() {
             q.commit();
         }
     }
@@ -81,21 +84,7 @@ impl DataflowCtx for ScatterCtx<'_> {
             eprintln!("Q{i}: len={} ready={}", q.len(), q.ready_len());
         }
     }
-}
 
-/// A unit's part in a coupled jump.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ChainRole {
-    /// Runs through the window on its own pure horizon, in this activity.
-    Pure(LaneSymbol),
-    /// An MP unit popping this queue once per cycle into its back job
-    /// while its front job processes one chunk per cycle.
-    Receive(usize),
-    /// An NT unit refilling the queues its receiving MP units pop.
-    Refill,
-}
-
-impl CoupledJump<MpUnit, NtUnit> for ScatterCtx<'_> {
     /// The coupled jump (DESIGN.md §3b): when the only cross-unit traffic
     /// is "an MP unit pops a flit and the blocked NT unit refills that
     /// slot", that traffic is deterministic until the next edge, node or
@@ -109,7 +98,6 @@ impl CoupledJump<MpUnit, NtUnit> for ScatterCtx<'_> {
         mps: &mut [MpUnit],
         nts: &mut [NtUnit],
         cap: u64,
-        exec: &mut ExecState<'_>,
         stats: &mut RegionStats,
     ) -> u64 {
         // One pop per MP unit and one push per target queue per cycle:
@@ -146,14 +134,14 @@ impl CoupledJump<MpUnit, NtUnit> for ScatterCtx<'_> {
         // slot a pop freed.
         for (mp, &role) in mps.iter_mut().zip(mp_roles) {
             match role {
-                ChainRole::Pure(activity) => mp.fast_forward(window, activity, self, exec, stats),
-                ChainRole::Receive(_) => mp.receive_for(window, self, exec, stats),
+                ChainRole::Pure(activity) => mp.fast_forward(window, activity, self, stats),
+                ChainRole::Receive(_) => mp.receive_for(window, self, stats),
                 ChainRole::Refill => unreachable!("MP units never refill"),
             }
         }
         for (nt, &role) in nts.iter_mut().zip(nt_roles) {
             match role {
-                ChainRole::Pure(activity) => nt.fast_forward(window, activity, self, exec, stats),
+                ChainRole::Pure(activity) => nt.fast_forward(window, activity, self, stats),
                 ChainRole::Refill => nt.refill_for(window, mp_roles, self, stats),
                 ChainRole::Receive(_) => unreachable!("NT units never receive"),
             }
@@ -162,4 +150,16 @@ impl CoupledJump<MpUnit, NtUnit> for ScatterCtx<'_> {
         self.roles = roles;
         window
     }
+}
+
+/// A unit's part in a coupled jump.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ChainRole {
+    /// Runs through the window on its own pure horizon, in this activity.
+    Pure(LaneSymbol),
+    /// An MP unit popping this queue once per cycle into its back job
+    /// while its front job processes one chunk per cycle.
+    Receive(usize),
+    /// An NT unit refilling the queues its receiving MP units pop.
+    Refill,
 }

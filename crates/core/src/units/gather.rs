@@ -4,23 +4,23 @@
 //! the tokens and finalise. The units model timing only: every gather
 //! region folds each destination's in-edges in CSC order whatever the
 //! schedule, so its arithmetic runs after the region
-//! (`ExecState::run_region`) and nothing is recorded. The source-banked
-//! alternative (Sec. III-D2) is an analytic schedule and lives in the
-//! scheduler module.
+//! (`ExecState::run_region`) and nothing is recorded. Tokens are whole
+//! nodes, not flits, so the region keeps `DataflowCtx`'s default coupled
+//! jump, which never jumps. The source-banked alternative (Sec. III-D2)
+//! is an analytic schedule and lives in the scheduler module.
 
 use flowgnn_desim::Fifo;
 use flowgnn_graph::{Adjacency, NodeId};
 
-use crate::exec::ExecState;
 use crate::trace::LaneSymbol;
-use crate::units::{CoupledJump, DataflowCtx, RegionStats, UnitStep, HORIZON_INF};
+use crate::units::{DataflowCtx, RegionStats, UnitStep, HORIZON_INF};
 
 /// Shared context of one gather region: the aggregate-token queue grid
 /// (one queue per (MP, NT) pair) plus the region's static parameters.
 pub(crate) struct GatherCtx<'a> {
     /// One queue per (MP, NT) pair, holding whole-node aggregate tokens;
     /// indexed by [`GatherCtx::qid`].
-    pub(crate) queues: Vec<Fifo<NodeId>>,
+    pub(crate) queues: &'a mut [Fifo<NodeId>],
     pub(crate) p_node: usize,
     pub(crate) p_edge: usize,
     /// MP cycles per edge.
@@ -38,8 +38,11 @@ impl GatherCtx<'_> {
 }
 
 impl DataflowCtx for GatherCtx<'_> {
+    type Front = GatherNt;
+    type Back = GatherMp;
+
     fn commit_queues(&mut self) {
-        for q in &mut self.queues {
+        for q in self.queues.iter_mut() {
             q.commit();
         }
     }
@@ -54,9 +57,6 @@ impl DataflowCtx for GatherCtx<'_> {
         }
     }
 }
-
-/// Gather regions stream whole-node tokens, not flits: no coupled jump.
-impl CoupledJump<GatherNt, GatherMp> for GatherCtx<'_> {}
 
 /// Gather-path MP unit: owns destinations `v ≡ index (mod P_edge)`,
 /// enumerated arithmetically (`index + j·P_edge`, no materialised list),
@@ -93,12 +93,7 @@ impl GatherMp {
 }
 
 impl<'a> UnitStep<GatherCtx<'a>> for GatherMp {
-    fn step(
-        &mut self,
-        ctx: &mut GatherCtx<'a>,
-        _exec: &mut ExecState<'_>,
-        stats: &mut RegionStats,
-    ) -> LaneSymbol {
+    fn step(&mut self, ctx: &mut GatherCtx<'a>, stats: &mut RegionStats) -> LaneSymbol {
         if self.next >= self.count {
             return LaneSymbol::Idle;
         }
@@ -152,8 +147,7 @@ impl<'a> UnitStep<GatherCtx<'a>> for GatherMp {
         &mut self,
         delta: u64,
         activity: LaneSymbol,
-        _ctx: &GatherCtx<'a>,
-        _exec: &mut ExecState<'_>,
+        _ctx: &mut GatherCtx<'a>,
         stats: &mut RegionStats,
     ) {
         if activity == LaneSymbol::Busy {
@@ -197,12 +191,7 @@ impl GatherNt {
 }
 
 impl<'a> UnitStep<GatherCtx<'a>> for GatherNt {
-    fn step(
-        &mut self,
-        ctx: &mut GatherCtx<'a>,
-        _exec: &mut ExecState<'_>,
-        stats: &mut RegionStats,
-    ) -> LaneSymbol {
+    fn step(&mut self, ctx: &mut GatherCtx<'a>, stats: &mut RegionStats) -> LaneSymbol {
         let activity = match &mut self.job {
             Some(rem) => {
                 *rem -= 1;
@@ -260,8 +249,7 @@ impl<'a> UnitStep<GatherCtx<'a>> for GatherNt {
         &mut self,
         delta: u64,
         activity: LaneSymbol,
-        _ctx: &GatherCtx<'a>,
-        _exec: &mut ExecState<'_>,
+        _ctx: &mut GatherCtx<'a>,
         stats: &mut RegionStats,
     ) {
         if let (LaneSymbol::Busy, Some(rem)) = (activity, &mut self.job) {

@@ -12,18 +12,19 @@
 //! - [`gather`] — the gather-path units and banking (GAT-style MP→NT
 //!   regions).
 //!
-//! Every unit implements one small interface, [`UnitStep`], and a single
-//! region scheduler (`crate::pipeline`) drives all of them: the same unit
-//! code backs the per-cycle reference mode, the event-horizon fast-forward
-//! mode, and the ASCII tracer. A unit's activity in a cycle is a
-//! [`LaneSymbol`]: the one value a step returns, a pure horizon
-//! classifies and a fast-forward takes, and [`RegionStats`] the one place
-//! that charges it to the NT or MP busy and stall meters. Units model
-//! timing only. The one functional
-//! fact a schedule decides is the order in which MP units complete edges,
-//! and a scatter MP unit appends each completed edge to the region's fold
-//! order through `ExecState`; the region's arithmetic runs after it
-//! (`ExecState::run_region`).
+//! Every unit implements one small interface, [`UnitStep`], over its
+//! region's context ([`DataflowCtx`]: the units, the queue fabric and the
+//! coupled jump), and a single region scheduler (`crate::pipeline`) drives
+//! all of them: the same unit code backs the per-cycle reference mode, the
+//! event-horizon fast-forward mode, and the ASCII tracer. A unit's
+//! activity in a cycle is a [`LaneSymbol`]: the one value a step returns,
+//! a pure horizon classifies and a fast-forward takes, and
+//! [`RegionStats`] the one place that charges it to the NT or MP busy and
+//! stall meters. Units model timing only and see no execution state. The
+//! one functional fact a schedule decides is the order in which MP units
+//! complete edges: a scatter MP unit appends each completed edge to the
+//! fold order its region context holds (`None` in timing-only runs), and
+//! the region's arithmetic runs after it (`ExecState::run_region`).
 
 pub(crate) mod adapter;
 pub(crate) mod gather;
@@ -33,7 +34,6 @@ pub(crate) mod nt;
 use flowgnn_desim::Cycle;
 use flowgnn_graph::NodeId;
 
-use crate::exec::ExecState;
 use crate::trace::LaneSymbol;
 
 /// Sentinel horizon: the unit's state cannot change until *another* unit
@@ -45,7 +45,7 @@ pub(crate) const HORIZON_INF: u64 = u64::MAX;
 /// so after each failed attempt the engine runs plain per-cycle steps for
 /// an exponentially growing stretch before rescanning. An attempt whose
 /// pure scan finds no span also tries the region's coupled jump
-/// ([`CoupledJump`]); it fails only when both find nothing, and a
+/// ([`DataflowCtx::coupled_jump`]); it fails only when both find nothing, and a
 /// successful jump of either kind resets the backoff. Skipped attempts
 /// never affect exactness — fast-forwarding is opportunistic — they only
 /// bound the scan cost at ~1/32 per cycle in the worst case while still
@@ -130,15 +130,10 @@ impl AccCost {
 /// fast-forward mode, and the tracer all run the same unit code.
 pub(crate) trait UnitStep<C> {
     /// Executes one cycle: moves flits/tokens, advances counters, appends
-    /// the edges a scatter MP unit completes to the region's fold order
-    /// through `exec`, charges the cycle's activity to `stats`, and
-    /// returns that activity (the cycle's trace symbol).
-    fn step(
-        &mut self,
-        ctx: &mut C,
-        exec: &mut ExecState<'_>,
-        stats: &mut RegionStats,
-    ) -> LaneSymbol;
+    /// the edges a scatter MP unit completes to the fold order in `ctx`,
+    /// charges the cycle's activity to `stats`, and returns that activity
+    /// (the cycle's trace symbol).
+    fn step(&mut self, ctx: &mut C, stats: &mut RegionStats) -> LaneSymbol;
 
     /// How many upcoming cycles this unit is guaranteed to spend purely
     /// counting (no queue traffic, no job transition), assuming every
@@ -158,8 +153,7 @@ pub(crate) trait UnitStep<C> {
         &mut self,
         delta: u64,
         activity: LaneSymbol,
-        ctx: &C,
-        exec: &mut ExecState<'_>,
+        ctx: &mut C,
         stats: &mut RegionStats,
     );
 
@@ -167,35 +161,36 @@ pub(crate) trait UnitStep<C> {
     fn done(&self, ctx: &C) -> bool;
 }
 
-/// A region whose producer–queue–consumer chain can advance in bulk when
-/// the pure scan finds no span (DESIGN.md §3b, "coupled jump"). Scatter
-/// regions implement it; gather regions keep the default, which never
-/// jumps.
-pub(crate) trait CoupledJump<F, B>: DataflowCtx {
-    /// Advances the `front` and `back` units and the queues through the
-    /// coupled window, at most `cap` cycles, committing the queues, and
-    /// returns its length; returns 0 and changes nothing when no window of
-    /// at least two cycles exists.
-    fn coupled_jump(
-        &mut self,
-        _front: &mut [F],
-        _back: &mut [B],
-        _cap: u64,
-        _exec: &mut ExecState<'_>,
-        _stats: &mut RegionStats,
-    ) -> u64 {
-        0
-    }
-}
-
-/// The queue fabric a region's units communicate through, as seen by the
-/// region scheduler: registered queues that must be committed once per
-/// cycle, and a global emptiness test for termination.
-pub(crate) trait DataflowCtx {
+/// A region's shared context as the region scheduler sees it: the units
+/// it steps, the queue fabric they communicate through (registered queues
+/// that must be committed once per cycle, and a global emptiness test for
+/// termination) and its coupled jump.
+pub(crate) trait DataflowCtx: Sized {
+    /// The units stepped first each cycle: the consumers, so they pop
+    /// what was committed on the previous cycle.
+    type Front: UnitStep<Self> + std::fmt::Debug;
+    /// The units stepped after them: the producers.
+    type Back: UnitStep<Self> + std::fmt::Debug;
     /// Commits every queue (pushes become visible to next cycle's pops).
     fn commit_queues(&mut self);
     /// True when every queue in the region is empty.
     fn queues_empty(&self) -> bool;
     /// Dumps queue occupancy to stderr (runaway/deadlock diagnostics).
     fn dump_queues(&self);
+    /// Advances the `front` and `back` units and the queues in bulk when
+    /// the pure scan finds no span (DESIGN.md §3b, "coupled jump"), at
+    /// most `cap` cycles, committing the queues, and returns the window's
+    /// length; returns 0 and changes nothing when no window of at least
+    /// two cycles exists. Scatter regions override it; gather regions
+    /// stream whole-node tokens, not flits, and keep this default, which
+    /// never jumps.
+    fn coupled_jump(
+        &mut self,
+        _front: &mut [Self::Front],
+        _back: &mut [Self::Back],
+        _cap: u64,
+        _stats: &mut RegionStats,
+    ) -> u64 {
+        0
+    }
 }

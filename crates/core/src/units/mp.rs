@@ -2,12 +2,12 @@
 //! Fig. 3 "MP unit"): destination-banked edge processing — unit `k` owns
 //! edges whose destination is `≡ k (mod P_edge)` — consuming flits from
 //! the multicast adapter and processing one `P_scatter`-element message
-//! chunk per cycle. A completed edge is appended to the region's fold
-//! order; the arithmetic runs after the region (`ExecState::run_region`).
+//! chunk per cycle. A completed edge is appended to the fold order the
+//! region context holds; the arithmetic runs after the region
+//! (`ExecState::run_region`).
 
 use flowgnn_graph::NodeId;
 
-use crate::exec::ExecState;
 use crate::trace::LaneSymbol;
 use crate::units::adapter::{ChainRole, ScatterCtx};
 use crate::units::{RegionStats, UnitStep, HORIZON_INF};
@@ -43,16 +43,13 @@ impl MpJob {
     }
 
     /// Completes the job's next `count` edges in edge bank `bank`: appends
-    /// them to the region's fold order and moves the cursor past them.
-    fn complete_edges(
-        &mut self,
-        count: usize,
-        bank: usize,
-        ctx: &ScatterCtx<'_>,
-        exec: &mut ExecState<'_>,
-    ) {
-        let eids = ctx.banked.edges(bank, self.node);
-        exec.record_edges(&eids[self.edge_cursor..self.edge_cursor + count]);
+    /// them to the region's fold order (functional runs only) and moves
+    /// the cursor past them.
+    fn complete_edges(&mut self, count: usize, bank: usize, ctx: &mut ScatterCtx<'_>) {
+        if let Some(order) = ctx.order.as_deref_mut() {
+            let eids = ctx.banked.edges(bank, self.node);
+            order.extend_from_slice(&eids[self.edge_cursor..self.edge_cursor + count]);
+        }
         self.edge_cursor += count;
     }
 }
@@ -102,7 +99,7 @@ impl MpUnit {
     }
 
     /// Runs one cycle and returns the unit's activity in it.
-    fn advance(&mut self, ctx: &mut ScatterCtx<'_>, exec: &mut ExecState<'_>) -> LaneSymbol {
+    fn advance(&mut self, ctx: &mut ScatterCtx<'_>) -> LaneSymbol {
         let chunks_per_edge = ctx.chunks.expect("MP unit in a region without chunks");
         let flits_total = ctx.flits_total;
         let p_node = ctx.p_node;
@@ -158,7 +155,7 @@ impl MpUnit {
                 job.chunk += 1;
                 active = true;
                 if job.chunk == chunks_per_edge {
-                    job.complete_edges(1, self.index, ctx, exec);
+                    job.complete_edges(1, self.index, ctx);
                     job.chunk = 0;
                 }
             }
@@ -180,7 +177,7 @@ impl MpUnit {
     }
 
     /// This unit's part in a coupled jump (`ScatterCtx`'s
-    /// `CoupledJump`): its bound on the window and its role, or `None`
+    /// `coupled_jump`): its bound on the window and its role, or `None`
     /// when it has an event this cycle the jump does not model.
     ///
     /// The unit *receives* when it holds two jobs, the back job still
@@ -222,7 +219,6 @@ impl MpUnit {
         &mut self,
         window: u64,
         ctx: &mut ScatterCtx<'_>,
-        exec: &mut ExecState<'_>,
         stats: &mut RegionStats,
     ) {
         let back = self.jobs[1]
@@ -234,18 +230,13 @@ impl MpUnit {
             debug_assert_eq!(flit.node, back.node, "interleaved node flits in queue");
         }
         back.flits_recv += window as usize;
-        self.fast_forward(window, LaneSymbol::Busy, ctx, exec, stats);
+        self.fast_forward(window, LaneSymbol::Busy, ctx, stats);
     }
 }
 
 impl<'a> UnitStep<ScatterCtx<'a>> for MpUnit {
-    fn step(
-        &mut self,
-        ctx: &mut ScatterCtx<'a>,
-        exec: &mut ExecState<'_>,
-        stats: &mut RegionStats,
-    ) -> LaneSymbol {
-        let activity = self.advance(ctx, exec);
+    fn step(&mut self, ctx: &mut ScatterCtx<'a>, stats: &mut RegionStats) -> LaneSymbol {
+        let activity = self.advance(ctx);
         stats.charge_mp(activity, 1);
         activity
     }
@@ -310,8 +301,7 @@ impl<'a> UnitStep<ScatterCtx<'a>> for MpUnit {
         &mut self,
         delta: u64,
         activity: LaneSymbol,
-        ctx: &ScatterCtx<'a>,
-        exec: &mut ExecState<'_>,
+        ctx: &mut ScatterCtx<'a>,
         stats: &mut RegionStats,
     ) {
         if activity == LaneSymbol::Busy {
@@ -325,7 +315,7 @@ impl<'a> UnitStep<ScatterCtx<'a>> for MpUnit {
                 job.chunk = progress % chunks_per_edge;
                 let completed = (progress / chunks_per_edge) as usize;
                 if completed > 0 {
-                    job.complete_edges(completed, self.index, ctx, exec);
+                    job.complete_edges(completed, self.index, ctx);
                 }
             }
         }

@@ -5,7 +5,6 @@
 
 use flowgnn_graph::NodeId;
 
-use crate::exec::ExecState;
 use crate::trace::LaneSymbol;
 use crate::units::adapter::{qindex, ChainRole, Flit, ScatterCtx};
 use crate::units::{RegionStats, UnitStep, HORIZON_INF};
@@ -137,7 +136,7 @@ impl NtUnit {
                 if *rem == 0 && self.out.is_none() {
                     // The node's γ runs after the region (`ExecState::run_region`).
                     let v = *v;
-                    let has_targets = ctx.scatter.is_some();
+                    let has_targets = ctx.chunks.is_some();
                     let n_targets = if has_targets {
                         ctx.banked.targets(v).len()
                     } else {
@@ -179,7 +178,7 @@ impl NtUnit {
     }
 
     /// This unit's part in a coupled jump (`ScatterCtx`'s
-    /// `CoupledJump`) once every MP unit's role is known: its bound on the
+    /// `coupled_jump`) once every MP unit's role is known: its bound on the
     /// window and its role, or `None` when it has an event this cycle the
     /// jump does not model.
     ///
@@ -267,12 +266,7 @@ impl NtUnit {
 }
 
 impl<'a> UnitStep<ScatterCtx<'a>> for NtUnit {
-    fn step(
-        &mut self,
-        ctx: &mut ScatterCtx<'a>,
-        _exec: &mut ExecState<'_>,
-        stats: &mut RegionStats,
-    ) -> LaneSymbol {
+    fn step(&mut self, ctx: &mut ScatterCtx<'a>, stats: &mut RegionStats) -> LaneSymbol {
         let activity = self.advance(ctx);
         stats.charge_nt(activity, 1);
         activity
@@ -329,8 +323,7 @@ impl<'a> UnitStep<ScatterCtx<'a>> for NtUnit {
         &mut self,
         delta: u64,
         activity: LaneSymbol,
-        ctx: &ScatterCtx<'a>,
-        _exec: &mut ExecState<'_>,
+        ctx: &mut ScatterCtx<'a>,
         stats: &mut RegionStats,
     ) {
         if activity == LaneSymbol::Busy {

@@ -26,7 +26,6 @@ use flowgnn_graph::{Graph, NodeId};
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphContext {
     in_degrees: Vec<u32>,
-    out_degrees: Vec<u32>,
     /// Mean over nodes of `log(d_in + 1)` — PNA's δ̃ (computed from the
     /// graph itself; the PNA paper uses the training-set average).
     mean_log_degree: f32,
@@ -49,7 +48,6 @@ impl GraphContext {
     /// [`GraphContext::with_dgn_field`]).
     pub fn new(graph: &Graph) -> Self {
         let in_degrees = graph.in_degrees();
-        let out_degrees = graph.out_degrees();
         let n = graph.num_nodes().max(1);
         let mean_log_degree = in_degrees
             .iter()
@@ -58,7 +56,6 @@ impl GraphContext {
             / n as f32;
         Self {
             in_degrees,
-            out_degrees,
             mean_log_degree,
             field: None,
         }
@@ -78,15 +75,6 @@ impl GraphContext {
     /// Panics if `v` is out of range.
     pub fn in_degree(&self, v: NodeId) -> u32 {
         self.in_degrees[v as usize]
-    }
-
-    /// Out-degree of `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn out_degree(&self, v: NodeId) -> u32 {
-        self.out_degrees[v as usize]
     }
 
     /// PNA's δ̃: the mean of `log(d + 1)` over nodes.
@@ -179,7 +167,6 @@ mod tests {
         let ctx = GraphContext::new(&g);
         for v in 0..20u32 {
             assert_eq!(ctx.in_degree(v) as usize, g.in_degree(v));
-            assert_eq!(ctx.out_degree(v) as usize, g.out_degree(v));
         }
     }
 

@@ -51,7 +51,73 @@ fn models() -> Vec<GnnModel> {
         GnnModel::gat(9, 14),
         GnnModel::pna(9, None, 15),
         GnnModel::dgn(9, 16),
+        mixed_arithmetic(17),
     ]
+}
+
+/// An NT→MP model whose four 16-wide layers share their dimensions but
+/// not their arithmetic: each has its own φ, edge weighting, aggregator,
+/// combine and activation. Regions 2 and 3 therefore twin region 1 and,
+/// in fast-forward runs, fold their own arithmetic over region 1's
+/// recorded edge order.
+fn mixed_arithmetic(seed: u64) -> GnnModel {
+    use flowgnn::models::{
+        AggregatorKind, Combine, Dataflow, EdgeWeighting, GnnLayer, MessageTransform,
+        NodeTransform, Pooling, Readout,
+    };
+    use flowgnn::tensor::{Activation, Linear, Mlp};
+
+    let layer = |i: u64, phi, weighting, agg, activation, combine| {
+        let gamma = NodeTransform::Linear {
+            layer: Linear::seeded(16, 16, activation, seed + i),
+            combine,
+        };
+        GnnLayer::new(16, 16, phi, weighting, agg, gamma)
+    };
+    let layers = vec![
+        layer(
+            1,
+            MessageTransform::WeightedCopy,
+            EdgeWeighting::GcnNorm,
+            AggregatorKind::Sum,
+            Activation::Relu,
+            Combine::GcnSelfLoop,
+        ),
+        layer(
+            2,
+            MessageTransform::ReluAddEdge { edge_proj: None },
+            EdgeWeighting::One,
+            AggregatorKind::Mean,
+            Activation::Tanh,
+            Combine::SelfPlusEps(0.25),
+        ),
+        layer(
+            3,
+            MessageTransform::WeightedCopy,
+            EdgeWeighting::One,
+            AggregatorKind::Max,
+            Activation::LeakyRelu,
+            Combine::MessageOnly,
+        ),
+        layer(
+            4,
+            MessageTransform::WeightedCopy,
+            EdgeWeighting::GcnNorm,
+            AggregatorKind::Min,
+            Activation::Sigmoid,
+            Combine::GcnSelfLoop,
+        ),
+    ];
+    GnnModel::custom(
+        "mixed-arithmetic",
+        Dataflow::NtToMp,
+        Some(Linear::seeded(9, 16, Activation::Relu, seed)),
+        layers,
+        Some(Readout::new(
+            Pooling::Mean,
+            Mlp::seeded(&[16, 1], Activation::Identity, seed + 5),
+        )),
+    )
 }
 
 /// Asserts every observable of the two reports is byte-identical.
