@@ -101,9 +101,18 @@ impl GraphGenerator for KnnPointCloud {
                 let dy = p.1 - pts[i].1;
                 dists.push((dx * dx + dy * dy, j));
             }
-            // Exact kNN: partial sort of the k smallest distances.
-            dists.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            for &(d2, j) in dists.iter().take(k) {
+            // Exact kNN: select the k smallest distances, then order them.
+            // Distance, then index, is a total order, so the neighbours
+            // and their order are those of a full sort.
+            let order =
+                |a: &(f32, usize), b: &(f32, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+            let nearest = if k < dists.len() {
+                dists.select_nth_unstable_by(k, order).0
+            } else {
+                &mut dists[..]
+            };
+            nearest.sort_unstable_by(order);
+            for &(d2, j) in nearest.iter() {
                 // EdgeConv: node i gathers from neighbour j.
                 edges.push((j as NodeId, i as NodeId));
                 let (dx, dy) = (pts[j].0 - pts[i].0, pts[j].1 - pts[i].1);
@@ -136,16 +145,17 @@ impl GraphGenerator for KnnPointCloud {
             node_feat
         };
 
+        let num_edges = edges.len();
         Graph::new(
             n,
-            edges.clone(),
+            edges,
             FeatureSource::dense(flowgnn_tensor::Matrix::from_vec(
                 n,
                 self.node_feat_dim,
                 node_feat,
             )),
             Some(flowgnn_tensor::Matrix::from_vec(
-                edges.len(),
+                num_edges,
                 Self::EDGE_FEAT_DIM,
                 edge_feat,
             )),

@@ -1,5 +1,6 @@
 //! Fully-connected (linear) layer.
 
+use crate::simd::LANES;
 use crate::{Activation, Matrix, WeightInit};
 
 /// A fully-connected layer `y = act(W·x + b)`.
@@ -10,9 +11,14 @@ use crate::{Activation, Matrix, WeightInit};
 /// mirrors the accelerator's NT-unit schedule, in which each fetched
 /// *input* element updates the whole output vector; the weights are stored
 /// once, transposed (`in × out`), so each input's products come from one
-/// contiguous row. The input- and output-stationary orders round
-/// differently, so the simulator and the reference both use the
-/// input-stationary order to keep cross-checks exact.
+/// contiguous row. Each row, and the bias, is zero-padded to a whole
+/// number of [`LANES`]-wide chunks, each aligned to its own size, so every
+/// register tile reads whole chunks and no load straddles a cache line.
+/// The padding feeds no output, and [`Linear::out_dim`], [`Linear::macs`],
+/// [`Linear::weight`] and [`Linear::bias`] report the unpadded layer. The
+/// input- and output-stationary orders round differently, so the
+/// simulator and the reference both use the input-stationary order to keep
+/// cross-checks exact.
 ///
 /// # Example
 ///
@@ -26,10 +32,14 @@ use crate::{Activation, Matrix, WeightInit};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
-    /// `W` transposed (`in × out`): row `i` holds input `i`'s weight for
-    /// every output.
-    wt: Matrix,
+    /// `W` transposed and zero-padded (`in × ⌈out/LANES⌉·LANES`): input
+    /// `i`'s weights for every output fill chunks `i·c .. (i+1)·c`, where
+    /// `c = ⌈out/LANES⌉`, and zeros the rest of the last one.
+    wt: Vec<Chunk>,
+    /// `b`, zero-padded like a row of `wt`.
     bias: Vec<f32>,
+    in_dim: usize,
+    out_dim: usize,
     activation: Activation,
 }
 
@@ -38,8 +48,9 @@ impl Linear {
     ///
     /// # Panics
     ///
-    /// Panics if `bias.len() != weight.rows()`.
-    pub fn new(weight: Matrix, bias: Vec<f32>, activation: Activation) -> Self {
+    /// Panics if `bias.len() != weight.rows()`, or if the padded weights
+    /// hold more than `u32::MAX` chunks.
+    pub fn new(weight: Matrix, mut bias: Vec<f32>, activation: Activation) -> Self {
         assert_eq!(
             bias.len(),
             weight.rows(),
@@ -47,9 +58,25 @@ impl Linear {
             bias.len(),
             weight.rows()
         );
+        let (out_dim, in_dim) = (weight.rows(), weight.cols());
+        let chunks = out_dim.div_ceil(LANES);
+        assert!(
+            u32::try_from(in_dim * chunks).is_ok(),
+            "{in_dim}x{out_dim} weights overflow the u32 chunk offsets"
+        );
+        let t = weight.transposed();
+        let mut wt = vec![Chunk([0.0; LANES]); in_dim * chunks];
+        for i in 0..in_dim {
+            for (chunk, w) in wt[i * chunks..].iter_mut().zip(t.row(i).chunks(LANES)) {
+                chunk.0[..w.len()].copy_from_slice(w);
+            }
+        }
+        bias.resize(chunks * LANES, 0.0);
         Self {
-            wt: weight.transposed(),
+            wt,
             bias,
+            in_dim,
+            out_dim,
             activation,
         }
     }
@@ -76,12 +103,12 @@ impl Linear {
 
     /// Input dimension.
     pub fn in_dim(&self) -> usize {
-        self.wt.rows()
+        self.in_dim
     }
 
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
-        self.wt.cols()
+        self.out_dim
     }
 
     /// The layer's activation function.
@@ -90,14 +117,19 @@ impl Linear {
     }
 
     /// The weight matrix (`out × in`), as a copy transposed back from the
-    /// stored layout.
+    /// stored layout without its padding.
     pub fn weight(&self) -> Matrix {
-        self.wt.transposed()
+        let chunks = self.out_dim.div_ceil(LANES);
+        let rows = (0..self.in_dim).flat_map(|i| {
+            let row = &self.wt[i * chunks..(i + 1) * chunks];
+            row.iter().flat_map(|c| c.0).take(self.out_dim)
+        });
+        Matrix::from_vec(self.in_dim, self.out_dim, rows.collect()).transposed()
     }
 
     /// The bias vector.
     pub fn bias(&self) -> &[f32] {
-        &self.bias
+        &self.bias[..self.out_dim]
     }
 
     /// Number of multiply–accumulate operations per forward pass.
@@ -142,12 +174,17 @@ impl Linear {
     /// remaining inputs in ascending input order, each multiply and add
     /// rounded separately. The loop first compacts the nonzero inputs of
     /// each block of 32 into a stack buffer, branch-free, then accumulates
-    /// the outputs in register tiles of 64, 32, 16, 8, 4, 2 and 1 columns:
-    /// a tile stays in registers while it takes every compacted input's
-    /// product from one contiguous slice of the transposed weights. Each
-    /// output element receives the same products in the same order as a
-    /// walk down the columns of `W`, so the two are **bit-identical**,
-    /// zero-skipping included.
+    /// the outputs, padded like a weight row, in register tiles of up to 13
+    /// [`LANES`]-wide accumulators. The padded row's chunks are split as
+    /// evenly as that allows: a 200-wide layer into 104 + 96 columns, a
+    /// 100-wide one into one 104-column tile, and no tile is narrower than
+    /// 56 columns unless the whole layer is. A tile stays in registers
+    /// while it takes every compacted input's product from one contiguous,
+    /// aligned slice of the padded transposed weights, and its independent
+    /// add chains outnumber the add latency, so the multiplies and adds
+    /// themselves bound it. Each output element receives the same products
+    /// in the same order as a walk down the columns of `W`, so the two are
+    /// **bit-identical**, zero-skipping included.
     ///
     /// # Panics
     ///
@@ -160,62 +197,90 @@ impl Linear {
             x.len(),
             self.in_dim()
         );
+        // The buffer holds the padded bias while it accumulates, so every
+        // tile loads and stores whole chunks.
         out.clear();
         out.extend_from_slice(&self.bias);
+        let (acc, _) = out.as_chunks_mut::<LANES>();
+        let chunks = acc.len();
+        let tiles = chunks.div_ceil(TILE_CHUNKS);
         let mut nonzero = [(0u32, 0.0f32); COMPACT_BLOCK];
         for (b, block) in x.chunks(COMPACT_BLOCK).enumerate() {
-            // Every input is written; only a nonzero one advances the
-            // cursor, so a zero is overwritten by the next input.
+            // An entry holds an input's first weight chunk (`new` checked
+            // that it fits) and its value. Every input is written; only a
+            // nonzero one advances the cursor, so a zero is overwritten by
+            // the next input.
             let mut len = 0;
             for (j, &xi) in block.iter().enumerate() {
-                nonzero[len] = ((b * COMPACT_BLOCK + j) as u32, xi);
+                nonzero[len] = (((b * COMPACT_BLOCK + j) * chunks) as u32, xi);
                 len += usize::from(xi != 0.0);
             }
             let nonzero = &nonzero[..len];
-            let mut col = 0;
-            let rest = self.tiles::<64>(out, &mut col, nonzero);
-            let rest = self.tiles::<32>(rest, &mut col, nonzero);
-            let rest = self.tiles::<16>(rest, &mut col, nonzero);
-            let rest = self.tiles::<8>(rest, &mut col, nonzero);
-            let rest = self.tiles::<4>(rest, &mut col, nonzero);
-            let rest = self.tiles::<2>(rest, &mut col, nonzero);
-            self.tiles::<1>(rest, &mut col, nonzero);
-        }
-    }
-
-    /// Adds every `(i, x[i])` of `nonzero`, in order, into each whole
-    /// `W`-column tile of `out`, whose first column is output `col`.
-    /// Advances `col` past those tiles and returns the columns left over.
-    #[inline(always)]
-    fn tiles<'o, const W: usize>(
-        &self,
-        out: &'o mut [f32],
-        col: &mut usize,
-        nonzero: &[(u32, f32)],
-    ) -> &'o mut [f32] {
-        let mut tiles = out.chunks_exact_mut(W);
-        for tile in &mut tiles {
-            let tile: &mut [f32; W] = tile.try_into().expect("a whole tile");
-            let mut acc = *tile;
-            for &(i, xi) in nonzero {
-                let w: &[f32; W] = self.wt.row(i as usize)[*col..*col + W]
-                    .try_into()
-                    .expect("a whole tile");
-                for (a, w) in acc.iter_mut().zip(w) {
-                    *a += xi * w;
+            let mut chunk = 0;
+            for t in 0..tiles {
+                // The first `chunks % tiles` tiles take one chunk more.
+                let width = chunks / tiles + usize::from(t < chunks % tiles);
+                let (acc, weights) = (&mut acc[chunk..], &self.wt[chunk..]);
+                match width {
+                    1 => tile::<1>(acc, weights, nonzero),
+                    2 => tile::<2>(acc, weights, nonzero),
+                    3 => tile::<3>(acc, weights, nonzero),
+                    4 => tile::<4>(acc, weights, nonzero),
+                    5 => tile::<5>(acc, weights, nonzero),
+                    6 => tile::<6>(acc, weights, nonzero),
+                    7 => tile::<7>(acc, weights, nonzero),
+                    8 => tile::<8>(acc, weights, nonzero),
+                    9 => tile::<9>(acc, weights, nonzero),
+                    10 => tile::<10>(acc, weights, nonzero),
+                    11 => tile::<11>(acc, weights, nonzero),
+                    12 => tile::<12>(acc, weights, nonzero),
+                    13 => tile::<13>(acc, weights, nonzero),
+                    _ => unreachable!("a tile is 1 to {TILE_CHUNKS} chunks wide"),
                 }
+                chunk += width;
             }
-            *tile = acc;
-            *col += W;
         }
-        tiles.into_remainder()
+        out.truncate(self.out_dim);
     }
 }
 
+/// Adds every `(row, x[i])` of `nonzero`, in order, into the first `K`
+/// chunks of `acc`, taking input `i`'s weights from the `K` chunks of
+/// `weights` that start at `row`.
+#[inline(always)]
+fn tile<const K: usize>(acc: &mut [[f32; LANES]], weights: &[Chunk], nonzero: &[(u32, f32)]) {
+    let acc: &mut [[f32; LANES]; K] = (&mut acc[..K]).try_into().expect("a whole tile");
+    let mut tile = *acc;
+    for &(row, xi) in nonzero {
+        let row = row as usize;
+        let w: &[Chunk; K] = weights[row..row + K].try_into().expect("a whole tile");
+        for (a, w) in tile.iter_mut().zip(w) {
+            for (a, w) in a.iter_mut().zip(&w.0) {
+                *a += xi * w;
+            }
+        }
+    }
+    *acc = tile;
+}
+
+/// [`LANES`] weights of one padded row, aligned to their own size so no
+/// vector load of a tile straddles a cache line.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(align(32))]
+struct Chunk([f32; LANES]);
+
+const _: () = assert!(std::mem::size_of::<Chunk>() == std::mem::align_of::<Chunk>());
+
 /// Inputs [`Linear::forward_input_stationary`] compacts per block: their
-/// nonzero indices and values fit a small fixed stack buffer, so a layer
-/// of any width allocates nothing.
+/// nonzero chunk offsets and values fit a small fixed stack buffer, so a
+/// layer of any width allocates nothing, and each tile loads and stores
+/// its outputs once per block.
 const COMPACT_BLOCK: usize = 32;
+
+/// Most [`LANES`]-wide accumulators one register tile holds: 13
+/// accumulators, the broadcast input and the products fill the 16 AVX2
+/// vector registers.
+const TILE_CHUNKS: usize = 13;
 
 #[cfg(test)]
 mod tests {
@@ -269,11 +334,16 @@ mod tests {
     #[test]
     fn weight_round_trips_through_the_stored_layout() {
         // Non-square, so a `weight()` that forgot to transpose back would
-        // come out 5 × 3.
-        let w = Matrix::from_vec(3, 5, (0..15).map(|v| v as f32 - 7.0).collect());
-        let layer = Linear::new(w.clone(), vec![0.0; 3], Activation::Identity);
-        assert_eq!(layer.weight(), w);
-        assert_eq!((layer.in_dim(), layer.out_dim()), (5, 3));
+        // come out 5 × 3; 3 and 13 outputs are not whole chunks, so one
+        // that kept the padding would come out wider.
+        for (out, inp) in [(3, 5), (13, 100)] {
+            let w = Matrix::from_vec(out, inp, (0..out * inp).map(|v| v as f32 - 7.0).collect());
+            let bias: Vec<f32> = (0..out).map(|v| v as f32 + 0.5).collect();
+            let layer = Linear::new(w.clone(), bias.clone(), Activation::Identity);
+            assert_eq!(layer.weight(), w);
+            assert_eq!(layer.bias(), bias);
+            assert_eq!((layer.in_dim(), layer.out_dim()), (inp, out));
+        }
     }
 
     #[test]

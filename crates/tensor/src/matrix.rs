@@ -5,9 +5,10 @@ use std::ops::{Index, IndexMut};
 
 /// A row-major dense `f32` matrix.
 ///
-/// `Matrix` is the weight container for [`crate::Linear`] layers and the
-/// row store of every functional run: dense node features, and the
-/// per-layer embeddings of the simulator and the reference executor.
+/// `Matrix` carries [`crate::Linear`]'s weights in and out (`Linear::new`,
+/// `Linear::weight`) and is the row store of every functional run: dense
+/// node features, and the per-layer embeddings of the simulator and the
+/// reference executor.
 /// Rows are packed back to back with no padding: every kernel takes a
 /// `cols`-length row slice, so a pad would only cost memory. It is
 /// deliberately minimal: FlowGNN's kernels only need matrix–vector

@@ -3,11 +3,13 @@
 //! The kernels in [`crate::ops`] are plain loops that LLVM vectorizes at
 //! the workspace's pinned `target-cpu`; there is no lane type and no
 //! second body. What remains here is [`LANES`], the chunk width of
-//! [`crate::ops::dot`]'s accumulators, and [`kernel_path`], the name
-//! benchmark output records for the kernels it ran.
+//! [`crate::ops::dot`]'s accumulators and of [`crate::Linear`]'s register
+//! tiles, and [`kernel_path`], the name benchmark output records for the
+//! kernels it ran.
 
-/// Chunk width of [`crate::ops::dot`]'s two accumulators. It constrains
-/// no storage: `dot` chunks each slice from its start, so feature rows
+/// Chunk width of [`crate::ops::dot`]'s two accumulators and of
+/// [`crate::Linear`]'s register tiles. Only `Linear`'s own weights are
+/// padded to it: `dot` chunks each slice from its start, so feature rows
 /// are packed back to back in [`crate::Matrix`] with no padding.
 pub const LANES: usize = 8;
 

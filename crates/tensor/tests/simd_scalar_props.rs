@@ -123,12 +123,27 @@ fn tiled_linear_forward_is_bit_identical_to_the_scalar_schedule() {
         (200, 100),
         (9, 100),
         (3, 100),
-        // Output widths whose last columns fall to every tail tile
-        // (64, 32, 16, 8, 4, 2 and 1 wide).
+        // Output widths that reach every tile width (1 to 13 eight-lane
+        // chunks, alone or split into two or three balanced tiles) and
+        // every padding of the last chunk (0 to 7 columns).
         (5, 7),
+        (6, 8),
+        (4, 24),
+        (7, 31),
+        (3, 32),
         (12, 33),
+        (7, 46),
+        (9, 58),
         (40, 71),
+        (9, 96),
+        (5, 103),
+        (11, 104),
+        (6, 105),
         (10, 127),
+        (4, 136),
+        (8, 201),
+        (3, 208),
+        (5, 255),
         // Inputs spanning several 32-input compaction blocks and a partial
         // last one.
         (300, 13),
