@@ -13,9 +13,13 @@
 //! [`Islandization::redundant_fraction_with_edge_features`] returns 0 and
 //! the advantage disappears, which is why Table VIII is "not a fair
 //! comparison" in FlowGNN's disfavour.
+//!
+//! [`IGcnBackend`] is the platform: I-GCN's published PE array crediting
+//! the redundancy islandization finds on each graph.
 
 use std::collections::HashMap;
 
+use flowgnn_core::{BackendReport, InferenceBackend};
 use flowgnn_graph::{Adjacency, Graph, NodeId};
 
 use crate::pe_array::PeArrayModel;
@@ -126,53 +130,52 @@ impl Islandization {
     }
 }
 
-/// I-GCN's published deployment: 4096 PEs; board power calibrated from
-/// the published energy-efficiency numbers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IGcnModel {
-    array: PeArrayModel,
+/// The I-GCN accelerator running a GCN-class workload of `hidden`
+/// dimension and `layers` layers.
+#[derive(Debug, Clone)]
+pub struct IGcnBackend {
+    hidden: usize,
+    layers: usize,
+    redundancy: Option<f64>,
 }
 
-impl Default for IGcnModel {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+impl IGcnBackend {
+    /// I-GCN's published deployment: 4096 PEs; board power calibrated from
+    /// the published energy-efficiency numbers.
+    const ARRAY: PeArrayModel = PeArrayModel {
+        name: "I-GCN",
+        pes: 4096,
+        freq_hz: 350e6,
+        utilization: 0.85,
+        mem_bw_gbps: 460.0,
+        dsps: 4096,
+        watts: 110.0,
+    };
 
-impl IGcnModel {
-    /// Creates the published-configuration model.
-    pub fn new() -> Self {
+    /// I-GCN on a GCN of `hidden` dimension and `layers` layers.
+    pub fn new(hidden: usize, layers: usize) -> Self {
         Self {
-            array: PeArrayModel {
-                name: "I-GCN",
-                pes: 4096,
-                freq_hz: 350e6,
-                utilization: 0.85,
-                mem_bw_gbps: 460.0,
-                dsps: 4096,
-                watts: 110.0,
-            },
+            hidden,
+            layers,
+            redundancy: None,
         }
     }
 
-    /// The underlying PE-array model.
-    pub fn array(&self) -> &PeArrayModel {
-        &self.array
+    /// Uses a precomputed islandization redundancy fraction instead of
+    /// re-running [`Islandization::analyze`] per graph (the analysis is
+    /// the expensive part on large graphs).
+    pub fn with_redundancy(mut self, redundant_fraction: f64) -> Self {
+        self.redundancy = Some(redundant_fraction);
+        self
     }
 
-    /// Latency in microseconds for a GCN workload on `graph`, crediting
-    /// the redundancy its islandization finds.
-    pub fn latency_us(&self, graph: &Graph, workload: &GcnWorkload) -> f64 {
-        let isl = Islandization::analyze(graph);
-        self.latency_us_with_redundancy(workload, isl.redundant_fraction)
-    }
-
-    /// Latency given a pre-computed redundancy fraction.
+    /// Latency in microseconds for a GCN workload once islandization has
+    /// removed the `redundancy` fraction of its aggregation.
     ///
     /// # Panics
     ///
     /// Panics if `redundancy` is outside `[0, 1]`.
-    pub fn latency_us_with_redundancy(&self, workload: &GcnWorkload, redundancy: f64) -> f64 {
+    pub(crate) fn latency_us(workload: &GcnWorkload, redundancy: f64) -> f64 {
         assert!(
             (0.0..=1.0).contains(&redundancy),
             "redundancy {redundancy} outside [0, 1]"
@@ -180,14 +183,28 @@ impl IGcnModel {
         let keep = 1.0 - redundancy;
         let macs = workload.combination_macs() + (workload.aggregation_macs() as f64 * keep) as u64;
         let bytes = (workload.message_bytes() as f64 * keep) as u64;
-        self.array.latency_us(macs, bytes)
+        Self::ARRAY.latency_us(macs, bytes)
+    }
+}
+
+impl InferenceBackend for IGcnBackend {
+    fn name(&self) -> &str {
+        Self::ARRAY.name
+    }
+
+    fn run_graph(&self, graph: &Graph) -> BackendReport {
+        let workload = GcnWorkload::from_graph(graph, self.hidden, self.layers);
+        let redundancy = self
+            .redundancy
+            .unwrap_or_else(|| Islandization::analyze(graph).redundant_fraction);
+        Self::ARRAY.report(Self::latency_us(&workload, redundancy))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowgnn_graph::generators::{ChungLu, GraphGenerator};
+    use flowgnn_graph::generators::{ChungLu, GraphGenerator, MoleculeLike};
     use flowgnn_graph::{FeatureSource, Graph};
     use flowgnn_tensor::Matrix;
 
@@ -246,9 +263,8 @@ mod tests {
     #[test]
     fn redundancy_speeds_up_the_model() {
         let w = GcnWorkload::from_stats(1000, 50_000, 20_000, 16, 2);
-        let m = IGcnModel::new();
-        let slow = m.latency_us_with_redundancy(&w, 0.0);
-        let fast = m.latency_us_with_redundancy(&w, 0.4);
+        let slow = IGcnBackend::latency_us(&w, 0.0);
+        let fast = IGcnBackend::latency_us(&w, 0.4);
         assert!(fast < slow);
     }
 
@@ -256,7 +272,7 @@ mod tests {
     fn cora_class_latency_matches_published_magnitude() {
         // I-GCN reports 1.3 µs on Cora; the model should land within ~2×.
         let w = GcnWorkload::from_stats(2708, 5429, 49_260, 16, 2);
-        let l = IGcnModel::new().latency_us_with_redundancy(&w, 0.1);
+        let l = IGcnBackend::latency_us(&w, 0.1);
         assert!((0.5..=3.0).contains(&l), "{l} µs");
     }
 
@@ -272,6 +288,15 @@ mod tests {
     #[should_panic(expected = "outside [0, 1]")]
     fn invalid_redundancy_panics() {
         let w = GcnWorkload::from_stats(10, 10, 10, 16, 2);
-        IGcnModel::new().latency_us_with_redundancy(&w, 1.5);
+        IGcnBackend::latency_us(&w, 1.5);
+    }
+
+    #[test]
+    fn precomputed_redundancy_matches_inline_analysis() {
+        let g = MoleculeLike::new(16.0, 4).generate(0);
+        let inline = IGcnBackend::new(16, 2).run_graph(&g);
+        let frac = Islandization::analyze(&g).redundant_fraction;
+        let precomputed = IGcnBackend::new(16, 2).with_redundancy(frac).run_graph(&g);
+        assert_eq!(inline.latency_us, precomputed.latency_us);
     }
 }

@@ -1,5 +1,7 @@
 //! Roofline timing for PE-array accelerators (I-GCN / AWB-GCN class).
 
+use flowgnn_core::{graphs_per_kj, BackendReport};
+
 /// A processing-element-array accelerator with a compute/memory roofline:
 /// `latency = max(MACs / (PEs × utilisation × f), bytes / bandwidth)`.
 ///
@@ -41,14 +43,15 @@ impl PeArrayModel {
         memory_s > compute_s
     }
 
-    /// Energy efficiency in graphs/kJ at the given latency.
+    /// This array's report for a latency in microseconds: graphs/kJ at
+    /// its board power, and its DSP bill with the DSP-normalised latency.
     ///
     /// # Panics
     ///
     /// Panics if `latency_us` is not positive.
-    pub fn graphs_per_kj(&self, latency_us: f64) -> f64 {
-        assert!(latency_us > 0.0, "latency must be positive");
-        1.0 / (latency_us * 1e-6 * self.watts * 1e-3)
+    pub(crate) fn report(&self, latency_us: f64) -> BackendReport {
+        BackendReport::from_us(latency_us, graphs_per_kj(latency_us * 1e-6, self.watts))
+            .with_dsps(self.dsps)
     }
 }
 
@@ -89,12 +92,12 @@ mod tests {
     #[test]
     fn energy_inverse_of_latency() {
         let a = array();
-        assert!(a.graphs_per_kj(1.0) > a.graphs_per_kj(2.0));
+        assert!(a.report(1.0).graphs_per_kj > a.report(2.0).graphs_per_kj);
     }
 
     #[test]
     #[should_panic(expected = "must be positive")]
     fn zero_latency_panics() {
-        array().graphs_per_kj(0.0);
+        array().report(0.0);
     }
 }

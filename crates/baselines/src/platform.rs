@@ -1,4 +1,4 @@
-//! Calibrated CPU/GPU cost models (PyTorch Geometric baselines).
+//! The CPU and GPU platforms: calibrated cost models of PyTorch Geometric.
 //!
 //! Model form, per graph of `F` MFLOPs at batch size `B`:
 //!
@@ -15,7 +15,12 @@
 //! Fig. 7); `u(B)` is the usual utilisation ramp. Constants per model are
 //! calibrated against Table V (batch-1 HEP latencies) and checked by the
 //! tests below.
+//!
+//! Both platforms are functions of a graph's `(nodes, edges)` shape only:
+//! each answers [`CpuBackend::run_shape`] / [`GpuBackend::run_shape`] for
+//! a dataset's mean shape, and runs a graph as its shape.
 
+use flowgnn_core::{graphs_per_kj, BackendReport, InferenceBackend};
 use flowgnn_graph::Graph;
 use flowgnn_models::{GnnModel, ModelKind};
 
@@ -29,26 +34,34 @@ fn mflops(model: &GnnModel, n: usize, e: usize) -> f64 {
 }
 
 /// The paper's CPU baseline: Intel Xeon Gold 6226R running PyTorch
-/// Geometric, evaluated at batch size 1.
+/// Geometric at batch size 1, deployed with one model.
 ///
 /// # Example
 ///
 /// ```
-/// use flowgnn_baselines::CpuModel;
+/// use flowgnn_baselines::CpuBackend;
+/// use flowgnn_core::InferenceBackend;
 /// use flowgnn_graph::generators::{GraphGenerator, KnnPointCloud};
 /// use flowgnn_models::GnnModel;
 ///
 /// let g = KnnPointCloud::new(49.1, 16, 0).generate(0);
-/// let model = GnnModel::gin(7, Some(4), 0);
-/// let ms = CpuModel::latency_ms(&model, &g);
+/// let cpu = CpuBackend::new(GnnModel::gin(7, Some(4), 0));
+/// let ms = cpu.run_graph(&g).latency_ms;
 /// assert!(ms > 1.0); // milliseconds, not microseconds: framework-bound
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CpuModel;
+#[derive(Debug, Clone)]
+pub struct CpuBackend {
+    model: GnnModel,
+}
 
-impl CpuModel {
+impl CpuBackend {
     /// Package power draw under PyG inference load (6226R, 150 W TDP).
-    pub const WATTS: f64 = 125.0;
+    const WATTS: f64 = 125.0;
+
+    /// Deploys `model` on the CPU.
+    pub fn new(model: GnnModel) -> Self {
+        Self { model }
+    }
 
     /// `(fixed overhead ms, effective GFLOPS)` per model family,
     /// calibrated to Table V.
@@ -69,47 +82,62 @@ impl CpuModel {
         }
     }
 
-    /// Batch-1 latency in milliseconds for one graph.
-    pub fn latency_ms(model: &GnnModel, graph: &Graph) -> f64 {
-        Self::latency_ms_for_shape(model, graph.num_nodes(), graph.num_edges())
+    /// Batch-1 latency and energy efficiency for one graph of
+    /// `nodes`/`edges` shape (a dataset's mean shape, say).
+    pub fn run_shape(&self, nodes: usize, edges: usize) -> BackendReport {
+        let (fixed, gflops) = Self::params(self.model.kind());
+        let ms = fixed + mflops(&self.model, nodes, edges) / gflops;
+        BackendReport::from_ms(ms, graphs_per_kj(ms / 1e3, Self::WATTS))
+    }
+}
+
+impl InferenceBackend for CpuBackend {
+    fn name(&self) -> &str {
+        "CPU"
     }
 
-    /// Batch-1 latency from a graph shape (mean nodes/edges of a dataset).
-    pub fn latency_ms_for_shape(model: &GnnModel, n: usize, e: usize) -> f64 {
-        let (fixed, gflops) = Self::params(model.kind());
-        fixed + mflops(model, n, e) / gflops
-    }
-
-    /// Energy efficiency in graphs/kJ at batch 1.
-    pub fn graphs_per_kj(model: &GnnModel, n: usize, e: usize) -> f64 {
-        let s = Self::latency_ms_for_shape(model, n, e) / 1e3;
-        1.0 / (s * Self::WATTS * 1e-3)
+    fn run_graph(&self, graph: &Graph) -> BackendReport {
+        self.run_shape(graph.num_nodes(), graph.num_edges())
     }
 }
 
 /// The paper's GPU baseline: NVIDIA RTX A6000 running PyTorch Geometric,
-/// evaluated at batch sizes 1 through 1024.
+/// deployed with one model at a fixed batch size (1 through 1024 in the
+/// paper); per-graph latency is amortised over the batch.
 ///
 /// # Example
 ///
 /// ```
-/// use flowgnn_baselines::GpuModel;
+/// use flowgnn_baselines::GpuBackend;
 /// use flowgnn_models::GnnModel;
 ///
 /// let model = GnnModel::gcn(9, 0);
-/// let b1 = GpuModel::latency_per_graph_ms(&model, 25, 55, 1);
-/// let b1024 = GpuModel::latency_per_graph_ms(&model, 25, 55, 1024);
-/// assert!(b1024 < b1); // batching amortises launch overhead
+/// let b1 = GpuBackend::new(model.clone(), 1).run_shape(25, 55);
+/// let b1024 = GpuBackend::new(model, 1024).run_shape(25, 55);
+/// assert!(b1024.latency_ms < b1.latency_ms); // batching amortises launch overhead
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GpuModel;
+#[derive(Debug, Clone)]
+pub struct GpuBackend {
+    model: GnnModel,
+    batch: usize,
+}
 
-impl GpuModel {
+impl GpuBackend {
     /// Batch sizes the paper sweeps in Fig. 7.
     pub const BATCH_SIZES: [usize; 6] = [1, 4, 16, 64, 256, 1024];
 
     /// Utilisation half-saturation batch size.
     const B_HALF: f64 = 32.0;
+
+    /// Deploys `model` on the GPU at `batch` graphs per launch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is zero.
+    pub fn new(model: GnnModel, batch: usize) -> Self {
+        assert!(batch > 0, "batch size must be positive");
+        Self { model, batch }
+    }
 
     /// `(per-batch launch ms, per-graph host ms, effective peak TFLOPS)`
     /// per model family, calibrated to Table V batch-1 and the Fig. 7
@@ -131,37 +159,39 @@ impl GpuModel {
         }
     }
 
-    /// Per-graph latency in milliseconds at batch size `batch`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0`.
-    pub fn latency_per_graph_ms(model: &GnnModel, n: usize, e: usize, batch: usize) -> f64 {
-        assert!(batch > 0, "batch size must be positive");
-        let (launch, host, peak_tflops) = Self::params(model.kind());
-        let b = batch as f64;
-        let util = b / (b + Self::B_HALF);
-        let compute_ms = mflops(model, n, e) / (peak_tflops * 1e3) / util;
-        host + launch / b + compute_ms
-    }
-
-    /// Board power in watts at batch size `batch` (ramps with
-    /// utilisation; 300 W TGP).
-    pub fn watts(batch: usize) -> f64 {
-        let b = batch as f64;
+    /// Board power in watts at this batch size (ramps with utilisation;
+    /// 300 W TGP).
+    fn watts(&self) -> f64 {
+        let b = self.batch as f64;
         80.0 + 220.0 * b / (b + Self::B_HALF)
     }
 
-    /// Energy efficiency in graphs/kJ at batch size `batch`.
-    pub fn graphs_per_kj(model: &GnnModel, n: usize, e: usize, batch: usize) -> f64 {
-        let s = Self::latency_per_graph_ms(model, n, e, batch) / 1e3;
-        1.0 / (s * Self::watts(batch) * 1e-3)
+    /// Per-graph latency and energy efficiency at this batch size for
+    /// graphs of `nodes`/`edges` shape (a dataset's mean shape, say).
+    pub fn run_shape(&self, nodes: usize, edges: usize) -> BackendReport {
+        let (launch, host, peak_tflops) = Self::params(self.model.kind());
+        let b = self.batch as f64;
+        let util = b / (b + Self::B_HALF);
+        let compute_ms = mflops(&self.model, nodes, edges) / (peak_tflops * 1e3) / util;
+        let ms = host + launch / b + compute_ms;
+        BackendReport::from_ms(ms, graphs_per_kj(ms / 1e3, self.watts()))
+    }
+}
+
+impl InferenceBackend for GpuBackend {
+    fn name(&self) -> &str {
+        "GPU"
+    }
+
+    fn run_graph(&self, graph: &Graph) -> BackendReport {
+        self.run_shape(graph.num_nodes(), graph.num_edges())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowgnn_graph::generators::{GraphGenerator, MoleculeLike};
 
     /// HEP dataset shape (Table IV): 49.1 nodes, 785.3 edges.
     const HEP: (usize, usize) = (49, 785);
@@ -169,6 +199,10 @@ mod tests {
     fn preset(kind: ModelKind) -> GnnModel {
         // HEP feature dims: 7-d nodes, 4-d edges.
         GnnModel::preset(kind, 7, Some(4), 0)
+    }
+
+    fn graph() -> Graph {
+        MoleculeLike::new(16.0, 4).generate(0)
     }
 
     #[test]
@@ -183,7 +217,7 @@ mod tests {
         ];
         for (kind, want) in targets {
             let (n, e) = HEP;
-            let got = CpuModel::latency_ms_for_shape(&preset(kind), n, e);
+            let got = CpuBackend::new(preset(kind)).run_shape(n, e).latency_ms;
             let ratio = got / want;
             assert!(
                 (0.8..=1.25).contains(&ratio),
@@ -204,7 +238,7 @@ mod tests {
         ];
         for (kind, want) in targets {
             let (n, e) = HEP;
-            let got = GpuModel::latency_per_graph_ms(&preset(kind), n, e, 1);
+            let got = GpuBackend::new(preset(kind), 1).run_shape(n, e).latency_ms;
             let ratio = got / want;
             assert!(
                 (0.8..=1.25).contains(&ratio),
@@ -215,10 +249,11 @@ mod tests {
 
     #[test]
     fn gpu_per_graph_latency_decreases_with_batch() {
-        let model = preset(ModelKind::Gin);
         let mut prev = f64::INFINITY;
-        for b in GpuModel::BATCH_SIZES {
-            let l = GpuModel::latency_per_graph_ms(&model, 25, 55, b);
+        for b in GpuBackend::BATCH_SIZES {
+            let l = GpuBackend::new(preset(ModelKind::Gin), b)
+                .run_shape(25, 55)
+                .latency_ms;
             assert!(l < prev, "batch {b}: {l} not below {prev}");
             prev = l;
         }
@@ -228,28 +263,59 @@ mod tests {
     fn gat_and_dgn_floor_at_per_graph_host_cost() {
         // Even at batch 1024, GAT/DGN per-graph latency stays above their
         // host terms — the Fig. 7 "never catches up" behaviour.
-        let gat = GpuModel::latency_per_graph_ms(&preset(ModelKind::Gat), 25, 55, 1024);
+        let at_1024 = |kind| {
+            GpuBackend::new(preset(kind), 1024)
+                .run_shape(25, 55)
+                .latency_ms
+        };
+        let gat = at_1024(ModelKind::Gat);
         assert!(gat > 0.5, "GAT at 1024: {gat}");
-        let gin = GpuModel::latency_per_graph_ms(&preset(ModelKind::Gin), 25, 55, 1024);
+        let gin = at_1024(ModelKind::Gin);
         assert!(gin < 0.05, "GIN at 1024: {gin}");
     }
 
     #[test]
     fn gpu_power_ramps_with_batch() {
-        assert!(GpuModel::watts(1) < GpuModel::watts(1024));
-        assert!(GpuModel::watts(1024) <= 300.0);
+        let watts = |batch| GpuBackend::new(preset(ModelKind::Gin), batch).watts();
+        assert!(watts(1) < watts(1024));
+        assert!(watts(1024) <= 300.0);
     }
 
     #[test]
     fn cpu_energy_efficiency_magnitude_matches_table_vi() {
         // Table VI CPU column is O(10^3) graphs/kJ on MolHIV shapes.
-        let gpk = CpuModel::graphs_per_kj(&preset(ModelKind::Gin), 25, 55);
+        let gpk = CpuBackend::new(preset(ModelKind::Gin))
+            .run_shape(25, 55)
+            .graphs_per_kj;
         assert!((5e2..=5e4).contains(&gpk), "{gpk}");
+    }
+
+    #[test]
+    fn cpu_graph_and_shape_paths_agree_on_magnitude() {
+        let b = CpuBackend::new(GnnModel::gcn(9, 0));
+        let g = graph();
+        let per_graph = b.run_graph(&g);
+        assert_eq!(per_graph, b.run_shape(g.num_nodes(), g.num_edges()));
+        assert!(per_graph.graphs_per_kj > 0.0);
+    }
+
+    #[test]
+    fn gpu_batch_amortisation_shows_through_the_trait() {
+        let g = graph();
+        let b1 = GpuBackend::new(GnnModel::gcn(9, 0), 1).run_graph(&g);
+        let b64 = GpuBackend::new(GnnModel::gcn(9, 0), 64).run_graph(&g);
+        assert!(b64.latency_ms < b1.latency_ms);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch size must be positive")]
+    fn gpu_rejects_zero_batch() {
+        GpuBackend::new(GnnModel::gcn(9, 0), 0);
     }
 
     #[test]
     #[should_panic(expected = "batch size must be positive")]
     fn zero_batch_panics() {
-        GpuModel::latency_per_graph_ms(&preset(ModelKind::Gcn), 10, 10, 0);
+        GpuBackend::new(preset(ModelKind::Gcn), 0);
     }
 }

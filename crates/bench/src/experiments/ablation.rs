@@ -1,6 +1,6 @@
 //! Fig. 9 (pipeline ablation) and Fig. 10 (design-space exploration).
 
-use flowgnn_baselines::GpuModel;
+use flowgnn_baselines::GpuBackend;
 use flowgnn_core::{Accelerator, ArchConfig, ExecutionMode, InferenceBackend, PipelineStrategy};
 use flowgnn_graph::datasets::{DatasetKind, DatasetSpec};
 use flowgnn_models::GnnModel;
@@ -65,12 +65,9 @@ pub fn fig9(sample: SampleSize) -> Fig9 {
     let spec = DatasetSpec::standard(DatasetKind::MolHiv);
     let graphs = sample.resolve(spec.paper_stats().graphs);
     let stats = spec.paper_stats();
-    let gpu_ms = GpuModel::latency_per_graph_ms(
-        &GnnModel::gcn(spec.node_feat_dim(), 11),
-        stats.mean_nodes as usize,
-        stats.mean_edges as usize,
-        1,
-    );
+    let gpu_ms = GpuBackend::new(GnnModel::gcn(spec.node_feat_dim(), 11), 1)
+        .run_shape(stats.mean_nodes as usize, stats.mean_edges as usize)
+        .latency_ms;
 
     let serial = |strategy: PipelineStrategy| {
         ArchConfig::default()

@@ -73,30 +73,18 @@ pub fn table6(sample: SampleSize) -> Table6 {
     let config = ArchConfig::default().with_execution(ExecutionMode::TimingOnly);
     let rows = paper_models(&spec, 7)
         .into_iter()
-        .map(|model| {
+        .map(|model| Table6Row {
+            kind: model.kind(),
             // CPU/GPU are shape-based cost models evaluated at the
-            // dataset's mean shape; FlowGNN falls through to its native
-            // stream runner (weights already on chip: no weight load is
-            // charged).
-            let backends: Vec<Box<dyn InferenceBackend>> = vec![
-                Box::new(CpuBackend::new(model.clone())),
-                Box::new(GpuBackend::new(model.clone(), 1)),
-                Box::new(Accelerator::new(model.clone(), config)),
-            ];
-            let gpk: Vec<f64> = backends
-                .iter()
-                .map(|b| {
-                    b.run_shape(n, e)
-                        .unwrap_or_else(|| b.run_stream(spec.stream(), graphs))
-                        .graphs_per_kj
-                })
-                .collect();
-            Table6Row {
-                kind: model.kind(),
-                cpu: gpk[0],
-                gpu: gpk[1],
-                flowgnn: gpk[2],
-            }
+            // dataset's mean shape; FlowGNN runs its native stream runner
+            // (weights already on chip: no weight load is charged).
+            cpu: CpuBackend::new(model.clone()).run_shape(n, e).graphs_per_kj,
+            gpu: GpuBackend::new(model.clone(), 1)
+                .run_shape(n, e)
+                .graphs_per_kj,
+            flowgnn: Accelerator::new(model, config)
+                .run_stream(spec.stream(), graphs)
+                .graphs_per_kj,
         })
         .collect();
     Table6 { rows }

@@ -1,6 +1,6 @@
 //! Table V, Fig. 7, Fig. 8: end-to-end latency against CPU and GPU.
 
-use flowgnn_baselines::{CpuBackend, GpuBackend, GpuModel};
+use flowgnn_baselines::{CpuBackend, GpuBackend};
 use flowgnn_core::{Accelerator, ArchConfig, ExecutionMode, InferenceBackend};
 use flowgnn_graph::datasets::{DatasetKind, DatasetSpec};
 use flowgnn_models::{GnnModel, ModelKind};
@@ -145,7 +145,7 @@ impl Fig7 {
     /// Renders the figure as a table: one row per model, one column per
     /// batch size.
     pub fn table(&self) -> TextTable {
-        let batches = GpuModel::BATCH_SIZES;
+        let batches = GpuBackend::BATCH_SIZES;
         let mut header: Vec<String> = vec!["Model".into(), "FlowGNN".into(), "CPU b1".into()];
         header.extend(batches.iter().map(|b| format!("GPU b{b}")));
         let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
@@ -186,12 +186,11 @@ pub fn fig7(dataset: DatasetKind, sample: SampleSize) -> Fig7 {
         let cpu = backends[1].run_stream(spec.stream(), graphs).latency_ms;
         // GPU batching amortises the launch overhead over the dataset's
         // mean shape: one shape-based backend per batch size.
-        let gpu_ms_by_batch = GpuModel::BATCH_SIZES
+        let gpu_ms_by_batch = GpuBackend::BATCH_SIZES
             .iter()
             .map(|&b| {
                 let gpu = GpuBackend::new(model.clone(), b);
-                let report = gpu.run_shape(n, e).expect("GPU model is shape-based");
-                (b, report.latency_ms)
+                (b, gpu.run_shape(n, e).latency_ms)
             })
             .collect();
         BatchSweep {

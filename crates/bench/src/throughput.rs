@@ -3,10 +3,13 @@
 //! Runs fixed workloads (dataset × model × configuration) through the
 //! cycle engine in three rows each: the per-cycle reference and the
 //! fast-forward engine timing-only, then fast-forward with full
-//! (functional) execution. It also times the two kernels with their own
-//! accumulation order, `ops::dot` and `Linear`'s input-stationary loop.
-//! Every figure comes from [`timing::measure`], so each is a median with
-//! p10 and p90; serialized as `BENCH_sim_throughput.json`.
+//! (functional) execution. Every figure comes from [`timing::measure`], so
+//! each is a median with p10 and p90; serialized as
+//! `BENCH_sim_throughput.json`. Kernels are not timed on their own: an
+//! isolated call reads its heap placement and code layout as much as its
+//! loop, so a kernel change is measured end to end (the functional rows
+//! here, `flowgnn-perf`'s workloads) or by interleaving both kernels'
+//! trials in one binary.
 
 use crate::timing::{self, Timing};
 use crate::SampleSize;
@@ -15,7 +18,6 @@ use flowgnn_core::{
 };
 use flowgnn_graph::datasets::{DatasetKind, DatasetSpec};
 use flowgnn_models::GnnModel;
-use flowgnn_tensor::{ops, Activation, Linear, WeightInit};
 
 /// Throughput of one workload under one engine and execution mode.
 #[derive(Debug, Clone)]
@@ -52,23 +54,12 @@ impl WorkloadThroughput {
     }
 }
 
-/// One kernel, timed per call.
-#[derive(Debug, Clone)]
-pub struct KernelTiming {
-    /// Kernel id, e.g. `dot_100`.
-    pub kernel: String,
-    /// Wall time per call.
-    pub call: Timing,
-}
-
-/// The full study: every fixed workload's three rows, and both kernels.
+/// The full study: every fixed workload's three rows.
 #[derive(Debug, Clone)]
 pub struct ThroughputReport {
     /// Workload rows: per workload, reference then fast-forward
     /// timing-only, then fast-forward full.
     pub rows: Vec<WorkloadThroughput>,
-    /// Kernel timings.
-    pub kernels: Vec<KernelTiming>,
 }
 
 /// Each workload's rows: engine and execution mode.
@@ -77,9 +68,6 @@ const ROWS: [(EngineMode, ExecutionMode); 3] = [
     (EngineMode::FastForward, ExecutionMode::TimingOnly),
     (EngineMode::FastForward, ExecutionMode::Full),
 ];
-
-/// Hidden dimension of the paper's OGB models — the dominant kernel length.
-const HIDDEN: usize = 100;
 
 fn fixed_workloads() -> Vec<(String, DatasetKind, GnnModel, ArchConfig)> {
     let molhiv = DatasetSpec::standard(DatasetKind::MolHiv);
@@ -129,25 +117,6 @@ fn fixed_workloads() -> Vec<(String, DatasetKind, GnnModel, ArchConfig)> {
     ]
 }
 
-/// Times `dot` and `Linear::forward` at the paper models' hidden
-/// dimension.
-fn kernel_timings() -> Vec<KernelTiming> {
-    let xs: Vec<f32> = (0..HIDDEN).map(|i| (i as f32 * 0.37).sin()).collect();
-    let ys: Vec<f32> = (0..HIDDEN).map(|i| (i as f32 * 0.61).cos()).collect();
-    let linear = Linear::from_init(HIDDEN, HIDDEN, Activation::Relu, &mut WeightInit::new(7));
-    let mut out = Vec::new();
-    vec![
-        KernelTiming {
-            kernel: format!("dot_{HIDDEN}"),
-            call: timing::measure(|| ops::dot(std::hint::black_box(&xs), &ys)),
-        },
-        KernelTiming {
-            kernel: format!("linear_forward_{HIDDEN}x{HIDDEN}"),
-            call: timing::measure(|| linear.forward_into(std::hint::black_box(&xs), &mut out)),
-        },
-    ]
-}
-
 /// Runs the study at the given sample size. Graphs are generated
 /// outside the timed passes so the numbers isolate the simulator;
 /// `prepare` (graph context, edge banking, the CSC of gather models)
@@ -181,15 +150,12 @@ pub fn measure(sample: SampleSize) -> ThroughputReport {
             });
         }
     }
-    ThroughputReport {
-        rows,
-        kernels: kernel_timings(),
-    }
+    ThroughputReport { rows }
 }
 
 use crate::json::json_escape;
 
-/// A timing's JSON fields, in seconds per call (per pass for rows).
+/// A timing's JSON fields, in seconds per pass.
 fn timing_json(t: &Timing) -> String {
     format!(
         "\"median_s\": {:.4e}, \"p10_s\": {:.4e}, \"p90_s\": {:.4e}, \"trials\": {}",
@@ -257,15 +223,6 @@ impl ThroughputReport {
                 if i + 1 == self.rows.len() { "" } else { "," },
             ));
         }
-        out.push_str("  ],\n  \"kernels\": [\n");
-        for (i, k) in self.kernels.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"kernel\": \"{}\", {}}}{}\n",
-                json_escape(&k.kernel),
-                timing_json(&k.call),
-                if i + 1 == self.kernels.len() { "" } else { "," },
-            ));
-        }
         out.push_str("  ],\n");
         out.push_str(&format!(
             "  \"fast_forward_speedup\": {}\n}}\n",
@@ -294,9 +251,6 @@ impl ThroughputReport {
                 r.graphs as f64 / r.pass.p90,
                 r.graphs as f64 / r.pass.p10,
             ));
-        }
-        for k in &self.kernels {
-            t.push_str(&format!("{:<24} {}\n", k.kernel, k.call));
         }
         if let Some(s) = self.aggregate_speedup() {
             t.push_str(&format!("fast-forward speedup vs reference: {s:.2}x\n"));
@@ -349,10 +303,6 @@ mod tests {
                 // Functional rows must not skew the engine-mode speedup.
                 row(EngineMode::FastForward, ExecutionMode::Full, 1000, 100.0),
             ],
-            kernels: vec![KernelTiming {
-                kernel: "dot_100".into(),
-                call: spread(8e-8),
-            }],
         };
         assert_eq!(report.aggregate_speedup(), Some(4.0));
         let j = report.to_json();
@@ -360,20 +310,14 @@ mod tests {
         assert!(j.contains("\"engine\": \"reference\""));
         assert!(j.contains("\"execution\": \"timing-only\""));
         assert!(j.contains("\"execution\": \"full\""));
-        assert!(j.contains("\"kernels\": [\n"));
         assert!(j.contains("\"fast_forward_speedup\": 4.00"));
         assert!(j.contains("\"cycles_per_second\": 500.0"));
         assert!(j.contains(
             "\"median_s\": 2.0000e0, \"p10_s\": 1.0000e0, \"p90_s\": 4.0000e0, \"trials\": 11"
         ));
-        assert!(j.contains(
-            "{\"kernel\": \"dot_100\", \"median_s\": 8.0000e-8, \
-             \"p10_s\": 4.0000e-8, \"p90_s\": 1.6000e-7, \"trials\": 11}"
-        ));
-        // `kernels` keys only the array: no row or kernel entry names a body.
-        assert_eq!(j.matches("\"kernels\"").count(), 1);
+        // No kernel is timed on its own, and no row names a kernel body.
+        assert!(!j.contains("kernel"));
         let rendered = report.table();
-        assert!(rendered.contains("dot_100                  median    80.0 ns"));
         // graphs/s p10–p90 comes from the slow and fast passes.
         assert!(rendered.contains("5.00    2–10\n"));
     }
@@ -391,7 +335,6 @@ mod tests {
                 ),
                 row(EngineMode::FastForward, ExecutionMode::Full, 1000, 1.0),
             ],
-            kernels: Vec::new(),
         };
         assert_eq!(report.validate(), Ok(()));
         report.rows[1].sim_cycles = 999;
@@ -427,9 +370,6 @@ mod tests {
             assert!(r.pass.p10 <= r.pass.median && r.pass.median <= r.pass.p90);
             assert!(r.pass.trials >= 10);
         }
-        let kernels: Vec<_> = report.kernels.iter().map(|k| k.kernel.as_str()).collect();
-        assert_eq!(kernels, ["dot_100", "linear_forward_100x100"]);
-        assert!(report.kernels.iter().all(|k| k.call.trials >= 10));
         // Neither engine nor execution mode changes simulated cycles.
         assert_eq!(report.validate(), Ok(()));
         assert!(report.aggregate_speedup().is_some());

@@ -1,8 +1,8 @@
 //! The one stopwatch of this crate.
 //!
 //! Every wall-clock number `flowgnn-bench` reports — `repro throughput`'s
-//! rows and kernel bodies, `repro live`'s load calibration, and the
-//! `cargo bench` targets — comes from [`measure`]. It warms the body up,
+//! rows, `repro live`'s load calibration, and the `cargo bench` targets —
+//! comes from [`measure`]. It warms the body up,
 //! runs [`TRIALS`] timed trials, and reports the median with p10 and p90
 //! per call, so every figure carries its spread.
 //!

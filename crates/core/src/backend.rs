@@ -12,7 +12,7 @@ use std::time::Duration;
 use flowgnn_desim::{cycles_to_ms, Cycle};
 use flowgnn_graph::{Graph, GraphStream};
 
-use crate::energy::EnergyModel;
+use crate::energy::graphs_per_kj;
 use crate::engine::Accelerator;
 use crate::metrics::ServeMetrics;
 use crate::resource::ResourceEstimate;
@@ -68,7 +68,8 @@ impl BackendReport {
     }
 
     /// Attaches a DSP bill and the DSP-normalised latency (µs × DSPs /
-    /// 4096), the paper's cross-platform normalisation for Table VIII.
+    /// 4096), the paper's cross-platform normalisation for Table VIII:
+    /// every platform's normalised latency comes from here.
     pub fn with_dsps(mut self, dsps: u64) -> Self {
         self.dsps = Some(dsps);
         self.normalized_us = Some(self.latency_us * dsps as f64 / 4096.0);
@@ -79,28 +80,16 @@ impl BackendReport {
 /// A platform that can run GNN inference: the unified interface the
 /// experiment drivers iterate over.
 ///
-/// Implementors fall into two classes:
-///
-/// - **graph-exact** platforms ([`Accelerator`], the I-GCN/AWB-GCN
-///   models) need the actual graph: [`Self::run_graph`] is primary and
-///   [`Self::run_shape`] returns `None`;
-/// - **shape-based** cost models (the CPU/GPU platforms) are functions of
-///   `(nodes, edges)` only: they implement [`Self::run_shape`] and derive
-///   [`Self::run_graph`] from each graph's shape.
+/// [`Accelerator`] and the I-GCN/AWB-GCN platforms need the actual graph.
+/// The CPU/GPU platforms are functions of a graph's `(nodes, edges)`
+/// shape only: they run each graph as its shape, and also answer an
+/// inherent `run_shape` for a dataset's mean shape.
 pub trait InferenceBackend {
     /// Human-readable platform name (table row label).
     fn name(&self) -> &str;
 
     /// Runs one graph at batch size 1.
     fn run_graph(&self, graph: &Graph) -> BackendReport;
-
-    /// Runs a synthetic workload of `nodes`/`edges` shape, for platforms
-    /// whose cost model is shape-based. Graph-exact platforms return
-    /// `None` (the default).
-    fn run_shape(&self, nodes: usize, edges: usize) -> Option<BackendReport> {
-        let _ = (nodes, edges);
-        None
-    }
 
     /// Streams up to `limit` graphs through the platform and averages.
     ///
@@ -131,13 +120,14 @@ pub trait InferenceBackend {
             count += 1;
         }
         let c = count as f64;
-        BackendReport {
+        let mean = BackendReport {
             latency_ms: ms / c,
             latency_us: us / c,
             graphs_per_kj: gpk / c,
-            dsps,
-            normalized_us: dsps.map(|d| (us / c) * d as f64 / 4096.0),
-        }
+            dsps: None,
+            normalized_us: None,
+        };
+        dsps.map_or(mean, |d| mean.with_dsps(d))
     }
 
     /// Computes this platform's per-request service trace for up to
@@ -249,15 +239,15 @@ impl InferenceBackend for Accelerator {
     fn run_graph(&self, graph: &Graph) -> BackendReport {
         let report = self.run(graph);
         let resources = ResourceEstimate::for_model(self.model(), self.config());
-        let energy = EnergyModel::new(resources);
         let us = report.latency_us();
         BackendReport {
             latency_ms: report.latency_ms(),
             latency_us: us,
-            graphs_per_kj: energy.graphs_per_kj(us * 1e-6),
-            dsps: Some(resources.dsp),
-            normalized_us: Some(us * resources.dsp as f64 / 4096.0),
+            graphs_per_kj: graphs_per_kj(us * 1e-6, resources.board_watts()),
+            dsps: None,
+            normalized_us: None,
         }
+        .with_dsps(resources.dsp)
     }
 
     /// Overrides the default with the engine's native cycle-exact service
@@ -283,14 +273,11 @@ impl InferenceBackend for Accelerator {
         let trace = Accelerator::service_trace(self, stream, limit);
         let mean_ms = cycles_to_ms(trace.iter().sum()) / trace.len() as f64;
         let resources = ResourceEstimate::for_model(self.model(), self.config());
-        let energy = EnergyModel::new(resources);
-        BackendReport {
-            latency_ms: mean_ms,
-            latency_us: mean_ms * 1e3,
-            graphs_per_kj: energy.graphs_per_kj(mean_ms / 1e3),
-            dsps: Some(resources.dsp),
-            normalized_us: Some(mean_ms * 1e3 * resources.dsp as f64 / 4096.0),
-        }
+        BackendReport::from_ms(
+            mean_ms,
+            graphs_per_kj(mean_ms / 1e3, resources.board_watts()),
+        )
+        .with_dsps(resources.dsp)
     }
 }
 

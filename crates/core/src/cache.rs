@@ -29,9 +29,9 @@
 //! Eviction is least-recently-used over a configurable capacity; a
 //! monotonic access tick makes every entry's recency distinct, so the
 //! eviction order is deterministic regardless of hash-map iteration
-//! order. Hit / miss / eviction counters are surfaced through
-//! [`CacheStats`] and attached to [`crate::ServeReport`]s produced by a
-//! cache-carrying accelerator.
+//! order. Hit / miss / eviction counters are read through
+//! [`ServiceTraceCache::stats`] as a [`CacheStats`]; serving reports do
+//! not carry them.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

@@ -3,77 +3,49 @@
 //! The paper reports energy efficiency in graphs/kJ from measured board
 //! power. Without a board, power is modelled as FPGA static power plus
 //! dynamic power proportional to the active resources — the standard
-//! first-order FPGA power decomposition. The absolute wattage lands in the
+//! first-order FPGA power decomposition
+//! ([`ResourceEstimate::board_watts`]). The absolute wattage lands in the
 //! U50's typical 10–30 W envelope (consistent with the paper's "4× less
 //! power" than CPU/GPU claim); energy-efficiency *ratios* against the
 //! baselines come from the calibrated baseline powers in
-//! `flowgnn-baselines`.
+//! `flowgnn-baselines`. Every platform's graphs/kJ is [`graphs_per_kj`].
 
 use crate::resource::ResourceEstimate;
 
 /// FPGA static power floor in watts (Alveo U50 class).
 pub const FPGA_STATIC_WATTS: f64 = 10.0;
 
-/// Converts a resource bill into board power and energy metrics.
-///
-/// # Example
-///
-/// ```
-/// use flowgnn_core::{ArchConfig, EnergyModel, ResourceEstimate};
-/// use flowgnn_models::GnnModel;
-///
-/// let model = GnnModel::gcn(9, 0);
-/// let res = ResourceEstimate::for_model(&model, &ArchConfig::default());
-/// let energy = EnergyModel::new(res);
-/// assert!(energy.board_watts() > 10.0 && energy.board_watts() < 40.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyModel {
-    resources: ResourceEstimate,
-}
+/// Dynamic watts per DSP slice at 300 MHz.
+const WATTS_PER_DSP: f64 = 1.5e-3;
+/// Dynamic watts per BRAM36.
+const WATTS_PER_BRAM: f64 = 3.0e-3;
+/// Dynamic watts per LUT.
+const WATTS_PER_LUT: f64 = 2.0e-5;
 
-impl EnergyModel {
-    /// Dynamic watts per DSP slice at 300 MHz.
-    const WATTS_PER_DSP: f64 = 1.5e-3;
-    /// Dynamic watts per BRAM36.
-    const WATTS_PER_BRAM: f64 = 3.0e-3;
-    /// Dynamic watts per LUT.
-    const WATTS_PER_LUT: f64 = 2.0e-5;
-
-    /// Creates the model from a resource bill.
-    pub fn new(resources: ResourceEstimate) -> Self {
-        Self { resources }
-    }
-
-    /// Estimated board power in watts.
+impl ResourceEstimate {
+    /// Estimated board power in watts: the static floor plus dynamic power
+    /// per DSP, BRAM and LUT of this bill.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use flowgnn_core::{ArchConfig, ResourceEstimate};
+    /// use flowgnn_models::GnnModel;
+    ///
+    /// let model = GnnModel::gcn(9, 0);
+    /// let watts = ResourceEstimate::for_model(&model, &ArchConfig::default()).board_watts();
+    /// assert!(watts > 10.0 && watts < 40.0);
+    /// ```
     pub fn board_watts(&self) -> f64 {
         FPGA_STATIC_WATTS
-            + self.resources.dsp as f64 * Self::WATTS_PER_DSP
-            + self.resources.bram as f64 * Self::WATTS_PER_BRAM
-            + self.resources.lut as f64 * Self::WATTS_PER_LUT
-    }
-
-    /// Energy per graph in joules, for a per-graph latency in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `latency_s` is not positive.
-    pub fn joules_per_graph(&self, latency_s: f64) -> f64 {
-        assert!(latency_s > 0.0, "latency must be positive");
-        self.board_watts() * latency_s
-    }
-
-    /// The paper's Table VI metric: graphs per kilojoule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `latency_s` is not positive.
-    pub fn graphs_per_kj(&self, latency_s: f64) -> f64 {
-        1.0 / (self.joules_per_graph(latency_s) * 1e-3)
+            + self.dsp as f64 * WATTS_PER_DSP
+            + self.bram as f64 * WATTS_PER_BRAM
+            + self.lut as f64 * WATTS_PER_LUT
     }
 }
 
-/// Energy efficiency in graphs/kJ for any platform from latency and power.
+/// The paper's Table VI metric, graphs per kilojoule, for any platform
+/// from its per-graph latency in seconds and its power in watts.
 ///
 /// # Panics
 ///
@@ -92,31 +64,32 @@ mod tests {
     use crate::ArchConfig;
     use flowgnn_models::GnnModel;
 
-    fn model_energy(seed: u64) -> EnergyModel {
+    fn board_watts(seed: u64) -> f64 {
         let model = GnnModel::gin(9, Some(3), seed);
-        EnergyModel::new(ResourceEstimate::for_model(&model, &ArchConfig::default()))
+        ResourceEstimate::for_model(&model, &ArchConfig::default()).board_watts()
     }
 
     #[test]
     fn board_power_is_in_u50_envelope() {
-        let w = model_energy(0).board_watts();
+        let w = board_watts(0);
         assert!((10.0..=40.0).contains(&w), "{w} W");
     }
 
     #[test]
     fn energy_scales_linearly_with_latency() {
-        let e = model_energy(0);
-        let j1 = e.joules_per_graph(1e-4);
-        let j2 = e.joules_per_graph(2e-4);
-        assert!((j2 / j1 - 2.0).abs() < 1e-9);
+        // Energy per graph is the reciprocal of graphs/kJ: twice the
+        // latency at the same power costs twice the joules.
+        let w = board_watts(0);
+        let ratio = graphs_per_kj(1e-4, w) / graphs_per_kj(2e-4, w);
+        assert!((ratio - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn graphs_per_kj_is_reciprocal() {
-        let e = model_energy(0);
+        let w = board_watts(0);
         let lat = 1e-4;
-        let gpk = e.graphs_per_kj(lat);
-        assert!((gpk * e.joules_per_graph(lat) * 1e-3 - 1.0).abs() < 1e-9);
+        let gpk = graphs_per_kj(lat, w);
+        assert!((gpk * w * lat * 1e-3 - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -130,6 +103,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be positive")]
     fn zero_latency_panics() {
-        model_energy(0).joules_per_graph(0.0);
+        graphs_per_kj(0.0, board_watts(0));
     }
 }

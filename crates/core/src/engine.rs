@@ -442,6 +442,7 @@ mod tests {
     use super::*;
     use crate::config::PipelineStrategy;
     use crate::regions::NtOp;
+    use crate::trace::LaneSymbol;
     use flowgnn_graph::generators::{GraphGenerator, MoleculeLike};
     use flowgnn_models::reference;
 
@@ -615,6 +616,41 @@ mod tests {
         let plain = Accelerator::new(model.clone(), ArchConfig::default()).run(&g);
         let traced = Accelerator::new(model, ArchConfig::default().with_trace()).run(&g);
         assert_eq!(plain.total_cycles, traced.total_cycles);
+    }
+
+    #[test]
+    fn source_banked_nt_units_wait_at_the_merge_barrier() {
+        // GAT on a 26-node molecule at the default configuration: each
+        // gather region's MP phase takes 160 cycles, then each of the two
+        // NT units finalises 13 nodes at II 9 plus a 17-cycle fill. Both
+        // NT units stall through the MP phase.
+        let g = MoleculeLike::new(25.3, 2023).generate(0);
+        let config = ArchConfig::default()
+            .with_gather_banking(crate::GatherBanking::Source)
+            .with_execution(ExecutionMode::TimingOnly)
+            .with_trace();
+        let r = Accelerator::new(GnnModel::gat(9, 8), config).run(&g);
+        let trace = r.trace.expect("traced run");
+        let gathers: Vec<_> = trace
+            .regions
+            .iter()
+            .filter(|t| t.label.starts_with("gather"))
+            .collect();
+        assert_eq!(gathers.len(), 5);
+        for region in gathers {
+            let nt = |symbol: LaneSymbol| {
+                let lanes = region.lane_names.iter().zip(&region.lanes);
+                lanes
+                    .filter(|(name, _)| name.starts_with("NT"))
+                    .map(|(_, lane)| lane.iter().filter(|&&s| s == symbol).count())
+                    .sum::<usize>()
+            };
+            assert_eq!(region.cycles(), 294);
+            assert_eq!(
+                (nt(LaneSymbol::Busy), nt(LaneSymbol::StallEmpty)),
+                (268, 320)
+            );
+        }
     }
 
     #[test]

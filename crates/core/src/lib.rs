@@ -67,7 +67,7 @@ mod units;
 pub use backend::{BackendReport, InferenceBackend};
 pub use cache::{graph_fingerprint, CacheStats, ServiceTraceCache};
 pub use config::{ArchConfig, EngineMode, ExecutionMode, GatherBanking, PipelineStrategy};
-pub use energy::{graphs_per_kj, EnergyModel, FPGA_STATIC_WATTS};
+pub use energy::{graphs_per_kj, FPGA_STATIC_WATTS};
 pub use engine::{Accelerator, PreparedGraph, RunReport};
 pub use exec::SimScratch;
 pub use imbalance::{bank_workloads, imbalance_percent};

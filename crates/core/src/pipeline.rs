@@ -457,7 +457,7 @@ impl Accelerator {
             (_, Shape::Gather, GatherBanking::Destination) => {
                 self.gather_dataflow(timing, g, csc(), exec, rt)
             }
-            (_, Shape::Gather, GatherBanking::Source) => self.gather_source_banked(timing, g),
+            (_, Shape::Gather, GatherBanking::Source) => self.gather_source_banked(timing, g, rt),
             (_, Shape::Scatter | Shape::NtOnly, _) => {
                 self.scatter_dataflow(timing, g, banked, exec, rt)
             }
@@ -568,12 +568,20 @@ impl Accelerator {
 
     /// The paper's source-banked gather (Sec. III-D2): MP unit *k* owns
     /// sources `s ≡ k (mod P_edge)` and accumulates *partial* aggregates
-    /// per destination. Destinations\' aggregates are only final once every
+    /// per destination. Destinations' aggregates are only final once every
     /// unit has drained its edges, so the node transformations run after a
     /// barrier. Timing: `max_k(unit k edge work) + NT phase`. The
     /// arithmetic is destination banking's: every gather region folds each
-    /// destination's in-edges in CSC order (`ExecState::run_region`).
-    fn gather_source_banked(&self, t: &RegionTiming, g: &Graph) -> RegionStats {
+    /// destination's in-edges in CSC order (`ExecState::run_region`). The
+    /// schedule is analytic, so a traced run's lanes are synthesised from
+    /// it, and the meters are charged from the same activity.
+    fn gather_source_banked(
+        &self,
+        t: &RegionTiming,
+        g: &Graph,
+        trace: Option<&mut RegionTrace>,
+    ) -> RegionStats {
+        use LaneSymbol::{Busy, Idle, StallEmpty};
         let n = g.num_nodes();
         let p_edge = self.config().effective_p_edge();
         let p_node = self.config().effective_p_node();
@@ -588,20 +596,53 @@ impl Accelerator {
             unit_work[s % p_edge] += out_deg[s] as u64 * chunks + 1;
         }
         let mp_phase = unit_work.iter().copied().max().unwrap_or(0);
-        let mp_total: u64 = unit_work.iter().sum();
 
         // NT phase after the merge barrier: nodes distributed over P_node
         // units, II = max(acc, out) with ping-pong, plus one fill.
         let nt_ii = acc.max(out).max(1);
         let nt_phase = (n as u64).div_ceil(p_node as u64) * nt_ii + acc + out;
-        let nt_total = n as u64 * (acc + out);
+        let cycles = mp_phase + nt_phase;
 
-        RegionStats {
-            cycles: mp_phase + nt_phase,
-            nt_busy: nt_total,
-            mp_busy: mp_total,
+        // Each unit's activity as consecutive runs, charged to its meters
+        // and appended to its lane (NT lanes first).
+        let mut stats = RegionStats {
+            cycles,
             ..Default::default()
+        };
+        let mut lanes = trace.map(|rt| rt.lanes.iter_mut());
+        let mut unit = |charge: fn(&mut RegionStats, LaneSymbol, u64),
+                        runs: &[(LaneSymbol, u64)]| {
+            let mut lane = lanes.as_mut().and_then(Iterator::next);
+            for &(activity, len) in runs {
+                charge(&mut stats, activity, len);
+                if let Some(lane) = &mut lane {
+                    lane.resize(lane.len() + len as usize, activity);
+                }
+            }
+        };
+        for j in 0..p_node {
+            // NT unit j owns nodes j, j + P_node, …: it waits at the
+            // barrier through the MP phase, then finalises them. A unit
+            // that owns none idles throughout.
+            let owned = n.saturating_sub(j).div_ceil(p_node) as u64;
+            let (wait, busy) = match owned {
+                0 => (0, 0),
+                _ => (mp_phase, owned * nt_ii + acc + out),
+            };
+            let idle = cycles - wait - busy;
+            unit(
+                RegionStats::charge_nt,
+                &[(StallEmpty, wait), (Busy, busy), (Idle, idle)],
+            );
         }
+        for &work in &unit_work {
+            // MP unit k drains its bank, then idles to the region's end.
+            unit(
+                RegionStats::charge_mp,
+                &[(Busy, work), (Idle, cycles - work)],
+            );
+        }
+        stats
     }
 
     /// Fig. 4(a)/(b) on a gather region: node `v`'s MP phase over its

@@ -13,15 +13,12 @@
 //! space idle. Enable with [`ArchConfig::with_trace`]; the trace appears
 //! in [`RunReport::trace`]. Long regions are downsampled on render.
 //!
-//! Every region is traced except source-banked gather regions
-//! ([`GatherBanking::Source`] under the dataflow strategies), whose
-//! analytic schedule records no lanes: such a region appears with its
-//! label and lane names but zero cycles. In every traced region the
-//! busy and stall symbols on the NT (MP) lanes sum to the run's NT (MP)
-//! busy and stall meters, because a unit's lane symbol is the activity
-//! the meters are charged from.
-//!
-//! [`GatherBanking::Source`]: crate::GatherBanking::Source
+//! Every region is traced, the analytic schedules (the two baseline
+//! strategies, and source-banked gather regions under the dataflow
+//! strategies) included: their lanes are synthesised from the schedule.
+//! In every region the busy and stall symbols on the NT (MP) lanes sum to
+//! the run's NT (MP) busy and stall meters, because a unit's lane symbol
+//! is the activity the meters are charged from.
 //!
 //! [`ArchConfig::with_trace`]: crate::ArchConfig::with_trace
 //! [`RunReport::trace`]: crate::RunReport

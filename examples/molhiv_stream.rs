@@ -6,8 +6,8 @@
 //! cargo run --release --example molhiv_stream [graphs]
 //! ```
 
-use flowgnn::baselines::{CpuModel, GpuModel};
-use flowgnn::core::{EnergyModel, InferenceBackend, ResourceEstimate};
+use flowgnn::baselines::{CpuBackend, GpuBackend};
+use flowgnn::core::{InferenceBackend, ResourceEstimate};
 use flowgnn::graph::datasets::{DatasetKind, DatasetSpec};
 use flowgnn::models::ModelKind;
 use flowgnn::{Accelerator, ArchConfig, ExecutionMode, GnnModel};
@@ -38,11 +38,11 @@ fn main() {
             "{:<8} {:>10.4} {:>10.2} {:>10.2} {:>8} {:>8} {:>10.1} {:>12.2e}",
             kind.name(),
             report.latency_ms,
-            CpuModel::latency_ms_for_shape(&model, n, e),
-            GpuModel::latency_per_graph_ms(&model, n, e, 1),
+            CpuBackend::new(model.clone()).run_shape(n, e).latency_ms,
+            GpuBackend::new(model.clone(), 1).run_shape(n, e).latency_ms,
             resources.dsp,
             resources.bram,
-            EnergyModel::new(resources).board_watts(),
+            resources.board_watts(),
             report.graphs_per_kj,
         );
     }

@@ -12,10 +12,11 @@
 //! - [`models`] — the message-passing programming model and the six paper
 //!   models (GCN, GIN, GIN+VN, GAT, PNA, DGN);
 //! - [`core`] — the dataflow architecture itself: NT/MP units, the
-//!   multicast adapter, four pipeline strategies, resource and energy
-//!   models;
-//! - [`baselines`] — calibrated CPU/GPU cost models, I-GCN islandization,
-//!   AWB-GCN.
+//!   multicast adapter, four pipeline strategies, the resource model with
+//!   its board power, and the graphs/kJ and DSP-normalisation formulas
+//!   every platform's report shares;
+//! - [`baselines`] — one `InferenceBackend` per baseline platform:
+//!   calibrated CPU/GPU cost models, I-GCN islandization, AWB-GCN.
 //!
 //! The most common entry points are re-exported at the top level.
 //!

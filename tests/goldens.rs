@@ -3,13 +3,15 @@
 //! behavioural change that EXPERIMENTS.md numbers no longer describe —
 //! update the goldens *and* the document together.
 
-use flowgnn::core::GatherBanking;
+use flowgnn::baselines::{AwbGcnBackend, CpuBackend, GpuBackend, IGcnBackend, Islandization};
+use flowgnn::core::{BackendReport, GatherBanking, InferenceBackend, ResourceEstimate};
 use flowgnn::graph::datasets::{DatasetKind, DatasetSpec};
 use flowgnn::graph::generators::{ErdosRenyi, GraphGenerator, KnnPointCloud, MoleculeLike};
 use flowgnn::graph::{FeatureSource, Graph};
 use flowgnn::models::reference;
 use flowgnn::{
-    Accelerator, ArchConfig, EngineMode, ExecutionMode, GnnModel, PipelineStrategy, RunReport,
+    Accelerator, ArchConfig, EngineMode, ExecutionMode, GnnModel, ModelKind, PipelineStrategy,
+    RunReport,
 };
 
 #[test]
@@ -300,4 +302,88 @@ fn fig4_baseline_schedules_are_pinned() {
         hash, 0xdc4b_67c4_e40b_f355,
         "Fig. 4(a)/(b) baseline schedules drifted"
     );
+}
+
+/// FNV-1a over 64-bit words.
+fn fnv1a_words(hash: &mut u64, words: impl IntoIterator<Item = u64>) {
+    for word in words {
+        for byte in word.to_le_bytes() {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// FNV-1a over every field of a platform report: both latency units,
+/// graphs/kJ, and the DSP bill with its normalised latency.
+fn fnv1a_report_bits(hash: &mut u64, r: &BackendReport) {
+    fnv1a_words(
+        hash,
+        [
+            r.latency_ms.to_bits(),
+            r.latency_us.to_bits(),
+            r.graphs_per_kj.to_bits(),
+            r.dsps.unwrap_or(u64::MAX),
+            r.normalized_us.map_or(u64::MAX, f64::to_bits),
+        ],
+    );
+}
+
+#[test]
+fn backend_report_bits_are_pinned() {
+    // Every platform's report on three MolHIV molecules and the first Cora
+    // graph: CPU and GPU (batches 1 and 64) per graph and at the MolHIV
+    // mean shape, I-GCN with its own islandization and with a precomputed
+    // redundancy, AWB-GCN, and the accelerator per graph and per stream,
+    // with the board power of each preset. CSVs print two to four
+    // decimals; this pins the last bit of every graphs/kJ and
+    // DSP-normalised figure behind them.
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let molhiv = DatasetSpec::standard(DatasetKind::MolHiv);
+    let stats = molhiv.paper_stats();
+    let (n, e) = (stats.mean_nodes as usize, stats.mean_edges as usize);
+    let timing = ArchConfig::default().with_execution(ExecutionMode::TimingOnly);
+    for (kind, count) in [(DatasetKind::MolHiv, 3), (DatasetKind::Cora, 1)] {
+        let spec = DatasetSpec::standard(kind);
+        let (dim, edge_dim) = (spec.node_feat_dim(), spec.edge_feat_dim());
+        let graphs: Vec<Graph> = spec.stream().take(count).collect();
+        for preset in ModelKind::PAPER_MODELS {
+            let model = GnnModel::preset(preset, dim, edge_dim, 61);
+            let resources = ResourceEstimate::for_model(&model, &ArchConfig::default());
+            fnv1a_words(&mut hash, [resources.board_watts().to_bits()]);
+            let cpu = CpuBackend::new(model.clone());
+            let gpus = [1, 64].map(|batch| GpuBackend::new(model.clone(), batch));
+            fnv1a_report_bits(&mut hash, &cpu.run_shape(n, e));
+            for gpu in &gpus {
+                fnv1a_report_bits(&mut hash, &gpu.run_shape(n, e));
+            }
+            for g in &graphs {
+                fnv1a_report_bits(&mut hash, &cpu.run_graph(g));
+                for gpu in &gpus {
+                    fnv1a_report_bits(&mut hash, &gpu.run_graph(g));
+                }
+            }
+            fnv1a_report_bits(&mut hash, &cpu.run_stream(spec.stream(), count));
+        }
+        let igcn = IGcnBackend::new(16, 2);
+        let awb = AwbGcnBackend::new(16, 2);
+        for g in &graphs {
+            let redundancy = Islandization::analyze(g).redundant_fraction;
+            fnv1a_report_bits(&mut hash, &igcn.run_graph(g));
+            for r in [redundancy, 0.25] {
+                let precomputed = IGcnBackend::new(16, 2).with_redundancy(r);
+                fnv1a_report_bits(&mut hash, &precomputed.run_graph(g));
+            }
+            fnv1a_report_bits(&mut hash, &awb.run_graph(g));
+        }
+        fnv1a_report_bits(&mut hash, &igcn.run_stream(spec.stream(), count));
+        fnv1a_report_bits(&mut hash, &awb.run_stream(spec.stream(), count));
+        for model in [GnnModel::gcn(dim, 62), GnnModel::gin(dim, edge_dim, 63)] {
+            let acc = Accelerator::new(model, timing);
+            for g in &graphs {
+                fnv1a_report_bits(&mut hash, &InferenceBackend::run_graph(&acc, g));
+            }
+            fnv1a_report_bits(&mut hash, &acc.run_stream(spec.stream(), count));
+        }
+    }
+    assert_eq!(hash, 0xb3f7_2e4f_e98d_a5b8, "platform report bits drifted");
 }

@@ -175,8 +175,8 @@ fn flowgnn_dominates_baseline_dataflow() {
 /// fill (8 + 4 cycles), and the busy and stall symbols on the NT (MP)
 /// lanes sum to the NT (MP) busy and stall meters. Checked for every
 /// strategy and preset on molecules, HEP point clouds, and edgeless,
-/// one-node and zero-node graphs at three parallelism corners, with
-/// destination banking (source-banked gather regions record no lanes).
+/// one-node and zero-node graphs at three parallelism corners, under both
+/// gather bankings.
 #[test]
 fn busy_and_stall_meters_equal_the_traced_lanes() {
     use flowgnn::core::LaneSymbol;
@@ -207,10 +207,15 @@ fn busy_and_stall_meters_equal_the_traced_lanes() {
         (presets(&plain(1)), vec![plain(6), plain(1), plain(0)]),
     ];
     let (mut runs, mut failures) = (0, Vec::new());
-    for strategy in PipelineStrategy::ABLATION_ORDER {
+    let bankings = [GatherBanking::Destination, GatherBanking::Source];
+    let schedules = PipelineStrategy::ABLATION_ORDER
+        .into_iter()
+        .flat_map(|strategy| bankings.map(|banking| (strategy, banking)));
+    for (strategy, banking) in schedules {
         for (p_node, p_edge, p_apply, p_scatter) in [(1, 1, 1, 1), (2, 4, 8, 8), (4, 2, 16, 4)] {
             let config = ArchConfig::default()
                 .with_strategy(strategy)
+                .with_gather_banking(banking)
                 .with_parallelism(p_node, p_edge, p_apply, p_scatter)
                 .with_execution(ExecutionMode::TimingOnly)
                 .with_trace();
@@ -251,8 +256,9 @@ fn busy_and_stall_meters_equal_the_traced_lanes() {
                         );
                         if lanes != r.region_cycles || (nt, mp) != metered {
                             failures.push(format!(
-                                "{} on {} nodes under {strategy} ({p_node}, {p_edge}, \
-                                 {p_apply}, {p_scatter}): lanes {lanes:?} vs regions {:?}, \
+                                "{} on {} nodes under {strategy}, {banking:?} banking \
+                                 ({p_node}, {p_edge}, {p_apply}, {p_scatter}): lanes {lanes:?} \
+                                 vs regions {:?}, \
                                  traced NT/MP {:?} vs metered {metered:?}",
                                 model.name(),
                                 g.num_nodes(),
@@ -265,7 +271,7 @@ fn busy_and_stall_meters_equal_the_traced_lanes() {
             }
         }
     }
-    assert_eq!(runs, 504);
+    assert_eq!(runs, 1_008);
     assert!(
         failures.is_empty(),
         "{} of {runs} runs disagree:\n{}",
