@@ -188,10 +188,6 @@ impl MpUnit {
     /// last chunk (which retires it), and the pops within the flits
     /// already ready. Any other unit takes part only with a positive pure
     /// horizon.
-    // The jump calls this and `receive_for` from another module, so
-    // without the hint whether they inline depends on how the crate
-    // splits into codegen units.
-    #[inline]
     pub(crate) fn chain_role(&self, ctx: &ScatterCtx<'_>) -> Option<(u64, ChainRole)> {
         if let [Some(front), Some(back)] = &self.jobs {
             let ready = ctx.queues[back.queue].ready_len();
@@ -214,7 +210,6 @@ impl MpUnit {
     /// Runs `window` receiving cycles of a coupled jump: pops `window`
     /// flits into the back job and advances the front job `window`
     /// chunks, recording its completed edges in order.
-    #[inline]
     pub(crate) fn receive_for(
         &mut self,
         window: u64,

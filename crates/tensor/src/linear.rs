@@ -189,6 +189,9 @@ impl Linear {
     /// # Panics
     ///
     /// Panics if `x.len() != self.in_dim()`.
+    // Compiled once, not inside each caller, so every caller runs the
+    // same tile code (DESIGN.md §3f).
+    #[inline(never)]
     pub fn forward_input_stationary(&self, x: &[f32], out: &mut Vec<f32>) {
         assert_eq!(
             x.len(),
@@ -254,11 +257,20 @@ fn tile<const K: usize>(acc: &mut [[f32; LANES]], weights: &[Chunk], nonzero: &[
     for &(row, xi) in nonzero {
         let row = row as usize;
         let w: &[Chunk; K] = weights[row..row + K].try_into().expect("a whole tile");
-        for (a, w) in tile.iter_mut().zip(w) {
-            for (a, w) in a.iter_mut().zip(&w.0) {
-                *a += xi * w;
-            }
+        // One guarded multiply–add per chunk index rather than a loop over
+        // the tile: `K` is a constant, so each guard folds away and every
+        // width is straight-line code with its accumulators in registers,
+        // whatever the optimiser's unroll heuristics decide (DESIGN.md §3f).
+        macro_rules! chunks {
+            ($($k:literal)*) => {$(
+                if $k < K {
+                    for (a, w) in tile[$k].iter_mut().zip(&w[$k].0) {
+                        *a += xi * w;
+                    }
+                }
+            )*};
         }
+        chunks!(0 1 2 3 4 5 6 7 8 9 10 11 12);
     }
     *acc = tile;
 }
@@ -279,7 +291,8 @@ const COMPACT_BLOCK: usize = 32;
 
 /// Most [`LANES`]-wide accumulators one register tile holds: 13
 /// accumulators, the broadcast input and the products fill the 16 AVX2
-/// vector registers.
+/// vector registers. `tile` spells out one multiply–add per chunk index
+/// below it, and the width match lists every width up to it.
 const TILE_CHUNKS: usize = 13;
 
 #[cfg(test)]
